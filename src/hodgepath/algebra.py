@@ -790,16 +790,6 @@ def morphism_matrix(f: LinearMap, n, strict=True):
     return [f.target.coords(f(b), n, strict=strict) for b in f.source.basis(n, strict=strict)]
 
 
-def equal_maps(f: LinearMap, g: LinearMap, upto, strict=True) -> bool:
-    if f.source is not g.source or f.target is not g.target:
-        return False
-    for n in range(0, upto + 1):
-        for b in f.source.basis(n, strict=strict):
-            if f(b) != g(b):
-                return False
-    return True
-
-
 def is_surjective_at(f: LinearMap, n) -> int:
     rows = morphism_matrix(f, n)
     need = f.target.dim(n)
@@ -812,18 +802,10 @@ def solve_preimage(f: LinearMap, y: Element, n):
     ncols = f.target.dim(n)
     rhs = f.target.coords(y, n)
     # unknowns are source coordinates: transpose rows
-    mat = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
-    sol = linalg.solve(mat, len(rows), rhs)
+    sol = linalg.solve(linalg.transpose(rows, ncols), len(rows), rhs)
     if sol is None:
         return None
     return f.source.from_coords(n, sol)
-
-
-def kernel_elements(f: LinearMap, n):
-    rows = morphism_matrix(f, n)
-    ncols = f.target.dim(n)
-    mat = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
-    return [f.source.from_coords(n, v) for v in linalg.kernel_basis(mat, len(rows))]
 
 
 def check_morphism(f: Morphism, rng, degrees=None, samples=4, report=None):
@@ -887,7 +869,7 @@ class SubCdga:
         self.N = ambient.N
         self.name = name or f"Sub({ambient!r})"
         self._basis_cache = {}
-        self._coord_cache = {}
+        self._charts = {}
 
     # space protocol ------------------------------------------------------------
 
@@ -897,56 +879,36 @@ class SubCdga:
         if n < 0:
             return []
         if n not in self._basis_cache:
-            self._basis_cache[n] = self._solve_basis(self.ambient.basis(n, strict=False))
+            self._basis_cache[n] = self._solve_basis(n)
         return list(self._basis_cache[n])
 
-    def _solve_basis(self, amb_basis):
+    def _solve_basis(self, n):
+        amb_basis = self.ambient.basis(n, strict=False)
         if not amb_basis:
             return []
         rows = []  # constraint rows: one per (constraint, target basis index)
-        cols = len(amb_basis)
-        images = []
         for c in self.constraints:
             imgs = [c(b) for b in amb_basis]
-            degs = {x.degree() for x in imgs if not x.is_zero}
-            tgt_dims = {}
-            for x in imgs:
-                for m in ([x.degree()] if not x.is_zero else []):
-                    tgt_dims[m] = True
             # constraints are degree-preserving maps; collect coords per degree
-            for m in sorted(tgt_dims):
-                vecs = [c.target.coords(x if (not x.is_zero and x.degree() == m)
-                                        else c.target.zero(), m, strict=False)
+            for m in sorted({x.degree() for x in imgs if not x.is_zero}):
+                vecs = [c.target.coords(x if x.degree() == m else c.target.zero(),
+                                        m, strict=False)
                         for x in imgs]
-                dim_m = len(vecs[0])
-                for r in range(dim_m):
-                    rows.append([vecs[j][r] for j in range(cols)])
-        kern = linalg.kernel_basis(rows, cols) if rows else [
-            [Scalar(1) if i == j else Scalar(0) for j in range(cols)] for i in range(cols)]
-        out = []
-        for v in kern:
-            terms = {}
-            for coeff, b in zip(v, amb_basis):
-                if not coeff.is_zero:
-                    for k, c in b.terms.items():
-                        terms[k] = terms.get(k, Scalar(0)) + coeff * c
-            out.append(Element(self.ambient, terms))
-        return out
+                rows.extend(linalg.transpose(vecs, len(vecs[0])))
+        kern = linalg.kernel_basis(rows, len(amb_basis))
+        return [self.ambient.from_coords(n, v) for v in kern]
 
     def dim(self, n, strict=True):
         return len(self.basis(n, strict=strict))
 
     def coords(self, x: Element, n, strict=True):
-        basis = self.basis(n, strict=strict)
+        self.check_degree(n, strict)
         amb = self.ambient
-        cols = amb.dim(n, strict=False)
-        if n not in self._coord_cache:
-            mat = [amb.coords(b, n, strict=False) for b in basis]
-            self._coord_cache[n] = mat
-        mat = self._coord_cache[n]
-        target = amb.coords(x, n, strict=False)
-        tmat = [[mat[i][j] for i in range(len(mat))] for j in range(cols)]
-        sol = linalg.solve(tmat, len(mat), target)
+        if n not in self._charts:
+            self._charts[n] = linalg.Chart(
+                [amb.coords(b, n, strict=False) for b in self.basis(n, strict=False)],
+                amb.dim(n, strict=False))
+        sol = self._charts[n].coords(amb.coords(x, n, strict=False))
         if sol is None:
             raise AlgebraError(f"element is not in {self.name} (degree {n})")
         return sol

@@ -214,9 +214,6 @@ class HoMorphism:
     def vertex(self, v) -> Morphism:
         return self.maps[v]
 
-    def arrow_homotopy(self, u) -> Morphism:
-        return self.homotopies[u]
-
     def path_target(self, u):
         a = self.source.arrow(u)
         return self.target.vertex_path(a.dst)

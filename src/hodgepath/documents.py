@@ -16,7 +16,7 @@ from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, Generator,
 from .diagrams import Arrow, Diagram, HoMorphism, IndexCategory
 from .hodge import MixedHodgeDiagram
 from .paths import Homotopy, keyed, path_of
-from .scalars import Scalar, field_from_doc
+from .scalars import QQ, Field, Scalar
 
 SCHEMA_VERSION = 1
 KINDS = {"dga", "diagram", "mhd", "homorphism", "homotopy"}
@@ -49,6 +49,21 @@ def _check_fields(obj, path, required, optional=()):
     for f in obj:
         if f not in allowed:
             raise DocumentError(f"unknown field {f!r}", f"{path}.{f}")
+
+
+def _sqrt(d, path) -> int:
+    """The d of Q(sqrt d); the schemas ask for an integer <= -1."""
+    if isinstance(d, bool) or not isinstance(d, int) or d > -1:
+        raise DocumentError(f"sqrt must be an integer <= -1, got {d!r}", path)
+    return d
+
+
+def _field(spec, path) -> Field:
+    """"Q" (or absent) is the rationals; {"sqrt": d} is Q(sqrt d)."""
+    if spec is None or spec == "Q":
+        return QQ
+    _check_fields(spec, path, required=("sqrt",))
+    return Field(_sqrt(spec["sqrt"], f"{path}.sqrt"))
 
 
 def _expect_kind(doc, kind):
@@ -105,7 +120,7 @@ def build_dga(doc, path="$"):
                   optional=("name", "field", "generators", "basis", "unit",
                             "products", "differentials", "augmentation",
                             "annotations"))
-    fld = field_from_doc(doc.get("field"))
+    fld = _field(doc.get("field"), f"{path}.field")
     N = doc["max_degree"]
     if not isinstance(N, int) or N < 0:
         raise DocumentError("max_degree must be a non-negative integer",
@@ -330,7 +345,7 @@ def build_diagram(doc, path="$", kind="diagram"):
 
 def build_mhd(doc, path="$") -> MixedHodgeDiagram:
     D = build_diagram(doc, path, kind="mhd")
-    d = doc.get("sqrt", -1)
+    d = _sqrt(doc.get("sqrt", -1), f"{path}.sqrt")
     try:
         return MixedHodgeDiagram(D, d=d)
     except AlgebraError as e:

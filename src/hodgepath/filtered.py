@@ -50,17 +50,6 @@ def _key_level(X, k, kind):
     return w
 
 
-def element_level(x: Element, kind="W"):
-    """Filtration level of an element (max over keys; None for 0)."""
-    levels = []
-    for k in x.terms:
-        lv = _key_level(x.alg, k, kind)
-        if lv is None:
-            raise AlgebraError("element of an unfiltered algebra")
-        levels.append(lv)
-    return max(levels) if levels else None
-
-
 class FilteredComplex:
     """Adapted-basis view of a filtered algebra/subspace, degrees 0..bound."""
 
@@ -70,7 +59,7 @@ class FilteredComplex:
         self.bound = X.N if bound is None else bound
         self.levels = {}
         self.elements = {}
-        self._coord_cache = {}
+        self._charts = {}
         keyed_alg = isinstance(X, GradedAlgebra)
         if keyed_alg and ((kind == "W" and not X.has_weights)
                           or (kind == "F" and not X.has_hodge)):
@@ -99,59 +88,42 @@ class FilteredComplex:
             rows = []
             for c in X.constraints:
                 imgs = [c(b) for b in sub]
-                m = n
-                dim_m = c.target.dim(m, strict=False)
-                vecs = [c.target.coords(x, m, strict=False) if not x.is_zero
-                        else linalg.zeros(dim_m) for x in imgs]
-                for rj in range(dim_m):
-                    rows.append([vecs[j][rj] for j in range(len(sub))])
-            kern = linalg.kernel_basis(rows, len(sub)) if rows else [
-                [Scalar(1) if i == j else Scalar(0) for j in range(len(sub))]
-                for i in range(len(sub))]
-            for v in kern:
+                vecs = [c.target.coords(x, n, strict=False) for x in imgs]
+                rows.extend(linalg.transpose(vecs, c.target.dim(n, strict=False)))
+            for v in linalg.kernel_basis(rows, len(sub)):
                 full = linalg.zeros(len(keys))
                 for c, i in zip(v, allowed):
                     full[i] = c
                 if not linalg.span_contains(chosen_rows, len(keys), full):
                     chosen_rows.append(full)
                     chosen_levels.append(p)
-                    el = amb.zero()
-                    for c, k in zip(full, keys):
-                        if not c.is_zero:
-                            el = el + amb.from_key(k) * c
-                    chosen_elems.append(el)
+                    chosen_elems.append(amb.from_coords(n, full))
         return chosen_levels, chosen_elems
 
     def dim(self, n) -> int:
         return len(self.elements.get(n, []))
 
+    @property
+    def ambient(self) -> GradedAlgebra:
+        return self.X if isinstance(self.X, GradedAlgebra) else self.X.ambient
+
     def coords(self, x: Element, n):
-        if n not in self._coord_cache:
-            mat = [self._amb_coords(b, n) for b in self.elements[n]]
-            self._coord_cache[n] = mat
-        mat = self._coord_cache[n]
-        cols = len(mat[0]) if mat else 0
-        tmat = [[mat[i][j] for i in range(len(mat))] for j in range(cols)]
-        sol = linalg.solve(tmat, len(mat), self._amb_coords(x, n))
+        amb = self.ambient
+        if n not in self._charts:
+            self._charts[n] = linalg.Chart(
+                [amb.coords(b, n, strict=False) for b in self.elements[n]],
+                amb.dim(n, strict=False))
+        sol = self._charts[n].coords(amb.coords(x, n, strict=False))
         if sol is None:
             raise AlgebraError("element not in the filtered complex")
         return sol
-
-    def _amb_coords(self, x, n):
-        amb = self.X if isinstance(self.X, GradedAlgebra) else self.X.ambient
-        if x.is_zero:
-            return linalg.zeros(amb.dim(n, strict=False))
-        return amb.coords(x, n, strict=False)
 
     def from_coords(self, n, vec) -> Element:
         out = None
         for c, b in zip(vec, self.elements[n]):
             if not c.is_zero:
                 out = b * c if out is None else out + b * c
-        if out is None:
-            amb = self.X if isinstance(self.X, GradedAlgebra) else self.X.ambient
-            return amb.zero()
-        return out
+        return self.ambient.zero() if out is None else out
 
     def d_coords(self, n, vec):
         x = self.from_coords(n, vec)
@@ -171,20 +143,6 @@ class FilteredComplex:
         """Components of vec of level > cutlevel (adapted basis makes this exact)."""
         return [c if lv > cutlevel else Scalar(0)
                 for c, lv in zip(vec, self.levels[n])]
-
-    def check_compatible(self) -> list:
-        """Witnesses of d not preserving the filtration."""
-        bad = []
-        for n in range(0, self.bound):
-            for b, lv in zip(self.elements[n], self.levels[n]):
-                db = b.d()
-                if db.is_zero:
-                    continue
-                dlv = self.level_of_coords(n + 1, self.coords(db, n + 1))
-                if dlv is not None and dlv > lv:
-                    bad.append({"degree": n, "level": lv, "d_level": dlv,
-                                "witness": repr(b)})
-        return bad
 
 
 def weight_bounds_report(fc: FilteredComplex) -> dict:
@@ -217,8 +175,7 @@ class GrComplex:
         cols = self.dim(n)
         rows_d = self.d.get(n, [])
         dim_hi = self.dim(n + 1)
-        tmat = [[rows_d[i][j] for i in range(cols)] for j in range(dim_hi)]
-        kern = linalg.kernel_basis(tmat, cols)
+        kern = linalg.kernel_basis(linalg.transpose(rows_d, dim_hi), cols)
         img = self.d.get(n - 1, [])
         return linalg.Subquotient(kern, img, cols)
 
@@ -249,16 +206,10 @@ def gr(X, p: int, kind="W", bound=None, fc: FilteredComplex | None = None) -> Gr
     for n in range(0, fc.bound):
         rows = []
         for i in idx[n]:
-            dv = fc.d_coords(n, _unit_vec(fc.dim(n), i))
+            dv = fc.d_coords(n, linalg.unit_vec(fc.dim(n), i))
             rows.append([dv[j] for j in idx[n + 1]])
         dmats[n] = rows
     return GrComplex(p=p, dims=dims, d=dmats, hodge=hodges, reps=reps)
-
-
-def _unit_vec(nn, i):
-    v = linalg.zeros(nn)
-    v[i] = Scalar(1)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +238,11 @@ class SpectralSequence:
         gens = [i for i, lv in enumerate(fc.levels[n]) if lv <= p]
         rows = []
         for i in gens:
-            dv = fc.d_coords(n, _unit_vec(dim, i))
+            dv = fc.d_coords(n, linalg.unit_vec(dim, i))
             rows.append(fc.proj_above(n + 1, dv, p - r))
         cols = len(gens)
         dim_hi = fc.dim(n + 1)
-        tmat = [[rows[i][j] for i in range(cols)] for j in range(dim_hi)]
-        kern = linalg.kernel_basis(tmat, cols)
+        kern = linalg.kernel_basis(linalg.transpose(rows, dim_hi), cols)
         out = []
         for v in kern:
             full = linalg.zeros(dim)
@@ -364,9 +314,7 @@ class SpectralSequence:
         for n in range(0, bound + 1):
             for p in self.p_range():
                 rows, src, dst = self.d_r_matrix(r, p, n)
-                cols = dst.dim
-                tmat = [[rows[i][j] for i in range(src.dim)] for j in range(cols)]
-                kern = linalg.kernel_basis(tmat, src.dim)
+                kern = linalg.kernel_basis(linalg.transpose(rows, dst.dim), src.dim)
                 img_rows, up_src, _ = self.d_r_matrix(r, p + r, n - 1)
                 hsq = linalg.Subquotient(kern, img_rows, src.dim)
                 e_next = self.entry(r + 1, p, n)
@@ -473,7 +421,7 @@ def decalage(fc: FilteredComplex) -> FilteredComplex:
     out.bound = fc.bound - 1 if fc.bound >= 1 else 0
     out.levels = {}
     out.elements = {}
-    out._coord_cache = {}
+    out._charts = {}
     for n in range(0, out.bound + 1):
         dim = fc.dim(n)
         chosen_rows, levels, elems = [], [], []
@@ -482,12 +430,11 @@ def decalage(fc: FilteredComplex) -> FilteredComplex:
             gens = [i for i, lv in enumerate(fc.levels[n]) if lv <= p - n]
             rows = []
             for i in gens:
-                dv = fc.d_coords(n, _unit_vec(dim, i))
+                dv = fc.d_coords(n, linalg.unit_vec(dim, i))
                 rows.append(fc.proj_above(n + 1, dv, p - n - 1))
             cols = len(gens)
             dim_hi = fc.dim(n + 1)
-            tmat = [[rows[i][j] for i in range(cols)] for j in range(dim_hi)]
-            for v in linalg.kernel_basis(tmat, cols):
+            for v in linalg.kernel_basis(linalg.transpose(rows, dim_hi), cols):
                 full = linalg.zeros(dim)
                 for c, i in zip(v, gens):
                     full[i] = c
@@ -518,10 +465,10 @@ def strictness_check(rows, src_levels, dst_levels, decreasing=True) -> list:
     for q in qs:
         if decreasing:
             img_subspace = [r for r, lv in zip(rows, src_levels) if lv >= q]
-            f_target = [_unit_vec(cols, i) for i, lv in enumerate(dst_levels) if lv >= q]
+            f_target = [linalg.unit_vec(cols, i) for i, lv in enumerate(dst_levels) if lv >= q]
         else:
             img_subspace = [r for r, lv in zip(rows, src_levels) if lv <= q]
-            f_target = [_unit_vec(cols, i) for i, lv in enumerate(dst_levels) if lv <= q]
+            f_target = [linalg.unit_vec(cols, i) for i, lv in enumerate(dst_levels) if lv <= q]
         lhs = linalg.intersect(rows, f_target, cols)
         dim_lhs = linalg.span_dim(lhs, cols)
         dim_rhs = linalg.span_dim(img_subspace, cols)

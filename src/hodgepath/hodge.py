@@ -29,7 +29,6 @@ from .filtered import (FilteredComplex, GrComplex, SpectralSequence, decalage,
 from .homology import quasi_iso_report
 from .ops import ValidationReport, indecomposables, induced_on_indecomposables
 from .paths import integrate
-from .scalars import Scalar
 from .sullivan import is_minimal
 
 
@@ -70,10 +69,8 @@ class MhsStructure:
     def check(self) -> ValidationReport:
         rep = ValidationReport(subject="mixed Hodge structure")
         # involution
-        probe = [linalg.zeros(self.dim) for _ in range(self.dim)]
-        for i in range(self.dim):
-            probe[i][i] = Scalar(1)
-            if self.conj(self.conj(probe[i])) != probe[i]:
+        for i, e in enumerate(_identity_vectors(self.dim)):
+            if self.conj(self.conj(e)) != e:
                 rep.add("conjugation", f"not an involution at basis {i}")
         levels = self.weight_levels()
         if not levels and self.dim:
@@ -200,10 +197,6 @@ class MhdReport:
         return {"ok": self.ok, "axioms": self.axioms}
 
 
-def _gr_cohomology(grc: GrComplex, n: int):
-    return grc.cohomology(n)
-
-
 def _gr_class_map(phi, p, n, fc_src, fc_dst, grc_src: GrComplex, grc_dst: GrComplex):
     """Matrix of H^n(Gr_p(phi)) (rows = source classes), or None witness."""
     sq_s = grc_src.cohomology(n)
@@ -219,7 +212,7 @@ def _gr_class_map(phi, p, n, fc_src, fc_dst, grc_src: GrComplex, grc_dst: GrComp
             rows.append(linalg.zeros(sq_d.dim))
             continue
         y = phi(el)
-        yv = fc_dst.coords(y, n) if not y.is_zero else linalg.zeros(fc_dst.dim(n))
+        yv = fc_dst.coords(y, n)
         gr_v = [yv[i] for i in sel_dst]
         c = sq_d.coords(gr_v)
         if c is None:
@@ -229,19 +222,15 @@ def _gr_class_map(phi, p, n, fc_src, fc_dst, grc_src: GrComplex, grc_dst: GrComp
 
 
 def _mat_inverse(rows, dim):
-    """Inverse of a square matrix given as rows; None if singular."""
-    if len(rows) != dim:
+    """Inverse of a square matrix given as rows; None if singular.
+
+    Row i of the inverse is the coordinate vector of the i-th unit vector
+    over the rows.
+    """
+    chart = linalg.Chart(rows, dim)
+    if len(rows) != dim or chart.rank < dim:
         return None
-    cols = [[rows[i][j] for i in range(dim)] for j in range(dim)]
-    inv_rows = []
-    for i in range(dim):
-        e = linalg.zeros(dim)
-        e[i] = Scalar(1)
-        sol = linalg.solve(cols, dim, e)
-        if sol is None:
-            return None
-        inv_rows.append(sol)
-    return inv_rows
+    return [chart.coords(linalg.unit_vec(dim, i)) for i in range(dim)]
 
 
 def _mat_compose(first, then, dim_mid, dim_out):
@@ -270,12 +259,9 @@ class Transport:
             return None
 
         def sigma(v):
-            back = linalg.mat_mul_vec(
-                [[self.inverse[i][j] for i in range(self.dim_dst)]
-                 for j in range(self.dim_dst)], v)
+            back = linalg.mat_mul_vec(linalg.transpose(self.inverse, self.dim_dst), v)
             back = _conj_vec(back)
-            fwd = [[self.matrix[i][j] for i in range(self.dim_src)]
-                   for j in range(self.dim_dst)]
+            fwd = linalg.transpose(self.matrix, self.dim_dst)
             return linalg.mat_mul_vec(fwd, back)
 
         return sigma
@@ -293,14 +279,8 @@ def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int,
            for v in dia.index.vertices}
     grcs = {v: gr(None, p, fc=fcs[v]) for v in dia.index.vertices}
     verts = dia.index.vertices
-    current = None
     dim = grcs[verts[0]].cohomology(n).dim
-    ident = []
-    for i in range(dim):
-        e = linalg.zeros(dim)
-        e[i] = Scalar(1)
-        ident.append(e)
-    current = ident
+    current = _identity_vectors(dim)
     cur_dim = dim
     for arrow_name, forward in D.string_path():
         a = dia.arrow(arrow_name)
@@ -325,9 +305,7 @@ def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int,
     tr = Transport(current, dim, cur_dim)
     sigma = tr.conjugation()
     if sigma is not None:
-        for i in range(cur_dim):
-            e = linalg.zeros(cur_dim)
-            e[i] = Scalar(1)
+        for e in _identity_vectors(cur_dim):
             if sigma(sigma(e)) != e:
                 raise AlgebraError("transported conjugation is not an involution")
     return tr
@@ -425,12 +403,7 @@ def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
 
 
 def _identity_vectors(dim):
-    out = []
-    for i in range(dim):
-        e = linalg.zeros(dim)
-        e[i] = Scalar(1)
-        out.append(e)
-    return out
+    return [linalg.unit_vec(dim, i) for i in range(dim)]
 
 
 def _hodge_spans_on_gr_cohomology(grc: GrComplex, n, sq):
@@ -447,8 +420,7 @@ def _hodge_spans_on_gr_cohomology(grc: GrComplex, n, sq):
         dim_hi = grc.dim(n + 1)
         for i in idx:
             rows.append(rows_d[i] if rows_d else linalg.zeros(dim_hi))
-        tmat = [[rows[i][j] for i in range(len(idx))] for j in range(dim_hi)]
-        kern = linalg.kernel_basis(tmat, len(idx))
+        kern = linalg.kernel_basis(linalg.transpose(rows, dim_hi), len(idx))
         vs = []
         for k in kern:
             full = linalg.zeros(dim)
@@ -519,9 +491,7 @@ def dec_weight_structure(M: FreeCdga, n: int) -> MhsStructure:
     hspans = {}
     for i, k in enumerate(M.basis_keys(n)):
         q = M.key_hodge(k)
-        e = linalg.zeros(amb_dim)
-        e[i] = Scalar(1)
-        hspans.setdefault(q, []).append(e)
+        hspans.setdefault(q, []).append(linalg.unit_vec(amb_dim, i))
     return MhsStructure(amb_dim, wvecs, hspans)
 
 
@@ -651,18 +621,6 @@ def indecomposables_diagram(D: Diagram, upto=None) -> dict:
         out["arrows"][u] = {n: [[str(c) for c in row] for row in rows]
                             for n, rows in mats.items() if rows}
     return out
-
-
-def integration_on_q(h_map, M: FreeCdga, B, n: int):
-    """Matrix of Q(int h): degree-n generators of M to Q(B)^{n-1} classes."""
-    QB = indecomposables(B)
-    rows = []
-    for g in M.gens:
-        if g.degree != n:
-            continue
-        val = integrate(h_map(M.generator(g.name)))
-        rows.append(QB.project(val, n - 1))
-    return rows
 
 
 def stokes_ho_report(h, upto=None) -> ValidationReport:

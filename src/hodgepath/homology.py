@@ -51,9 +51,6 @@ class Cohomology:
         # safety: every key of x must have been consumed by some block
         return out
 
-    def zero_class(self):
-        return linalg.zeros(self.dim)
-
 
 def _block_partition(X, n):
     """keys of degree n grouped by block id (sorted); None block => whole basis."""
@@ -98,8 +95,7 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
             lo = part_lo.get(block_id, [])
             hi = part_hi.get(block_id, [])
             dmat = _d_matrix_on_keys(X, keys, hi)
-            tmat = [[dmat[i][j] for i in range(len(keys))] for j in range(len(hi))]
-            kern = linalg.kernel_basis(tmat, len(keys))
+            kern = linalg.kernel_basis(linalg.transpose(dmat, len(hi)), len(keys))
             img = _d_matrix_on_keys(X, lo, keys)
             sq = linalg.Subquotient(kern, img, len(keys))
             index = {k: i for i, k in enumerate(keys)}
@@ -110,46 +106,15 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
     else:
         basis_n = X.basis(n, strict=False)
         cols = len(basis_n)
-        dim_hi = _space_dim(X, n + 1)
-        rows_d = [_space_coords(X, b.d(), n + 1) for b in basis_n]
-        tmat = [[rows_d[i][j] for i in range(cols)] for j in range(dim_hi)]
-        kern = linalg.kernel_basis(tmat, cols)
-        img = [_space_coords_elem(X, b.d(), n, cols) for b in X.basis(n - 1, strict=False)] \
+        rows_d = [X.coords(b.d(), n + 1, strict=False) for b in basis_n]
+        kern = linalg.kernel_basis(linalg.transpose(rows_d, X.dim(n + 1, strict=False)), cols)
+        img = [X.coords(b.d(), n, strict=False) for b in X.basis(n - 1, strict=False)] \
             if n >= 1 else []
         sq = linalg.Subquotient(kern, img, cols)
         blocks.append((0, None, sq, None))
-        for repv in sq.reps:
-            reps.append(_from_coords(X, n, repv, basis_n))
+        reps = [X.from_coords(n, repv, strict=False) for repv in sq.reps]
         dim = sq.dim
     return Cohomology(X, n, dim, reps, blocks)
-
-
-def _space_dim(X, n):
-    return X.dim(n, strict=False)
-
-
-def _space_coords(X, x, n):
-    if x.is_zero:
-        return linalg.zeros(_space_dim(X, n))
-    return X.coords(x, n, strict=False)
-
-
-def _space_coords_elem(X, x, n, cols):
-    if x.is_zero:
-        return linalg.zeros(cols)
-    return X.coords(x, n, strict=False)
-
-
-def _from_coords(X, n, vec, basis_n):
-    out = None
-    for c, b in zip(vec, basis_n):
-        if not c.is_zero:
-            term = b * c
-            out = term if out is None else out + term
-    if out is None:
-        amb = getattr(X, "ambient", X)
-        return amb.zero()
-    return out
 
 
 def betti_numbers(X, upto: int) -> dict:

@@ -103,38 +103,15 @@ def _solve_closed_correction(v, err: Element, n: int):
     basis = X.basis(n, strict=False)
     if not basis:
         return None if not err.is_zero else X.zero()
-    d_rows = []
-    v_rows = []
-    for b in basis:
-        db = b.d()
-        d_rows.append(_coords(X, db, n + 1))
-        v_rows.append(_coords(Y, v(b), n))
-    dim_hi = len(d_rows[0])
+    d_rows = [X.coords(b.d(), n + 1, strict=False) for b in basis]
+    v_rows = [Y.coords(v(b), n, strict=False) for b in basis]
     dim_y = len(v_rows[0])
-    cols = len(basis)
-    mat = []
-    for j in range(dim_hi):
-        mat.append([d_rows[i][j] for i in range(cols)])
-    for j in range(dim_y):
-        mat.append([v_rows[i][j] for i in range(cols)])
-    rhs = _coords(X, err, n + 1) + linalg.zeros(dim_y)
-    sol = linalg.solve(mat, cols, rhs)
+    mat = linalg.transpose(d_rows, len(d_rows[0])) + linalg.transpose(v_rows, dim_y)
+    rhs = X.coords(err, n + 1, strict=False) + linalg.zeros(dim_y)
+    sol = linalg.solve(mat, len(basis), rhs)
     if sol is None:
         return None
-    out = None
-    for c, b in zip(sol, basis):
-        if not c.is_zero:
-            out = b * c if out is None else out + b * c
-    if out is None:
-        amb = X.ambient if isinstance(X, SubCdga) else X
-        return amb.zero()
-    return out
-
-
-def _coords(X, x, n):
-    if x.is_zero:
-        return linalg.zeros(X.dim(n, strict=False))
-    return X.coords(x, n, strict=False)
+    return X.from_coords(n, sol, strict=False)
 
 
 # ---------------------------------------------------------------------------

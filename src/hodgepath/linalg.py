@@ -14,12 +14,14 @@ def zeros(n: int) -> list:
     return [Scalar(0)] * n
 
 
+def unit_vec(n: int, i: int) -> list:
+    v = zeros(n)
+    v[i] = Scalar(1)
+    return v
+
+
 def vec_add(u, v):
     return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
 
 
 def vec_scale(c, u):
@@ -32,6 +34,11 @@ def vec_is_zero(u) -> bool:
 
 def mat_copy(rows):
     return [list(r) for r in rows]
+
+
+def transpose(rows, ncols: int):
+    """Columns of a matrix given by its rows; ncols fixes the shape when rows is empty."""
+    return [[r[j] for r in rows] for j in range(ncols)]
 
 
 def rref(rows, ncols: int):
@@ -77,8 +84,7 @@ def kernel_basis(rows, ncols: int):
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = zeros(ncols)
-        v[free] = Scalar(1)
+        v = unit_vec(ncols, free)
         for r, p in zip(R, pivots):
             v[p] = -r[free]
         basis.append(v)
@@ -133,9 +139,7 @@ def intersect(basis_a, basis_b, ncols: int):
     if not basis_a or not basis_b:
         return []
     cols = len(basis_a) + len(basis_b)
-    rows = []
-    for i in range(ncols):
-        rows.append([a[i] for a in basis_a] + [-b[i] for b in basis_b])
+    rows = transpose(list(basis_a) + [[-c for c in b] for b in basis_b], ncols)
     out = []
     for k in kernel_basis(rows, cols):
         v = zeros(ncols)
@@ -146,6 +150,46 @@ def intersect(basis_a, basis_b, ncols: int):
             out.append(v)
     R, _ = rref(out, ncols)
     return R
+
+
+def _reduce(v, rows, pivots):
+    """Clear v at the pivots of rref rows: (remainder, coefficient taken per row)."""
+    v = list(v)
+    out = []
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        out.append(c)
+        if not c.is_zero:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v, out
+
+
+class Chart:
+    """Coordinates over a fixed basis of vectors of length ncols, eliminated once.
+
+    The rref of [basis | -I], pivoting in the first ncols columns only, has
+    rows [E | -T] with E = T * basis.  Reducing [v | 0] by them leaves
+    [r | x]: v is in the span iff r = 0, and then v = x * basis.  For an
+    independent basis x is the unique coordinate vector.
+    """
+
+    def __init__(self, basis, ncols: int):
+        k = len(basis)
+        self.ncols = ncols
+        self.rows, self.pivots = rref([list(b) + vec_scale(Scalar(-1), unit_vec(k, i))
+                                       for i, b in enumerate(basis)], ncols)
+        self._tail = zeros(k)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def coords(self, v):
+        """Coefficients of v over the basis, or None if v is outside its span."""
+        w, _ = _reduce(list(v) + self._tail, self.rows, self.pivots)
+        if not vec_is_zero(w[:self.ncols]):
+            return None
+        return w[self.ncols:]
 
 
 class Subquotient:
@@ -166,44 +210,17 @@ class Subquotient:
         return len(self.reps)
 
     def reduce_mod_den(self, v):
-        v = list(v)
-        for row, p in zip(self.den_rref, self.den_pivots):
-            c = v[p]
-            if not c.is_zero:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
+        return _reduce(v, self.den_rref, self.den_pivots)[0]
 
     def coords(self, v):
         """Coordinates of [v] in the representative basis; None if v not in num+den."""
-        v = self.reduce_mod_den(v)
-        out = []
-        for row, p in zip(self.reps, self.rep_pivots):
-            c = v[p]
-            out.append(c)
-            if not c.is_zero:
-                v = [a - c * b for a, b in zip(v, row)]
+        v, out = _reduce(self.reduce_mod_den(v), self.reps, self.rep_pivots)
         if not vec_is_zero(v):
             return None
         return out
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None
-
-
-def induced_matrix(sq_src: Subquotient, sq_dst: Subquotient, apply_vec):
-    """Matrix (rows = source reps) of a map descending to the subquotients.
-
-    apply_vec maps a source coordinate vector to a destination coordinate
-    vector.  Returns None if the map does not descend (image rep escapes).
-    """
-    rows = []
-    for rep in sq_src.reps:
-        img = apply_vec(rep)
-        c = sq_dst.coords(img)
-        if c is None:
-            return None
-        rows.append(c)
-    return rows
 
 
 def is_isomorphism(rows, src_dim: int, dst_dim: int) -> bool:

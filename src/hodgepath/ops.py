@@ -277,17 +277,14 @@ def indecomposables(A, upto=None) -> QComplex:
         for n in range(0, upto):
             rows = []
             for rep in degrees[n].reps:
-                img = rep.d()
-                c = sqs[n + 1].coords(A.coords(img, n + 1) if not img.is_zero
-                                      else linalg.zeros(A.dim(n + 1)))
+                c = sqs[n + 1].coords(A.coords(rep.d(), n + 1))
                 if c is None:
                     raise AlgebraError("differential does not descend to Q(A)")
                 rows.append(c)
             dmats[n] = rows
 
         def project(x: Element, n):
-            vec = A.coords(x, n) if not x.is_zero else linalg.zeros(A.dim(n))
-            c = sqs[n].coords(vec)
+            c = sqs[n].coords(A.coords(x, n))
             if c is None:
                 raise AlgebraError("element not in A+ modulo decomposables")
             return c
@@ -334,7 +331,7 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
             entries.append(TableBasisElement(nm, n, w, h))
     # unit coordinates
     unit = X.unit() if hasattr(X, "unit") else X.ambient.unit()
-    u_coords = _coords_of(X, unit, 0)
+    u_coords = X.coords(unit, 0)
     unit_name = None
     for k, c in enumerate(u_coords):
         if c == 1 and all(cc.is_zero for j, cc in enumerate(u_coords) if j != k):
@@ -344,7 +341,7 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
         raise AlgebraError("table presentation needs the unit to be a basis vector")
 
     def coords_named(x, n):
-        return {names[(n, j)]: c for j, c in enumerate(_coords_of(X, x, n)) if not c.is_zero}
+        return {names[(n, j)]: c for j, c in enumerate(X.coords(x, n)) if not c.is_zero}
 
     from .paths import BudgetError
     products = {}
@@ -389,8 +386,3 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
 
     return T, LinearMap(X, T, to_table, "to_table"), LinearMap(T, X, from_table, "from_table")
 
-
-def _coords_of(X, x, n):
-    if x.is_zero:
-        return linalg.zeros(X.dim(n))
-    return X.coords(x, n)

@@ -422,12 +422,6 @@ def integrate(x: Element) -> Element:
     return Element(k.base, out)
 
 
-def integrate_map(P) -> LinearMap:
-    k = keyed(P)
-    base = getattr(P, "over", k.base)
-    return LinearMap(P, base, lambda x: integrate(x if x.alg is k else x), name="int01")
-
-
 # ---------------------------------------------------------------------------
 # pairing P(X x Y) = P(X) x P(Y), at any path depth
 # ---------------------------------------------------------------------------

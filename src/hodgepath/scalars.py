@@ -176,11 +176,3 @@ class Field:
 
 
 QQ = Field(None)
-
-
-def field_from_doc(spec) -> Field:
-    if spec is None or spec == "Q":
-        return QQ
-    if isinstance(spec, dict) and set(spec) == {"sqrt"}:
-        return Field(int(spec["sqrt"]))
-    raise ScalarError(f"unknown field description {spec!r}")

@@ -110,16 +110,9 @@ class MinimalModel:
 
 def _solve_d_preimage(A, y: Element, n: int):
     basis = A.basis(n, strict=False)
-    rows = []
-    for b in basis:
-        db = b.d()
-        rows.append(A.coords(db, n + 1, strict=False) if not db.is_zero
-                    else linalg.zeros(A.dim(n + 1, strict=False)))
-    cols = len(basis)
-    dim_hi = A.dim(n + 1, strict=False)
-    mat = [[rows[i][j] for i in range(cols)] for j in range(dim_hi)]
-    rhs = A.coords(y, n + 1, strict=False) if not y.is_zero else linalg.zeros(dim_hi)
-    sol = linalg.solve(mat, cols, rhs)
+    rows = [A.coords(b.d(), n + 1, strict=False) for b in basis]
+    mat = linalg.transpose(rows, A.dim(n + 1, strict=False))
+    sol = linalg.solve(mat, len(basis), A.coords(y, n + 1, strict=False))
     if sol is None:
         return None
     return A.from_coords(n, sol, strict=False)
@@ -215,8 +208,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
                 if Hn1M.dim == 0:
                     break
                 rows = [Hn1A.cls(rho(rep)) for rep in Hn1M.reps]
-                mat = [[rows[i][j] for i in range(Hn1M.dim)] for j in range(Hn1A.dim)]
-                kern = linalg.kernel_basis(mat, Hn1M.dim)
+                kern = linalg.kernel_basis(linalg.transpose(rows, Hn1A.dim), Hn1M.dim)
                 if not kern:
                     break
                 added = []
@@ -261,7 +253,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         HN_M = cohomology(M, N, strict=False)
         HN_A = cohomology(A, N, strict=False)
         rows = [HN_A.cls(rho(rep)) for rep in HN_M.reps]
-        mat = [[rows[i][j] for i in range(HN_M.dim)] for j in range(HN_A.dim)]
+        mat = linalg.transpose(rows, HN_A.dim)
         model.certificate[N] = {
             "dim_source": HN_M.dim, "dim_target": HN_A.dim,
             "injective": not linalg.kernel_basis(mat, HN_M.dim),

@@ -87,6 +87,30 @@ def test_unknown_field_rejected_with_path():
     assert "surprise" in str(ei.value)
 
 
+@pytest.mark.parametrize("sqrt", [5, 0, -2.5, True, "-3"])
+def test_bad_sqrt_rejected_with_path(sqrt):
+    doc = read_fixture("s2.json")
+    doc["field"] = {"sqrt": sqrt}
+    with pytest.raises(DocumentError) as ei:
+        build_dga(doc)
+    assert ei.value.path == "$.field.sqrt"
+    doc = read_fixture("p1toy.json")
+    doc["sqrt"] = sqrt
+    with pytest.raises(DocumentError) as ei:
+        build_mhd(doc)
+    assert ei.value.path == "$.sqrt"
+
+
+def test_bad_field_exits_2(tmp_path):
+    doc = read_fixture("s2.json")
+    doc["field"] = {"sqrt": 5}
+    path = tmp_path / "sqrt5.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = run_cli("check", str(path))
+    assert out.returncode == 2
+    assert "$.field.sqrt" in out.stderr
+
+
 def test_syntax_error_located():
     with pytest.raises(DocumentError) as ei:
         load_document("{\n  \"kind\": oops\n}")

@@ -101,3 +101,68 @@ def test_solve_deterministic_earliest_support():
     # underdetermined: x + y = 1 -> pivot on x, y = 0
     sol = linalg.solve([[S(1), S(1)]], 2, [S(1)])
     assert sol == [S(1), S(0)]
+
+
+def _rand_scalar(rng, d):
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if d is None:
+        return Scalar(re)
+    return Scalar(re, Fraction(rng.randint(-2, 2), rng.randint(1, 2)), d)
+
+
+@pytest.mark.parametrize("d", [None, -3])
+def test_chart_coords_match_solve_on_transpose(d):
+    rng = random.Random(7 if d is None else 8)
+    outside = 0
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        basis = [[_rand_scalar(rng, d) for _ in range(n)] for _ in range(k)]
+        if linalg.rank(basis, n) < k:
+            continue
+        chart = linalg.Chart(basis, n)
+        assert chart.rank == k
+        cols = linalg.transpose(basis, n)
+        for _ in range(4):
+            coeffs = [_rand_scalar(rng, d) for _ in range(k)]
+            member = linalg.zeros(n)
+            for c, b in zip(coeffs, basis):
+                member = linalg.vec_add(member, linalg.vec_scale(c, b))
+            assert chart.coords(member) == linalg.solve(cols, k, member) == coeffs
+            v = [_rand_scalar(rng, d) for _ in range(n)]
+            ref = linalg.solve(cols, k, v)
+            assert chart.coords(v) == ref
+            outside += ref is None
+    assert outside > 0
+
+
+def test_mat_inverse_via_chart():
+    from hodgepath.hodge import _mat_inverse
+    m = [[S(1), S(2)], [S(3), S(4, 1)]]
+    inv = _mat_inverse(m, 2)
+    for i, row in enumerate(inv):
+        got = linalg.zeros(2)
+        for c, r in zip(row, m):
+            got = linalg.vec_add(got, linalg.vec_scale(c, r))
+        assert got == linalg.unit_vec(2, i)
+    assert _mat_inverse([[S(1), S(2)], [S(2), S(4)]], 2) is None
+    assert _mat_inverse([[S(1), S(0)]], 2) is None
+
+
+def test_sub_space_coords_reject_constraint_breakers():
+    from hodgepath.algebra import (AlgebraError, LinearMap, SubCdga,
+                                   TableBasisElement, TableCdga)
+    from hodgepath.filtered import FilteredComplex
+    A = TableCdga([TableBasisElement("one", 0, weight=0),
+                   TableBasisElement("a", 2, weight=1),
+                   TableBasisElement("b", 2, weight=2)], 3, unit="one")
+    # x_a = x_b on degree 2: the subspace is spanned by a + b
+    diff = LinearMap(A, A, lambda x: A.from_key("a", x.coefficient("a") - x.coefficient("b")))
+    sub = SubCdga(A, [diff])
+    a, b = A.from_key("a"), A.from_key("b")
+    fc = FilteredComplex(sub, "W")
+    for space in (sub, fc):
+        assert space.coords(a + b, 2) == [S(1)]
+        assert space.coords(A.zero(), 2) == [S(0)]
+        with pytest.raises(AlgebraError):
+            space.coords(a, 2)
