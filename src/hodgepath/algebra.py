@@ -249,9 +249,8 @@ class GradedAlgebra:
 
     def coords(self, x: Element, n, strict=True):
         self.check_degree(n, strict)
-        keys = self.basis_keys(n) if n >= 0 else []
-        index = {k: i for i, k in enumerate(keys)}
-        v = linalg.zeros(len(keys))
+        index = self._key_index(n)
+        v = linalg.zeros(len(index))
         for k, c in x.terms.items():
             i = index.get(k)
             if i is None:
@@ -259,6 +258,16 @@ class GradedAlgebra:
                     f"element has a degree-{self.key_degree(k)} key outside basis({n})")
             v[i] = c
         return v
+
+    def _key_index(self, n) -> dict:
+        """{basis key: position} in degree n, built once per degree."""
+        if self._index_cache is None:
+            self._index_cache = {}
+        index = self._index_cache.get(n)
+        if index is None:
+            keys = self.basis_keys(n) if n >= 0 else []
+            index = self._index_cache[n] = {k: i for i, k in enumerate(keys)}
+        return index
 
     def from_coords(self, n, vec, strict=True) -> Element:
         keys = self.basis_keys(n) if n >= 0 else []
@@ -278,6 +287,8 @@ class GradedAlgebra:
 
     # path-object cache (filled by paths.path_of)
     _path_cache: dict = None
+    # per-degree key index (filled by _key_index); algebras are immutable
+    _index_cache: dict = None
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +532,7 @@ class TableCdga(GradedAlgebra):
             if b.degree < 0:
                 raise AlgebraError(f"basis element {b.name!r} has negative degree")
         self.info = {b.name: b for b in self.basis_list}
+        self._basis_cache = {}
         if unit not in self.info or self.info[unit].degree != 0:
             raise AlgebraError(f"unit {unit!r} must be a degree-0 basis element")
         self.unit_name = unit
@@ -590,7 +602,10 @@ class TableCdga(GradedAlgebra):
         return self.diffs.get(k, {})
 
     def basis_keys(self, n):
-        return [b.name for b in self.basis_list if b.degree == n]
+        keys = self._basis_cache.get(n)
+        if keys is None:
+            keys = self._basis_cache[n] = [b.name for b in self.basis_list if b.degree == n]
+        return keys
 
     def key_weight(self, k):
         return self.info[k].weight

@@ -1,28 +1,48 @@
 """Content-addressed cache for computed minimal models.
 
 Keyed by sha256 of (canonical input document, horizon, engine version); a hit
-reproduces byte-identical output.  Writes are atomic (write then rename), so
+reproduces byte-identical output.  The engine version is the package version
+plus a fingerprint of the package's own sources, so any change to the engine
+invalidates every older entry.  Writes are atomic (write then rename), so
 concurrent identical invocations may duplicate work but never corrupt.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
 
 ENV_VAR = "HODGEPATH_CACHE"
-ENGINE_VERSION = "0.1.0"
 
 
 def cache_dir():
     return os.environ.get(ENV_VAR)
 
 
+def source_fingerprint(directory) -> str:
+    """sha256 over the names and contents of the *.py files in directory, sorted."""
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(directory) if f.endswith(".py")):
+        with open(os.path.join(directory, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
+@functools.cache
+def engine_version() -> str:
+    """__version__ plus the fingerprint of this package's sources, computed once."""
+    from . import __version__
+    return f"{__version__}+{source_fingerprint(os.path.dirname(os.path.abspath(__file__)))}"
+
+
 def cache_key(doc: dict, max_degree: int) -> str:
     payload = json.dumps({"doc": doc, "max_degree": max_degree,
-                          "engine": ENGINE_VERSION},
+                          "engine": engine_version()},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -20,6 +20,9 @@ from .scalars import QQ, Field, Scalar
 
 SCHEMA_VERSION = 1
 KINDS = {"dga", "diagram", "mhd", "homorphism", "homotopy"}
+# The largest trust horizon a dga document may declare.  Work grows with the
+# horizon, so an absurd one must be refused up front instead of run.
+MAX_DEGREE = 64
 
 
 class DocumentError(ValueError):
@@ -122,8 +125,11 @@ def build_dga(doc, path="$"):
                             "annotations"))
     fld = _field(doc.get("field"), f"{path}.field")
     N = doc["max_degree"]
-    if not isinstance(N, int) or N < 0:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise DocumentError("max_degree must be a non-negative integer",
+                            f"{path}.max_degree")
+    if N > MAX_DEGREE:
+        raise DocumentError(f"max_degree {N} exceeds the supported horizon {MAX_DEGREE}",
                             f"{path}.max_degree")
     name = doc.get("name", "")
     pres = doc["presentation"]

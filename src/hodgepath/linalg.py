@@ -1,8 +1,20 @@
-"""Exact dense linear algebra over Q and Q(sqrt d).
+"""Exact linear algebra over Q and Q(sqrt d), on one sparse elimination kernel.
 
-Row reduction is plain Gauss-Jordan with deterministic first-nonzero pivoting;
-entries are exact field elements, so every kernel/image/solve is a certificate.
-Vectors are lists of Scalar, matrices are lists of row vectors.
+The API speaks dense: vectors are lists of Scalar and matrices are lists of
+row vectors, in and out.  Inside, `rref` eliminates sparse rows {column:
+coefficient} and touches only non-zero entries; `Chart` and `Subquotient`
+keep their reduced bases as such sparse rows.  When every entry of a matrix
+is rational the coefficients are bare Fractions (the fast path), otherwise
+they stay Scalars; the same code serves both, since 1 / x, *, - and
+truthiness work on either, and on a mix of the two.
+
+Pivoting is Gauss-Jordan with the deterministic first-nonzero rule: the
+first row at or below the current rank with a non-zero in the column is
+swapped into place, normalised and used to clear that column in every other
+row.  Skipping zero entries only skips exact no-ops, so results are entry
+for entry those of dense elimination under the same rule, including the
+non-unique tails of partial eliminations (`solve`, `Chart`).  Entries are
+exact field elements, so every kernel/image/solve is a certificate.
 """
 
 from __future__ import annotations
@@ -32,40 +44,74 @@ def vec_is_zero(u) -> bool:
     return all(a.is_zero for a in u)
 
 
-def mat_copy(rows):
-    return [list(r) for r in rows]
-
-
 def transpose(rows, ncols: int):
     """Columns of a matrix given by its rows; ncols fixes the shape when rows is empty."""
     return [[r[j] for r in rows] for j in range(ncols)]
 
 
+def _sparse(rows):
+    """Sparse copies {col: coeff} of dense Scalar rows, zeros dropped.
+
+    The coefficients are bare Fractions when every entry is rational and
+    Scalars otherwise; the elimination below serves both unchanged.
+    """
+    if any(a.im for r in rows for a in r):
+        return [{j: a for j, a in enumerate(r) if a} for r in rows]
+    return [{j: a.re for j, a in enumerate(r) if a.re} for r in rows]
+
+
+def _dense(row, width: int) -> list:
+    """Dense Scalar vector of a sparse row."""
+    v = zeros(width)
+    for j, c in row.items():
+        v[j] = c if isinstance(c, Scalar) else Scalar(c)
+    return v
+
+
+def _sub_multiple(row, c, prow):
+    """row -= c * prow in place on sparse rows, dropping entries that cancel."""
+    for j, b in prow.items():
+        a = row.get(j)
+        if a is None:
+            row[j] = -(c * b)
+        else:
+            a = a - c * b
+            if a:
+                row[j] = a
+            else:
+                del row[j]
+
+
 def rref(rows, ncols: int):
-    """Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns)."""
-    R = mat_copy(rows)
+    """Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns).
+
+    Pivots are taken in the first ncols columns only; further columns (an
+    augmented right-hand side) are carried along.
+    """
+    width = len(rows[0]) if rows else ncols
+    R = _sparse(rows)
     pivots = []
     rank = 0
     for col in range(ncols):
         sel = None
         for r in range(rank, len(R)):
-            if not R[r][col].is_zero:
+            if col in R[r]:
                 sel = r
                 break
         if sel is None:
             continue
         R[rank], R[sel] = R[sel], R[rank]
-        inv = R[rank][col].inverse()
-        R[rank] = [inv * a for a in R[rank]]
-        for r in range(len(R)):
-            if r != rank and not R[r][col].is_zero:
-                c = R[r][col]
-                R[r] = [a - c * b for a, b in zip(R[r], R[rank])]
+        inv = 1 / R[rank][col]
+        prow = R[rank] = {j: inv * a for j, a in R[rank].items()}
+        for r, row in enumerate(R):
+            c = row.get(col)
+            if c is not None and r != rank:
+                _sub_multiple(row, c, prow)
         pivots.append(col)
         rank += 1
         if rank == len(R):
             break
-    return R[:rank], pivots
+    return [_dense(r, width) for r in R[:rank]], pivots
 
 
 def rank(rows, ncols: int) -> int:
@@ -153,15 +199,17 @@ def intersect(basis_a, basis_b, ncols: int):
 
 
 def _reduce(v, rows, pivots):
-    """Clear v at the pivots of rref rows: (remainder, coefficient taken per row)."""
-    v = list(v)
-    out = []
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        out.append(c)
-        if not c.is_zero:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v, out
+    """Clear sparse v in place at the pivots of sparse rref rows.
+
+    Returns the coefficient taken per row, as a sparse {row index: coeff}.
+    """
+    taken = {}
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        c = v.get(p)
+        if c is not None:
+            taken[i] = c
+            _sub_multiple(v, c, row)
+    return taken
 
 
 class Chart:
@@ -174,50 +222,60 @@ class Chart:
     """
 
     def __init__(self, basis, ncols: int):
-        k = len(basis)
         self.ncols = ncols
-        self.rows, self.pivots = rref([list(b) + vec_scale(Scalar(-1), unit_vec(k, i))
-                                       for i, b in enumerate(basis)], ncols)
-        self._tail = zeros(k)
+        self._k = len(basis)
+        rows, self._pivots = rref([list(b) + vec_scale(Scalar(-1), unit_vec(self._k, i))
+                                  for i, b in enumerate(basis)], ncols)
+        self._rows = _sparse(rows)
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._pivots)
 
     def coords(self, v):
         """Coefficients of v over the basis, or None if v is outside its span."""
-        w, _ = _reduce(list(v) + self._tail, self.rows, self.pivots)
-        if not vec_is_zero(w[:self.ncols]):
+        w = _sparse([v])[0]
+        _reduce(w, self._rows, self._pivots)
+        if any(j < self.ncols for j in w):
             return None
-        return w[self.ncols:]
+        return _dense({j - self.ncols: c for j, c in w.items()}, self._k)
 
 
 class Subquotient:
     """Exact subquotient span(numerator) / span(denominator) of a coordinate space.
 
     Representatives are the rref of the numerator reduced modulo the
-    denominator, hence canonical: two runs produce identical reps.
+    denominator, hence canonical: two runs produce identical reps.  Both
+    eliminated bases are kept as sparse rows.
     """
 
     def __init__(self, numerator, denominator, ncols: int):
         self.ncols = ncols
-        self.den_rref, self.den_pivots = rref(denominator, ncols)
-        reduced = [self.reduce_mod_den(v) for v in numerator]
-        self.reps, self.rep_pivots = rref([v for v in reduced if not vec_is_zero(v)], ncols)
+        den, self._den_pivots = rref(denominator, ncols)
+        self._den = _sparse(den)
+        reduced = _sparse(numerator)
+        for v in reduced:
+            _reduce(v, self._den, self._den_pivots)
+        reps, self._rep_pivots = rref([_dense(v, ncols) for v in reduced if v], ncols)
+        self._reps = _sparse(reps)
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self._reps)
 
-    def reduce_mod_den(self, v):
-        return _reduce(v, self.den_rref, self.den_pivots)[0]
+    @property
+    def reps(self) -> list:
+        """The canonical representatives, as dense vectors."""
+        return [_dense(r, self.ncols) for r in self._reps]
 
     def coords(self, v):
         """Coordinates of [v] in the representative basis; None if v not in num+den."""
-        v, out = _reduce(self.reduce_mod_den(v), self.reps, self.rep_pivots)
-        if not vec_is_zero(v):
+        w = _sparse([v])[0]
+        _reduce(w, self._den, self._den_pivots)
+        taken = _reduce(w, self._reps, self._rep_pivots)
+        if w:
             return None
-        return out
+        return _dense(taken, self.dim)
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None

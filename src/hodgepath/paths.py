@@ -53,6 +53,7 @@ class PathAlgebra(GradedAlgebra):
             if isinstance(base, PathAlgebra) else "t"
         shift = f", w-{w_shift}" if w_shift else ""
         self.name = f"P({base!r}{shift})"
+        self._basis_cache = {}
 
     # ----- key protocol: key = (base_key, (i, e))
 
@@ -104,12 +105,15 @@ class PathAlgebra(GradedAlgebra):
         return {kk: c for kk, c in out.items() if not c.is_zero}
 
     def basis_keys(self, n):
-        keys = []
-        for i in range(0, self.budget + 1):
-            keys.extend((bk, (i, 0)) for bk in self.base.basis_keys(n))
-        for i in range(0, self.budget):
-            keys.extend((bk, (i, 1)) for bk in self.base.basis_keys(n - 1))
-        keys.sort(key=self.key_sort)
+        keys = self._basis_cache.get(n)
+        if keys is None:
+            keys = []
+            for i in range(0, self.budget + 1):
+                keys.extend((bk, (i, 0)) for bk in self.base.basis_keys(n))
+            for i in range(0, self.budget):
+                keys.extend((bk, (i, 1)) for bk in self.base.basis_keys(n - 1))
+            keys.sort(key=self.key_sort)
+            self._basis_cache[n] = keys
         return keys
 
     def key_weight(self, k):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from helpers import fixture_path
 from hodgepath import (FreeCdga, betti_numbers, build_dga, build_homorphism,
                        build_mhd, check_cdga, dga_doc, element_expr,
                        load_document, parse_document, serialize)
-from hodgepath.documents import DocumentError
+from hodgepath.documents import MAX_DEGREE, DocumentError
 from hodgepath.exprs import ExprError, parse_expression, tokenize
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -109,6 +110,28 @@ def test_bad_field_exits_2(tmp_path):
     out = run_cli("check", str(path))
     assert out.returncode == 2
     assert "$.field.sqrt" in out.stderr
+
+
+def test_absurd_horizon_exits_2_at_once(tmp_path):
+    doc = {"schema": 1, "kind": "dga", "name": "pt", "presentation": "table",
+           "field": "Q", "max_degree": 10 ** 8, "unit": "one",
+           "basis": [{"name": "one", "degree": 0}]}
+    path = tmp_path / "point_horizon_1e8.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    out = run_cli("cohomology", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 2
+    assert "$.max_degree" in out.stderr
+    # the same check guards dga documents embedded in others
+    mhd = read_fixture("p1toy.json")
+    mhd["vertices"][0]["algebra"]["max_degree"] = MAX_DEGREE + 1
+    with pytest.raises(DocumentError) as ei:
+        build_mhd(mhd)
+    assert ei.value.path == "$.vertices[0].algebra.max_degree"
+    doc["max_degree"] = True
+    with pytest.raises(DocumentError):
+        build_dga(doc)
 
 
 def test_syntax_error_located():
@@ -255,6 +278,28 @@ def test_minimal_model_output_parses_and_cache_transparent(tmp_path):
                      env_extra={"HODGEPATH_CACHE": cache_dir})
     assert first.stdout == second.stdout == plain.stdout
     assert os.listdir(cache_dir)  # the cache was actually used
+
+
+def test_cache_key_follows_engine_sources(tmp_path, monkeypatch):
+    import shutil
+    from hodgepath import __version__, cache
+    doc = read_fixture("s2.json")
+    key = cache.cache_key(doc, 6)
+    assert cache.cache_key(doc, 6) == key
+    src = os.path.join(PKG_ROOT, "src", "hodgepath")
+    assert cache.engine_version() == f"{__version__}+{cache.source_fingerprint(src)}"
+    # any edit of an engine source changes the fingerprint ...
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            shutil.copy(os.path.join(src, name), tmp_path / name)
+    assert cache.source_fingerprint(tmp_path) == cache.source_fingerprint(src)
+    with open(tmp_path / "linalg.py", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    edited = cache.source_fingerprint(tmp_path)
+    assert edited != cache.source_fingerprint(src)
+    # ... and with it the key
+    monkeypatch.setattr(cache, "engine_version", lambda: f"{__version__}+{edited}")
+    assert cache.cache_key(doc, 6) != key
 
 
 def test_wedge_model_via_cli():
