@@ -155,6 +155,21 @@ class Element:
         return " + ".join(bits)
 
 
+def combination(alg, coeffs, elements) -> Element:
+    """sum of c * e over zip(coeffs, elements) in alg; zero coefficients are skipped."""
+    out = {}
+    for c, e in zip(coeffs, elements):
+        if c.is_zero:
+            continue
+        for k, v in e.terms.items():
+            s = out[k] + c * v if k in out else c * v
+            if s.is_zero:
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return Element(alg, out)
+
+
 # ---------------------------------------------------------------------------
 # algebra base
 # ---------------------------------------------------------------------------
@@ -332,6 +347,7 @@ class FreeCdga(GradedAlgebra):
         self._diff = {}          # gen index -> terms dict
         self._d_key_cache = {}
         self._basis_cache = {}
+        self.keys_kept = False   # set by adjoin
         if differentials:
             self.set_differential(differentials)
 
@@ -357,6 +373,41 @@ class FreeCdga(GradedAlgebra):
                     f"d({name}) must have degree {self.gens[i].degree + 1}")
             self._diff[i] = dict(el.terms)
         self._d_key_cache.clear()
+
+    def adjoin(self, generators, differentials: dict) -> "FreeCdga":
+        """This algebra with generators adjoined (a relative Sullivan extension).
+
+        differentials maps new generator names to terms dicts over this
+        algebra's keys; the old generators keep theirs, and the name.  Every
+        key is re-indexed into the result; no sign arises, because the fixed
+        generator order keeps the old generators in their relative order.
+        The result's keys_kept says whether every old generator kept its
+        index, so that old keys name the same monomials; only then does the
+        d_key cache carry over.
+        """
+        out = FreeCdga(self.gens + list(generators), self.N, self.field, name=self.name)
+        for nm in differentials:
+            if nm in self.gen_index:
+                raise AlgebraError(f"adjoin: {nm!r} is not a new generator")
+        remap = []
+        for g in self.gens:
+            remap.append(out.gen_index[g.name])
+        diffs = dict(differentials)
+        for i, terms in self._diff.items():
+            diffs[self.gens[i].name] = terms
+        for nm, terms in diffs.items():
+            moved = {}
+            for k, c in terms.items():
+                key = []
+                for i, e in k:
+                    key.append((remap[i], e))
+                moved[tuple(key)] = c
+            diffs[nm] = moved
+        out.set_differential(diffs)
+        out.keys_kept = remap == list(range(len(remap)))
+        if out.keys_kept:
+            out._d_key_cache = dict(self._d_key_cache)
+        return out
 
     def parse(self, text: str) -> Element:
         def resolve(nm):
@@ -458,13 +509,14 @@ class FreeCdga(GradedAlgebra):
         if cached is not None:
             return cached
         keys = []
+        gens = self.gens  # rec is a reference cycle; it must not hold self
 
         def rec(start, remaining, acc):
             if remaining == 0:
                 keys.append(tuple(acc))
                 return
-            for i in range(start, len(self.gens)):
-                g = self.gens[i]
+            for i in range(start, len(gens)):
+                g = gens[i]
                 if g.degree > remaining:
                     break  # gens sorted by degree
                 emax = 1 if g.degree % 2 else remaining // g.degree
@@ -717,7 +769,8 @@ class LinearMap:
     def __init__(self, source, target, fn, name=""):
         self.source = source
         self.target = target
-        self.fn = fn
+        if fn is not None:   # else the subclass defines fn as a method
+            self.fn = fn
         self.name = name
 
     def __call__(self, x: Element) -> Element:
@@ -762,7 +815,9 @@ class FreeMorphism(Morphism):
         if missing:
             raise AlgebraError(f"missing generator images: {missing}")
         self._key_cache = {}
-        super().__init__(source, target, self._apply, name)
+        # fn is a method, not a stored bound method, so a FreeMorphism is no
+        # reference cycle and frees its source as soon as it is dropped
+        super().__init__(source, target, None, name)
 
     def _image_of_key(self, k) -> Element:
         cached = self._key_cache.get(k)
@@ -780,7 +835,7 @@ class FreeMorphism(Morphism):
         self._key_cache[k] = out
         return out
 
-    def _apply(self, x: Element) -> Element:
+    def fn(self, x: Element) -> Element:
         out = self.target.zero()
         for k, c in x.terms.items():
             out = out + self._image_of_key(k) * c
@@ -929,12 +984,7 @@ class SubCdga:
         return sol
 
     def from_coords(self, n, vec, strict=True) -> Element:
-        basis = self.basis(n, strict=strict)
-        out = self.ambient.zero()
-        for c, b in zip(vec, basis):
-            if not c.is_zero:
-                out = out + b * c
-        return out
+        return combination(self.ambient, vec, self.basis(n, strict=strict))
 
     def contains(self, x: Element) -> bool:
         for c in self.constraints:

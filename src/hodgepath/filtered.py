@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, GradedAlgebra,
-                      LinearMap)
+                      LinearMap, combination)
 from .paths import path_of
 from .scalars import Scalar
 
@@ -119,11 +119,7 @@ class FilteredComplex:
         return sol
 
     def from_coords(self, n, vec) -> Element:
-        out = None
-        for c, b in zip(vec, self.elements[n]):
-            if not c.is_zero:
-                out = b * c if out is None else out + b * c
-        return self.ambient.zero() if out is None else out
+        return combination(self.ambient, vec, self.elements[n])
 
     def d_coords(self, n, vec):
         x = self.from_coords(n, vec)

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import (AlgebraError, FreeCdga, compose, extend_scalars,
-                      identity_morphism)
+from .algebra import (AlgebraError, FreeCdga, combination, compose,
+                      extend_scalars, identity_morphism)
 from .diagrams import Diagram, DiagramMorphism, HoMorphism, validate_ho_morphism
 from .filtered import (FilteredComplex, GrComplex, SpectralSequence, decalage,
                        gr, gr_differential_strict, is_Er_quasi_iso)
@@ -204,11 +204,8 @@ def _gr_class_map(phi, p, n, fc_src, fc_dst, grc_src: GrComplex, grc_dst: GrComp
     sel_dst = [i for i, lv in enumerate(fc_dst.levels[n]) if lv == p]
     rows = []
     for rep in sq_s.reps:
-        el = None
-        for c, e in zip(rep, grc_src.reps[n]):
-            if not c.is_zero:
-                el = e * c if el is None else el + e * c
-        if el is None:
+        el = combination(fc_src.ambient, rep, grc_src.reps[n])
+        if el.is_zero:
             rows.append(linalg.zeros(sq_d.dim))
             continue
         y = phi(el)

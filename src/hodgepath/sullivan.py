@@ -2,9 +2,11 @@
 
 The construction is the classical degreewise one: at stage n adjoin closed
 generators hitting the cokernel of H^n, then generators killing the kernel of
-H^{n+1}, with all representatives and primitives found by exact solves.  The
-result is certified independently: the quasi-isomorphism check recomputes
-cohomology of both sides from scratch.
+H^{n+1}, with all representatives and primitives found by exact solves.  Each
+round is a relative Sullivan extension, so M grows by FreeCdga.adjoin and keeps
+its cached differentials; cohomology of A and of the current M is memoized
+within one call.  The result is certified independently: the
+quasi-isomorphism check recomputes cohomology of both sides from scratch.
 
 Degree-N data is provisional: corrections from degree N+1 could adjust the
 top homotopy group, so stage N skips kernel-killing and the certificate
@@ -18,46 +20,16 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, FreeMorphism,
-                      Generator, Morphism, compose, is_surjective_at)
+                      Generator, Morphism, combination, compose, is_surjective_at)
 from .homology import cohomology, quasi_iso_report
 from .lifting import free_lift, homotopy_add, lift_homotopy
 from .ops import indecomposables
 from .paths import (DoublePath, Homotopy, delta, induced_to_double_path, keyed,
                     mapping_path, path_linear_map, path_of)
-from .scalars import Scalar
 
 
 class ModelError(AlgebraError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# helpers: rebuild a free algebra with extra generators
-# ---------------------------------------------------------------------------
-
-def _namepoly(M: FreeCdga, x: Element):
-    out = []
-    for k, c in x.sorted_terms():
-        out.append((c, tuple((M.gens[i].name, e) for i, e in k)))
-    return out
-
-
-def _from_namepoly(M: FreeCdga, poly) -> Element:
-    out = M.zero()
-    for c, factors in poly:
-        term = M.unit() * c
-        for name, e in factors:
-            g = M.generator(name)
-            for _ in range(e):
-                term = term * g
-        out = out + term
-    return out
-
-
-def _rebuild(gens, diff_polys, N, fld, name) -> FreeCdga:
-    M = FreeCdga(gens, N, fld, name=name)
-    M.set_differential({nm: _from_namepoly(M, poly) for nm, poly in diff_polys.items()})
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +75,6 @@ class MinimalModel:
     provisional_degrees: list = field(default_factory=list)
     certificate: dict = field(default_factory=dict)
 
-    def q_dims(self) -> dict:
-        return {g.degree: sum(1 for h in self.M.gens if h.degree == g.degree)
-                for g in self.M.gens}
-
 
 def _solve_d_preimage(A, y: Element, n: int):
     basis = A.basis(n, strict=False)
@@ -150,89 +118,87 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
                             log=[{"stage": "input already minimal"}],
                             certificate=cert)
 
-    gens: list[Generator] = []
-    diff_polys: dict = {}
+    A_elements = A.zero().alg  # the ambient algebra when A is a SubCdga
     rho_images: dict = {}
     counters: dict = {}
-    M = _rebuild(gens, diff_polys, N, A.field, "M")
+    M = FreeCdga([], N, A.field, name="M")
     rho = FreeMorphism(M, A, {}, name="rho")
+    # cohomology of the construction, memoized per call: A's for the whole
+    # call, M's until M grows
+    H_A: dict = {}
+    H_M: dict = {}
     log = []
 
-    def fresh(n):
-        k = counters.get(n, 0)
-        counters[n] = k + 1
-        return f"v{n}_{k:02d}"
+    def H(X, memo, n):
+        if n not in memo:
+            memo[n] = cohomology(X, n, strict=False)
+        return memo[n]
 
-    def rebuild():
+    def grow(n, diffs, images):
+        """Adjoin degree-n generators with these d values (terms over M) and
+        rho images; returns their names."""
         nonlocal M, rho
-        M = _rebuild(gens, diff_polys, N, A.field, "M")
+        gens, named = [], {}
+        for terms, image in zip(diffs, images):
+            k = counters.get(n, 0)
+            counters[n] = k + 1
+            nm = f"v{n}_{k:02d}"
+            gens.append(Generator(nm, n))
+            named[nm] = terms
+            rho_images[nm] = image
+        key_cache = rho._key_cache
+        M = M.adjoin(gens, named)
         rho = FreeMorphism(M, A, dict(rho_images), name="rho")
+        if M.keys_kept:
+            rho._key_cache = key_cache
+        H_M.clear()
+        return list(named)
+
+    def cokernel_reps(n):
+        """Representatives in A of the cokernel of H^n(rho)."""
+        HnA, HnM = H(A, H_A, n), H(M, H_M, n)
+        img = [HnA.cls(rho(rep)) for rep in HnM.reps]
+        units = [linalg.unit_vec(HnA.dim, i) for i in range(HnA.dim)]
+        coker = linalg.Subquotient(units, img, HnA.dim)
+        reps = [combination(A_elements, v, HnA.reps) for v in coker.reps]
+        if rng is not None:
+            rng.shuffle(reps)
+            reps = [el + A.random_element(n - 1, rng, density=0.3).d() for el in reps]
+        return reps
+
+    def killers(n):
+        """Terms of a basis z of the kernel of H^{n+1}(rho), and primitives of rho(z)."""
+        zs, primitives = [], []
+        Hn1A, Hn1M = H(A, H_A, n + 1), H(M, H_M, n + 1)
+        if Hn1M.dim == 0:
+            return zs, primitives
+        rows = [Hn1A.cls(rho(rep)) for rep in Hn1M.reps]
+        for v in linalg.kernel_basis(linalg.transpose(rows, Hn1A.dim), Hn1M.dim):
+            z = combination(M, v, Hn1M.reps)
+            if z.is_zero:
+                continue
+            a = _solve_d_preimage(A, rho(z), n)
+            if a is None:
+                raise ModelError(
+                    f"kernel class at degree {n + 1} has no primitive "
+                    "(input differential data inconsistent)")
+            zs.append(z.terms)
+            primitives.append(a)
+        return zs, primitives
 
     for n in range(start, N + 1):
         stage = {"degree": n, "added_closed": [], "added_killers": []}
         # 1. cokernel of H^n(rho)
-        HnA = cohomology(A, n, strict=False)
-        HnM = cohomology(M, n, strict=False)
-        img = [HnA.cls(rho(rep)) for rep in HnM.reps]
-        unit_vectors = [linalg.zeros(HnA.dim) for _ in range(HnA.dim)]
-        for i in range(HnA.dim):
-            unit_vectors[i][i] = Scalar(1)
-        coker = linalg.Subquotient(unit_vectors, img, HnA.dim)
-        new_reps = []
-        for v in coker.reps:
-            el = A.zero()
-            for c, rep in zip(v, HnA.reps):
-                if not c.is_zero:
-                    el = el + rep * c
-            new_reps.append(el)
-        if rng is not None:
-            rng.shuffle(new_reps)
-            perturbed = []
-            for el in new_reps:
-                noise = A.random_element(n - 1, rng, density=0.3)
-                perturbed.append(el + noise.d())
-            new_reps = perturbed
-        for el in new_reps:
-            nm = fresh(n)
-            gens.append(Generator(nm, n))
-            diff_polys[nm] = []
-            rho_images[nm] = el
-            stage["added_closed"].append(nm)
+        new_reps = cokernel_reps(n)
         if new_reps:
-            rebuild()
+            stage["added_closed"] = grow(n, [{}] * len(new_reps), new_reps)
         # 2. kill the kernel of H^{n+1}(rho); skipped at the horizon
         if n + 1 <= N:
-            for round_idx in range(max_rounds):
-                Hn1A = cohomology(A, n + 1, strict=False)
-                Hn1M = cohomology(M, n + 1, strict=False)
-                if Hn1M.dim == 0:
+            for _ in range(max_rounds):
+                zs, primitives = killers(n)
+                if not zs:
                     break
-                rows = [Hn1A.cls(rho(rep)) for rep in Hn1M.reps]
-                kern = linalg.kernel_basis(linalg.transpose(rows, Hn1A.dim), Hn1M.dim)
-                if not kern:
-                    break
-                added = []
-                for v in kern:
-                    z = M.zero()
-                    for c, rep in zip(v, Hn1M.reps):
-                        if not c.is_zero:
-                            z = z + rep * c
-                    if z.is_zero:
-                        continue
-                    a = _solve_d_preimage(A, rho(z), n)
-                    if a is None:
-                        raise ModelError(
-                            f"kernel class at degree {n + 1} has no primitive "
-                            "(input differential data inconsistent)")
-                    nm = fresh(n)
-                    gens.append(Generator(nm, n))
-                    diff_polys[nm] = _namepoly(M, z)
-                    rho_images[nm] = a
-                    added.append(nm)
-                if not added:
-                    break
-                stage["added_killers"].extend(added)
-                rebuild()
+                stage["added_killers"].extend(grow(n, zs, primitives))
             else:
                 raise ModelError(
                     f"stage {n} did not stabilize after {max_rounds} rounds; "
