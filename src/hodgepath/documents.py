@@ -61,6 +61,13 @@ def _sqrt(d, path) -> int:
     return d
 
 
+def _natural(value, what, path) -> int:
+    """A non-negative integer field (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DocumentError(f"{what} must be a non-negative integer", path)
+    return value
+
+
 def _field(spec, path) -> Field:
     """"Q" (or absent) is the rationals; {"sqrt": d} is Q(sqrt d)."""
     if spec is None or spec == "Q":
@@ -124,10 +131,7 @@ def build_dga(doc, path="$"):
                             "products", "differentials", "augmentation",
                             "annotations"))
     fld = _field(doc.get("field"), f"{path}.field")
-    N = doc["max_degree"]
-    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
-        raise DocumentError("max_degree must be a non-negative integer",
-                            f"{path}.max_degree")
+    N = _natural(doc["max_degree"], "max_degree", f"{path}.max_degree")
     if N > MAX_DEGREE:
         raise DocumentError(f"max_degree {N} exceeds the supported horizon {MAX_DEGREE}",
                             f"{path}.max_degree")
@@ -145,8 +149,8 @@ def build_dga(doc, path="$"):
                 raise DocumentError(f"duplicate generator name {g['name']!r}",
                                     f"{gpath}.name")
             seen.add(g["name"])
-            gens.append(Generator(g["name"], g["degree"], g.get("weight"),
-                                  g.get("hodge")))
+            degree = _natural(g["degree"], "degree", f"{gpath}.degree")
+            gens.append(Generator(g["name"], degree, g.get("weight"), g.get("hodge")))
             if "d" in g:
                 dexprs[g["name"]] = (g["d"], gpath)
         try:
@@ -172,15 +176,19 @@ def build_dga(doc, path="$"):
                 raise DocumentError(f"duplicate basis name {b['name']!r}",
                                     f"{bpath}.name")
             seen.add(b["name"])
-            entries.append(TableBasisElement(b["name"], b["degree"],
+            degree = _natural(b["degree"], "degree", f"{bpath}.degree")
+            entries.append(TableBasisElement(b["name"], degree,
                                              b.get("weight"), b.get("hodge")))
         unit = doc.get("unit", "1")
         try:
             A = TableCdga(entries, N, fld, name=name, unit=unit)
         except AlgebraError as e:
             raise DocumentError(str(e), f"{path}.basis")
+        for field in ("products", "differentials", "augmentation"):
+            if not isinstance(doc.get(field, {}), dict):
+                raise DocumentError(f"{field} must be an object", f"{path}.{field}")
         products = {}
-        for key, expr in (doc.get("products") or {}).items():
+        for key, expr in doc.get("products", {}).items():
             parts = key.split("*")
             if len(parts) != 2:
                 raise DocumentError(f"product key must be 'a*b', got {key!r}",
@@ -189,7 +197,7 @@ def build_dga(doc, path="$"):
             el = parse_in(A, expr, f"{path}.products.{key}")
             products[(a, b)] = dict(el.terms)
         diffs = {}
-        for nm, expr in (doc.get("differentials") or {}).items():
+        for nm, expr in doc.get("differentials", {}).items():
             el = parse_in(A, expr, f"{path}.differentials.{nm}")
             diffs[nm] = dict(el.terms)
         augmentation = None

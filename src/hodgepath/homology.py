@@ -1,8 +1,11 @@
 """Exact cohomology of the algebras in this package.
 
-For keyed algebras whose differential preserves a block grading (path algebras
-graded by polynomial t-weight), kernels and images are computed block by
-block; everything stays exact, the blocks only keep the matrices small.
+Keyed algebras (GradedAlgebra) read their d-matrices off the cached d_key of
+each basis key.  Where the differential preserves a block grading (path
+algebras graded by polynomial t-weight), kernels and images are computed block
+by block; an unblocked algebra is the one-block case.  Everything stays exact,
+the blocks only keep the matrices small.  Other spaces (SubCdga) go through
+Element.d and their own coords.
 """
 
 from __future__ import annotations
@@ -28,27 +31,34 @@ class Cohomology:
     def cls(self, x: Element):
         """Coordinates of the class [x] in the representative basis.
 
-        Raises if x is not closed; returns None if x is not in this degree's
-        cocycles span (cannot happen for closed homogeneous x of degree n).
+        Raises if x is not closed or, on a keyed algebra, has a key outside
+        degree n; returns None if x is not in this degree's cocycles span
+        (cannot happen for closed homogeneous x of degree n).
         """
         if not x.d().is_zero:
             raise AlgebraError("cls() of a non-closed element")
-        out = []
-        for block_id, keys, sq, index in self._blocks:
+        vecs = []
+        placed = 0
+        for _, keys, _, index in self._blocks:
             if keys is None:
-                vec = self.X.coords(x, self.n)
-            else:
-                vec = linalg.zeros(len(keys))
-                for k, c in x.terms.items():
-                    i = index.get(k)
-                    if i is not None:
-                        vec[i] = c
-            # parts of x in other blocks are handled by those blocks
+                vecs.append(self.X.coords(x, self.n))
+                placed = len(x.terms)
+                continue
+            vec = linalg.zeros(len(keys))
+            for k, c in x.terms.items():
+                i = index.get(k)
+                if i is not None:
+                    vec[i] = c
+                    placed += 1
+            vecs.append(vec)
+        if placed != len(x.terms):
+            raise AlgebraError(f"cls() of an element with a key outside degree {self.n}")
+        out = []
+        for (_, _, sq, _), vec in zip(self._blocks, vecs):
             c = sq.coords(vec)
             if c is None:
                 return None
             out.extend(c)
-        # safety: every key of x must have been consumed by some block
         return out
 
 
@@ -87,11 +97,10 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
     blocks = []
     reps = []
     dim = 0
-    if _is_keyed(X) and any(X.key_block(k) != 0 for k in X.basis_keys(n)):
-        part_n = _block_partition(X, n)
+    if _is_keyed(X):
         part_lo = _block_partition(X, n - 1)
         part_hi = _block_partition(X, n + 1)
-        for block_id, keys in part_n.items():
+        for block_id, keys in _block_partition(X, n).items():
             lo = part_lo.get(block_id, [])
             hi = part_hi.get(block_id, [])
             dmat = _d_matrix_on_keys(X, keys, hi)

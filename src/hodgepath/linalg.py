@@ -19,11 +19,18 @@ exact field elements, so every kernel/image/solve is a certificate.
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from fractions import Fraction
+
+from .scalars import Scalar, _scalar
+
+_ZERO = Fraction(0)
+# The zero entry of every vector zeros() hands out.  Scalars are immutable, so
+# one object serves them all, and the loops below skip it by identity.
+_ZERO_SCALAR = _scalar(_ZERO, _ZERO, -1)
 
 
 def zeros(n: int) -> list:
-    return [Scalar(0)] * n
+    return [_ZERO_SCALAR] * n
 
 
 def unit_vec(n: int, i: int) -> list:
@@ -53,18 +60,29 @@ def _sparse(rows):
     """Sparse copies {col: coeff} of dense Scalar rows, zeros dropped.
 
     The coefficients are bare Fractions when every entry is rational and
-    Scalars otherwise; the elimination below serves both unchanged.
+    Scalars otherwise; the elimination below serves both unchanged.  One pass
+    reads each entry once and starts over with Scalar rows at the first
+    irrational entry.
     """
-    if any(a.im for r in rows for a in r):
-        return [{j: a for j, a in enumerate(r) if a} for r in rows]
-    return [{j: a.re for j, a in enumerate(r) if a.re} for r in rows]
+    out = []
+    for r in rows:
+        row = {}
+        for j, a in enumerate(r):
+            if a is _ZERO_SCALAR:
+                continue
+            if a.im:
+                return [{j: a for j, a in enumerate(r) if a} for r in rows]
+            if a.re:
+                row[j] = a.re
+        out.append(row)
+    return out
 
 
 def _dense(row, width: int) -> list:
     """Dense Scalar vector of a sparse row."""
     v = zeros(width)
     for j, c in row.items():
-        v[j] = c if isinstance(c, Scalar) else Scalar(c)
+        v[j] = c if isinstance(c, Scalar) else _scalar(c, _ZERO, -1)
     return v
 
 
@@ -132,7 +150,8 @@ def kernel_basis(rows, ncols: int):
             continue
         v = unit_vec(ncols, free)
         for r, p in zip(R, pivots):
-            v[p] = -r[free]
+            if r[free] is not _ZERO_SCALAR:
+                v[p] = -r[free]
         basis.append(v)
     return basis
 

@@ -3,6 +3,11 @@
 A Scalar is a + b*sqrt(d) with a, b reduced Fractions.  Conjugation flips the
 sign of b and fixes exactly the rational sub-line, which is what the Hodge
 purity checks need (floating point cannot certify F^p ∩ conj(F^q) = 0).
+
+Invariant: `re` and `im` are always Fractions and `d < 0`.  The public
+constructor converts and checks its arguments; arithmetic on two rational
+operands (im == 0) does one Fraction operation and builds its result with
+the private `_scalar`, which trusts parts that already satisfy the invariant.
 """
 
 from __future__ import annotations
@@ -24,8 +29,22 @@ def _frac(x) -> Fraction:
     raise ScalarError(f"cannot read rational from {x!r}")
 
 
+def _scalar(re: Fraction, im: Fraction, d: int) -> "Scalar":
+    """Scalar from parts that already hold the invariant; nothing is checked."""
+    s = object.__new__(Scalar)
+    s.re = re
+    s.im = im
+    s.d = d
+    return s
+
+
 class Scalar:
-    """Element a + b*sqrt(d) of Q(sqrt d); b = 0 is a plain rational."""
+    """Element a + b*sqrt(d) of Q(sqrt d); b = 0 is a plain rational.
+
+    The arithmetic below takes a rational fast path when neither operand has
+    an imaginary part; its result's d is the one the general path gives (the
+    other operand's d for a binary operation, self.d for a unary one).
+    """
 
     __slots__ = ("re", "im", "d")
 
@@ -59,21 +78,41 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        if not self.im:
+            if type(other) is Scalar:
+                if not other.im:
+                    return _scalar(self.re + other.re, self.im, other.d)
+            elif isinstance(other, (int, Fraction)):
+                return _scalar(self.re + other, self.im, self.d)
         o = self._join(other)
         return Scalar(self.re + o.re, self.im + o.im, self._d_with(o))
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return _scalar(-self.re, self.im, self.d)
         return Scalar(-self.re, -self.im, self.d)
 
     def __sub__(self, other):
+        if not self.im:
+            if type(other) is Scalar:
+                if not other.im:
+                    return _scalar(self.re - other.re, self.im, other.d)
+            elif isinstance(other, (int, Fraction)):
+                return _scalar(self.re - other, self.im, self.d)
         return self + (-self._join(other))
 
     def __rsub__(self, other):
         return (-self) + self._join(other)
 
     def __mul__(self, other):
+        if not self.im:
+            if type(other) is Scalar:
+                if not other.im:
+                    return _scalar(self.re * other.re, self.im, other.d)
+            elif isinstance(other, (int, Fraction)):
+                return _scalar(self.re * other, self.im, self.d)
         o = self._join(other)
         d = self._d_with(o)
         return Scalar(self.re * o.re + self.im * o.im * d,
@@ -82,6 +121,10 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("scalar division by zero")
+            return _scalar(1 / self.re, self.im, self.d)
         # 1/(a+b√d) = (a−b√d)/(a²−b²d); the norm is positive unless zero.
         n = self.re * self.re - self.im * self.im * self.d
         if n == 0:

@@ -112,6 +112,31 @@ def test_bad_field_exits_2(tmp_path):
     assert "$.field.sqrt" in out.stderr
 
 
+@pytest.mark.parametrize("fixture, at, value, where", [
+    ("s2.json", ("products",), ["x2*x2", "0"], "$.products"),
+    ("s2.json", ("differentials",), ["x2", "0"], "$.differentials"),
+    ("s2.json", ("augmentation",), ["one", "1"], "$.augmentation"),
+    ("s2.json", ("basis", 1, "degree"), "2", "$.basis[1].degree"),
+    ("s3_free.json", ("generators", 0, "degree"), "3", "$.generators[0].degree"),
+], ids=["products", "differentials", "augmentation", "basis_degree", "generator_degree"])
+def test_malformed_dga_fields_exit_2(tmp_path, fixture, at, value, where):
+    """A field of the wrong JSON type is a document error (exit 2), not a traceback."""
+    doc = read_fixture(fixture)
+    parent = doc
+    for step in at[:-1]:
+        parent = parent[step]
+    parent[at[-1]] = value
+    with pytest.raises(DocumentError) as ei:
+        build_dga(doc)
+    assert ei.value.path == where
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = run_cli("check", str(path))
+    assert out.returncode == 2, out.stderr
+    assert where in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_absurd_horizon_exits_2_at_once(tmp_path):
     doc = {"schema": 1, "kind": "dga", "name": "pt", "presentation": "table",
            "field": "Q", "max_degree": 10 ** 8, "unit": "one",
