@@ -19,7 +19,7 @@ from .ops import (check_cdga, differentiate, euler_characteristic, indecomposabl
 from .paths import (BudgetError, DoublePath, Homotopy, MappingPath, PathAlgebra,
                     c_hat, constant_homotopy, coproduct, coproduct_prime, delta,
                     folding, integrate, interchange, iota, keyed, mapping_path,
-                    p5_lift, pair_paths, path_component, path_linear_map, path_of,
+                    p5_lift, pair_paths, path_linear_map, path_of,
                     structural_map, symmetry, verify_homotopy)
 from .algebra import is_surjective_at, morphism_matrix, solve_preimage
 from .lifting import (LiftObstruction, fill_square, free_lift, homotopy_add,

@@ -785,9 +785,6 @@ class Morphism(LinearMap):
 
     kind = "morphism"
 
-    def then(self, g: "Morphism") -> "Morphism":
-        return compose(g, self)
-
 
 def compose(g: LinearMap, f: LinearMap, name="") -> LinearMap:
     cls = Morphism if isinstance(g, Morphism) and isinstance(f, Morphism) else LinearMap
@@ -985,12 +982,6 @@ class SubCdga:
 
     def from_coords(self, n, vec, strict=True) -> Element:
         return combination(self.ambient, vec, self.basis(n, strict=strict))
-
-    def contains(self, x: Element) -> bool:
-        for c in self.constraints:
-            if not c(x).is_zero:
-                return False
-        return True
 
     def random_element(self, n, rng, density=0.6, strict=True) -> Element:
         out = self.ambient.zero()

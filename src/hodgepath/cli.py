@@ -60,12 +60,22 @@ def _read(path) -> dict:
         raise DocumentError(f"cannot read {path}: {e}")
 
 
+def _positive_int(text):
+    """argparse type of --t-budget: a positive integer, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def _budget(args, doc):
-    if getattr(args, "t_budget", None):
+    """--t-budget, else the document's budget (checked when it was built), else 8."""
+    if args.t_budget is not None:
         return args.t_budget
-    if isinstance(doc, dict) and doc.get("budget"):
-        return doc["budget"]
-    return 8
+    return doc.get("budget", 8)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +415,7 @@ def make_parser():
         p.add_argument("--format", choices=("json", "table"), default="json")
         if needs_degree:
             p.add_argument("--max-degree", type=int, required=degree_required)
-        p.add_argument("--t-budget", type=int, default=None)
+        p.add_argument("--t-budget", type=_positive_int, default=None)
 
     p = sub.add_parser("check", help="validate a document's algebraic identities")
     p.add_argument("document")

@@ -61,11 +61,25 @@ def _sqrt(d, path) -> int:
     return d
 
 
-def _natural(value, what, path) -> int:
-    """A non-negative integer field (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise DocumentError(f"{what} must be a non-negative integer", path)
+def _integer(obj, key, path, minimum=None):
+    """The integer field obj[key] (a bool is not one), or None if it is absent."""
+    if key not in obj:
+        return None
+    value = obj[key]
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DocumentError(f"{key} must be an integer{bound}", f"{path}.{key}")
     return value
+
+
+def _typed(obj, key, path, typ, what, default=None):
+    """The field obj[key] if it is a typ (named by what), or default if it is absent."""
+    if key not in obj:
+        return default
+    if not isinstance(obj[key], typ):
+        raise DocumentError(f"{key} must be {what}", f"{path}.{key}")
+    return obj[key]
 
 
 def _field(spec, path) -> Field:
@@ -131,7 +145,7 @@ def build_dga(doc, path="$"):
                             "products", "differentials", "augmentation",
                             "annotations"))
     fld = _field(doc.get("field"), f"{path}.field")
-    N = _natural(doc["max_degree"], "max_degree", f"{path}.max_degree")
+    N = _integer(doc, "max_degree", path, minimum=0)
     if N > MAX_DEGREE:
         raise DocumentError(f"max_degree {N} exceeds the supported horizon {MAX_DEGREE}",
                             f"{path}.max_degree")
@@ -141,16 +155,18 @@ def build_dga(doc, path="$"):
         gens = []
         dexprs = {}
         seen = set()
-        for i, g in enumerate(doc.get("generators", [])):
+        for i, g in enumerate(_typed(doc, "generators", path, list, "an array", [])):
             gpath = f"{path}.generators[{i}]"
             _check_fields(g, gpath, required=("name", "degree"),
                           optional=("weight", "hodge", "d"))
+            _typed(g, "name", gpath, str, "a string")
             if g["name"] in seen:
                 raise DocumentError(f"duplicate generator name {g['name']!r}",
                                     f"{gpath}.name")
             seen.add(g["name"])
-            degree = _natural(g["degree"], "degree", f"{gpath}.degree")
-            gens.append(Generator(g["name"], degree, g.get("weight"), g.get("hodge")))
+            degree = _integer(g, "degree", gpath, minimum=0)
+            gens.append(Generator(g["name"], degree, _integer(g, "weight", gpath),
+                                  _integer(g, "hodge", gpath)))
             if "d" in g:
                 dexprs[g["name"]] = (g["d"], gpath)
         try:
@@ -168,18 +184,19 @@ def build_dga(doc, path="$"):
     if pres == "table":
         entries = []
         seen = set()
-        for i, b in enumerate(doc.get("basis", [])):
+        for i, b in enumerate(_typed(doc, "basis", path, list, "an array", [])):
             bpath = f"{path}.basis[{i}]"
             _check_fields(b, bpath, required=("name", "degree"),
                           optional=("weight", "hodge"))
+            _typed(b, "name", bpath, str, "a string")
             if b["name"] in seen:
                 raise DocumentError(f"duplicate basis name {b['name']!r}",
                                     f"{bpath}.name")
             seen.add(b["name"])
-            degree = _natural(b["degree"], "degree", f"{bpath}.degree")
-            entries.append(TableBasisElement(b["name"], degree,
-                                             b.get("weight"), b.get("hodge")))
-        unit = doc.get("unit", "1")
+            degree = _integer(b, "degree", bpath, minimum=0)
+            entries.append(TableBasisElement(b["name"], degree, _integer(b, "weight", bpath),
+                                             _integer(b, "hodge", bpath)))
+        unit = _typed(doc, "unit", path, str, "a string", "1")
         try:
             A = TableCdga(entries, N, fld, name=name, unit=unit)
         except AlgebraError as e:
@@ -350,7 +367,8 @@ def build_diagram(doc, path="$", kind="diagram"):
             built_arrows[nm] = (_build_map(ext, A_d, images, f"{apath}.map", nm), coerce)
     try:
         D = Diagram(index, algebras, tags=tags, arrows=built_arrows,
-                    budget=doc.get("budget"), name=doc.get("name", "diagram"))
+                    budget=_integer(doc, "budget", path, minimum=1),
+                    name=doc.get("name", "diagram"))
     except AlgebraError as e:
         raise DocumentError(str(e), path)
     D.vertex_order = order
@@ -420,7 +438,7 @@ def build_homotopy(doc, path="$"):
     B = build_dga(doc["target"], f"{path}.target")
     f = _build_map(A, B, doc["f"], f"{path}.f", "f")
     g = _build_map(A, B, doc["g"], f"{path}.g", "g")
-    PB = path_of(B, doc.get("budget"))
+    PB = path_of(B, _integer(doc, "budget", path, minimum=1))
     hmap = _build_map(A, keyed(PB), doc["h"], f"{path}.h", "h")
     return f, g, Homotopy(f, g, Morphism(A, PB, hmap.fn, name="h"))
 

@@ -22,7 +22,6 @@ from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, GradedAlgebra,
                       LinearMap, combination)
 from .paths import path_of
-from .scalars import Scalar
 
 
 def r_path(A, r: int, budget=None):
@@ -51,7 +50,12 @@ def _key_level(X, k, kind):
 
 
 class FilteredComplex:
-    """Adapted-basis view of a filtered algebra/subspace, degrees 0..bound."""
+    """Adapted-basis view of a filtered algebra/subspace, degrees 0..bound.
+
+    The differential is computed once per adapted basis element: `d_row(n, i)`
+    holds the coordinates of d(elements[n][i]) in degree n+1, filled on first
+    use and kept per (n, i), and `d_coords` is their linear combination.
+    """
 
     def __init__(self, X, kind="W", bound=None):
         self.X = X
@@ -60,6 +64,7 @@ class FilteredComplex:
         self.levels = {}
         self.elements = {}
         self._charts = {}
+        self._d_rows = {}
         keyed_alg = isinstance(X, GradedAlgebra)
         if keyed_alg and ((kind == "W" and not X.has_weights)
                           or (kind == "F" and not X.has_hodge)):
@@ -80,7 +85,7 @@ class FilteredComplex:
         key_levels = [_key_level(amb, k, self.kind) for k in keys]
         if any(lv is None for lv in key_levels):
             raise AlgebraError(f"{amb!r} carries no {self.kind} filtration")
-        chosen_rows, chosen_levels, chosen_elems = [], [], []
+        chosen, chosen_levels, chosen_elems = linalg.Span(), [], []
         for p in sorted(set(key_levels)):
             allowed = [i for i, lv in enumerate(key_levels) if lv <= p]
             sub = [X.ambient.from_key(keys[i]) for i in allowed]
@@ -94,8 +99,7 @@ class FilteredComplex:
                 full = linalg.zeros(len(keys))
                 for c, i in zip(v, allowed):
                     full[i] = c
-                if not linalg.span_contains(chosen_rows, len(keys), full):
-                    chosen_rows.append(full)
+                if chosen.add(full):
                     chosen_levels.append(p)
                     chosen_elems.append(amb.from_coords(n, full))
         return chosen_levels, chosen_elems
@@ -121,9 +125,36 @@ class FilteredComplex:
     def from_coords(self, n, vec) -> Element:
         return combination(self.ambient, vec, self.elements[n])
 
+    def d_row(self, n, i):
+        """Coordinates in degree n+1 of d(elements[n][i]); computed once, not to be mutated."""
+        row = self._d_rows.get((n, i))
+        if row is None:
+            row = self._d_rows[n, i] = self.coords(self.elements[n][i].d(), n + 1)
+        return row
+
     def d_coords(self, n, vec):
-        x = self.from_coords(n, vec)
-        return self.coords(x.d(), n + 1)
+        """Coordinates in degree n+1 of d of the vector vec: sum of vec[i] * d_row(n, i)."""
+        out = linalg.zeros(self.dim(n + 1))
+        for i, c in enumerate(vec):
+            if c.is_zero:
+                continue
+            for j, a in enumerate(self.d_row(n, i)):
+                if not a.is_zero:
+                    out[j] = out[j] + c * a
+        return out
+
+    def z_basis(self, n, a, b):
+        """Basis of {x in W_a C^n : dx in W_b C^{n+1}}, as coordinate vectors."""
+        gens = [i for i, lv in enumerate(self.levels[n]) if lv <= a]
+        rows = [self.proj_above(n + 1, self.d_row(n, i), b) for i in gens]
+        kern = linalg.kernel_basis(linalg.transpose(rows, self.dim(n + 1)), len(gens))
+        out = []
+        for v in kern:
+            full = linalg.zeros(self.dim(n))
+            for c, i in zip(v, gens):
+                full[i] = c
+            out.append(full)
+        return out
 
     def level_range(self):
         vals = [lv for lvs in self.levels.values() for lv in lvs]
@@ -137,8 +168,11 @@ class FilteredComplex:
 
     def proj_above(self, n, vec, cutlevel):
         """Components of vec of level > cutlevel (adapted basis makes this exact)."""
-        return [c if lv > cutlevel else Scalar(0)
-                for c, lv in zip(vec, self.levels[n])]
+        out = linalg.zeros(len(vec))
+        for j, (c, lv) in enumerate(zip(vec, self.levels[n])):
+            if lv > cutlevel:
+                out[j] = c
+        return out
 
 
 def weight_bounds_report(fc: FilteredComplex) -> dict:
@@ -200,11 +234,7 @@ def gr(X, p: int, kind="W", bound=None, fc: FilteredComplex | None = None) -> Gr
                 break
         hodges[n] = hs
     for n in range(0, fc.bound):
-        rows = []
-        for i in idx[n]:
-            dv = fc.d_coords(n, linalg.unit_vec(fc.dim(n), i))
-            rows.append([dv[j] for j in idx[n + 1]])
-        dmats[n] = rows
+        dmats[n] = [[fc.d_row(n, i)[j] for j in idx[n + 1]] for i in idx[n]]
     return GrComplex(p=p, dims=dims, d=dmats, hodge=hodges, reps=reps)
 
 
@@ -226,25 +256,7 @@ class SpectralSequence:
         if key in self._z_cache:
             return self._z_cache[key]
         fc = self.fc
-        if n < 0 or n > fc.bound - 1:
-            self._z_cache[key] = []
-            return []
-        lo, hi = fc.level_range()
-        dim = fc.dim(n)
-        gens = [i for i, lv in enumerate(fc.levels[n]) if lv <= p]
-        rows = []
-        for i in gens:
-            dv = fc.d_coords(n, linalg.unit_vec(dim, i))
-            rows.append(fc.proj_above(n + 1, dv, p - r))
-        cols = len(gens)
-        dim_hi = fc.dim(n + 1)
-        kern = linalg.kernel_basis(linalg.transpose(rows, dim_hi), cols)
-        out = []
-        for v in kern:
-            full = linalg.zeros(dim)
-            for c, i in zip(v, gens):
-                full[i] = c
-            out.append(full)
+        out = [] if n < 0 or n > fc.bound - 1 else fc.z_basis(n, p, p - r)
         self._z_cache[key] = out
         return out
 
@@ -418,26 +430,15 @@ def decalage(fc: FilteredComplex) -> FilteredComplex:
     out.levels = {}
     out.elements = {}
     out._charts = {}
+    out._d_rows = {}
+    lo, hi = fc.level_range()
     for n in range(0, out.bound + 1):
-        dim = fc.dim(n)
-        chosen_rows, levels, elems = [], [], []
-        lo, hi = fc.level_range()
+        chosen, levels, elems = linalg.Span(), [], []
         for p in range(lo + n, hi + n + 2):
-            gens = [i for i, lv in enumerate(fc.levels[n]) if lv <= p - n]
-            rows = []
-            for i in gens:
-                dv = fc.d_coords(n, linalg.unit_vec(dim, i))
-                rows.append(fc.proj_above(n + 1, dv, p - n - 1))
-            cols = len(gens)
-            dim_hi = fc.dim(n + 1)
-            for v in linalg.kernel_basis(linalg.transpose(rows, dim_hi), cols):
-                full = linalg.zeros(dim)
-                for c, i in zip(v, gens):
-                    full[i] = c
-                if not linalg.span_contains(chosen_rows, dim, full):
-                    chosen_rows.append(full)
+            for v in fc.z_basis(n, p - n, p - n - 1):
+                if chosen.add(v):
                     levels.append(p)
-                    elems.append(fc.from_coords(n, full))
+                    elems.append(fc.from_coords(n, v))
         out.levels[n] = levels
         out.elements[n] = elems
     return out

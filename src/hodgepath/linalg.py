@@ -3,10 +3,11 @@
 The API speaks dense: vectors are lists of Scalar and matrices are lists of
 row vectors, in and out.  Inside, `rref` eliminates sparse rows {column:
 coefficient} and touches only non-zero entries; `Chart` and `Subquotient`
-keep their reduced bases as such sparse rows.  When every entry of a matrix
-is rational the coefficients are bare Fractions (the fast path), otherwise
-they stay Scalars; the same code serves both, since 1 / x, *, - and
-truthiness work on either, and on a mix of the two.
+keep their reduced bases as such sparse rows, and `Span` grows its basis
+one row at a time, testing each new vector by one reduction.  When every
+entry of a matrix is rational the coefficients are bare Fractions (the fast
+path), otherwise they stay Scalars; the same code serves both, since 1 / x,
+*, - and truthiness work on either, and on a mix of the two.
 
 Pivoting is Gauss-Jordan with the deterministic first-nonzero rule: the
 first row at or below the current rank with a non-zero in the column is
@@ -189,12 +190,6 @@ def mat_mul_vec(rows, x):
     return out
 
 
-def span_contains(basis_rows, ncols: int, v) -> bool:
-    if vec_is_zero(v):
-        return True
-    return rank(list(basis_rows) + [v], ncols) == rank(basis_rows, ncols)
-
-
 def span_dim(vectors, ncols: int) -> int:
     return rank(vectors, ncols)
 
@@ -229,6 +224,32 @@ def _reduce(v, rows, pivots):
             taken[i] = c
             _sub_multiple(v, c, row)
     return taken
+
+
+class Span:
+    """A growing span of vectors, kept as sparse echelon rows.
+
+    Rows stay in insertion order.  Each added vector is reduced by the rows
+    before it, so it is zero at their pivots, and is then normalised to 1 at
+    its first non-zero column, its pivot.  Reducing by the rows in order
+    therefore clears every pivot, and leaves zero exactly on the span.
+    """
+
+    def __init__(self):
+        self._rows = []
+        self._pivots = []
+
+    def add(self, v) -> bool:
+        """Add v; True iff v was outside the span so far."""
+        w = _sparse([v])[0]
+        _reduce(w, self._rows, self._pivots)
+        if not w:
+            return False
+        p = min(w)
+        inv = 1 / w[p]
+        self._rows.append({j: inv * a for j, a in w.items()})
+        self._pivots.append(p)
+        return True
 
 
 class Chart:

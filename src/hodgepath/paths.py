@@ -437,14 +437,6 @@ def _retag(key, slot, depth):
     return (_retag(inner, slot, depth - 1), ie)
 
 
-def _untag(key, depth):
-    if depth == 0:
-        return key[0], key[1]
-    inner, ie = key
-    slot, stripped = _untag(inner, depth - 1)
-    return slot, (stripped, ie)
-
-
 def pair_paths(P_prod, parts, depth: int = 1) -> Element:
     """Assemble elements of P^depth(X_j) into one element of P^depth(prod X_j)."""
     kp = keyed(P_prod)
@@ -455,17 +447,6 @@ def pair_paths(P_prod, parts, depth: int = 1) -> Element:
             prev = out.get(kk)
             out[kk] = c if prev is None else prev + c
     return Element(kp, out)
-
-
-def path_component(P_prod, x: Element, slot: int, component_path, depth: int = 1) -> Element:
-    """Inverse of pair_paths for one slot."""
-    kc = keyed(component_path)
-    out = {}
-    for k, c in x.terms.items():
-        s, stripped = _untag(k, depth)
-        if s == slot:
-            out[stripped] = c
-    return Element(kc, out)
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,6 @@ class Scalar:
         return self.d if self.im else other.d
 
     @property
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -201,9 +197,6 @@ class Field:
         if self.d is None:
             raise ScalarError("QQ has no adjoined square root")
         return Scalar(0, 1, self.d)
-
-    def contains(self, c: Scalar) -> bool:
-        return c.is_rational or (self.d is not None and c.d == self.d)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.d == other.d

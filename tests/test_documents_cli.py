@@ -118,7 +118,20 @@ def test_bad_field_exits_2(tmp_path):
     ("s2.json", ("augmentation",), ["one", "1"], "$.augmentation"),
     ("s2.json", ("basis", 1, "degree"), "2", "$.basis[1].degree"),
     ("s3_free.json", ("generators", 0, "degree"), "3", "$.generators[0].degree"),
-], ids=["products", "differentials", "augmentation", "basis_degree", "generator_degree"])
+    ("s2.json", ("basis", 1, "name"), ["x2"], "$.basis[1].name"),
+    ("s3_free.json", ("generators", 0, "name"), ["x3"], "$.generators[0].name"),
+    ("s2.json", ("basis",), 2, "$.basis"),
+    ("s3_free.json", ("generators",), 1, "$.generators"),
+    ("s2.json", ("unit",), ["one"], "$.unit"),
+    ("s2.json", ("basis", 1, "weight"), "a", "$.basis[1].weight"),
+    ("s2.json", ("basis", 1, "weight"), 1.5, "$.basis[1].weight"),
+    ("s2.json", ("basis", 1, "hodge"), "a", "$.basis[1].hodge"),
+    ("s2.json", ("basis", 1, "hodge"), 1.5, "$.basis[1].hodge"),
+    ("s3_free.json", ("generators", 0, "weight"), True, "$.generators[0].weight"),
+], ids=["products", "differentials", "augmentation", "basis_degree", "generator_degree",
+        "basis_name_list", "generator_name_list", "basis_number", "generators_number",
+        "unit_list", "basis_weight_str", "basis_weight_float", "basis_hodge_str",
+        "basis_hodge_float", "generator_weight_bool"])
 def test_malformed_dga_fields_exit_2(tmp_path, fixture, at, value, where):
     """A field of the wrong JSON type is a document error (exit 2), not a traceback."""
     doc = read_fixture(fixture)
@@ -134,6 +147,38 @@ def test_malformed_dga_fields_exit_2(tmp_path, fixture, at, value, where):
     out = run_cli("check", str(path))
     assert out.returncode == 2, out.stderr
     assert where in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "two"])
+def test_bad_t_budget_flag_is_a_usage_error(budget):
+    out = run_cli("path", "fixtures/s2.json", "--t-budget", budget)
+    assert out.returncode == 2, out.stderr
+    assert "--t-budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("budget", [0, -1, True, 1.5, "4"])
+@pytest.mark.parametrize("fixture, build", [("p1toy.json", build_mhd),
+                                            ("homotopy_const.json", parse_document)],
+                         ids=["mhd", "homotopy"])
+def test_bad_document_budget_rejected_with_path(fixture, build, budget):
+    doc = read_fixture(fixture)
+    doc["budget"] = budget
+    with pytest.raises(DocumentError) as ei:
+        build(doc)
+    assert ei.value.path == "$.budget"
+
+
+def test_zero_document_budget_exits_2(tmp_path):
+    doc = read_fixture("p1toy.json")
+    doc["budget"] = 0
+    path = tmp_path / "budget0.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = run_cli("pi-star", "--mhd", str(path), "--model", "fixtures/p1toy_model.json",
+                  "--comparison", "fixtures/p1toy_comparison.json")
+    assert out.returncode == 2, out.stderr
+    assert "$.budget" in out.stderr
     assert "Traceback" not in out.stderr
 
 

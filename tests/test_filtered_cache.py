@@ -1,0 +1,194 @@
+"""Cached d rows of filtered complexes and the incremental Span, against references.
+
+`FilteredComplex.d_row` / `d_coords` are checked against coordinates of d
+computed afresh from the element, and `linalg.Span.add` against the rank-based
+membership test it replaced, which this file keeps as the oracle.  Decalage
+is compared with a reference built from both oracles.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hodgepath import (Field, FreeCdga, Generator, SubCdga, TableBasisElement,
+                       TableCdga, delta, path_10, r_path)
+from hodgepath import linalg
+from hodgepath.filtered import FilteredComplex, decalage
+from hodgepath.scalars import Scalar
+
+QI = Field(-1)
+
+
+def weighted_free(c=3):
+    """x2 at weight 0, y3 and z3 at weight 1, d y3 = c x2^2."""
+    A = FreeCdga([Generator("x2", 2, weight=0), Generator("y3", 3, weight=1),
+                  Generator("z3", 3, weight=1)], 6, name="Aw")
+    A.set_differential({"y3": A.parse("x2^2") * c})
+    return A
+
+
+def cp2_complex_vertex():
+    """The bifiltered vertex of a CP^2 mixed Hodge diagram over Q(sqrt -1)."""
+    basis = [TableBasisElement("one", 0, weight=0, hodge=0),
+             TableBasisElement("x2", 2, weight=0, hodge=1),
+             TableBasisElement("x4", 4, weight=0, hodge=2)]
+    return TableCdga(basis, 6, field=QI, unit="one",
+                     products={("x2", "x2"): {"x4": Scalar(2, 1, -1)}}, name="AC")
+
+
+def free_over_qi():
+    """a2 (W 0, F 1) and a5 (W 1, F 3) over Q(sqrt -1), d a5 = (1+i) a2^3."""
+    M = FreeCdga([Generator("a2", 2, weight=0, hodge=1),
+                  Generator("a5", 5, weight=1, hodge=3)], 6, field=QI, name="Mi")
+    M.set_differential({"a5": M.parse("a2^3") * Scalar(1, 1, -1)})
+    return M
+
+
+def rpath_fc(budget):
+    return FilteredComplex(r_path(weighted_free(), 1, budget=budget), "W")
+
+
+def subcdga_fc():
+    P = r_path(weighted_free(), 1, budget=3)
+    return FilteredComplex(SubCdga(P, [delta(P, 0)], name="ker delta0"), "W")
+
+
+COMPLEXES = {
+    "rpath_b3": lambda: rpath_fc(3),
+    "rpath_b4": lambda: rpath_fc(4),
+    "cp2_vertex_F": lambda: FilteredComplex(cp2_complex_vertex(), "F"),
+    "cp2_path10_F": lambda: FilteredComplex(path_10(cp2_complex_vertex(), budget=3), "F"),
+    "free_qi_F": lambda: FilteredComplex(free_over_qi(), "F"),
+    "subcdga_W": subcdga_fc,
+    "decalage_rpath_b3": lambda: decalage(rpath_fc(3)),
+    "decalage_subcdga": lambda: decalage(subcdga_fc()),
+}
+
+
+def fresh_d(fc, n, vec):
+    """Coordinates of d(x) in degree n+1, x = vec over the adapted basis, with no cache."""
+    return fc.coords(fc.from_coords(n, vec).d(), n + 1)
+
+
+def random_vec(rng, dim, field):
+    out = linalg.zeros(dim)
+    for i in range(dim):
+        if rng.random() < 0.5:
+            re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if field.d else 0
+            out[i] = field.scalar(re, im)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_d_rows_and_d_coords_match_fresh_coordinates(name):
+    fc = COMPLEXES[name]()
+    rng = random.Random(11)
+    field = fc.ambient.field
+    nonzero = 0
+    for n in range(0, fc.bound):
+        dim = fc.dim(n)
+        for i in range(dim):
+            want = fresh_d(fc, n, linalg.unit_vec(dim, i))
+            assert fc.d_row(n, i) == want
+            assert fc.d_coords(n, linalg.unit_vec(dim, i)) == want
+            nonzero += not linalg.vec_is_zero(want)
+        for _ in range(4):
+            v = random_vec(rng, dim, field)
+            assert fc.d_coords(n, v) == fresh_d(fc, n, v)
+    if name != "cp2_vertex_F":
+        assert nonzero, "the differential should not vanish on this complex"
+
+
+def reference_decalage(fc):
+    """Dec W_p C^n as the former code built it: fresh d coordinates, rank-based membership."""
+    levels, coords = {}, {}
+    lo, hi = fc.level_range()
+    for n in range(0, max(fc.bound - 1, 0) + 1):
+        dim, chosen, levels[n] = fc.dim(n), [], []
+        for p in range(lo + n, hi + n + 2):
+            gens = [i for i, lv in enumerate(fc.levels[n]) if lv <= p - n]
+            rows = []
+            for i in gens:
+                dv = fresh_d(fc, n, linalg.unit_vec(dim, i))
+                rows.append([c if lv > p - n - 1 else Scalar(0)
+                             for c, lv in zip(dv, fc.levels[n + 1])])
+            for v in linalg.kernel_basis(linalg.transpose(rows, fc.dim(n + 1)), len(gens)):
+                full = linalg.zeros(dim)
+                for c, i in zip(v, gens):
+                    full[i] = c
+                if not span_contains(chosen, dim, full):
+                    chosen.append(full)
+                    levels[n].append(p)
+        coords[n] = chosen
+    return levels, coords
+
+
+@pytest.mark.parametrize("name", ["rpath_b3", "rpath_b4", "subcdga_W", "free_qi_F"])
+def test_decalage_matches_reference(name):
+    fc = COMPLEXES[name]()
+    dec = decalage(fc)
+    levels, coords = reference_decalage(fc)
+    assert dec.levels == levels
+    for n, vecs in coords.items():
+        assert dec.elements[n] == [fc.from_coords(n, v) for v in vecs]
+
+
+# ---------------------------------------------------------------------------
+# Span
+# ---------------------------------------------------------------------------
+
+def span_contains(basis_rows, ncols, v):
+    """The former rank-based membership test: the oracle for Span."""
+    if linalg.vec_is_zero(v):
+        return True
+    return linalg.rank(list(basis_rows) + [v], ncols) == linalg.rank(basis_rows, ncols)
+
+
+def stream(rng, field, ncols, count):
+    """Vectors with zeros, duplicates, multiples and sums of earlier ones mixed in."""
+    seen = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1 or not seen:
+            v = random_vec(rng, ncols, field) if seen else linalg.zeros(ncols)
+        elif kind < 0.25:
+            v = list(rng.choice(seen))
+        elif kind < 0.45:
+            v = linalg.vec_scale(field.scalar(rng.randint(2, 5), rng.randint(0, 2)
+                                              if field.d else 0), rng.choice(seen))
+        elif kind < 0.65:
+            v = linalg.vec_add(rng.choice(seen), linalg.vec_scale(Scalar(-3), rng.choice(seen)))
+        else:
+            v = random_vec(rng, ncols, field)
+        seen.append(v)
+        yield v
+
+
+@pytest.mark.parametrize("field", [Field(None), Field(-3)], ids=["Q", "Q(sqrt-3)"])
+@pytest.mark.parametrize("seed", range(6))
+def test_span_add_matches_rank_oracle(field, seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 6)
+    span, chosen = linalg.Span(), []
+    for v in stream(rng, field, ncols, 25):
+        outside = not span_contains(chosen, ncols, v)
+        assert span.add(v) == outside
+        if outside:
+            chosen.append(v)
+    assert len(chosen) == linalg.rank(chosen, ncols)
+
+
+def test_span_edge_cases():
+    two, half = Scalar(2), Scalar(Fraction(1, 2))
+    span = linalg.Span()
+    assert not span.add(linalg.zeros(3))
+    assert span.add([two, Scalar(0), Scalar(0)])
+    assert not span.add([half, Scalar(0), Scalar(0)])
+    assert span.add([Scalar(3), Scalar(6), Scalar(0)])
+    assert not span.add([Scalar(1), Scalar(2), Scalar(0)])
+    i3 = Scalar(0, 1, -3)
+    assert span.add([Scalar(0), Scalar(0), i3])
+    assert not span.add([two, Scalar(4), i3 * Scalar(5)])
+    assert not span.add([Scalar(1), Scalar(1), Scalar(1)])
