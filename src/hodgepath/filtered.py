@@ -144,17 +144,10 @@ class FilteredComplex:
         return out
 
     def z_basis(self, n, a, b):
-        """Basis of {x in W_a C^n : dx in W_b C^{n+1}}, as coordinate vectors."""
+        """Basis of {x in W_a C^n : dx in W_b C^{n+1}}, as coefficient rows over C^n."""
         gens = [i for i, lv in enumerate(self.levels[n]) if lv <= a]
-        rows = [self.proj_above(n + 1, self.d_row(n, i), b) for i in gens]
-        kern = linalg.kernel_basis(linalg.transpose(rows, self.dim(n + 1)), len(gens))
-        out = []
-        for v in kern:
-            full = linalg.zeros(self.dim(n))
-            for c, i in zip(v, gens):
-                full[i] = c
-            out.append(full)
-        return out
+        rows = linalg.sparse([self.proj_above(n + 1, self.d_row(n, i), b) for i in gens])
+        return [{gens[i]: c for i, c in v.items()} for v in linalg.left_kernel(rows, len(gens))]
 
     def level_range(self):
         vals = [lv for lvs in self.levels.values() for lv in lvs]
@@ -203,11 +196,8 @@ class GrComplex:
 
     def cohomology(self, n) -> linalg.Subquotient:
         cols = self.dim(n)
-        rows_d = self.d.get(n, [])
-        dim_hi = self.dim(n + 1)
-        kern = linalg.kernel_basis(linalg.transpose(rows_d, dim_hi), cols)
-        img = self.d.get(n - 1, [])
-        return linalg.Subquotient(kern, img, cols)
+        kern = linalg.left_kernel(linalg.sparse(self.d.get(n, [])), cols)
+        return linalg.Subquotient(kern, linalg.sparse(self.d.get(n - 1, [])), cols)
 
 
 def gr(X, p: int, kind="W", bound=None, fc: FilteredComplex | None = None) -> GrComplex:
@@ -249,8 +239,9 @@ class SpectralSequence:
         self.fc = fc
         self._z_cache = {}
         self._e_cache = {}
+        self._d_r_cache = {}
 
-    # Z_r^{p,n} as vectors in C^n coordinates
+    # Z_r^{p,n} as coefficient rows over C^n
     def z_vectors(self, r, p, n):
         key = (r, p, n)
         if key in self._z_cache:
@@ -267,9 +258,9 @@ class SpectralSequence:
         fc = self.fc
         dim = fc.dim(n)
         num = self.z_vectors(r, p, n)
-        den = list(self.z_vectors(r - 1, p - 1, n))
-        for v in self.z_vectors(r - 1, p + r - 1, n - 1):
-            den.append(fc.d_coords(n - 1, v))
+        den = self.z_vectors(r - 1, p - 1, n) + linalg.sparse(
+            [fc.d_coords(n - 1, linalg.dense(v, fc.dim(n - 1)))
+             for v in self.z_vectors(r - 1, p + r - 1, n - 1)])
         sq = linalg.Subquotient(num, den, dim)
         self._e_cache[key] = sq
         return sq
@@ -292,16 +283,18 @@ class SpectralSequence:
         return max(0, min(self.fc.bound - 1, self.fc.X.N - r - 1))
 
     def d_r_matrix(self, r, p, n):
-        """Rows over E_r^{p,n} reps; coords in E_r^{p-r,n+1}."""
+        """Rows over E_r^{p,n} reps; coords in E_r^{p-r,n+1}.  The rows are computed once."""
         src = self.entry(r, p, n)
         dst = self.entry(r, p - r, n + 1)
-        rows = []
-        for rep in src.reps:
-            dv = self.fc.d_coords(n, rep)
-            c = dst.coords(dv)
-            if c is None:
-                raise AlgebraError("d_r does not land in its target entry")
-            rows.append(c)
+        rows = self._d_r_cache.get((r, p, n))
+        if rows is None:
+            rows = []
+            for rep in src.reps:
+                c = dst.coords(self.fc.d_coords(n, rep))
+                if c is None:
+                    raise AlgebraError("d_r does not land in its target entry")
+                rows.append(c)
+            self._d_r_cache[r, p, n] = rows
         return rows, src, dst
 
     def d_r_is_zero(self, r, bound=None) -> list:
@@ -322,9 +315,9 @@ class SpectralSequence:
         for n in range(0, bound + 1):
             for p in self.p_range():
                 rows, src, dst = self.d_r_matrix(r, p, n)
-                kern = linalg.kernel_basis(linalg.transpose(rows, dst.dim), src.dim)
+                kern = linalg.left_kernel(linalg.sparse(rows), src.dim)
                 img_rows, up_src, _ = self.d_r_matrix(r, p + r, n - 1)
-                hsq = linalg.Subquotient(kern, img_rows, src.dim)
+                hsq = linalg.Subquotient(kern, linalg.sparse(img_rows), src.dim)
                 e_next = self.entry(r + 1, p, n)
                 if e_next.dim != hsq.dim:
                     bad.append({"r": r, "p": p, "n": n, "dim_next": e_next.dim,
@@ -372,11 +365,16 @@ def induced_page_map(f: LinearMap, r, ss_src: SpectralSequence,
     return rows, src, dst
 
 
-def check_filtration_preserving(f: LinearMap, kind="W", bound=None) -> list:
+def check_filtration_preserving(f: LinearMap, kind="W", bound=None, complexes=None) -> list:
+    """Witnesses of adapted basis elements that f sends to a higher level, degrees 0..bound.
+
+    complexes is the pair of filtered complexes of f's source and target, if
+    the caller has built them already; they must reach degree bound.
+    """
     bad = []
     bound = min(f.source.N, f.target.N) if bound is None else bound
-    fcs = FilteredComplex(f.source, kind=kind, bound=bound)
-    fct = FilteredComplex(f.target, kind=kind, bound=bound)
+    fcs, fct = complexes or (FilteredComplex(f.source, kind=kind, bound=bound),
+                             FilteredComplex(f.target, kind=kind, bound=bound))
     for n in range(0, bound + 1):
         for b, lv in zip(fcs.elements[n], fcs.levels[n]):
             y = f(b)
@@ -394,11 +392,11 @@ def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None):
 
     Returns (ok, witnesses).  Pre: f preserves the filtration.
     """
-    pre = check_filtration_preserving(f, kind=kind)
+    fcs, fct = FilteredComplex(f.source, kind=kind), FilteredComplex(f.target, kind=kind)
+    pre = check_filtration_preserving(f, complexes=(fcs, fct))
     if pre:
         return False, [{"reason": "not filtration-preserving", **pre[0]}]
-    ss_s = SpectralSequence(FilteredComplex(f.source, kind=kind))
-    ss_t = SpectralSequence(FilteredComplex(f.target, kind=kind))
+    ss_s, ss_t = SpectralSequence(fcs), SpectralSequence(fct)
     if min(f.source.N, f.target.N) - r - 2 < 0:
         raise CutoffError(f"cutoff too small for an E_{r}-quasi-isomorphism check")
     bound = min(ss_s._bound(r + 1), ss_t._bound(r + 1)) if bound is None else bound
@@ -421,12 +419,18 @@ def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None):
 # ---------------------------------------------------------------------------
 
 def decalage(fc: FilteredComplex) -> FilteredComplex:
-    """Dec W_p C^n = {x in W_{p-n} C^n : dx in W_{p-n-1} C^{n+1}}."""
+    """Dec W_p C^n = {x in W_{p-n} C^n : dx in W_{p-n-1} C^{n+1}}.
+
+    Degree n needs degree n+1 of fc, so the result stops one degree below fc.
+    """
+    if fc.bound < 1:
+        raise CutoffError(f"the decalage in degree n needs degree n + 1, but the filtered "
+                          f"complex of {fc.X!r} stops at degree {fc.bound}")
     X = fc.X
     out = FilteredComplex.__new__(FilteredComplex)
     out.X = X
     out.kind = fc.kind + "-dec"
-    out.bound = fc.bound - 1 if fc.bound >= 1 else 0
+    out.bound = fc.bound - 1
     out.levels = {}
     out.elements = {}
     out._charts = {}
@@ -436,6 +440,7 @@ def decalage(fc: FilteredComplex) -> FilteredComplex:
         chosen, levels, elems = linalg.Span(), [], []
         for p in range(lo + n, hi + n + 2):
             for v in fc.z_basis(n, p - n, p - n - 1):
+                v = linalg.dense(v, fc.dim(n))
                 if chosen.add(v):
                     levels.append(p)
                     elems.append(fc.from_coords(n, v))

@@ -79,7 +79,7 @@ class MhsStructure:
         for m in levels:
             den = [v for lv, v in self.weight_vectors if lv <= m - 1]
             num = [v for lv, v in self.weight_vectors if lv <= m]
-            grm = linalg.Subquotient(num, den, self.dim)
+            grm = linalg.Subquotient(linalg.sparse(num), linalg.sparse(den), self.dim)
             if grm.dim == 0:
                 continue
 
@@ -117,7 +117,7 @@ class MhsStructure:
         """Dimension of F^q cap conj(F^{m-q}) projected to Gr_m, per (q, m-q)."""
         den = [v for lv, v in self.weight_vectors if lv <= m - 1]
         num = [v for lv, v in self.weight_vectors if lv <= m]
-        grm = linalg.Subquotient(num, den, self.dim)
+        grm = linalg.Subquotient(linalg.sparse(num), linalg.sparse(den), self.dim)
         out = {}
         qs = sorted(self.hodge_spans)
         for q in qs:
@@ -413,17 +413,10 @@ def _hodge_spans_on_gr_cohomology(grc: GrComplex, n, sq):
     rows_d = grc.d.get(n, [])
     for q in sorted(set(hodges)):
         idx = [i for i, h in enumerate(hodges) if h >= q]
-        rows = []
-        dim_hi = grc.dim(n + 1)
-        for i in idx:
-            rows.append(rows_d[i] if rows_d else linalg.zeros(dim_hi))
-        kern = linalg.kernel_basis(linalg.transpose(rows, dim_hi), len(idx))
+        rows = linalg.sparse([rows_d[i] for i in idx] if rows_d else [])
         vs = []
-        for k in kern:
-            full = linalg.zeros(dim)
-            for c, i in zip(k, idx):
-                full[i] = c
-            cc = sq.coords(full)
+        for k in linalg.left_kernel(rows, len(idx)):
+            cc = sq.coords(linalg.dense({idx[i]: c for i, c in k.items()}, dim))
             if cc is not None and any(not c.is_zero for c in cc):
                 vs.append(cc)
         if vs:

@@ -1,11 +1,11 @@
 """Exact cohomology of the algebras in this package.
 
 Keyed algebras (GradedAlgebra) read their d-matrices off the cached d_key of
-each basis key.  Where the differential preserves a block grading (path
-algebras graded by polynomial t-weight), kernels and images are computed block
-by block; an unblocked algebra is the one-block case.  Everything stays exact,
-the blocks only keep the matrices small.  Other spaces (SubCdga) go through
-Element.d and their own coords.
+each basis key, as sparse coefficient rows.  Where the differential preserves
+a block grading (path algebras graded by polynomial t-weight), kernels and
+images are computed block by block; an unblocked algebra is the one-block
+case.  Everything stays exact, the blocks only keep the matrices small.
+Other spaces (SubCdga) go through Element.d and their own coords.
 """
 
 from __future__ import annotations
@@ -71,18 +71,18 @@ def _block_partition(X, n):
     return dict(sorted(groups.items(), key=lambda kv: repr(kv[0])))
 
 
-def _d_matrix_on_keys(X, keys_src, keys_dst):
-    index = {k: i for i, k in enumerate(keys_dst)}
+def _d_rows(X, keys_src, index_dst):
+    """Coefficient rows of d on keys_src, read off d_key, over the keys of index_dst."""
     rows = []
     for k in keys_src:
-        v = linalg.zeros(len(keys_dst))
+        row = {}
         for kk, c in X.d_key(k).items():
-            i = index.get(kk)
+            i = index_dst.get(kk)
             if i is None:
                 raise AlgebraError("differential leaves its block; block grading broken")
-            v[i] = c
-        rows.append(v)
-    return rows
+            row[i] = c
+        rows.append(row)
+    return linalg.sparse(rows)
 
 
 def cohomology(X, n: int, strict: bool = True) -> Cohomology:
@@ -103,11 +103,10 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
         for block_id, keys in _block_partition(X, n).items():
             lo = part_lo.get(block_id, [])
             hi = part_hi.get(block_id, [])
-            dmat = _d_matrix_on_keys(X, keys, hi)
-            kern = linalg.kernel_basis(linalg.transpose(dmat, len(hi)), len(keys))
-            img = _d_matrix_on_keys(X, lo, keys)
-            sq = linalg.Subquotient(kern, img, len(keys))
             index = {k: i for i, k in enumerate(keys)}
+            kern = linalg.left_kernel(_d_rows(X, keys, {k: i for i, k in enumerate(hi)}),
+                                      len(keys))
+            sq = linalg.Subquotient(kern, _d_rows(X, lo, index), len(keys))
             blocks.append((block_id, keys, sq, index))
             for rep in sq.reps:
                 reps.append(Element(X, {k: c for k, c in zip(keys, rep) if not c.is_zero}))
@@ -115,11 +114,10 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
     else:
         basis_n = X.basis(n, strict=False)
         cols = len(basis_n)
-        rows_d = [X.coords(b.d(), n + 1, strict=False) for b in basis_n]
-        kern = linalg.kernel_basis(linalg.transpose(rows_d, X.dim(n + 1, strict=False)), cols)
+        rows_d = linalg.sparse([X.coords(b.d(), n + 1, strict=False) for b in basis_n])
         img = [X.coords(b.d(), n, strict=False) for b in X.basis(n - 1, strict=False)] \
             if n >= 1 else []
-        sq = linalg.Subquotient(kern, img, cols)
+        sq = linalg.Subquotient(linalg.left_kernel(rows_d, cols), linalg.sparse(img), cols)
         blocks.append((0, None, sq, None))
         reps = [X.from_coords(n, repv, strict=False) for repv in sq.reps]
         dim = sq.dim

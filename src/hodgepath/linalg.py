@@ -1,30 +1,41 @@
 """Exact linear algebra over Q and Q(sqrt d), on one sparse elimination kernel.
 
-The API speaks dense: vectors are lists of Scalar and matrices are lists of
-row vectors, in and out.  Inside, `rref` eliminates sparse rows {column:
-coefficient} and touches only non-zero entries; `Chart` and `Subquotient`
-keep their reduced bases as such sparse rows, and `Span` grows its basis
-one row at a time, testing each new vector by one reduction.  When every
-entry of a matrix is rational the coefficients are bare Fractions (the fast
-path), otherwise they stay Scalars; the same code serves both, since 1 / x,
-*, - and truthiness work on either, and on a mix of the two.
+Rows go in and come out sparse: a coefficient row is a dict {column: coeff}
+without zeros, made by `sparse` from dense Scalar vectors or {column: Scalar}
+dicts and turned back by `dense`.  Rational coefficients are bare Fractions,
+the others Scalars; `_reduce` serves both and a mix of the two.  The public
+`rref` and `kernel_basis` keep a dense API and are the only places that turn
+eliminated rows dense; `left_kernel`, `Chart` and `Subquotient` keep the
+kernel's sparse rows.
 
-Pivoting is Gauss-Jordan with the deterministic first-nonzero rule: the
-first row at or below the current rank with a non-zero in the column is
-swapped into place, normalised and used to clear that column in every other
-row.  Skipping zero entries only skips exact no-ops, so results are entry
-for entry those of dense elimination under the same rule, including the
-non-unique tails of partial eliminations (`solve`, `Chart`).  Entries are
-exact field elements, so every kernel/image/solve is a certificate.
+`_eliminate` is Gauss-Jordan with the deterministic first-nonzero rule: the
+first row at or below the rank with a non-zero in the column becomes the
+pivot row and clears that column in every other row.  When every coefficient
+is a Fraction it runs on primitive integer rows (scaled by the lcm of their
+denominators, divided by the gcd of their entries), clears with
+row <- (pv/g) row - (c/g) prow, g = gcd(pv, c), makes the row primitive
+again, and divides by the pivot only when it emits a row.  By induction every
+such row is a non-zero multiple of the row Fraction elimination holds at the
+same step, so the zero patterns, the pivot rows and the emitted rows are the
+same, entry for entry.  Otherwise it runs the Scalar loop, which normalises
+each pivot row when it is chosen.
+
+A full elimination gives the unique reduced row echelon form, so kernels,
+ranks and `Subquotient` reps do not depend on row order, and on a consistent
+system `solve`'s answer (free variables zero) is unique.  Only a `Chart` over
+a dependent basis, or a partial `rref` of dependent rows, depends on the
+pivot rule.  Entries are exact, so every kernel/image/solve is a certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import Scalar, _scalar
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 # The zero entry of every vector zeros() hands out.  Scalars are immutable, so
 # one object serves them all, and the loops below skip it by identity.
 _ZERO_SCALAR = _scalar(_ZERO, _ZERO, -1)
@@ -57,30 +68,27 @@ def transpose(rows, ncols: int):
     return [[r[j] for r in rows] for j in range(ncols)]
 
 
-def _sparse(rows):
-    """Sparse copies {col: coeff} of dense Scalar rows, zeros dropped.
+def sparse(rows):
+    """Coefficient rows {col: coeff} of dense Scalar rows or {col: Scalar} dicts.
 
-    The coefficients are bare Fractions when every entry is rational and
-    Scalars otherwise; the elimination below serves both unchanged.  One pass
-    reads each entry once and starts over with Scalar rows at the first
-    irrational entry.
+    Zeros are dropped, rational entries become bare Fractions and the others
+    stay Scalars.
     """
     out = []
     for r in rows:
         row = {}
-        for j, a in enumerate(r):
-            if a is _ZERO_SCALAR:
-                continue
-            if a.im:
-                return [{j: a for j, a in enumerate(r) if a} for r in rows]
-            if a.re:
-                row[j] = a.re
+        for j, a in (r.items() if type(r) is dict else enumerate(r)):
+            if a is not _ZERO_SCALAR:
+                if a.im:
+                    row[j] = a
+                elif a.re:
+                    row[j] = a.re
         out.append(row)
     return out
 
 
-def _dense(row, width: int) -> list:
-    """Dense Scalar vector of a sparse row."""
+def dense(row, width: int) -> list:
+    """Dense Scalar vector of a coefficient row."""
     v = zeros(width)
     for j, c in row.items():
         v[j] = c if isinstance(c, Scalar) else _scalar(c, _ZERO, -1)
@@ -101,60 +109,140 @@ def _sub_multiple(row, c, prow):
                 del row[j]
 
 
-def rref(rows, ncols: int):
-    """Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns).
+def _primitive(row):
+    """Divide an integer row in place by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
-    Pivots are taken in the first ncols columns only; further columns (an
-    augmented right-hand side) are carried along.
+
+def _eliminate(rows, ncols: int):
+    """Reduced row echelon form of coefficient rows: (rows, pivot columns).
+
+    Pivots are taken in the first ncols columns only; further columns are
+    carried along.  The input is not changed.  Fraction rows come out when
+    every coefficient is a Fraction, Scalar rows otherwise.
     """
-    width = len(rows[0]) if rows else ncols
-    R = _sparse(rows)
+    R = list(map(dict, rows))
+    rational = True
+    for row in R:
+        for a in row.values():
+            if type(a) is not Fraction:
+                rational = False
+    for row in R:
+        if rational:
+            m = 1
+            for a in row.values():
+                m = lcm(m, a.denominator)
+            for j, a in row.items():
+                row[j] = a.numerator * (m // a.denominator)
+            _primitive(row)
+        else:
+            for j, a in row.items():
+                if type(a) is not Scalar:
+                    row[j] = _scalar(a, _ZERO, -1)
     pivots = []
     rank = 0
     for col in range(ncols):
         sel = None
-        for r in range(rank, len(R)):
-            if col in R[r]:
-                sel = r
+        for i in range(rank, len(R)):
+            if col in R[i]:
+                sel = i
                 break
         if sel is None:
             continue
         R[rank], R[sel] = R[sel], R[rank]
-        inv = 1 / R[rank][col]
-        prow = R[rank] = {j: inv * a for j, a in R[rank].items()}
-        for r, row in enumerate(R):
-            c = row.get(col)
-            if c is not None and r != rank:
-                _sub_multiple(row, c, prow)
+        prow = R[rank]
+        if rational:
+            pv = prow[col]
+            for i, row in enumerate(R):
+                c = row.get(col)
+                if c is not None and i != rank:
+                    # row <- (pv/g) row - (c/g) prow, then divided by its content
+                    g = gcd(pv, c)
+                    scale = pv // g
+                    if scale != 1:
+                        for j in row:
+                            row[j] *= scale
+                    _sub_multiple(row, c // g, prow)
+                    _primitive(row)
+        else:
+            inv = 1 / prow[col]
+            for j in prow:
+                prow[j] = inv * prow[j]
+            for i, row in enumerate(R):
+                c = row.get(col)
+                if c is not None and i != rank:
+                    _sub_multiple(row, c, prow)
         pivots.append(col)
         rank += 1
         if rank == len(R):
             break
-    return [_dense(r, width) for r in R[:rank]], pivots
+    if rational:
+        for row, p in zip(R, pivots):
+            pv = row[p]
+            for j in row:
+                row[j] = Fraction(row[j], pv)
+    return R[:rank], pivots
+
+
+def rref(rows, ncols: int):
+    """Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns).
+
+    Pivots are taken in the first ncols columns only; further columns (an
+    augmented right-hand side) are carried along.  Rows are dense, in and out.
+    """
+    width = len(rows[0]) if rows else ncols
+    R, pivots = _eliminate(sparse(rows), ncols)
+    return [dense(r, width) for r in R], pivots
 
 
 def rank(rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    return len(_eliminate(sparse(rows), ncols)[1])
+
+
+def _kernel(R, pivots, ncols: int):
+    """Sparse basis of the null space of eliminated rows, one vector per free column."""
+    pivot_set = set(pivots)
+    basis = {}
+    for free in range(ncols):
+        if free not in pivot_set:
+            basis[free] = {free: _ONE}
+    for r, p in zip(R, pivots):
+        for j, c in r.items():
+            v = basis.get(j)
+            if v is not None:
+                v[p] = -c
+    return list(basis.values())
 
 
 def kernel_basis(rows, ncols: int):
-    """Basis of the right null space {x : M x = 0}, rows = rows of M.
+    """Basis of the right null space {x : M x = 0}, rows = dense rows of M.
 
     Free variables are taken in increasing column order; each kernel vector has
     a 1 in its free column, so the basis is deterministic.
     """
-    R, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = unit_vec(ncols, free)
-        for r, p in zip(R, pivots):
-            if r[free] is not _ZERO_SCALAR:
-                v[p] = -r[free]
-        basis.append(v)
-    return basis
+    return [dense(v, ncols) for v in _kernel(*_eliminate(sparse(rows), ncols), ncols)]
+
+
+def left_kernel(rows, count: int):
+    """Basis of {x in k^count : sum_i x_i rows_i = 0}, as coefficient rows.
+
+    rows are coefficient rows; rows past len(rows) count as zero.  This is
+    `kernel_basis(transpose(rows), count)`, vector for vector, read from the
+    sparse columns of rows without a dense copy.
+    """
+    cols = {}
+    for i, r in enumerate(rows):
+        for j, a in r.items():
+            col = cols.get(j)
+            if col is None:
+                cols[j] = {i: a}
+            else:
+                col[i] = a
+    # a full elimination does not depend on the order of the columns
+    return _kernel(*_eliminate(list(cols.values()), count), count)
 
 
 def solve(rows, ncols: int, rhs):
@@ -163,12 +251,9 @@ def solve(rows, ncols: int, rhs):
     Free variables are set to zero, so the solution is supported on the
     earliest possible pivot columns (deterministic tie-break).
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    R, pivots = rref(aug, ncols)  # never pivot on the rhs column
-    x = zeros(ncols)
-    for r, p in zip(R, pivots):
-        x[p] = r[ncols]
-    # consistency: rows of R beyond pivots were dropped by rref; recheck directly
+    R, pivots = _eliminate(sparse([list(r) + [b] for r, b in zip(rows, rhs)]), ncols)
+    x = dense({p: r[ncols] for r, p in zip(R, pivots) if ncols in r}, ncols)
+    # consistency: rows of R beyond pivots were dropped by the elimination; recheck directly
     for row, b in zip(rows, rhs):
         acc = Scalar(0)
         for a, xi in zip(row, x):
@@ -195,15 +280,14 @@ def span_dim(vectors, ncols: int) -> int:
 
 
 def intersect(basis_a, basis_b, ncols: int):
-    """Basis of span(a) ∩ span(b) via the kernel of [A^T | B^T] stacking."""
+    """Basis of span(a) ∩ span(b): the a-part of the relations a·x = b·y."""
     if not basis_a or not basis_b:
         return []
     cols = len(basis_a) + len(basis_b)
-    rows = transpose(list(basis_a) + [[-c for c in b] for b in basis_b], ncols)
     out = []
-    for k in kernel_basis(rows, cols):
+    for k in left_kernel(sparse(list(basis_a) + [[-c for c in b] for b in basis_b]), cols):
         v = zeros(ncols)
-        for c, a in zip(k[:len(basis_a)], basis_a):
+        for c, a in zip(dense(k, cols)[:len(basis_a)], basis_a):
             if not c.is_zero:
                 v = vec_add(v, vec_scale(c, a))
         if not vec_is_zero(v):
@@ -240,8 +324,8 @@ class Span:
         self._pivots = []
 
     def add(self, v) -> bool:
-        """Add v; True iff v was outside the span so far."""
-        w = _sparse([v])[0]
+        """Add the dense vector v; True iff v was outside the span so far."""
+        w = sparse([v])[0]
         _reduce(w, self._rows, self._pivots)
         if not w:
             return False
@@ -253,9 +337,9 @@ class Span:
 
 
 class Chart:
-    """Coordinates over a fixed basis of vectors of length ncols, eliminated once.
+    """Coordinates over a fixed basis of dense vectors of length ncols, eliminated once.
 
-    The rref of [basis | -I], pivoting in the first ncols columns only, has
+    The reduced [basis | -I], pivoting in the first ncols columns only, has
     rows [E | -T] with E = T * basis.  Reducing [v | 0] by them leaves
     [r | x]: v is in the span iff r = 0, and then v = x * basis.  For an
     independent basis x is the unique coordinate vector.
@@ -264,40 +348,40 @@ class Chart:
     def __init__(self, basis, ncols: int):
         self.ncols = ncols
         self._k = len(basis)
-        rows, self._pivots = rref([list(b) + vec_scale(Scalar(-1), unit_vec(self._k, i))
-                                  for i, b in enumerate(basis)], ncols)
-        self._rows = _sparse(rows)
+        rows = sparse(basis)
+        for i, row in enumerate(rows):
+            row[ncols + i] = -_ONE
+        self._rows, self._pivots = _eliminate(rows, ncols)
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
     def coords(self, v):
-        """Coefficients of v over the basis, or None if v is outside its span."""
-        w = _sparse([v])[0]
+        """Coefficients of the dense vector v over the basis, or None if v is outside its span."""
+        w = sparse([v])[0]
         _reduce(w, self._rows, self._pivots)
         if any(j < self.ncols for j in w):
             return None
-        return _dense({j - self.ncols: c for j, c in w.items()}, self._k)
+        return dense({j - self.ncols: c for j, c in w.items()}, self._k)
 
 
 class Subquotient:
     """Exact subquotient span(numerator) / span(denominator) of a coordinate space.
 
-    Representatives are the rref of the numerator reduced modulo the
-    denominator, hence canonical: two runs produce identical reps.  Both
-    eliminated bases are kept as sparse rows.
+    Numerator and denominator are coefficient rows (see `sparse`).
+    Representatives are the reduced numerator modulo the denominator, hence
+    canonical: two runs produce identical reps.  Both eliminated bases are
+    kept as the kernel's sparse rows.
     """
 
     def __init__(self, numerator, denominator, ncols: int):
         self.ncols = ncols
-        den, self._den_pivots = rref(denominator, ncols)
-        self._den = _sparse(den)
-        reduced = _sparse(numerator)
+        self._den, self._den_pivots = _eliminate(denominator, ncols)
+        reduced = list(map(dict, numerator))
         for v in reduced:
             _reduce(v, self._den, self._den_pivots)
-        reps, self._rep_pivots = rref([_dense(v, ncols) for v in reduced if v], ncols)
-        self._reps = _sparse(reps)
+        self._reps, self._rep_pivots = _eliminate([v for v in reduced if v], ncols)
 
     @property
     def dim(self) -> int:
@@ -306,16 +390,19 @@ class Subquotient:
     @property
     def reps(self) -> list:
         """The canonical representatives, as dense vectors."""
-        return [_dense(r, self.ncols) for r in self._reps]
+        return [dense(r, self.ncols) for r in self._reps]
 
     def coords(self, v):
-        """Coordinates of [v] in the representative basis; None if v not in num+den."""
-        w = _sparse([v])[0]
+        """Coordinates of [v] in the representative basis; None if v not in num+den.
+
+        v is a dense vector.
+        """
+        w = sparse([v])[0]
         _reduce(w, self._den, self._den_pivots)
         taken = _reduce(w, self._reps, self._rep_pivots)
         if w:
             return None
-        return _dense(taken, self.dim)
+        return dense(taken, self.dim)
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None

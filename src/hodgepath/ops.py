@@ -263,7 +263,7 @@ def indecomposables(A, upto=None) -> QComplex:
                         if not p.is_zero:
                             dec.append(A.coords(p, n))
             num = [A.coords(b, n) for b in plus_basis[n]]
-            sq = linalg.Subquotient(num, dec, cols)
+            sq = linalg.Subquotient(linalg.sparse(num), linalg.sparse(dec), cols)
             sqs[n] = sq
             reps = [A.from_coords(n, v) for v in sq.reps]
             weights = []

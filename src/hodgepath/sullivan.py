@@ -159,7 +159,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         HnA, HnM = H(A, H_A, n), H(M, H_M, n)
         img = [HnA.cls(rho(rep)) for rep in HnM.reps]
         units = [linalg.unit_vec(HnA.dim, i) for i in range(HnA.dim)]
-        coker = linalg.Subquotient(units, img, HnA.dim)
+        coker = linalg.Subquotient(linalg.sparse(units), linalg.sparse(img), HnA.dim)
         reps = [combination(A_elements, v, HnA.reps) for v in coker.reps]
         if rng is not None:
             rng.shuffle(reps)
@@ -173,8 +173,8 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         if Hn1M.dim == 0:
             return zs, primitives
         rows = [Hn1A.cls(rho(rep)) for rep in Hn1M.reps]
-        for v in linalg.kernel_basis(linalg.transpose(rows, Hn1A.dim), Hn1M.dim):
-            z = combination(M, v, Hn1M.reps)
+        for v in linalg.left_kernel(linalg.sparse(rows), Hn1M.dim):
+            z = combination(M, linalg.dense(v, Hn1M.dim), Hn1M.reps)
             if z.is_zero:
                 continue
             a = _solve_d_preimage(A, rho(z), n)
@@ -219,10 +219,9 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         HN_M = cohomology(M, N, strict=False)
         HN_A = cohomology(A, N, strict=False)
         rows = [HN_A.cls(rho(rep)) for rep in HN_M.reps]
-        mat = linalg.transpose(rows, HN_A.dim)
         model.certificate[N] = {
             "dim_source": HN_M.dim, "dim_target": HN_A.dim,
-            "injective": not linalg.kernel_basis(mat, HN_M.dim),
+            "injective": not linalg.left_kernel(linalg.sparse(rows), HN_M.dim),
             "provisional": True}
     except Exception:
         pass

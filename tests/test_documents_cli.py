@@ -182,6 +182,17 @@ def test_zero_document_budget_exits_2(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_decalage_below_degree_1_exits_2(tmp_path):
+    doc = read_fixture("two_term_w.json")
+    doc["max_degree"] = 0
+    path = tmp_path / "two_term_w_0.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = run_cli("decalage", str(path))
+    assert out.returncode == 2, out.stderr
+    assert "needs degree n + 1" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_absurd_horizon_exits_2_at_once(tmp_path):
     doc = {"schema": 1, "kind": "dga", "name": "pt", "presentation": "table",
            "field": "Q", "max_degree": 10 ** 8, "unit": "one",

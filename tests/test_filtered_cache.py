@@ -1,5 +1,9 @@
 """Cached d rows of filtered complexes and the incremental Span, against references.
 
+Also: the work a spectral-sequence check does not repeat (filtered complexes
+built once per algebra, d_r rows computed once per entry), and the decalage's
+cutoff.
+
 `FilteredComplex.d_row` / `d_coords` are checked against coordinates of d
 computed afresh from the element, and `linalg.Span.add` against the rank-based
 membership test it replaced, which this file keeps as the oracle.  Decalage
@@ -11,10 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from hodgepath import (Field, FreeCdga, Generator, SubCdga, TableBasisElement,
-                       TableCdga, delta, path_10, r_path)
+from hodgepath import (CutoffError, Field, FreeCdga, Generator, SubCdga,
+                       TableBasisElement, TableCdga, delta, iota, is_Er_quasi_iso,
+                       linear_morphism, path_10, r_path)
 from hodgepath import linalg
-from hodgepath.filtered import FilteredComplex, decalage
+from hodgepath.filtered import (FilteredComplex, SpectralSequence,
+                                check_filtration_preserving, decalage)
 from hodgepath.scalars import Scalar
 
 QI = Field(-1)
@@ -192,3 +198,67 @@ def test_span_edge_cases():
     assert span.add([Scalar(0), Scalar(0), i3])
     assert not span.add([two, Scalar(4), i3 * Scalar(5)])
     assert not span.add([Scalar(1), Scalar(1), Scalar(1)])
+
+
+def test_is_er_quasi_iso_builds_each_filtered_complex_once(monkeypatch):
+    built = []
+    init = FilteredComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FilteredComplex, "__init__", counting_init)
+    P = r_path(weighted_free(), 1, budget=4)
+    assert is_Er_quasi_iso(iota(P), 1) == (True, [])
+    assert len(built) == 2
+
+
+def test_is_er_quasi_iso_reports_the_filtration_witness():
+    A = TableCdga([TableBasisElement("one", 0, weight=0),
+                   TableBasisElement("a2", 2, weight=0)], 5, unit="one", name="A")
+    B = TableCdga([TableBasisElement("one", 0, weight=0),
+                   TableBasisElement("b2", 2, weight=1)], 5, unit="one", name="B")
+    f = linear_morphism(A, B, {"one": B.unit(), "a2": B.from_key("b2")}, name="up")
+    witnesses = check_filtration_preserving(f)
+    assert [(w["degree"], w["level"], w["image_level"]) for w in witnesses] == [(2, 0, 1)]
+    assert is_Er_quasi_iso(f, 1) == (
+        False, [{"reason": "not filtration-preserving", **witnesses[0]}])
+
+
+def test_verify_page_turn_computes_each_d_r_matrix_once():
+    P = r_path(weighted_free(), 1, budget=4)
+    ss = SpectralSequence(FilteredComplex(P, "W"))
+    seen = {}
+    d_r_matrix = ss.d_r_matrix
+
+    def recording(r, p, n):
+        out = d_r_matrix(r, p, n)
+        seen.setdefault((r, p, n), []).append(out[0])
+        return out
+
+    ss.d_r_matrix = recording
+    result = ss.verify_page_turn(1)
+    assert sum(len(v) for v in seen.values()) == 32 and len(seen) == 23
+    # a repeated (r, p, n) gets the rows computed the first time
+    assert all(rows is v[0] for v in seen.values() for rows in v)
+    # the same verdict as a spectral sequence that recomputes every d_r matrix
+    fresh = SpectralSequence(FilteredComplex(P, "W"))
+    uncached = fresh.d_r_matrix
+
+    def recomputing(r, p, n):
+        fresh._d_r_cache.clear()
+        return uncached(r, p, n)
+
+    fresh.d_r_matrix = recomputing
+    assert fresh.verify_page_turn(1) == result == []
+
+
+def test_decalage_needs_the_next_degree():
+    A = TableCdga([TableBasisElement("one", 0, weight=0),
+                   TableBasisElement("u", 0, weight=1),
+                   TableBasisElement("v", 1, weight=0)], 4, unit="one",
+                  differentials={"u": {"v": Scalar(1)}}, name="two-term")
+    with pytest.raises(CutoffError, match="needs degree n \\+ 1"):
+        decalage(FilteredComplex(A, "W", bound=0))
+    assert decalage(FilteredComplex(A, "W", bound=1)).levels == {0: [0, 1]}

@@ -2,9 +2,10 @@
 
 The reference is the dense Gauss-Jordan kernel the library used before its
 rows became sparse, kept here verbatim: the same pivot rule and operation
-order on dense lists of Scalar.  Because the sparse kernel only skips exact
-no-ops, every result must agree entry for entry, including the non-unique
-tails of the partial eliminations behind `solve` and `Chart`.  Full-width
+order on dense lists of Scalar.  The sparse kernel skips exact no-ops and,
+over Q, holds each row as a non-zero integer multiple of the reference's row,
+so every result must agree entry for entry, including the pivot-rule
+dependent tails of the partial eliminations behind `Chart` and `rref(rows, k)`.  Full-width
 rational cases are also checked against sympy's `Matrix.rref` when sympy is
 installed.
 """
@@ -254,7 +255,8 @@ def test_subquotient_matches_dense_reference(d):
         if rng.random() < 0.5:
             # a denominator inside the numerator, as for cohomology
             den = [_combine(rng, d, rng.sample(num, min(2, len(num))), ncols) for _ in den]
-        sq, ref = linalg.Subquotient(num, den, ncols), DenseSubquotient(num, den, ncols)
+        sq = linalg.Subquotient(linalg.sparse(num), linalg.sparse(den), ncols)
+        ref = DenseSubquotient(num, den, ncols)
         assert sq.reps == ref.reps
         assert sq.dim == len(ref.reps)
         _check_scalars(sq.reps)
@@ -273,7 +275,7 @@ def test_mixed_rational_and_irrational_operands():
     basis = [[Scalar(1), Scalar(2)], [Scalar(0), Scalar(3)]]
     v = [Scalar(1, 1, -3), Scalar(Fraction(1, 2), -2, -3)]
     assert linalg.Chart(basis, 2).coords(v) == DenseChart(basis, 2).coords(v)
-    sq = linalg.Subquotient(basis, [[Scalar(0), Scalar(1)]], 2)
+    sq = linalg.Subquotient(linalg.sparse(basis), linalg.sparse([[Scalar(0), Scalar(1)]]), 2)
     assert sq.coords(v) == DenseSubquotient(basis, [[Scalar(0), Scalar(1)]], 2).coords(v)
 
 
@@ -294,3 +296,167 @@ def test_rref_matches_sympy_over_q():
             assert [Fraction(int(x.p), int(x.q)) for x in ref.row(i)] == [a.re for a in r]
         checked += 1
     assert checked > 100
+
+
+# -- matrices shaped like the ones cohomology reduces ---------------------------
+
+# pairwise coprime denominators, so that the lcm and content steps of the
+# integer elimination over Q really run
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+SHAPES = [(155, 80), (80, 155), (119, 80), (92, 50)]
+
+
+def _prime_fraction(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 97), rng.choice(PRIMES))
+
+
+def _shaped(seed, nrows, ncols):
+    """Rows at 0.5-2 % density over Q, at least one entry each, some dependent."""
+    rng = random.Random(seed)
+    density = rng.choice([0.005, 0.01, 0.02])
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.15 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            rows.append(linalg.vec_add(vec_scale(Scalar(_prime_fraction(rng)), a),
+                                       vec_scale(Scalar(_prime_fraction(rng)), b)))
+            continue
+        row = zeros(ncols)
+        for j in range(ncols):
+            if rng.random() < density:
+                row[j] = Scalar(_prime_fraction(rng))
+        row[rng.randrange(ncols)] = Scalar(_prime_fraction(rng))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_shaped_rref_matches_dense_reference(shape):
+    nrows, ncols = shape
+    rows = _shaped(100 * nrows, nrows, ncols)
+    assert linalg.rref(rows, ncols) == dense_rref(rows, ncols)
+    # partial eliminations of dependent rows: their tails follow the pivot
+    # rule, and their denominators show that rows were combined
+    for k in (ncols // 3, ncols // 2):
+        R, pivots = linalg.rref(rows, k)
+        assert (R, pivots) == dense_rref(rows, k)
+        assert any(a.re.denominator > 97 for r in R for a in r)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_shaped_kernels_and_charts_match_dense_reference(shape):
+    nrows, ncols = shape
+    rows = _shaped(7 * nrows + ncols, nrows, ncols)
+    assert linalg.kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+    left = [linalg.dense(v, nrows) for v in linalg.left_kernel(linalg.sparse(rows), nrows)]
+    assert left == dense_kernel_basis(linalg.transpose(rows, ncols), nrows)
+    basis = rows[:ncols // 2]
+    chart, ref = linalg.Chart(basis, ncols), DenseChart(basis, ncols)
+    assert chart.rank < len(basis)  # a dependent basis: coordinates are not unique
+    rng = random.Random(nrows)
+    for _ in range(3):
+        v = _combine(rng, None, rng.sample(basis, 3), ncols)
+        got = chart.coords(v)
+        assert got is not None and got == ref.coords(v)
+
+
+def test_shaped_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rows = _shaped(11, 92, 50)
+    M = sympy.Matrix([[sympy.Rational(a.re.numerator, a.re.denominator) for a in r]
+                      for r in rows])
+    ref, ref_pivots = M.rref()
+    R, pivots = linalg.rref(rows, 50)
+    assert tuple(pivots) == tuple(ref_pivots)
+    for i, r in enumerate(R):
+        assert [Fraction(int(x.p), int(x.q)) for x in ref.row(i)] == [a.re for a in r]
+
+
+# -- left_kernel ----------------------------------------------------------------
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_left_kernel_matches_kernel_of_transpose(d):
+    for rng, rows, ncols in _cases(d):
+        # count > len(rows): the missing rows are zero
+        for count in (len(rows), len(rows) + rng.randint(1, 3)):
+            padded = rows + [zeros(ncols)] * (count - len(rows))
+            want = dense_kernel_basis(linalg.transpose(padded, ncols), count)
+            got = linalg.left_kernel(linalg.sparse(rows), count)
+            assert [linalg.dense(v, count) for v in got] == want
+            assert want == linalg.kernel_basis(linalg.transpose(padded, ncols), count)
+
+
+def test_left_kernel_of_no_rows_is_everything():
+    assert linalg.left_kernel([], 0) == []
+    got = [linalg.dense(v, 3) for v in linalg.left_kernel([], 3)]
+    assert got == [unit_vec(3, i) for i in range(3)]
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_stored_rows_hold_one_coefficient_type(d):
+    other = None if d else -3
+    for rng, rows, ncols in _cases(d, count=60):
+        # a denominator over the other field mixes Fractions and Scalars while
+        # the numerator is reduced; the stored rows must not mix them
+        den = _matrix(rng, other, rng.randint(0, 4), ncols)
+        sq = linalg.Subquotient(linalg.sparse(rows), linalg.sparse(den), ncols)
+        sq2 = linalg.Subquotient(linalg.sparse(den), linalg.sparse(rows), ncols)
+        chart = linalg.Chart(rows, ncols)
+        for row in chart._rows + sq._den + sq._reps + sq2._den + sq2._reps:
+            assert len({type(a) for a in row.values()}) <= 1
+            assert all(a for a in row.values())
+
+
+# -- exact properties, as derandomized hypothesis tests --------------------------
+
+def _hypothesis_matrices(st, d):
+    """(rows, ncols) of up to 7 x 7 entries, half of them zero, over Q or Q(sqrt d)."""
+    nonzero = st.builds(
+        lambda n, den, im: Scalar(Fraction(n, den), im if d else 0, d or -1),
+        st.integers(-5, 5), st.integers(1, 7), st.integers(-2, 2))
+    entry = st.one_of(st.just(Scalar(0)), nonzero)
+    return st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
+                     min_size=shape[0], max_size=shape[0]),
+            st.just(shape[1]),
+            st.lists(entry, min_size=shape[1], max_size=shape[1])))
+
+
+def _property_test(check):
+    """Run check(rows, ncols, x) over derandomized hypothesis matrices, both fields."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    for d in FIELDS:
+        hypothesis.settings(derandomize=True, max_examples=80, deadline=None, database=None)(
+            hypothesis.given(_hypothesis_matrices(st, d))(
+                lambda case: check(*case)))()
+
+
+def test_property_kernel_vectors_are_annihilated():
+    def check(rows, ncols, _):
+        kernel = linalg.kernel_basis(rows, ncols)
+        for v in kernel:
+            assert vec_is_zero(linalg.mat_mul_vec(rows, v))
+        assert linalg.rank(rows, ncols) + len(kernel) == ncols
+    _property_test(check)
+
+
+def test_property_left_kernel_vectors_are_annihilated():
+    def check(rows, ncols, _):
+        kernel = linalg.left_kernel(linalg.sparse(rows), len(rows))
+        for x in kernel:
+            total = zeros(ncols)
+            for i, c in x.items():
+                total = linalg.vec_add(total, vec_scale(linalg.dense({0: c}, 1)[0], rows[i]))
+            assert vec_is_zero(total)
+        assert linalg.rank(rows, ncols) + len(kernel) == len(rows)
+    _property_test(check)
+
+
+def test_property_solve_satisfies_the_system():
+    def check(rows, ncols, x0):
+        rhs = linalg.mat_mul_vec(rows, x0)
+        x = linalg.solve(rows, ncols, rhs)
+        assert x is not None and linalg.mat_mul_vec(rows, x) == rhs
+    _property_test(check)

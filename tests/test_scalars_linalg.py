@@ -81,7 +81,7 @@ def test_rank_nullity():
 def test_subquotient_canonical():
     rows_num = [[S(1), S(0), S(1)], [S(0), S(1), S(1)], [S(1), S(1), S(2)]]
     den = [[S(1), S(1), S(2)]]
-    sq = linalg.Subquotient(rows_num, den, 3)
+    sq = linalg.Subquotient(linalg.sparse(rows_num), linalg.sparse(den), 3)
     assert sq.dim == 1
     c = sq.coords([S(1), S(0), S(1)])
     assert c is not None and len(c) == 1
