@@ -857,7 +857,7 @@ def morphism_matrix(f: LinearMap, n, strict=True):
     return [f.target.coords(f(b), n, strict=strict) for b in f.source.basis(n, strict=strict)]
 
 
-def is_surjective_at(f: LinearMap, n) -> int:
+def is_surjective_at(f: LinearMap, n) -> bool:
     rows = morphism_matrix(f, n)
     need = f.target.dim(n)
     return linalg.rank(rows, need) == need

@@ -12,7 +12,8 @@ import random
 import sys
 
 from . import cache
-from .algebra import AlgebraError, CutoffError, FreeCdga, check_morphism
+from .algebra import (AlgebraError, CutoffError, FreeCdga, check_morphism,
+                      is_surjective_at)
 from .diagrams import (rectify, compose_ho, validate_diagram,
                        validate_diagram_morphism, validate_ho_homotopy,
                        validate_ho_morphism)
@@ -227,7 +228,7 @@ def cmd_mapping_path(args):
         entry = {"dims": {str(n): mp.space.dim(n) for n in range(0, upto + 1)},
                  "q_endpoint": mp.q_endpoint}
         entry["p_surjective"] = all(
-            _surj(mp.p, n) for n in range(0, upto + 1))
+            is_surjective_at(mp.p, n) for n in range(0, upto + 1))
         entry["p_quasi_iso"] = is_quasi_iso(mp.p, upto)
         entry["f_quasi_iso"] = is_quasi_iso(f.maps[v], upto)
         entry["q_quasi_iso"] = is_quasi_iso(mp.q, upto)
@@ -243,11 +244,6 @@ def cmd_mapping_path(args):
     emit(out, args.format)
     if not out["ok"]:
         raise VerifiedFailure()
-
-
-def _surj(p, n):
-    from .algebra import is_surjective_at
-    return bool(is_surjective_at(p, n))
 
 
 def cmd_rectify(args):
@@ -411,11 +407,12 @@ def make_parser():
                     "spectral sequences, minimal models, mixed Hodge checks.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_degree=False, degree_required=False):
+    def common(p, needs_degree=False, degree_required=False, budget=False):
         p.add_argument("--format", choices=("json", "table"), default="json")
         if needs_degree:
             p.add_argument("--max-degree", type=int, required=degree_required)
-        p.add_argument("--t-budget", type=_positive_int, default=None)
+        if budget:
+            p.add_argument("--t-budget", type=_positive_int, default=None)
 
     p = sub.add_parser("check", help="validate a document's algebraic identities")
     p.add_argument("document")
@@ -441,7 +438,7 @@ def make_parser():
 
     p = sub.add_parser("path", help="build the path algebra and verify its axioms")
     p.add_argument("document")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_path)
 
     p = sub.add_parser("homotopy-verify", help="verify a homotopy document")
@@ -491,7 +488,7 @@ def make_parser():
     p.add_argument("--mhd", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--comparison", required=True)
-    common(p, needs_degree=True)
+    common(p, needs_degree=True, budget=True)
     p.set_defaults(fn=cmd_pi_star)
     return ap
 

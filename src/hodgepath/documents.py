@@ -1,14 +1,19 @@
 """JSON documents: parsing, validation with located errors, serialization.
 
-Document kinds: dga, diagram, mhd, homorphism, homotopy (schema: 1).  Unknown
-fields are rejected with the offending path; JSON syntax errors carry line and
+Document kinds: dga, diagram, mhd, homorphism, homotopy (schema: 1).  The JSON
+Schemas in schemas/ are the one statement of a document's structure: each
+public build_* first validates its document, so every structural fault is a
+DocumentError at its JSON path, and then checks only what a schema cannot say
+(duplicate names, expressions, references).  JSON syntax errors carry line and
 column.  Serialization is canonical (sorted keys, normalized expressions), so
 parse(serialize(x)) round-trips and reports are byte-stable.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 
 from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, Generator,
                       Morphism, TableBasisElement, TableCdga, extend_scalars,
@@ -20,9 +25,7 @@ from .scalars import QQ, Field, Scalar
 
 SCHEMA_VERSION = 1
 KINDS = {"dga", "diagram", "mhd", "homorphism", "homotopy"}
-# The largest trust horizon a dga document may declare.  Work grows with the
-# horizon, so an absurd one must be refused up front instead of run.
-MAX_DEGREE = 64
+_SCHEMA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "schemas")
 
 
 class DocumentError(ValueError):
@@ -42,60 +45,88 @@ def load_document(text: str) -> dict:
     return doc
 
 
-def _check_fields(obj, path, required, optional=()):
-    if not isinstance(obj, dict):
-        raise DocumentError("expected an object", path)
-    for f in required:
-        if f not in obj:
-            raise DocumentError(f"missing field {f!r}", path)
-    allowed = set(required) | set(optional)
-    for f in obj:
-        if f not in allowed:
-            raise DocumentError(f"unknown field {f!r}", f"{path}.{f}")
+# ---------------------------------------------------------------------------
+# schema validation
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _schema(name) -> dict:
+    with open(os.path.join(_SCHEMA_DIR, name), "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def _sqrt(d, path) -> int:
-    """The d of Q(sqrt d); the schemas ask for an integer <= -1."""
-    if isinstance(d, bool) or not isinstance(d, int) or d > -1:
-        raise DocumentError(f"sqrt must be an integer <= -1, got {d!r}", path)
-    return d
+def __getattr__(name):
+    # MAX_DEGREE is the largest trust horizon a dga document may declare; work
+    # grows with it, so dga.json caps it.  It is read on use, so that importing
+    # this module opens no file.
+    if name == "MAX_DEGREE":
+        return _schema("dga.json")["properties"]["max_degree"]["maximum"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _integer(obj, key, path, minimum=None):
-    """The integer field obj[key] (a bool is not one), or None if it is absent."""
-    if key not in obj:
-        return None
-    value = obj[key]
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise DocumentError(f"{key} must be an integer{bound}", f"{path}.{key}")
-    return value
+# JSON type names by Python type: a bool is not an integer, 1.0 is not 1.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
 
 
-def _typed(obj, key, path, typ, what, default=None):
-    """The field obj[key] if it is a typ (named by what), or default if it is absent."""
-    if key not in obj:
-        return default
-    if not isinstance(obj[key], typ):
-        raise DocumentError(f"{key} must be {what}", f"{path}.{key}")
-    return obj[key]
+def _validate(value, path, base, schema=None):
+    """Raise DocumentError at the first place value breaks schema (default: file base).
 
-
-def _field(spec, path) -> Field:
-    """"Q" (or absent) is the rationals; {"sqrt": d} is Q(sqrt d)."""
-    if spec is None or spec == "Q":
-        return QQ
-    _check_fields(spec, path, required=("sqrt",))
-    return Field(_sqrt(spec["sqrt"], f"{path}.sqrt"))
-
-
-def _expect_kind(doc, kind):
-    _head_fields = ("schema", "kind")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise DocumentError(f"schema must be {SCHEMA_VERSION}", "$.schema")
-    if doc.get("kind") != kind:
-        raise DocumentError(f"expected kind {kind!r}, got {doc.get('kind')!r}", "$.kind")
+    Covers the keywords the shipped schemas use: $ref (to "#/definitions/..."
+    in the file base, or to another schema file), type, properties, required,
+    additionalProperties, items, enum, const, oneOf, minimum and maximum.  A
+    failed oneOf reports the branch whose error lies deepest.
+    """
+    if schema is None:
+        schema = _schema(base)
+    if "$ref" in schema:
+        name, _, pointer = schema["$ref"].partition("#")
+        base = name or base
+        schema = _schema(base)
+        for part in pointer.split("/")[1:]:
+            schema = schema[part]
+    if "oneOf" in schema:
+        errors = []
+        for branch in schema["oneOf"]:
+            try:
+                _validate(value, path, base, branch)
+            except DocumentError as e:
+                errors.append(e)
+        if len(errors) == len(schema["oneOf"]):
+            raise max(errors, key=lambda e: e.path.count(".") + e.path.count("["))
+        if len(errors) < len(schema["oneOf"]) - 1:
+            raise DocumentError("matches more than one alternative", path)
+    jtype = _JSON_TYPES.get(type(value))
+    if schema.get("type", jtype) != jtype:
+        raise DocumentError(f"expected {schema['type']}, got {jtype}", path)
+    allowed = [schema["const"]] if "const" in schema else schema.get("enum")
+    if allowed is not None and not any(type(a) is type(value) and a == value
+                                       for a in allowed):
+        raise DocumentError(f"expected {' or '.join(map(repr, allowed))}, got {value!r}",
+                            path)
+    if jtype in ("integer", "number"):
+        if value < schema.get("minimum", value):
+            raise DocumentError(f"{value} is below the minimum {schema['minimum']}", path)
+        if value > schema.get("maximum", value):
+            raise DocumentError(f"{value} exceeds the maximum {schema['maximum']}", path)
+    if jtype == "object":
+        props = schema.get("properties", {})
+        for key, sub in props.items():
+            if key in value:
+                _validate(value[key], f"{path}.{key}", base, sub)
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            if key in props or extra is True:
+                continue
+            if extra is False:
+                raise DocumentError(f"unknown field {key!r}", f"{path}.{key}")
+            _validate(item, f"{path}.{key}", base, extra)
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise DocumentError(f"missing field {key!r}", path)
+    if jtype == "array" and "items" in schema:
+        for i, item in enumerate(value):
+            _validate(item, f"{path}[{i}]", base, schema["items"])
 
 
 # ---------------------------------------------------------------------------
@@ -138,35 +169,26 @@ def parse_in(algebra, text, path="$"):
 # ---------------------------------------------------------------------------
 
 def build_dga(doc, path="$"):
-    _expect_kind(doc, "dga")
-    _check_fields(doc, path,
-                  required=("schema", "kind", "presentation", "max_degree"),
-                  optional=("name", "field", "generators", "basis", "unit",
-                            "products", "differentials", "augmentation",
-                            "annotations"))
-    fld = _field(doc.get("field"), f"{path}.field")
-    N = _integer(doc, "max_degree", path, minimum=0)
-    if N > MAX_DEGREE:
-        raise DocumentError(f"max_degree {N} exceeds the supported horizon {MAX_DEGREE}",
-                            f"{path}.max_degree")
+    _validate(doc, path, "dga.json")
+    return _dga(doc, path)
+
+
+def _dga(doc, path):
+    """The algebra of a dga document that has passed its schema."""
+    fld = QQ if doc.get("field", "Q") == "Q" else Field(doc["field"]["sqrt"])
+    N = doc["max_degree"]
     name = doc.get("name", "")
-    pres = doc["presentation"]
-    if pres == "free":
+    if doc["presentation"] == "free":
         gens = []
         dexprs = {}
         seen = set()
-        for i, g in enumerate(_typed(doc, "generators", path, list, "an array", [])):
+        for i, g in enumerate(doc.get("generators", [])):
             gpath = f"{path}.generators[{i}]"
-            _check_fields(g, gpath, required=("name", "degree"),
-                          optional=("weight", "hodge", "d"))
-            _typed(g, "name", gpath, str, "a string")
             if g["name"] in seen:
                 raise DocumentError(f"duplicate generator name {g['name']!r}",
                                     f"{gpath}.name")
             seen.add(g["name"])
-            degree = _integer(g, "degree", gpath, minimum=0)
-            gens.append(Generator(g["name"], degree, _integer(g, "weight", gpath),
-                                  _integer(g, "hodge", gpath)))
+            gens.append(Generator(g["name"], g["degree"], g.get("weight"), g.get("hodge")))
             if "d" in g:
                 dexprs[g["name"]] = (g["d"], gpath)
         try:
@@ -181,56 +203,45 @@ def build_dga(doc, path="$"):
         except AlgebraError as e:
             raise DocumentError(str(e), f"{path}.generators")
         return A
-    if pres == "table":
-        entries = []
-        seen = set()
-        for i, b in enumerate(_typed(doc, "basis", path, list, "an array", [])):
-            bpath = f"{path}.basis[{i}]"
-            _check_fields(b, bpath, required=("name", "degree"),
-                          optional=("weight", "hodge"))
-            _typed(b, "name", bpath, str, "a string")
-            if b["name"] in seen:
-                raise DocumentError(f"duplicate basis name {b['name']!r}",
-                                    f"{bpath}.name")
-            seen.add(b["name"])
-            degree = _integer(b, "degree", bpath, minimum=0)
-            entries.append(TableBasisElement(b["name"], degree, _integer(b, "weight", bpath),
-                                             _integer(b, "hodge", bpath)))
-        unit = _typed(doc, "unit", path, str, "a string", "1")
-        try:
-            A = TableCdga(entries, N, fld, name=name, unit=unit)
-        except AlgebraError as e:
-            raise DocumentError(str(e), f"{path}.basis")
-        for field in ("products", "differentials", "augmentation"):
-            if not isinstance(doc.get(field, {}), dict):
-                raise DocumentError(f"{field} must be an object", f"{path}.{field}")
-        products = {}
-        for key, expr in doc.get("products", {}).items():
-            parts = key.split("*")
-            if len(parts) != 2:
-                raise DocumentError(f"product key must be 'a*b', got {key!r}",
-                                    f"{path}.products")
-            a, b = parts[0].strip(), parts[1].strip()
-            el = parse_in(A, expr, f"{path}.products.{key}")
-            products[(a, b)] = dict(el.terms)
-        diffs = {}
-        for nm, expr in doc.get("differentials", {}).items():
-            el = parse_in(A, expr, f"{path}.differentials.{nm}")
-            diffs[nm] = dict(el.terms)
-        augmentation = None
-        if "augmentation" in doc:
-            augmentation = {}
-            for nm, expr in doc["augmentation"].items():
-                el = parse_in(A, expr, f"{path}.augmentation.{nm}")
-                augmentation[nm] = _scalar_of(el, A)
-        try:
-            return TableCdga(entries, N, fld, name=name, unit=unit,
-                             products=products, differentials=diffs,
-                             augmentation=augmentation)
-        except AlgebraError as e:
-            raise DocumentError(str(e), path)
-    raise DocumentError(f"presentation must be 'free' or 'table', got {pres!r}",
-                        f"{path}.presentation")
+    entries = []
+    seen = set()
+    for i, b in enumerate(doc.get("basis", [])):
+        if b["name"] in seen:
+            raise DocumentError(f"duplicate basis name {b['name']!r}",
+                                f"{path}.basis[{i}].name")
+        seen.add(b["name"])
+        entries.append(TableBasisElement(b["name"], b["degree"], b.get("weight"),
+                                         b.get("hodge")))
+    unit = doc.get("unit", "1")
+    try:
+        A = TableCdga(entries, N, fld, name=name, unit=unit)
+    except AlgebraError as e:
+        raise DocumentError(str(e), f"{path}.basis")
+    products = {}
+    for key, expr in doc.get("products", {}).items():
+        parts = key.split("*")
+        if len(parts) != 2:
+            raise DocumentError(f"product key must be 'a*b', got {key!r}",
+                                f"{path}.products")
+        a, b = parts[0].strip(), parts[1].strip()
+        el = parse_in(A, expr, f"{path}.products.{key}")
+        products[(a, b)] = dict(el.terms)
+    diffs = {}
+    for nm, expr in doc.get("differentials", {}).items():
+        el = parse_in(A, expr, f"{path}.differentials.{nm}")
+        diffs[nm] = dict(el.terms)
+    augmentation = None
+    if "augmentation" in doc:
+        augmentation = {}
+        for nm, expr in doc["augmentation"].items():
+            el = parse_in(A, expr, f"{path}.augmentation.{nm}")
+            augmentation[nm] = _scalar_of(el, A)
+    try:
+        return TableCdga(entries, N, fld, name=name, unit=unit,
+                         products=products, differentials=diffs,
+                         augmentation=augmentation)
+    except AlgebraError as e:
+        raise DocumentError(str(e), path)
 
 
 def _scalar_of(el: Element, A) -> Scalar:
@@ -298,17 +309,6 @@ def dga_doc(A, name=None, annotations=None) -> dict:
 # diagram and mixed Hodge diagram documents
 # ---------------------------------------------------------------------------
 
-def _build_vertex(v, i, path):
-    vpath = f"{path}.vertices[{i}]"
-    _check_fields(v, vpath, required=("name", "degree", "algebra"),
-                  optional=("category",))
-    algebra = build_dga(v["algebra"], f"{vpath}.algebra")
-    category = v.get("category", "plain")
-    if category not in ("plain", "filtered", "bifiltered"):
-        raise DocumentError(f"unknown category {category!r}", f"{vpath}.category")
-    return v["name"], v["degree"], category, algebra
-
-
 def _build_map(source, target, images: dict, path, name=""):
     parsed = {nm: parse_in(target, expr, f"{path}.{nm}")
               for nm, expr in images.items()}
@@ -327,29 +327,28 @@ def _build_map(source, target, images: dict, path, name=""):
     raise DocumentError("maps need a free or table source", path)
 
 
-def build_diagram(doc, path="$", kind="diagram"):
-    _expect_kind(doc, kind)
-    extra = ("sqrt",) if kind == "mhd" else ()
-    _check_fields(doc, path,
-                  required=("schema", "kind", "vertices", "arrows"),
-                  optional=("name", "budget", "annotations") + extra)
+def build_diagram(doc, path="$"):
+    _validate(doc, path, "diagram.json")
+    return _diagram(doc, path)
+
+
+def _diagram(doc, path):
+    """The diagram of a diagram or mhd document that has passed its schema."""
     degrees, tags, algebras = {}, {}, {}
     order = []
     for i, v in enumerate(doc["vertices"]):
-        nm, deg, cat, alg = _build_vertex(v, i, path)
+        nm = v["name"]
         if nm in degrees:
             raise DocumentError(f"duplicate vertex {nm!r}", f"{path}.vertices[{i}]")
-        degrees[nm] = deg
-        tags[nm] = cat
-        algebras[nm] = alg
+        degrees[nm] = v["degree"]
+        tags[nm] = v.get("category", "plain")
+        algebras[nm] = _dga(v["algebra"], f"{path}.vertices[{i}].algebra")
         order.append(nm)
     arrows = []
     arrow_maps = {}
     for i, a in enumerate(doc["arrows"]):
-        apath = f"{path}.arrows[{i}]"
-        _check_fields(a, apath, required=("name", "from", "to", "map"), optional=())
         arrows.append(Arrow(a["name"], a["from"], a["to"]))
-        arrow_maps[a["name"]] = (a["from"], a["to"], a["map"], apath)
+        arrow_maps[a["name"]] = (a["from"], a["to"], a["map"], f"{path}.arrows[{i}]")
     try:
         index = IndexCategory(degrees, arrows)
     except AlgebraError as e:
@@ -367,8 +366,7 @@ def build_diagram(doc, path="$", kind="diagram"):
             built_arrows[nm] = (_build_map(ext, A_d, images, f"{apath}.map", nm), coerce)
     try:
         D = Diagram(index, algebras, tags=tags, arrows=built_arrows,
-                    budget=_integer(doc, "budget", path, minimum=1),
-                    name=doc.get("name", "diagram"))
+                    budget=doc.get("budget"), name=doc.get("name", "diagram"))
     except AlgebraError as e:
         raise DocumentError(str(e), path)
     D.vertex_order = order
@@ -376,10 +374,10 @@ def build_diagram(doc, path="$", kind="diagram"):
 
 
 def build_mhd(doc, path="$") -> MixedHodgeDiagram:
-    D = build_diagram(doc, path, kind="mhd")
-    d = _sqrt(doc.get("sqrt", -1), f"{path}.sqrt")
+    _validate(doc, path, "mhd.json")
+    D = _diagram(doc, path)
     try:
-        return MixedHodgeDiagram(D, d=d)
+        return MixedHodgeDiagram(D, d=doc.get("sqrt", -1))
     except AlgebraError as e:
         raise DocumentError(str(e), path)
 
@@ -388,22 +386,22 @@ def build_mhd(doc, path="$") -> MixedHodgeDiagram:
 # ho-morphism and homotopy documents
 # ---------------------------------------------------------------------------
 
+def _end_diagram(doc, end, path):
+    """The source or target diagram that a ho-morphism document carries itself."""
+    if doc.get(end) in (None, "model", "mhd"):  # only pi-star supplies these two
+        raise DocumentError(f"needs a {end} diagram document", f"{path}.{end}")
+    return _diagram(doc[end], f"{path}.{end}")
+
+
 def build_homorphism(doc, path="$", source=None, target=None):
-    _expect_kind(doc, "homorphism")
-    _check_fields(doc, path,
-                  required=("schema", "kind", "maps", "homotopies"),
-                  optional=("name", "source", "target", "annotations"))
+    _validate(doc, path, "homorphism.json")
     if source is None:
-        if "source" not in doc:
-            raise DocumentError("missing source diagram", f"{path}.source")
-        source = build_diagram(doc["source"], f"{path}.source")
+        source = _end_diagram(doc, "source", path)
     if target is None:
-        if "target" not in doc:
-            raise DocumentError("missing target diagram", f"{path}.target")
-        target = build_diagram(doc["target"], f"{path}.target")
+        target = _end_diagram(doc, "target", path)
     maps = {}
     for v, images in doc["maps"].items():
-        if v not in source.algebras:
+        if v not in source.algebras or v not in target.algebras:
             raise DocumentError(f"unknown vertex {v!r}", f"{path}.maps")
         maps[v] = _build_map(source.algebras[v], target.algebras[v], images,
                              f"{path}.maps.{v}", f"f_{v}")
@@ -430,15 +428,12 @@ def build_homorphism(doc, path="$", source=None, target=None):
 
 def build_homotopy(doc, path="$"):
     """(f, g, h) for a homotopy document between two dga morphisms."""
-    _expect_kind(doc, "homotopy")
-    _check_fields(doc, path,
-                  required=("schema", "kind", "source", "target", "f", "g", "h"),
-                  optional=("name", "budget", "annotations"))
-    A = build_dga(doc["source"], f"{path}.source")
-    B = build_dga(doc["target"], f"{path}.target")
+    _validate(doc, path, "homotopy.json")
+    A = _dga(doc["source"], f"{path}.source")
+    B = _dga(doc["target"], f"{path}.target")
     f = _build_map(A, B, doc["f"], f"{path}.f", "f")
     g = _build_map(A, B, doc["g"], f"{path}.g", "g")
-    PB = path_of(B, _integer(doc, "budget", path, minimum=1))
+    PB = path_of(B, doc.get("budget"))
     hmap = _build_map(A, keyed(PB), doc["h"], f"{path}.h", "h")
     return f, g, Homotopy(f, g, Morphism(A, PB, hmap.fn, name="h"))
 

@@ -251,17 +251,11 @@ def solve(rows, ncols: int, rhs):
     Free variables are set to zero, so the solution is supported on the
     earliest possible pivot columns (deterministic tie-break).
     """
-    R, pivots = _eliminate(sparse([list(r) + [b] for r, b in zip(rows, rhs)]), ncols)
-    x = dense({p: r[ncols] for r, p in zip(R, pivots) if ncols in r}, ncols)
-    # consistency: rows of R beyond pivots were dropped by the elimination; recheck directly
-    for row, b in zip(rows, rhs):
-        acc = Scalar(0)
-        for a, xi in zip(row, x):
-            if not a.is_zero and not xi.is_zero:
-                acc = acc + a * xi
-        if acc != b:
-            return None
-    return x
+    R, pivots = _eliminate(sparse([list(r) + [b] for r, b in zip(rows, rhs)]), ncols + 1)
+    # a pivot on the right-hand side is a row 0 = b with b != 0
+    if pivots and pivots[-1] == ncols:
+        return None
+    return dense({p: r[ncols] for r, p in zip(R, pivots) if ncols in r}, ncols)
 
 
 def mat_mul_vec(rows, x):

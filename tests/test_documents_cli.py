@@ -1,7 +1,9 @@
 """Document parsing, serialization round-trips, CLI contract, cache."""
 
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ from helpers import fixture_path
 from hodgepath import (FreeCdga, betti_numbers, build_dga, build_homorphism,
                        build_mhd, check_cdga, dga_doc, element_expr,
                        load_document, parse_document, serialize)
+from hodgepath.algebra import CutoffError
 from hodgepath.documents import MAX_DEGREE, DocumentError
 from hodgepath.exprs import ExprError, parse_expression, tokenize
 
@@ -150,6 +153,41 @@ def test_malformed_dga_fields_exit_2(tmp_path, fixture, at, value, where):
     assert "Traceback" not in out.stderr
 
 
+def _rename_target_vertices(doc):
+    target = doc["target"]
+    for v in target["vertices"]:
+        v["name"] = "t" + v["name"]
+    for a in target["arrows"]:
+        a["from"], a["to"] = "t" + a["from"], "t" + a["to"]
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (lambda doc: doc.update(source="model"), "$.source"),
+    (lambda doc: doc.update(target="mhd"), "$.target"),
+    (_rename_target_vertices, "$.maps"),
+], ids=["source_model", "target_mhd", "target_vertices"])
+def test_unresolved_homorphism_references_exit_2(tmp_path, mutate, where):
+    """A schema-valid ho-morphism whose diagrams do not resolve is a document error."""
+    doc = read_fixture("example41.json")
+    mutate(doc)
+    with pytest.raises(DocumentError) as ei:
+        build_homorphism(doc)
+    assert ei.value.path == where
+    path = tmp_path / "homorphism.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = run_cli("check", str(path))
+    assert out.returncode == 2, out.stderr
+    assert where in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_t_budget_only_where_it_is_read():
+    out = run_cli("check", "fixtures/s2.json", "--t-budget", "3")
+    assert out.returncode == 2, out.stderr
+    assert "--t-budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("budget", ["0", "-1", "two"])
 def test_bad_t_budget_flag_is_a_usage_error(budget):
     out = run_cli("path", "fixtures/s2.json", "--t-budget", budget)
@@ -251,7 +289,7 @@ def test_fixtures_match_shipped_schemas():
 def _schema_roundtrip():
     import jsonschema
     from jsonschema import RefResolver
-    schema_dir = os.path.join(PKG_ROOT, "schemas")
+    schema_dir = os.path.join(PKG_ROOT, "src", "hodgepath", "schemas")
 
     def load_schema(name):
         with open(os.path.join(schema_dir, name)) as fh:
@@ -441,3 +479,127 @@ def test_homotopy_verify_cli_failure_path():
         assert any("endpoint" in f["check"] for f in rep["failures"])
     finally:
         os.unlink(bad_path)
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under one-field mutations
+# ---------------------------------------------------------------------------
+
+WRONG_VALUES = (None, True, 0, -1, 1.5, "x", [], [1], {})
+
+
+def _positions(node, at=()):
+    """Every position in a JSON value: the root, then each member and element."""
+    yield at
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _positions(v, at + (k,))
+
+
+def _replace(doc, at, value):
+    if not at:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in at[:-1]:
+        parent = parent[step]
+    parent[at[-1]] = value
+    return doc
+
+
+@functools.cache
+def _mutants():
+    """(fixture, position, value, document): each fixture with one position set to a wrong value."""
+    from helpers import FIXDIR
+    out = []
+    for name in sorted(os.listdir(FIXDIR)):
+        doc = read_fixture(name)
+        for at in _positions(doc):
+            out.extend((name, at, v, _replace(doc, at, v)) for v in WRONG_VALUES)
+    return tuple(out)
+
+
+def test_one_field_mutants_build_or_raise_document_errors():
+    escapes = []
+    for name, at, value, doc in _mutants():
+        try:
+            parse_document(load_document(json.dumps(doc)))
+        except (DocumentError, CutoffError):
+            pass
+        except Exception as e:  # anything else would exit 1 with a traceback
+            escapes.append((name, at, value, repr(e)))
+    assert len(_mutants()) >= 5370
+    assert escapes == []
+
+
+def test_cli_on_one_field_mutants_never_tracebacks(tmp_path):
+    def check(mutant):
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(mutant[3]), encoding="utf-8")
+        out = run_cli("check", str(path))
+        assert out.returncode in (0, 1, 2), mutant[:3]
+        assert "Traceback" not in out.stderr, mutant[:3]
+
+    try:
+        import hypothesis
+    except ImportError:
+        for seed in range(12):
+            check(random.Random(seed).choice(_mutants()))
+        return
+    hypothesis.settings(derandomize=True, max_examples=12, deadline=None, database=None)(
+        hypothesis.given(hypothesis.strategies.sampled_from(_mutants()))(check))()
+
+
+def _jsonschema_is_valid():
+    """doc, kind -> whether jsonschema (draft-07) accepts doc under the kind's schema."""
+    import warnings
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_dir = os.path.join(PKG_ROOT, "src", "hodgepath", "schemas")
+    store = {}
+    for name in os.listdir(schema_dir):
+        with open(os.path.join(schema_dir, name)) as fh:
+            store[name] = json.load(fh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        validators = {
+            name[:-len(".json")]: jsonschema.Draft7Validator(
+                schema, resolver=jsonschema.RefResolver(name, schema, store=store))
+            for name, schema in store.items()}
+    return lambda doc, kind: validators[kind].is_valid(doc)
+
+
+def _validator_accepts(doc, kind):
+    from hodgepath.documents import _validate
+    try:
+        _validate(doc, "$", f"{kind}.json")
+    except DocumentError:
+        return False
+    return True
+
+
+def test_validator_agrees_with_jsonschema_on_mutants():
+    is_valid = _jsonschema_is_valid()
+    kinds = {}
+    disagree = []
+    for name, at, value, doc in _mutants():
+        kind = kinds.setdefault(name, read_fixture(name)["kind"])
+        if _validator_accepts(doc, kind) != is_valid(doc, kind):
+            disagree.append((name, at, value))
+    assert disagree == []
+
+
+def test_validator_refuses_integral_floats_unlike_jsonschema():
+    """The one known difference: 4.0 is an integer to jsonschema but not to hodgepath."""
+    is_valid = _jsonschema_is_valid()
+    from helpers import FIXDIR
+    checked = 0
+    for name in sorted(os.listdir(FIXDIR)):
+        doc = read_fixture(name)
+        for at in _positions(doc):
+            value = functools.reduce(lambda node, step: node[step], at, doc)
+            if type(value) is int:
+                mutant = _replace(doc, at, float(value))
+                assert is_valid(mutant, doc["kind"]), (name, at)
+                assert not _validator_accepts(mutant, doc["kind"]), (name, at)
+                checked += 1
+    assert checked >= 100
