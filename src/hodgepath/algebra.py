@@ -865,14 +865,11 @@ def is_surjective_at(f: LinearMap, n) -> bool:
 
 def solve_preimage(f: LinearMap, y: Element, n):
     """x of degree n with f(x) = y, or None; deterministic free choice."""
-    rows = morphism_matrix(f, n)
-    ncols = f.target.dim(n)
-    rhs = f.target.coords(y, n)
-    # unknowns are source coordinates: transpose rows
-    sol = linalg.solve(linalg.transpose(rows, ncols), len(rows), rhs)
+    rows = linalg.sparse(morphism_matrix(f, n))
+    sol = linalg.solve(rows, len(rows), linalg.sparse([f.target.coords(y, n)])[0])
     if sol is None:
         return None
-    return f.source.from_coords(n, sol)
+    return f.source.from_coords(n, linalg.dense(sol, len(rows)))
 
 
 def check_morphism(f: Morphism, rng, degrees=None, samples=4, report=None):
@@ -946,24 +943,27 @@ class SubCdga:
         if n < 0:
             return []
         if n not in self._basis_cache:
-            self._basis_cache[n] = self._solve_basis(n)
+            amb_basis = self.ambient.basis(n, strict=False)
+            out = []
+            for v in self.constraint_kernel(amb_basis):
+                out.append(self.ambient.from_coords(n, linalg.dense(v, len(amb_basis))))
+            self._basis_cache[n] = out
         return list(self._basis_cache[n])
 
-    def _solve_basis(self, n):
-        amb_basis = self.ambient.basis(n, strict=False)
-        if not amb_basis:
-            return []
-        rows = []  # constraint rows: one per (constraint, target basis index)
-        for c in self.constraints:
-            imgs = [c(b) for b in amb_basis]
-            # constraints are degree-preserving maps; collect coords per degree
-            for m in sorted({x.degree() for x in imgs if not x.is_zero}):
-                vecs = [c.target.coords(x if x.degree() == m else c.target.zero(),
-                                        m, strict=False)
-                        for x in imgs]
-                rows.extend(linalg.transpose(vecs, len(vecs[0])))
-        kern = linalg.kernel_basis(rows, len(amb_basis))
-        return [self.ambient.from_coords(n, v) for v in kern]
+    def constraint_kernel(self, elements):
+        """Basis of {x : sum_i x_i elements[i] meets every constraint}, as coefficient rows.
+
+        The constraints are linear, so this is the left kernel of the rows
+        c(elements[i]) of all constraints c, one column per (constraint, key).
+        """
+        rows = []
+        for e in elements:
+            row = {}
+            for ci, c in enumerate(self.constraints):
+                for k, a in c(e).terms.items():
+                    row[ci, k] = a
+            rows.append(row)
+        return linalg.left_kernel(linalg.sparse(rows), len(elements))
 
     def dim(self, n, strict=True):
         return len(self.basis(n, strict=strict))

@@ -88,17 +88,12 @@ class FilteredComplex:
         chosen, chosen_levels, chosen_elems = linalg.Span(), [], []
         for p in sorted(set(key_levels)):
             allowed = [i for i, lv in enumerate(key_levels) if lv <= p]
-            sub = [X.ambient.from_key(keys[i]) for i in allowed]
             # solve the constraints inside the span of allowed keys
-            rows = []
-            for c in X.constraints:
-                imgs = [c(b) for b in sub]
-                vecs = [c.target.coords(x, n, strict=False) for x in imgs]
-                rows.extend(linalg.transpose(vecs, c.target.dim(n, strict=False)))
-            for v in linalg.kernel_basis(rows, len(sub)):
-                full = linalg.zeros(len(keys))
-                for c, i in zip(v, allowed):
-                    full[i] = c
+            for v in X.constraint_kernel([amb.from_key(keys[i]) for i in allowed]):
+                row = {}
+                for i, c in v.items():
+                    row[allowed[i]] = c
+                full = linalg.dense(row, len(keys))
                 if chosen.add(full):
                     chosen_levels.append(p)
                     chosen_elems.append(amb.from_coords(n, full))
@@ -471,9 +466,8 @@ def strictness_check(rows, src_levels, dst_levels, decreasing=True) -> list:
         else:
             img_subspace = [r for r, lv in zip(rows, src_levels) if lv <= q]
             f_target = [linalg.unit_vec(cols, i) for i, lv in enumerate(dst_levels) if lv <= q]
-        lhs = linalg.intersect(rows, f_target, cols)
-        dim_lhs = linalg.span_dim(lhs, cols)
-        dim_rhs = linalg.span_dim(img_subspace, cols)
+        dim_lhs = len(linalg.intersect(linalg.sparse(rows), linalg.sparse(f_target), cols))
+        dim_rhs = linalg.rank(img_subspace, cols)
         if dim_lhs != dim_rhs:
             bad.append({"q": q, "dim_image_cap_F": dim_lhs, "dim_image_of_F": dim_rhs})
     return bad

@@ -96,12 +96,11 @@ class MhsStructure:
                 Fq = project(self._cap_weight(self.f_span(q), m))
                 Fbar = project([self.conj(v) for v in self._cap_weight(
                     self.f_span(m - q + 1), m)])
-                inter = linalg.intersect(Fq, Fbar, grm.dim)
-                if linalg.span_dim(inter, grm.dim):
+                if linalg.intersect(linalg.sparse(Fq), linalg.sparse(Fbar), grm.dim):
                     rep.add("purity-intersection",
                             f"F^{q} cap conj(F^{m - q + 1}) != 0 at weight {m}",
                             weight=m, q=q)
-                total = linalg.span_dim(Fq + Fbar, grm.dim)
+                total = linalg.rank(Fq + Fbar, grm.dim)
                 if total != grm.dim:
                     rep.add("purity-sum",
                             f"F^{q} + conj(F^{m - q + 1}) misses Gr_{m}",
@@ -111,7 +110,10 @@ class MhsStructure:
     def _cap_weight(self, vs, m):
         """Intersect a span with W_m (so projecting to Gr_m is legitimate)."""
         wm = [v for lv, v in self.weight_vectors if lv <= m]
-        return linalg.intersect(vs, wm, self.dim) if vs else []
+        out = []
+        for r in linalg.intersect(linalg.sparse(vs), linalg.sparse(wm), self.dim):
+            out.append(linalg.dense(r, self.dim))
+        return out
 
     def types_at(self, m):
         """Dimension of F^q cap conj(F^{m-q}) projected to Gr_m, per (q, m-q)."""
@@ -126,7 +128,7 @@ class MhsStructure:
             Fb = [grm.coords(self.conj(v))
                   for v in self._cap_weight(self.f_span(m - q), m)]
             Fb = [v for v in Fb if v is not None]
-            d = linalg.span_dim(linalg.intersect(Fq, Fb, grm.dim), grm.dim)
+            d = len(linalg.intersect(linalg.sparse(Fq), linalg.sparse(Fb), grm.dim))
             if d:
                 out[(q, m - q)] = d
         return out
@@ -237,7 +239,8 @@ def _mat_compose(first, then, dim_mid, dim_out):
         acc = linalg.zeros(dim_out)
         for c, trow in zip(row, then):
             if not c.is_zero:
-                acc = linalg.vec_add(acc, linalg.vec_scale(c, trow))
+                for j, a in enumerate(trow):
+                    acc[j] = acc[j] + c * a
         out.append(acc)
     return out
 
@@ -256,10 +259,9 @@ class Transport:
             return None
 
         def sigma(v):
-            back = linalg.mat_mul_vec(linalg.transpose(self.inverse, self.dim_dst), v)
-            back = _conj_vec(back)
-            fwd = linalg.transpose(self.matrix, self.dim_dst)
-            return linalg.mat_mul_vec(fwd, back)
+            # v M^-1, conjugated, then times M
+            back = _conj_vec(_mat_compose([v], self.inverse, self.dim_dst, self.dim_src)[0])
+            return _mat_compose([back], self.matrix, self.dim_src, self.dim_dst)[0]
 
         return sigma
 

@@ -103,15 +103,15 @@ def _solve_closed_correction(v, err: Element, n: int):
     basis = X.basis(n, strict=False)
     if not basis:
         return None if not err.is_zero else X.zero()
-    d_rows = [X.coords(b.d(), n + 1, strict=False) for b in basis]
-    v_rows = [Y.coords(v(b), n, strict=False) for b in basis]
-    dim_y = len(v_rows[0])
-    mat = linalg.transpose(d_rows, len(d_rows[0])) + linalg.transpose(v_rows, dim_y)
-    rhs = X.coords(err, n + 1, strict=False) + linalg.zeros(dim_y)
-    sol = linalg.solve(mat, len(basis), rhs)
+    # unknown i has image (d b_i, v b_i); the target is (err, 0)
+    rows = []
+    for b in basis:
+        rows.append(X.coords(b.d(), n + 1, strict=False) + Y.coords(v(b), n, strict=False))
+    sol = linalg.solve(linalg.sparse(rows), len(basis),
+                       linalg.sparse([X.coords(err, n + 1, strict=False)])[0])
     if sol is None:
         return None
-    return X.from_coords(n, sol, strict=False)
+    return X.from_coords(n, linalg.dense(sol, len(basis)), strict=False)
 
 
 # ---------------------------------------------------------------------------

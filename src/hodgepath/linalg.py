@@ -3,10 +3,13 @@
 Rows go in and come out sparse: a coefficient row is a dict {column: coeff}
 without zeros, made by `sparse` from dense Scalar vectors or {column: Scalar}
 dicts and turned back by `dense`.  Rational coefficients are bare Fractions,
-the others Scalars; `_reduce` serves both and a mix of the two.  The public
-`rref` and `kernel_basis` keep a dense API and are the only places that turn
-eliminated rows dense; `left_kernel`, `Chart` and `Subquotient` keep the
-kernel's sparse rows.
+the others Scalars; `_reduce` serves both and a mix of the two.
+
+A linear system enters in one orientation: row i is the image of unknown i.
+`left_kernel(rows, count)` is {x : sum_i x_i rows_i = 0} and
+`solve(rows, count, y)` one x with sum_i x_i rows_i = y; both read their
+equations, one per column, through `_columns`.  Columns may be any hashable
+keys, so a caller can pass the terms of algebra elements as rows.
 
 `_eliminate` is Gauss-Jordan with the deterministic first-nonzero rule: the
 first row at or below the rank with a non-zero in the column becomes the
@@ -21,10 +24,10 @@ same, entry for entry.  Otherwise it runs the Scalar loop, which normalises
 each pivot row when it is chosen.
 
 A full elimination gives the unique reduced row echelon form, so kernels,
-ranks and `Subquotient` reps do not depend on row order, and on a consistent
-system `solve`'s answer (free variables zero) is unique.  Only a `Chart` over
-a dependent basis, or a partial `rref` of dependent rows, depends on the
-pivot rule.  Entries are exact, so every kernel/image/solve is a certificate.
+ranks, intersections and `Subquotient` reps do not depend on the order of
+the equations, and on a consistent system `solve`'s answer (free unknowns
+zero) is unique.  Only a `Chart` over a dependent basis depends on the pivot
+rule.  Entries are exact, so every kernel/image/solve is a certificate.
 """
 
 from __future__ import annotations
@@ -49,23 +52,6 @@ def unit_vec(n: int, i: int) -> list:
     v = zeros(n)
     v[i] = Scalar(1)
     return v
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_scale(c, u):
-    return [c * a for a in u]
-
-
-def vec_is_zero(u) -> bool:
-    return all(a.is_zero for a in u)
-
-
-def transpose(rows, ncols: int):
-    """Columns of a matrix given by its rows; ncols fixes the shape when rows is empty."""
-    return [[r[j] for r in rows] for j in range(ncols)]
 
 
 def sparse(rows):
@@ -187,17 +173,6 @@ def _eliminate(rows, ncols: int):
     return R[:rank], pivots
 
 
-def rref(rows, ncols: int):
-    """Reduced row echelon form.  Returns (reduced nonzero rows, pivot columns).
-
-    Pivots are taken in the first ncols columns only; further columns (an
-    augmented right-hand side) are carried along.  Rows are dense, in and out.
-    """
-    width = len(rows[0]) if rows else ncols
-    R, pivots = _eliminate(sparse(rows), ncols)
-    return [dense(r, width) for r in R], pivots
-
-
 def rank(rows, ncols: int) -> int:
     return len(_eliminate(sparse(rows), ncols)[1])
 
@@ -217,77 +192,70 @@ def _kernel(R, pivots, ncols: int):
     return list(basis.values())
 
 
-def kernel_basis(rows, ncols: int):
-    """Basis of the right null space {x : M x = 0}, rows = dense rows of M.
+def _columns(rows):
+    """The equations of indexed coefficient rows, one per column.
 
-    Free variables are taken in increasing column order; each kernel vector has
-    a 1 in its free column, so the basis is deterministic.
-    """
-    return [dense(v, ncols) for v in _kernel(*_eliminate(sparse(rows), ncols), ncols)]
-
-
-def left_kernel(rows, count: int):
-    """Basis of {x in k^count : sum_i x_i rows_i = 0}, as coefficient rows.
-
-    rows are coefficient rows; rows past len(rows) count as zero.  This is
-    `kernel_basis(transpose(rows), count)`, vector for vector, read from the
-    sparse columns of rows without a dense copy.
+    rows is an iterable of (index, row) pairs; each column j becomes the
+    coefficient row {index: row[j]} over the row indices.
     """
     cols = {}
-    for i, r in enumerate(rows):
+    for i, r in rows:
         for j, a in r.items():
             col = cols.get(j)
             if col is None:
                 cols[j] = {i: a}
             else:
                 col[i] = a
-    # a full elimination does not depend on the order of the columns
-    return _kernel(*_eliminate(list(cols.values()), count), count)
+    return list(cols.values())
 
 
-def solve(rows, ncols: int, rhs):
-    """One solution x of M x = rhs, or None if inconsistent.
+def left_kernel(rows, count: int):
+    """Basis of {x in k^count : sum_i x_i rows_i = 0}, as coefficient rows.
 
-    Free variables are set to zero, so the solution is supported on the
-    earliest possible pivot columns (deterministic tie-break).
+    rows are coefficient rows; rows past len(rows) count as zero.  Free
+    unknowns are taken in increasing order, and each kernel vector has a 1 at
+    its free unknown, so the basis is deterministic.
     """
-    R, pivots = _eliminate(sparse([list(r) + [b] for r, b in zip(rows, rhs)]), ncols + 1)
-    # a pivot on the right-hand side is a row 0 = b with b != 0
-    if pivots and pivots[-1] == ncols:
+    # a full elimination does not depend on the order of the equations
+    return _kernel(*_eliminate(_columns(enumerate(rows)), count), count)
+
+
+def solve(rows, count: int, y):
+    """Coefficient row x with sum_i x_i rows_i = y, or None if there is none.
+
+    rows and y are coefficient rows; rows past len(rows) count as zero.  Free
+    unknowns are set to zero, so x is supported on the earliest possible
+    unknowns (deterministic tie-break).
+    """
+    pairs = list(enumerate(rows))
+    pairs.append((count, y))
+    R, pivots = _eliminate(_columns(pairs), count + 1)
+    # a pivot on the right-hand side is an equation 0 = y_j with y_j != 0
+    if pivots and pivots[-1] == count:
         return None
-    return dense({p: r[ncols] for r, p in zip(R, pivots) if ncols in r}, ncols)
+    x = {}
+    for r, p in zip(R, pivots):
+        c = r.get(count)
+        if c is not None:
+            x[p] = c
+    return x
 
 
-def mat_mul_vec(rows, x):
+def intersect(rows_a, rows_b, ncols: int):
+    """Reduced echelon coefficient rows of span(rows_a) ∩ span(rows_b).
+
+    Each relation x·a + y·b = 0 gives x·a = -y·b, a vector of both spans,
+    and these vectors span the intersection.
+    """
     out = []
-    for row in rows:
-        acc = Scalar(0)
-        for a, xi in zip(row, x):
-            if not a.is_zero and not xi.is_zero:
-                acc = acc + a * xi
-        out.append(acc)
-    return out
-
-
-def span_dim(vectors, ncols: int) -> int:
-    return rank(vectors, ncols)
-
-
-def intersect(basis_a, basis_b, ncols: int):
-    """Basis of span(a) ∩ span(b): the a-part of the relations a·x = b·y."""
-    if not basis_a or not basis_b:
-        return []
-    cols = len(basis_a) + len(basis_b)
-    out = []
-    for k in left_kernel(sparse(list(basis_a) + [[-c for c in b] for b in basis_b]), cols):
-        v = zeros(ncols)
-        for c, a in zip(dense(k, cols)[:len(basis_a)], basis_a):
-            if not c.is_zero:
-                v = vec_add(v, vec_scale(c, a))
-        if not vec_is_zero(v):
+    for k in left_kernel(list(rows_a) + list(rows_b), len(rows_a) + len(rows_b)):
+        v = {}
+        for i, c in k.items():
+            if i < len(rows_a):
+                _sub_multiple(v, -c, rows_a[i])
+        if v:
             out.append(v)
-    R, _ = rref(out, ncols)
-    return R
+    return _eliminate(out, ncols)[0]
 
 
 def _reduce(v, rows, pivots):

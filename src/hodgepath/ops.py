@@ -202,9 +202,6 @@ class QComplex:
     def project(self, x: Element, n):
         return self._project(x, n)
 
-    def dmat(self, n):
-        return self.dmats.get(n, [])
-
     def differential_is_zero(self) -> bool:
         return all(all(all(c.is_zero for c in row) for row in rows)
                    for rows in self.dmats.values())
@@ -247,9 +244,12 @@ def indecomposables(A, upto=None) -> QComplex:
         plus_basis = {}
         for n in range(0, upto + 1):
             if n == 0:
-                rows = [[A.augmentation.get(k, Scalar(0)) for k in A.basis_keys(0)]]
-                kern = linalg.kernel_basis(rows, A.dim(0))
-                plus_basis[0] = [A.from_coords(0, v) for v in kern]
+                # unknown i is basis key i; its image is its augmentation
+                rows = []
+                for k in A.basis_keys(0):
+                    rows.append([A.augmentation.get(k, Scalar(0))])
+                kern = linalg.left_kernel(linalg.sparse(rows), A.dim(0))
+                plus_basis[0] = [A.from_coords(0, linalg.dense(v, A.dim(0))) for v in kern]
             else:
                 plus_basis[n] = A.basis(n)
         sqs, degrees, dmats = {}, {}, {}

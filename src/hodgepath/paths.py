@@ -305,8 +305,7 @@ def _substitution(P, target, im_t: Element, im_dt: Element, coeff_map, name):
                 term = term * im_dt
             out = term if out is None else out + term
         if out is None:
-            amb = target.ambient if isinstance(target, SubCdga) else target
-            return amb.zero()
+            return target.zero()
         return out
 
     return Morphism(P, target, fn, name=name)
@@ -561,6 +560,11 @@ def product_space(spaces, name=""):
     return amb, constraints, inject, project
 
 
+def _keyed_space(X):
+    """The keyed algebra whose elements X's elements are: X, or X's ambient."""
+    return X.ambient if isinstance(X, SubCdga) else X
+
+
 class MappingPath:
     """P(f) = {(a, b(t)) : f(a) = b(0)} with projections p, q and section iota.
 
@@ -575,14 +579,15 @@ class MappingPath:
         PB = path_object if path_object is not None else path_of(B, budget, w_shift)
         kB = keyed(PB)
         self.PB = PB
-        amb, cons, inj, proj = product_space([A, kB], name=f"{A!r} x {kB!r}")
+        # PB's own constraints (B a subalgebra) come along with its factor
+        amb, cons, inj, proj = product_space([A, PB], name=f"{A!r} x {kB!r}")
         self.amb = amb
         self._inj, self._proj = inj, proj
 
         def gap(x):
             return f(proj(0, x)) - kB.evaluate(proj(1, x), 0)
 
-        self.space = SubCdga(amb, cons + [LinearMap(amb, B, gap, "b(0)=f(a)")],
+        self.space = SubCdga(amb, cons + [LinearMap(amb, _keyed_space(B), gap, "b(0)=f(a)")],
                              name=f"MappingPath({f.name or 'f'})")
         self.space.over = self.space
         self.p = Morphism(self.space, A, lambda x: proj(0, x), name="p")
@@ -642,13 +647,14 @@ class DoublePath:
         PB = path_object if path_object is not None else path_of(B, budget, w_shift)
         kB = keyed(PB)
         self.PB = PB
-        amb, cons, inj, proj = product_space([A, A2, kB],
+        amb, cons, inj, proj = product_space([A, A2, PB],
                                              name=f"{A!r} x {A2!r} x P({B!r})")
         self.amb = amb
         self._inj, self._proj = inj, proj
-        c0 = LinearMap(amb, B, lambda x: kB.evaluate(proj(2, x), 0) - v(proj(0, x)),
+        kb = _keyed_space(B)
+        c0 = LinearMap(amb, kb, lambda x: kB.evaluate(proj(2, x), 0) - v(proj(0, x)),
                        "b(0)=v(a0)")
-        c1 = LinearMap(amb, B, lambda x: kB.evaluate(proj(2, x), 1) - v2(proj(1, x)),
+        c1 = LinearMap(amb, kb, lambda x: kB.evaluate(proj(2, x), 1) - v2(proj(1, x)),
                        "b(1)=v'(a1)")
         self.space = SubCdga(amb, cons + [c0, c1],
                              name=f"DoublePath({v.name or 'v'})")

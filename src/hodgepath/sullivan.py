@@ -78,12 +78,14 @@ class MinimalModel:
 
 def _solve_d_preimage(A, y: Element, n: int):
     basis = A.basis(n, strict=False)
-    rows = [A.coords(b.d(), n + 1, strict=False) for b in basis]
-    mat = linalg.transpose(rows, A.dim(n + 1, strict=False))
-    sol = linalg.solve(mat, len(basis), A.coords(y, n + 1, strict=False))
+    rows = []
+    for b in basis:
+        rows.append(A.coords(b.d(), n + 1, strict=False))
+    sol = linalg.solve(linalg.sparse(rows), len(basis),
+                       linalg.sparse([A.coords(y, n + 1, strict=False)])[0])
     if sol is None:
         return None
-    return A.from_coords(n, sol, strict=False)
+    return A.from_coords(n, linalg.dense(sol, len(basis)), strict=False)
 
 
 def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,

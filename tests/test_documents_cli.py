@@ -21,14 +21,17 @@ from hodgepath.exprs import ExprError, parse_expression, tokenize
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=120):
+    """Run the CLI in a subprocess; one that outlives `timeout` seconds is killed
+    and fails the test with `subprocess.TimeoutExpired`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src")
     env.pop("HODGEPATH_CACHE", None)
     if env_extra:
         env.update(env_extra)
     out = subprocess.run([sys.executable, "-m", "hodgepath.cli", *args],
-                         capture_output=True, text=True, env=env, cwd=PKG_ROOT)
+                         capture_output=True, text=True, env=env, cwd=PKG_ROOT,
+                         timeout=timeout)
     return out
 
 
@@ -238,7 +241,7 @@ def test_absurd_horizon_exits_2_at_once(tmp_path):
     path = tmp_path / "point_horizon_1e8.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     start = time.perf_counter()
-    out = run_cli("cohomology", str(path))
+    out = run_cli("cohomology", str(path), timeout=10)
     assert time.perf_counter() - start < 1.0
     assert out.returncode == 2
     assert "$.max_degree" in out.stderr

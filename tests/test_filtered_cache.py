@@ -99,7 +99,7 @@ def test_d_rows_and_d_coords_match_fresh_coordinates(name):
             want = fresh_d(fc, n, linalg.unit_vec(dim, i))
             assert fc.d_row(n, i) == want
             assert fc.d_coords(n, linalg.unit_vec(dim, i)) == want
-            nonzero += not linalg.vec_is_zero(want)
+            nonzero += not is_zero(want)
         for _ in range(4):
             v = random_vec(rng, dim, field)
             assert fc.d_coords(n, v) == fresh_d(fc, n, v)
@@ -120,9 +120,9 @@ def reference_decalage(fc):
                 dv = fresh_d(fc, n, linalg.unit_vec(dim, i))
                 rows.append([c if lv > p - n - 1 else Scalar(0)
                              for c, lv in zip(dv, fc.levels[n + 1])])
-            for v in linalg.kernel_basis(linalg.transpose(rows, fc.dim(n + 1)), len(gens)):
+            for v in linalg.left_kernel(linalg.sparse(rows), len(gens)):
                 full = linalg.zeros(dim)
-                for c, i in zip(v, gens):
+                for c, i in zip(linalg.dense(v, len(gens)), gens):
                     full[i] = c
                 if not span_contains(chosen, dim, full):
                     chosen.append(full)
@@ -145,9 +145,17 @@ def test_decalage_matches_reference(name):
 # Span
 # ---------------------------------------------------------------------------
 
+def is_zero(v):
+    return all(a.is_zero for a in v)
+
+
+def scale(c, v):
+    return [c * a for a in v]
+
+
 def span_contains(basis_rows, ncols, v):
     """The former rank-based membership test: the oracle for Span."""
-    if linalg.vec_is_zero(v):
+    if is_zero(v):
         return True
     return linalg.rank(list(basis_rows) + [v], ncols) == linalg.rank(basis_rows, ncols)
 
@@ -162,10 +170,10 @@ def stream(rng, field, ncols, count):
         elif kind < 0.25:
             v = list(rng.choice(seen))
         elif kind < 0.45:
-            v = linalg.vec_scale(field.scalar(rng.randint(2, 5), rng.randint(0, 2)
-                                              if field.d else 0), rng.choice(seen))
+            v = scale(field.scalar(rng.randint(2, 5), rng.randint(0, 2) if field.d else 0),
+                      rng.choice(seen))
         elif kind < 0.65:
-            v = linalg.vec_add(rng.choice(seen), linalg.vec_scale(Scalar(-3), rng.choice(seen)))
+            v = [a + b for a, b in zip(rng.choice(seen), scale(Scalar(-3), rng.choice(seen)))]
         else:
             v = random_vec(rng, ncols, field)
         seen.append(v)

@@ -118,7 +118,7 @@ def test_keyed_cohomology_matches_coords_path(name):
             assert hk.cls(x) == coeffs
             want = linalg.zeros(hs.dim)
             for c, row in zip(coeffs, change):
-                want = linalg.vec_add(want, linalg.vec_scale(c, row))
+                want = [a + c * b for a, b in zip(want, row)]
             assert hs.cls(x) == want
 
 

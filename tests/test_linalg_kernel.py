@@ -2,12 +2,16 @@
 
 The reference is the dense Gauss-Jordan kernel the library used before its
 rows became sparse, kept here verbatim: the same pivot rule and operation
-order on dense lists of Scalar.  The sparse kernel skips exact no-ops and,
-over Q, holds each row as a non-zero integer multiple of the reference's row,
-so every result must agree entry for entry, including the pivot-rule
-dependent tails of the partial eliminations behind `Chart` and `rref(rows, k)`.  Full-width
-rational cases are also checked against sympy's `Matrix.rref` when sympy is
-installed.
+order on dense lists of Scalar, with its column-oriented `kernel_basis` and
+`solve` (unknowns are columns).  The library takes every linear system in
+the other orientation, row i being the image of unknown i, so its
+`left_kernel` and `solve` are checked against the reference on the
+transposed matrix.  The sparse kernel skips exact no-ops and, over Q, holds
+each row as a non-zero integer multiple of the reference's row, so every
+result must agree entry for entry, including the pivot-rule dependent tails
+of the partial eliminations `_eliminate(rows, k)` behind `Chart`.
+Full-width rational cases are also checked against sympy's `Matrix.rref`
+when sympy is installed.
 """
 
 import random
@@ -17,8 +21,61 @@ import pytest
 
 from helpers import *  # noqa: F401,F403  (path setup)
 from hodgepath import linalg
-from hodgepath.linalg import unit_vec, vec_is_zero, vec_scale, zeros
+from hodgepath.linalg import unit_vec, zeros
 from hodgepath.scalars import Scalar
+
+
+# -- dense vector helpers --------------------------------------------------------
+
+def vec_add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def vec_scale(c, u):
+    return [c * a for a in u]
+
+
+def vec_is_zero(u):
+    return all(a.is_zero for a in u)
+
+
+def transpose(rows, ncols: int):
+    """Columns of a matrix given by its rows; ncols fixes the shape when rows is empty."""
+    return [[r[j] for r in rows] for j in range(ncols)]
+
+
+def mat_mul_vec(rows, x):
+    out = []
+    for row in rows:
+        acc = Scalar(0)
+        for a, xi in zip(row, x):
+            if not a.is_zero and not xi.is_zero:
+                acc = acc + a * xi
+        out.append(acc)
+    return out
+
+
+def combine_rows(x, rows, width):
+    """sum_i x_i rows_i of a coefficient row x over dense rows."""
+    total = zeros(width)
+    for i, c in x.items():
+        total = vec_add(total, vec_scale(linalg.dense({0: c}, 1)[0], rows[i]))
+    return total
+
+
+# -- the library's kernel, read back dense ---------------------------------------
+
+def rref(rows, ncols: int):
+    """`_eliminate` of dense rows, pivoting in the first ncols columns: dense rows, pivots."""
+    width = len(rows[0]) if rows else ncols
+    R, pivots = linalg._eliminate(linalg.sparse(rows), ncols)
+    return [linalg.dense(r, width) for r in R], pivots
+
+
+def kernel_basis(rows, ncols: int):
+    """{x : M x = 0} for the dense rows of M, through `left_kernel` of the columns of M."""
+    return [linalg.dense(v, ncols)
+            for v in linalg.left_kernel(linalg.sparse(transpose(rows, ncols)), ncols)]
 
 
 # -- the dense reference kernel ------------------------------------------------
@@ -144,7 +201,7 @@ def _entry(rng, d, density):
 def _combine(rng, d, vectors, width):
     v = zeros(width)
     for b in vectors:
-        v = linalg.vec_add(v, vec_scale(_entry(rng, d, 1.0), b))
+        v = vec_add(v, vec_scale(_entry(rng, d, 1.0), b))
     return v
 
 
@@ -184,12 +241,12 @@ def _check_scalars(vectors):
 def test_rref_matches_dense_reference(d):
     partial = 0
     for rng, rows, ncols in _cases(d):
-        got = linalg.rref(rows, ncols)
+        got = rref(rows, ncols)
         assert got == dense_rref(rows, ncols)
         _check_scalars(got[0])
         # pivoting in a prefix of the columns only, as solve and Chart do
         k = rng.randint(0, ncols)
-        got = linalg.rref(rows, k)
+        got = rref(rows, k)
         assert got == dense_rref(rows, k)
         assert all(len(r) == ncols for r in got[0])
         partial += k < ncols and len(got[0]) > 0
@@ -200,32 +257,66 @@ def test_rref_matches_dense_reference(d):
 def test_rref_leaves_input_unchanged(d):
     for _, rows, ncols in _cases(d, count=20):
         before = [list(r) for r in rows]
-        linalg.rref(rows, ncols)
+        sparse_rows = linalg.sparse(rows)
+        sparse_before = [dict(r) for r in sparse_rows]
+        linalg._eliminate(sparse_rows, ncols)
+        linalg.left_kernel(sparse_rows, len(rows))
+        linalg.solve(sparse_rows, len(rows), {})
+        assert sparse_rows == sparse_before
+        rref(rows, ncols)
         assert rows == before
 
 
 @pytest.mark.parametrize("d", FIELDS)
 def test_kernel_basis_matches_dense_reference(d):
     for _, rows, ncols in _cases(d):
-        got = linalg.kernel_basis(rows, ncols)
+        got = kernel_basis(rows, ncols)
         assert got == dense_kernel_basis(rows, ncols)
         _check_scalars(got)
 
 
 @pytest.mark.parametrize("d", FIELDS)
 def test_solve_matches_dense_reference(d):
+    # row i is the image of unknown i; the reference solves M x = y for the
+    # transposed matrix M, whose columns are the rows
     consistent = inconsistent = 0
     for rng, rows, ncols in _cases(d):
-        x = [_entry(rng, d, 0.5) for _ in range(ncols)]
-        for rhs in (linalg.mat_mul_vec(rows, x), [_entry(rng, d, 0.5) for _ in rows]):
-            got = linalg.solve(rows, ncols, rhs)
-            assert got == dense_solve(rows, ncols, rhs)
-            if got is None:
-                inconsistent += 1
-            else:
-                consistent += 1
-                _check_scalars([got])
+        cols = transpose(rows, ncols)
+        x = [_entry(rng, d, 0.5) for _ in rows]
+        for y in (mat_mul_vec(cols, x), [_entry(rng, d, 0.5) for _ in range(ncols)]):
+            # count > len(rows): the missing rows are zero
+            for count in (len(rows), len(rows) + rng.randint(0, 2)):
+                got = linalg.solve(linalg.sparse(rows), count, linalg.sparse([y])[0])
+                padded = [list(c) + zeros(count - len(rows)) for c in cols]
+                want = dense_solve(padded, count, y)
+                if got is None:
+                    assert want is None
+                    inconsistent += 1
+                else:
+                    got = linalg.dense(got, count)
+                    assert got == want
+                    consistent += 1
+                    _check_scalars([got])
     assert consistent > 50 and inconsistent > 50
+
+
+def test_solve_rejects_a_target_no_row_touches():
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(3)}]
+    assert linalg.solve(rows, 2, {0: Fraction(1), 1: Fraction(5)}) == {0: 1, 1: 1}
+    assert linalg.solve(rows, 2, {0: Fraction(1), 4: Fraction(1)}) is None
+    # columns are any keys, as for the terms of algebra elements
+    keyed = [{"a": Scalar(1, 1, -3)}, {"b": Fraction(2)}]
+    assert linalg.solve(keyed, 2, {"b": Fraction(4)}) == {1: 2}
+    assert linalg.solve(keyed, 2, {"c": Fraction(1)}) is None
+
+
+def test_solve_with_no_unknowns():
+    assert linalg.solve([], 0, {}) == {}
+    assert linalg.solve([], 0, {0: Fraction(1)}) is None
+    assert linalg.solve([], 0, {2: Scalar(0, 1, -3)}) is None
+    # unknowns without rows have zero images
+    assert linalg.solve([], 3, {}) == {}
+    assert linalg.solve([], 3, {0: Fraction(-1)}) is None
 
 
 @pytest.mark.parametrize("d", FIELDS)
@@ -290,7 +381,7 @@ def test_rref_matches_sympy_over_q():
         M = sympy.Matrix([[sympy.Rational(a.re.numerator, a.re.denominator) for a in r]
                           for r in rows])
         ref, ref_pivots = M.rref()
-        R, pivots = linalg.rref(rows, ncols)
+        R, pivots = rref(rows, ncols)
         assert tuple(pivots) == tuple(ref_pivots)
         for i, r in enumerate(R):
             assert [Fraction(int(x.p), int(x.q)) for x in ref.row(i)] == [a.re for a in r]
@@ -318,8 +409,8 @@ def _shaped(seed, nrows, ncols):
     for _ in range(nrows):
         if rng.random() < 0.15 and len(rows) >= 2:
             a, b = rng.sample(rows, 2)
-            rows.append(linalg.vec_add(vec_scale(Scalar(_prime_fraction(rng)), a),
-                                       vec_scale(Scalar(_prime_fraction(rng)), b)))
+            rows.append(vec_add(vec_scale(Scalar(_prime_fraction(rng)), a),
+                                vec_scale(Scalar(_prime_fraction(rng)), b)))
             continue
         row = zeros(ncols)
         for j in range(ncols):
@@ -334,11 +425,11 @@ def _shaped(seed, nrows, ncols):
 def test_shaped_rref_matches_dense_reference(shape):
     nrows, ncols = shape
     rows = _shaped(100 * nrows, nrows, ncols)
-    assert linalg.rref(rows, ncols) == dense_rref(rows, ncols)
+    assert rref(rows, ncols) == dense_rref(rows, ncols)
     # partial eliminations of dependent rows: their tails follow the pivot
     # rule, and their denominators show that rows were combined
     for k in (ncols // 3, ncols // 2):
-        R, pivots = linalg.rref(rows, k)
+        R, pivots = rref(rows, k)
         assert (R, pivots) == dense_rref(rows, k)
         assert any(a.re.denominator > 97 for r in R for a in r)
 
@@ -347,9 +438,9 @@ def test_shaped_rref_matches_dense_reference(shape):
 def test_shaped_kernels_and_charts_match_dense_reference(shape):
     nrows, ncols = shape
     rows = _shaped(7 * nrows + ncols, nrows, ncols)
-    assert linalg.kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+    assert kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
     left = [linalg.dense(v, nrows) for v in linalg.left_kernel(linalg.sparse(rows), nrows)]
-    assert left == dense_kernel_basis(linalg.transpose(rows, ncols), nrows)
+    assert left == dense_kernel_basis(transpose(rows, ncols), nrows)
     basis = rows[:ncols // 2]
     chart, ref = linalg.Chart(basis, ncols), DenseChart(basis, ncols)
     assert chart.rank < len(basis)  # a dependent basis: coordinates are not unique
@@ -366,7 +457,7 @@ def test_shaped_rref_matches_sympy():
     M = sympy.Matrix([[sympy.Rational(a.re.numerator, a.re.denominator) for a in r]
                       for r in rows])
     ref, ref_pivots = M.rref()
-    R, pivots = linalg.rref(rows, 50)
+    R, pivots = rref(rows, 50)
     assert tuple(pivots) == tuple(ref_pivots)
     for i, r in enumerate(R):
         assert [Fraction(int(x.p), int(x.q)) for x in ref.row(i)] == [a.re for a in r]
@@ -380,10 +471,10 @@ def test_left_kernel_matches_kernel_of_transpose(d):
         # count > len(rows): the missing rows are zero
         for count in (len(rows), len(rows) + rng.randint(1, 3)):
             padded = rows + [zeros(ncols)] * (count - len(rows))
-            want = dense_kernel_basis(linalg.transpose(padded, ncols), count)
+            want = dense_kernel_basis(transpose(padded, ncols), count)
             got = linalg.left_kernel(linalg.sparse(rows), count)
             assert [linalg.dense(v, count) for v in got] == want
-            assert want == linalg.kernel_basis(linalg.transpose(padded, ncols), count)
+            assert want == kernel_basis(transpose(padded, ncols), count)
 
 
 def test_left_kernel_of_no_rows_is_everything():
@@ -410,7 +501,8 @@ def test_stored_rows_hold_one_coefficient_type(d):
 # -- exact properties, as derandomized hypothesis tests --------------------------
 
 def _hypothesis_matrices(st, d):
-    """(rows, ncols) of up to 7 x 7 entries, half of them zero, over Q or Q(sqrt d)."""
+    """(rows, ncols, x): up to 7 x 7 entries, half of them zero, over Q or Q(sqrt d),
+    and one coefficient per row."""
     nonzero = st.builds(
         lambda n, den, im: Scalar(Fraction(n, den), im if d else 0, d or -1),
         st.integers(-5, 5), st.integers(1, 7), st.integers(-2, 2))
@@ -420,7 +512,7 @@ def _hypothesis_matrices(st, d):
             st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
                      min_size=shape[0], max_size=shape[0]),
             st.just(shape[1]),
-            st.lists(entry, min_size=shape[1], max_size=shape[1])))
+            st.lists(entry, min_size=shape[0], max_size=shape[0])))
 
 
 def _property_test(check):
@@ -435,9 +527,9 @@ def _property_test(check):
 
 def test_property_kernel_vectors_are_annihilated():
     def check(rows, ncols, _):
-        kernel = linalg.kernel_basis(rows, ncols)
+        kernel = kernel_basis(rows, ncols)
         for v in kernel:
-            assert vec_is_zero(linalg.mat_mul_vec(rows, v))
+            assert vec_is_zero(mat_mul_vec(rows, v))
         assert linalg.rank(rows, ncols) + len(kernel) == ncols
     _property_test(check)
 
@@ -446,17 +538,75 @@ def test_property_left_kernel_vectors_are_annihilated():
     def check(rows, ncols, _):
         kernel = linalg.left_kernel(linalg.sparse(rows), len(rows))
         for x in kernel:
-            total = zeros(ncols)
-            for i, c in x.items():
-                total = linalg.vec_add(total, vec_scale(linalg.dense({0: c}, 1)[0], rows[i]))
-            assert vec_is_zero(total)
+            assert vec_is_zero(combine_rows(x, rows, ncols))
         assert linalg.rank(rows, ncols) + len(kernel) == len(rows)
     _property_test(check)
 
 
 def test_property_solve_satisfies_the_system():
     def check(rows, ncols, x0):
-        rhs = linalg.mat_mul_vec(rows, x0)
-        x = linalg.solve(rows, ncols, rhs)
-        assert x is not None and linalg.mat_mul_vec(rows, x) == rhs
+        y = combine_rows(linalg.sparse([x0])[0], rows, ncols)
+        x = linalg.solve(linalg.sparse(rows), len(rows), linalg.sparse([y])[0])
+        assert x is not None and combine_rows(x, rows, ncols) == y
     _property_test(check)
+
+
+# -- SubCdga.constraint_kernel against the column-oriented reference ------------
+
+def _keyed_target(c):
+    from hodgepath import SubCdga
+    return c.target.ambient if isinstance(c.target, SubCdga) else c.target
+
+
+def reference_constraint_kernel(S, elements, n):
+    """The former SubCdga basis solve: constraint coordinates per degree, transposed."""
+    rows = []
+    for c in S.constraints:
+        imgs = [c(e) for e in elements]
+        T = _keyed_target(c)
+        for m in sorted({x.degree() for x in imgs if not x.is_zero}):
+            vecs = [T.coords(x if x.degree() == m else T.zero(), m, strict=False)
+                    for x in imgs]
+            rows.extend(transpose(vecs, T.dim(m, strict=False)))
+    return dense_kernel_basis(rows, len(elements))
+
+
+def _constraint_spaces():
+    from helpers import rho_ms2_s2
+    from hodgepath import DoublePath, identity_morphism, mapping_path, path_of
+    from hodgepath.lifting import boundary_square_target
+    from hodgepath.paths import induced_to_double_path
+    M, A, rho = rho_ms2_s2(5)
+    dp = DoublePath(rho, rho, budget=2)
+    # a mapping path into a subalgebra: the one the double-path branch of
+    # homotopy_between_lifts builds
+    into_sub = mapping_path(induced_to_double_path(rho, dp, path_of(M, 2)), budget=2)
+    return {"mapping_path": mapping_path(rho, budget=2).space,
+            "double_path": dp.space,
+            "mapping_path_into_subalgebra": into_sub.space,
+            "path_of_mapping_path": path_of(mapping_path(identity_morphism(A), 2).space, 2),
+            "square_boundary": boundary_square_target(path_of(A, 2))[0]}
+
+
+@pytest.mark.parametrize("name", ["mapping_path", "double_path", "mapping_path_into_subalgebra",
+                                  "path_of_mapping_path", "square_boundary"])
+def test_constraint_kernel_matches_kernel_of_transpose(name):
+    S = _constraint_spaces()[name]
+    rng = random.Random(name)
+    checked = 0
+    for n in range(0, 3):
+        basis = S.ambient.basis(n, strict=False)
+        # the full ambient basis, as SubCdga.basis takes it, a subset of it,
+        # as the filtered layer takes it, and combinations of it
+        some = basis[::2]
+        mixed = [S.ambient.random_element(n, rng) for _ in range(4)]
+        for elements in (basis, some, mixed):
+            got = [linalg.dense(v, len(elements)) for v in S.constraint_kernel(elements)]
+            assert got == reference_constraint_kernel(S, elements, n)
+            checked += len(got) > 0
+    assert checked >= 3
+    # a basis element meets every constraint
+    for n in range(0, 3):
+        for b in S.basis(n):
+            for c in S.constraints:
+                assert c(b).is_zero

@@ -293,6 +293,28 @@ def test_mapping_path_q_not_quasi_iso_when_f_is_not():
     assert not is_quasi_iso(mp.q, 4)
 
 
+def test_mapping_and_double_paths_into_a_subalgebra_keep_its_constraints():
+    from hodgepath import DoublePath
+    from hodgepath.paths import induced_to_double_path
+    M, A, rho = rho_ms2_s2(5)
+    dp = DoublePath(rho, rho, budget=2)
+    v = induced_to_double_path(rho, dp, path_of(M, 2))    # P(M) -> DoublePath(rho)
+    mp = mapping_path(v, budget=2)
+    dp2 = DoublePath(v, v, budget=2)
+    B, PB = dp.space, path_of(dp.space, 2)
+    assert mp.PB is PB and dp2.PB is PB
+    for n in range(0, 3):
+        assert mp.space.dim(n) > 0 and dp2.space.dim(n) > 0
+        # the path part of every element is a path in the subalgebra
+        # (coords raise AlgebraError outside it), and so are its endpoints
+        for b in mp.space.basis(n):
+            PB.coords(mp.component_path(b), n)
+            B.coords(mp.q(b), n)
+            assert mp.q(mp.iota(mp.p(b))) == v(mp.p(b))
+        for b in dp2.space.basis(n):
+            PB.coords(dp2.parts(b)[2], n)
+
+
 def test_integrate_values():
     PQ = path_of(qq_algebra(), budget=4)
     kQ = keyed(PQ)

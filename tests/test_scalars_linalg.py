@@ -55,17 +55,31 @@ def test_field_objects():
         QQ.scalar(1, 1)
 
 
+def combine(coeffs, rows, width):
+    """sum_i coeffs[i] rows[i] of dense vectors."""
+    out = linalg.zeros(width)
+    for c, r in zip(coeffs, rows):
+        out = [a + c * b for a, b in zip(out, r)]
+    return out
+
+
+def solve(rows, count, y):
+    """linalg.solve on dense rows and a dense y; x comes back dense."""
+    x = linalg.solve(linalg.sparse(rows), count, linalg.sparse([y])[0])
+    return None if x is None else linalg.dense(x, count)
+
+
 def test_kernel_of_ones_matrix():
     rows = [[S(1), S(1)], [S(1), S(1)]]
-    k = linalg.kernel_basis(rows, 2)
-    assert len(k) == 1
+    k = linalg.left_kernel(linalg.sparse(rows), 2)
+    assert [linalg.dense(v, 2) for v in k] == [[S(-1), S(1)]]
 
 
 def test_solve_scalar_equation():
-    # [2] x = [3] over Q -> 3/2
-    sol = linalg.solve([[S(2)]], 1, [S(3)])
+    # 2 x = 3 over Q -> 3/2
+    sol = solve([[S(2)]], 1, [S(3)])
     assert sol == [S(Fraction(3, 2))]
-    assert linalg.solve([[S(0)]], 1, [S(3)]) is None
+    assert solve([[S(0)]], 1, [S(3)]) is None
 
 
 def test_rank_nullity():
@@ -73,9 +87,11 @@ def test_rank_nullity():
     for _ in range(10):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[S(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)]
+        cols = [[r[j] for r in rows] for j in range(m)]
         r = linalg.rank(rows, m)
-        k = len(linalg.kernel_basis(rows, m))
-        assert r + k == m
+        assert linalg.rank(cols, n) == r
+        assert r + len(linalg.left_kernel(linalg.sparse(rows), n)) == n
+        assert r + len(linalg.left_kernel(linalg.sparse(cols), m)) == m
 
 
 def test_subquotient_canonical():
@@ -90,16 +106,17 @@ def test_subquotient_canonical():
 
 
 def test_intersect():
-    a = [[S(1), S(0)], [S(0), S(1)]]
-    b = [[S(1), S(1)]]
-    inter = linalg.intersect(a, b, 2)
-    assert linalg.span_dim(inter, 2) == 1
-    assert linalg.span_dim(linalg.intersect([[S(1), S(0)]], [[S(0), S(1)]], 2), 2) == 0
+    a = linalg.sparse([[S(1), S(0)], [S(0), S(1)]])
+    b = linalg.sparse([[S(2), S(2)]])
+    assert linalg.intersect(a, b, 2) == [{0: 1, 1: 1}]
+    assert linalg.intersect(b, a, 2) == [{0: 1, 1: 1}]
+    assert linalg.intersect(a[:1], a[1:], 2) == []
+    assert linalg.intersect(a, [], 2) == []
 
 
 def test_solve_deterministic_earliest_support():
     # underdetermined: x + y = 1 -> pivot on x, y = 0
-    sol = linalg.solve([[S(1), S(1)]], 2, [S(1)])
+    sol = solve([[S(1)], [S(1)]], 2, [S(1)])
     assert sol == [S(1), S(0)]
 
 
@@ -122,15 +139,12 @@ def test_chart_coords_match_solve_on_transpose(d):
             continue
         chart = linalg.Chart(basis, n)
         assert chart.rank == k
-        cols = linalg.transpose(basis, n)
         for _ in range(4):
             coeffs = [_rand_scalar(rng, d) for _ in range(k)]
-            member = linalg.zeros(n)
-            for c, b in zip(coeffs, basis):
-                member = linalg.vec_add(member, linalg.vec_scale(c, b))
-            assert chart.coords(member) == linalg.solve(cols, k, member) == coeffs
+            member = combine(coeffs, basis, n)
+            assert chart.coords(member) == solve(basis, k, member) == coeffs
             v = [_rand_scalar(rng, d) for _ in range(n)]
-            ref = linalg.solve(cols, k, v)
+            ref = solve(basis, k, v)
             assert chart.coords(v) == ref
             outside += ref is None
     assert outside > 0
@@ -141,10 +155,7 @@ def test_mat_inverse_via_chart():
     m = [[S(1), S(2)], [S(3), S(4, 1)]]
     inv = _mat_inverse(m, 2)
     for i, row in enumerate(inv):
-        got = linalg.zeros(2)
-        for c, r in zip(row, m):
-            got = linalg.vec_add(got, linalg.vec_scale(c, r))
-        assert got == linalg.unit_vec(2, i)
+        assert combine(row, m, 2) == linalg.unit_vec(2, i)
     assert _mat_inverse([[S(1), S(2)], [S(2), S(4)]], 2) is None
     assert _mat_inverse([[S(1), S(0)]], 2) is None
 

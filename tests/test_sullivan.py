@@ -141,6 +141,31 @@ def test_injectivity_companion_produces_explicit_homotopy():
     assert verify_homotopy(out, idm, idm, upto=5).ok
 
 
+def unit_sphere_plus_acyclic_pair(N=5):
+    """H(S2) plus an acyclic pair a3 -> b4: rho of its model misses a3 and b4."""
+    from hodgepath import TableBasisElement, TableCdga
+    return TableCdga([TableBasisElement("one", 0), TableBasisElement("x2", 2),
+                      TableBasisElement("a3", 3), TableBasisElement("b4", 4)], N,
+                     unit="one", differentials={"a3": {"b4": 1}}, name="S2+acyclic")
+
+
+def test_homotopy_between_lifts_through_a_non_surjective_map():
+    # the double-path branch: its lift runs through the mapping path of
+    # (d0, d1, P(w)), whose target DoublePath(w) is a subalgebra
+    from hodgepath import is_surjective_at
+    A = unit_sphere_plus_acyclic_pair()
+    mm = minimal_model(A)
+    M, w = mm.M, mm.rho
+    assert not is_surjective_at(w, 3)
+    upto = min(M.N, A.N) - 1
+    idm = identity_morphism(M)
+    h = homotopy_between_lifts(M, w, idm, idm, constant_homotopy(w, 3), budget=3)
+    assert verify_homotopy(h, idm, idm, upto=upto).ok
+    g, _ = lift_against_weak_equivalence(M, w, w, budget=3)
+    h = homotopy_between_lifts(M, w, idm, g, constant_homotopy(w, 3), budget=3)
+    assert verify_homotopy(h, idm, g, upto=upto).ok
+
+
 def test_lift_roundtrip_class():
     # w_* surjectivity round-trip: lift f = w, compose back, land in [f]
     M, A, rho = rho_ms2_s2()
