@@ -59,7 +59,7 @@ class Element:
             raise AlgebraError("adding elements of different algebras")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Scalar(0)) + c
+            s = out[k] + c if k in out else c
             if s.is_zero:
                 out.pop(k, None)
             else:
@@ -125,7 +125,8 @@ class Element:
         return min(hs)
 
     def coefficient(self, key) -> Scalar:
-        return self.terms.get(key, Scalar(0))
+        c = self.terms.get(key)
+        return self.alg.field.zero() if c is None else c
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -213,8 +214,8 @@ class GradedAlgebra:
     def unit(self) -> Element:
         return Element(self, dict(self.unit_terms()))
 
-    def from_key(self, k, c=1) -> Element:
-        return Element(self, {k: _as_scalar(c)})
+    def from_key(self, k, c=None) -> Element:
+        return Element(self, {k: self.field.one() if c is None else _as_scalar(c)})
 
     def mul_terms(self, t1: dict, t2: dict) -> dict:
         out = {}
@@ -225,7 +226,7 @@ class GradedAlgebra:
                     continue
                 c = c1 * c2
                 for k, ck in prod.items():
-                    s = out.get(k, Scalar(0)) + c * ck
+                    s = out[k] + c * ck if k in out else c * ck
                     if s.is_zero:
                         out.pop(k, None)
                     else:
@@ -236,7 +237,7 @@ class GradedAlgebra:
         out = {}
         for k, c in terms.items():
             for kk, ck in self.d_key(k).items():
-                s = out.get(kk, Scalar(0)) + c * ck
+                s = out[kk] + c * ck if kk in out else c * ck
                 if s.is_zero:
                     out.pop(kk, None)
                 else:
@@ -470,7 +471,7 @@ class FreeCdga(GradedAlgebra):
             if self.gens[gi].degree % 2 and e > 1:
                 return {}  # odd square
             key.append((gi, e))
-        return {tuple(key): self.field.scalar(sign)}
+        return {tuple(key): self.field.one() if sign == 1 else self.field.minus_one()}
 
     def d_key(self, k):
         cached = self._d_key_cache.get(k)
@@ -493,10 +494,10 @@ class FreeCdga(GradedAlgebra):
             out = self.mul_terms(head, {rest: self.field.one()})
             drest = self.d_key(rest)
             if drest:
-                sign = self.field.scalar(-1 if (g_deg * e) % 2 else 1)
+                sign = self.field.minus_one() if (g_deg * e) % 2 else self.field.one()
                 tail = self.mul_terms({(k[:1]): self.field.one()}, drest)
                 for kk, c in tail.items():
-                    s = out.get(kk, Scalar(0)) + sign * c
+                    s = out[kk] + sign * c if kk in out else sign * c
                     if s.is_zero:
                         out.pop(kk, None)
                     else:
@@ -646,8 +647,9 @@ class TableCdga(GradedAlgebra):
             return self.products[(k1, k2)]
         if (k2, k1) in self.products:
             d1, d2 = self.info[k1].degree, self.info[k2].degree
-            sign = self.field.scalar(-1 if (d1 * d2) % 2 else 1)
-            return {k: sign * c for k, c in self.products[(k2, k1)].items()}
+            if (d1 * d2) % 2:
+                return {k: -c for k, c in self.products[(k2, k1)].items()}
+            return self.products[(k2, k1)]
         return {}
 
     def d_key(self, k):

@@ -11,7 +11,7 @@ import argparse
 import random
 import sys
 
-from . import cache
+from . import cache, documents
 from .algebra import (AlgebraError, CutoffError, FreeCdga, check_morphism,
                       is_surjective_at)
 from .diagrams import (rectify, compose_ho, validate_diagram,
@@ -61,15 +61,18 @@ def _read(path) -> dict:
         raise DocumentError(f"cannot read {path}: {e}")
 
 
-def _positive_int(text):
-    """argparse type of --t-budget: a positive integer, else a usage error (exit 2)."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+def _int_from(low, high=None):
+    """argparse type: an integer in low..high, else a usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = int(text)
+            if value >= low and (high is None or value <= high):
+                return value
+        except ValueError:
+            pass
+        bound = f">= {low}" if high is None else f"from {low} to {high}"
+        raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
+    return parse
 
 
 def _budget(args, doc):
@@ -410,9 +413,11 @@ def make_parser():
     def common(p, needs_degree=False, degree_required=False, budget=False):
         p.add_argument("--format", choices=("json", "table"), default="json")
         if needs_degree:
-            p.add_argument("--max-degree", type=int, required=degree_required)
+            p.add_argument("--max-degree", type=_int_from(0), required=degree_required)
         if budget:
-            p.add_argument("--t-budget", type=_positive_int, default=None)
+            # the documents' budget cap
+            p.add_argument("--t-budget", type=_int_from(1, documents.MAX_BUDGET),
+                           default=None)
 
     p = sub.add_parser("check", help="validate a document's algebraic identities")
     p.add_argument("document")
@@ -464,7 +469,7 @@ def make_parser():
 
     p = sub.add_parser("spectral", help="spectral sequence page of a filtered dga")
     p.add_argument("document")
-    p.add_argument("--page", type=int, required=True)
+    p.add_argument("--page", type=_int_from(0), required=True)
     p.add_argument("--filtration", choices=("W", "F"), default="W")
     common(p, needs_degree=True, degree_required=True)
     p.set_defaults(fn=cmd_spectral)

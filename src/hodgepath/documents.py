@@ -56,11 +56,14 @@ def _schema(name) -> dict:
 
 
 def __getattr__(name):
-    # MAX_DEGREE is the largest trust horizon a dga document may declare; work
-    # grows with it, so dga.json caps it.  It is read on use, so that importing
-    # this module opens no file.
+    # MAX_DEGREE is the largest trust horizon a dga document may declare, and
+    # MAX_BUDGET the largest t-budget of a path object; work grows with both,
+    # so the schemas cap them.  They are read on use, so that importing this
+    # module opens no file.
     if name == "MAX_DEGREE":
         return _schema("dga.json")["properties"]["max_degree"]["maximum"]
+    if name == "MAX_BUDGET":
+        return _schema("diagram.json")["properties"]["budget"]["maximum"]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

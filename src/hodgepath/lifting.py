@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, LinearMap,
-                      Morphism, ProductCdga, SubCdga, compose, solve_preimage)
+                      Morphism, SubCdga, compose, solve_preimage)
 from .paths import (DoublePath, Homotopy, delta, folding, induced_to_double_path,
-                    keyed, mapping_path, path_linear_map, path_of)
+                    keyed, mapping_path, path_linear_map, path_of, product_space)
 
 
 class LiftObstruction(AlgebraError):
@@ -189,8 +189,8 @@ def boundary_square_target(PB):
     """
     kB = keyed(PB)
     B = kB.base
-    amb = ProductCdga([kB, kB, kB, kB], name="P(B)^4")
-    cons = []
+    # PB's own constraints (B a subalgebra) come along with each factor
+    amb, cons, _, _ = product_space([PB] * 4, name="P(B)^4")
     for kk in (0, 1):
         for m in (0, 1):
             def gap(x, kk=kk, m=m):

@@ -57,12 +57,77 @@ class ValidationReport:
         return {"subject": self.subject, "ok": self.ok, "failures": self.failures}
 
 
+class _StructureConstants:
+    """A's products and differentials of basis keys as {key: coefficient} dicts.
+
+    Each dict holds no zero coefficient, as an Element's terms do, so two of
+    them are equal exactly when the Elements would be.  Pair products and
+    differentials are read from `mul_keys` and `d_key` once per key.
+    """
+
+    def __init__(self, A):
+        self.A = A
+        self.one = A.field.one()
+        self._d = {}
+        self._mul = {}
+
+    def unit(self, k) -> dict:
+        return {k: self.one}
+
+    def d(self, k) -> dict:
+        out = self._d.get(k)
+        if out is None:
+            out = self._d[k] = {kk: c for kk, c in self.A.d_key(k).items() if not c.is_zero}
+        return out
+
+    def mul(self, k1, k2) -> dict:
+        out = self._mul.get((k1, k2))
+        if out is None:
+            out = self._mul[k1, k2] = {k: c for k, c in self.A.mul_keys(k1, k2).items()
+                                       if not c.is_zero}
+        return out
+
+    def commutes(self, k1, k2, n1, n2) -> bool:
+        """k1 k2 = (-1)^(n1 n2) k2 k1."""
+        other = self.mul(k2, k1)
+        if (n1 * n2) % 2:
+            other = {k: -c for k, c in other.items()}
+        return self.mul(k1, k2) == other
+
+    def leibniz(self, k1, k2, n1) -> bool:
+        """d(k1 k2) = d(k1) k2 + (-1)^n1 k1 d(k2)."""
+        A = self.A
+        rhs = A.mul_terms(self.d(k1), self.unit(k2))
+        sign = -1 if n1 % 2 else 1
+        for k, c in A.mul_terms(self.unit(k1), self.d(k2)).items():
+            s = rhs[k] + sign * c if k in rhs else sign * c
+            if s.is_zero:
+                del rhs[k]
+            else:
+                rhs[k] = s
+        return A.d_terms(self.mul(k1, k2)) == rhs
+
+    def associates(self, k1, k2, k3) -> bool:
+        """(k1 k2) k3 = k1 (k2 k3)."""
+        A = self.A
+        return (A.mul_terms(self.mul(k1, k2), self.unit(k3))
+                == A.mul_terms(self.unit(k1), self.mul(k2, k3)))
+
+
 def check_cdga(A, max_assoc_dim: int = 24) -> ValidationReport:
     """Assert the cdga identities up to the horizon, with witnesses.
 
     d raises degree by 1 and squares to zero in degrees <= N-2; Leibniz and
     graded commutativity hold for basis pairs with degree sum <= N-1; table
     presentations additionally get unit and associativity checks.
+
+    The pair and triple identities are checked on structure constants: both
+    sides are {key: coefficient} dicts from the key protocol (`mul_keys`,
+    `d_key`, `mul_terms`, `d_terms`), not Elements.  Associativity is a cubic
+    loop over the basis and is skipped for a table of more than max_assoc_dim
+    elements.  The 34-element table that `hodgepath path` checks for the
+    2-sphere is above the default; its associativity would take over ten
+    times as long as all its other checks.
     """
     rep = ValidationReport(subject=repr(A))
 
@@ -81,19 +146,17 @@ def check_cdga(A, max_assoc_dim: int = 24) -> ValidationReport:
                             detail="differential raises the weight filtration")
         # Leibniz / commutativity hold by construction for the free product;
         # spot-check small degrees to catch kernel bugs.
+        sc = _StructureConstants(A)
         top = min(A.N - 1, 6)
         for n1 in range(1, top + 1):
-            for b1 in A.basis(n1):
+            for k1 in A.basis_keys(n1):
                 for n2 in range(n1, top - n1 + 1):
-                    for b2 in A.basis(n2):
-                        lhs = (b1 * b2).d()
-                        sgn = -1 if n1 % 2 else 1
-                        rhs = b1.d() * b2 + (b1 * b2.d()) * sgn
-                        if lhs != rhs:
-                            rep.add("leibniz", f"{b1!r},{b2!r}")
-                        csgn = -1 if (n1 * n2) % 2 else 1
-                        if b1 * b2 != (b2 * b1) * csgn:
-                            rep.add("graded-commutativity", f"{b1!r},{b2!r}")
+                    for k2 in A.basis_keys(n2):
+                        if not sc.leibniz(k1, k2, n1):
+                            rep.add("leibniz", f"{A.key_str(k1)},{A.key_str(k2)}")
+                        if not sc.commutes(k1, k2, n1, n2):
+                            rep.add("graded-commutativity",
+                                    f"{A.key_str(k1)},{A.key_str(k2)}")
         return rep
 
     if isinstance(A, TableCdga):
@@ -107,19 +170,15 @@ def check_cdga(A, max_assoc_dim: int = 24) -> ValidationReport:
                 dd = db.d()
                 if not dd.is_zero:
                     rep.add("d-squared", nm, value=repr(dd))
+        sc = _StructureConstants(A)
         for n1 in names:
             for n2 in names:
                 d1, d2 = A.info[n1].degree, A.info[n2].degree
                 if d1 + d2 > A.N - 1:
                     continue
-                b1, b2 = A.basis_element(n1), A.basis_element(n2)
-                csgn = -1 if (d1 * d2) % 2 else 1
-                if b1 * b2 != (b2 * b1) * csgn:
+                if not sc.commutes(n1, n2, d1, d2):
                     rep.add("graded-commutativity", f"{n1},{n2}")
-                lhs = (b1 * b2).d()
-                sgn = -1 if d1 % 2 else 1
-                rhs = b1.d() * b2 + (b1 * b2.d()) * sgn
-                if lhs != rhs:
+                if not sc.leibniz(n1, n2, d1):
                     rep.add("leibniz", f"{n1},{n2}")
         if len(names) <= max_assoc_dim:
             for n1 in names:
@@ -128,8 +187,7 @@ def check_cdga(A, max_assoc_dim: int = 24) -> ValidationReport:
                         dsum = A.info[n1].degree + A.info[n2].degree + A.info[n3].degree
                         if dsum > A.N:
                             continue
-                        b1, b2, b3 = (A.basis_element(x) for x in (n1, n2, n3))
-                        if (b1 * b2) * b3 != b1 * (b2 * b3):
+                        if not sc.associates(n1, n2, n3):
                             rep.add("associativity", f"{n1},{n2},{n3}")
         for nm, c in A.augmentation.items():
             if A.info[nm].degree != 0 and not c.is_zero:

@@ -8,6 +8,8 @@ Invariant: `re` and `im` are always Fractions and `d < 0`.  The public
 constructor converts and checks its arguments; arithmetic on two rational
 operands (im == 0) does one Fraction operation and builds its result with
 the private `_scalar`, which trusts parts that already satisfy the invariant.
+No operation mutates a Scalar, so one object may be shared: each Field keeps
+one zero, one and minus one.
 """
 
 from __future__ import annotations
@@ -169,12 +171,15 @@ class Scalar:
 class Field:
     """Scalar field of an algebra: QQ, or the quadratic extension Q(sqrt d)."""
 
-    __slots__ = ("d",)
+    __slots__ = ("d", "_zero", "_one", "_minus_one")
 
     def __init__(self, d: int | None = None):
         if d is not None and d >= 0:
             raise ScalarError(f"quadratic extension needs d < 0, got {d}")
         self.d = d
+        self._zero = self.scalar(0)
+        self._one = self.scalar(1)
+        self._minus_one = self.scalar(-1)
 
     @property
     def is_rational(self) -> bool:
@@ -188,10 +193,13 @@ class Field:
         return Scalar(re, im, self.d)
 
     def zero(self) -> Scalar:
-        return self.scalar(0)
+        return self._zero
 
     def one(self) -> Scalar:
-        return self.scalar(1)
+        return self._one
+
+    def minus_one(self) -> Scalar:
+        return self._minus_one
 
     def sqrt_d(self) -> Scalar:
         if self.d is None:

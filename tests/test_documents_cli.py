@@ -199,7 +199,7 @@ def test_bad_t_budget_flag_is_a_usage_error(budget):
     assert "Traceback" not in out.stderr
 
 
-@pytest.mark.parametrize("budget", [0, -1, True, 1.5, "4"])
+@pytest.mark.parametrize("budget", [0, -1, True, 1.5, "4", 65])
 @pytest.mark.parametrize("fixture, build", [("p1toy.json", build_mhd),
                                             ("homotopy_const.json", parse_document)],
                          ids=["mhd", "homotopy"])
@@ -209,6 +209,53 @@ def test_bad_document_budget_rejected_with_path(fixture, build, budget):
     with pytest.raises(DocumentError) as ei:
         build(doc)
     assert ei.value.path == "$.budget"
+
+
+def test_t_budget_above_the_cap_exits_2_at_once():
+    start = time.perf_counter()
+    out = run_cli("path", "fixtures/s2.json", "--t-budget", "100000", timeout=10)
+    assert time.perf_counter() - start < 5.0
+    assert out.returncode == 2, out.stderr
+    assert "--t-budget" in out.stderr and "from 1 to 64" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_budget_cap_is_one_bound_in_every_schema_and_the_cli():
+    from hodgepath.cli import make_parser
+    from hodgepath.documents import MAX_BUDGET, _schema
+    assert MAX_BUDGET == MAX_DEGREE == 64
+    for name in ("diagram.json", "homotopy.json", "mhd.json"):
+        assert _schema(name)["properties"]["budget"]["maximum"] == MAX_BUDGET
+    parser = make_parser()
+    assert parser.parse_args(["path", "x", "--t-budget", "64"]).t_budget == 64
+    with pytest.raises(SystemExit) as ei:
+        parser.parse_args(["path", "x", "--t-budget", "65"])
+    assert ei.value.code == 2
+
+
+def test_diagram_budget_above_the_cap_exits_2(tmp_path):
+    doc = read_fixture("example41.json")
+    doc["source"]["budget"] = 65
+    path = tmp_path / "example41_budget65.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = run_cli("check", str(path), timeout=30)
+    assert out.returncode == 2, out.stderr
+    assert "$.source.budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args, option", [
+    (("minimal-model", "fixtures/s2.json", "--max-degree", "-3"), "--max-degree"),
+    (("spectral", "fixtures/two_term_w.json", "--page", "-4", "--max-degree", "2"),
+     "--page"),
+    (("spectral", "fixtures/two_term_w.json", "--page", "1", "--max-degree", "-1"),
+     "--max-degree"),
+], ids=["minimal-model-degree", "spectral-page", "spectral-degree"])
+def test_negative_degree_or_page_is_a_usage_error(args, option):
+    out = run_cli(*args)
+    assert out.returncode == 2, out.stderr
+    assert f"argument {option}" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_zero_document_budget_exits_2(tmp_path):

@@ -8,8 +8,9 @@ from helpers import k_q2, ms2, rho_ms2_s2, s2_table, s3
 from hodgepath import (FreeCdga, FreeMorphism, Generator, Homotopy,
                        LiftObstruction, compose, constant_homotopy, delta,
                        fill_square, free_lift, homotopy_add, identity_morphism,
-                       iota, keyed, lift_homotopy, path_linear_map, path_of,
-                       verify_homotopy)
+                       iota, keyed, lift_homotopy, mapping_path, path_linear_map,
+                       path_of, verify_homotopy)
+from hodgepath.lifting import boundary_square_target
 
 
 def test_free_lift_through_identity():
@@ -174,3 +175,29 @@ def test_fill_square_with_prescribed_boundary():
             assert Pd1(L) == h1(b)
             assert k2.evaluate(L, 0) == iota(PB)(ends(b))
             assert k2.evaluate(L, 1) == iota(PB)(ends(b))
+
+
+def test_square_boundary_of_a_subalgebra_path_keeps_its_constraints():
+    # PB = P(B) for B = MappingPath(rho), a subalgebra: each of T's four
+    # faces must lie in PB, not only in PB's keyed ambient
+    M, A, rho = rho_ms2_s2(5)
+    mp = mapping_path(rho, budget=2)
+    PB = path_of(mp.space, 2)
+    T, _, amb = boundary_square_target(PB)
+    assert T.dim(0) < 32
+    for n in range(0, 3):
+        for x in T.basis(n):
+            for face in range(4):
+                PB.coords(amb.project(face, x), n)   # raises outside PB
+    # a constant square still fills
+    h = compose(iota(PB), mp.iota)
+    sq = fill_square(M, PB, h, h, h, h)
+    P2 = path_of(PB, 2)
+    k2 = keyed(P2)
+    Pd0 = path_linear_map(delta(PB, 0), P2, PB)
+    Pd1 = path_linear_map(delta(PB, 1), P2, PB)
+    for n in range(0, 4):
+        for b in M.basis(n):
+            L = sq(b)
+            assert Pd0(L) == Pd1(L) == h(b)
+            assert k2.evaluate(L, 0) == k2.evaluate(L, 1) == h(b)
