@@ -874,31 +874,6 @@ def solve_preimage(f: LinearMap, y: Element, n):
     return f.source.from_coords(n, linalg.dense(sol, len(rows)))
 
 
-def check_morphism(f: Morphism, rng, degrees=None, samples=4, report=None):
-    """Exact unit/d checks on bases, sampled multiplicativity; returns failures."""
-    failures = [] if report is None else report
-    A, B = f.source, f.target
-    if f(A.unit()) != B.unit():
-        failures.append({"check": "unit", "witness": "f(1) != 1"})
-    top = min(A.N, B.N) - 1
-    degs = degrees if degrees is not None else range(0, top + 1)
-    for n in degs:
-        for b in A.basis(n):
-            if f(b.d()) != f(b).d():
-                failures.append({"check": "d-commutation", "degree": n,
-                                 "witness": repr(b)})
-                break
-    for _ in range(samples):
-        n1 = rng.randint(0, max(0, top))
-        n2 = rng.randint(0, max(0, top - n1))
-        x = A.random_element(n1, rng)
-        y = A.random_element(n2, rng)
-        if f(x * y) != f(x) * f(y):
-            failures.append({"check": "multiplicativity",
-                             "witness": f"deg {n1} * deg {n2}"})
-    return failures
-
-
 def extend_scalars(A, d: int):
     """Base change of a Free/Table algebra to Q(sqrt d); returns (B, coerce)."""
     F = Field(d)

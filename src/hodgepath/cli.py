@@ -8,12 +8,11 @@ usage/document errors.
 from __future__ import annotations
 
 import argparse
-import random
+import functools
 import sys
 
 from . import cache, documents
-from .algebra import (AlgebraError, CutoffError, FreeCdga, check_morphism,
-                      is_surjective_at)
+from .algebra import AlgebraError, CutoffError, FreeCdga, is_surjective_at
 from .diagrams import (rectify, compose_ho, validate_diagram,
                        validate_diagram_morphism, validate_ho_homotopy,
                        validate_ho_morphism)
@@ -24,7 +23,7 @@ from .filtered import FilteredComplex, SpectralSequence, decalage, spectral_page
 from .hodge import (check_mhd, degeneration_check, mixed_hodge_dga_diagram,
                     pi_star)
 from .homology import cohomology, is_quasi_iso
-from .ops import check_cdga, table_presentation
+from .ops import _extend_linearly, check_cdga, check_morphism, table_presentation
 from .paths import delta, iota, keyed, path_of, symmetry, verify_homotopy
 from .sullivan import minimal_model, homotopy_groups
 
@@ -175,21 +174,27 @@ def cmd_path(args):
     A = build_dga(doc)
     P = path_of(A, _budget(args, doc))
     k = keyed(P)
-    rng = random.Random(7)
     failures = []
     d0, d1, io = delta(P, 0), delta(P, 1), iota(P)
-    for trial in range(10):
-        n = rng.randint(0, max(0, A.N - 1))
-        x = A.random_element(n, rng)
-        if d0(io(x)) != x or d1(io(x)) != x:
-            failures.append({"check": "endpoint-of-constant", "degree": n})
+    for n in range(0, A.N + 1):
+        for kk in A.basis_keys(n):
+            x = A.from_key(kk)
+            if d0(io(x)) != x or d1(io(x)) != x:
+                failures.append({"check": "endpoint-of-constant", "degree": n,
+                                 "witness": A.key_str(kk)})
+                break
     for f in (d0, d1, io):
-        failures.extend(check_morphism(f, rng, degrees=range(0, min(3, A.N)),
-                                       samples=2))
-    tau = symmetry(P)
-    x = P.random_element(min(2, A.N), rng)
-    if tau(tau(x)) != x:
-        failures.append({"check": "symmetry-involution"})
+        failures.extend(check_morphism(f))
+    # tau applied once per basis key; tau(tau(b)) follows by linearity
+    sym = symmetry(P)
+    tau = {kk: sym(P.from_key(kk)).terms
+           for n in range(0, A.N + 1) for kk in P.basis_keys(n)}
+    for n in range(0, A.N + 1):
+        for kk in P.basis_keys(n):
+            if _extend_linearly(tau, tau[kk]) != P.from_key(kk).terms:
+                failures.append({"check": "symmetry-involution", "degree": n,
+                                 "witness": P.key_str(kk)})
+                break
     # materialize the budget quotient as a table and run the full cdga checks
     T, _, _ = table_presentation(P, max(0, A.N - 1), keep_filtrations=False)
     table_rep = check_cdga(T)
@@ -402,7 +407,9 @@ def cmd_pi_star(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def make_parser():
+    """The argparse tree, built once per process; parsing does not change it."""
     ap = argparse.ArgumentParser(
         prog="hodgepath",
         description="Exact homotopy computations for commutative dg algebras: "

@@ -411,6 +411,10 @@ def build_homorphism(doc, path="$", source=None, target=None):
     missing = [v for v in source.index.vertices if v not in maps]
     if missing:
         raise DocumentError(f"missing vertex maps: {missing}", f"{path}.maps")
+    if (source.index.degrees != target.index.degrees
+            or set(source.index.arrows) != set(target.index.arrows)):
+        raise DocumentError("source and target diagrams have different index categories",
+                            path)
     homotopies = {}
     for u, images in doc["homotopies"].items():
         names = [a.name for a in source.index.arrows]

@@ -266,8 +266,7 @@ class Transport:
         return sigma
 
 
-def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int,
-                                 rng=None):
+def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int):
     """Transported isomorphism and conjugation at (n, p), with soundness checks.
 
     Fails with a witness when some comparison does not induce an isomorphism

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, GradedAlgebra,
                       LinearMap, TableBasisElement, TableCdga)
+from .paths import BudgetError
 from .scalars import Scalar
 
 
@@ -222,6 +223,67 @@ def check_cdga(A, max_assoc_dim: int = 24) -> ValidationReport:
     return rep
 
 
+def _extend_linearly(images: dict, terms: dict) -> dict:
+    """The sum of c * images[k] over the (k, c) of terms, without zero coefficients.
+
+    images maps keys to {key: coefficient} dicts: a linear map given on
+    basis keys, applied to an element's terms.
+    """
+    out = {}
+    for k, c in terms.items():
+        for kk, ck in images[k].items():
+            s = out[kk] + c * ck if kk in out else c * ck
+            if s.is_zero:
+                out.pop(kk, None)
+            else:
+                out[kk] = s
+    return out
+
+
+def check_morphism(f) -> list:
+    """Unit, d-commutation and multiplicativity of f, checked exactly; returns failures.
+
+    f is a linear map between keyed algebras.  The identities are linear (d)
+    or bilinear (the product) in their arguments, so checking them on every
+    basis key, and on every ordered pair of basis keys, decides them in
+    degrees 0..min(N_source, N_target)-1.  For the products, f is applied once
+    per key and extended linearly.  A pair whose product leaves a path
+    algebra's t-budget is skipped: the product does not exist there.  Each
+    check reports at most one failure per degree, witnessed by keys.
+    """
+    A, B = f.source, f.target
+    failures = []
+    if f(A.unit()) != B.unit():
+        failures.append({"check": "unit", "witness": "f(1) != 1"})
+    top = min(A.N, B.N) - 1
+    keys = {n: A.basis_keys(n) for n in range(0, top + 1)}
+    image = {k: f(A.from_key(k)).terms for ks in keys.values() for k in ks}
+    for n, ks in keys.items():
+        for k in ks:
+            if f(A.element(A.d_key(k))).terms != B.d_terms(image[k]):
+                failures.append({"check": "d-commutation", "degree": n,
+                                 "witness": A.key_str(k)})
+                break
+
+    def pairs(n):
+        for n1 in range(0, n + 1):
+            for k1 in keys[n1]:
+                for k2 in keys[n - n1]:
+                    yield k1, k2
+
+    for n in keys:
+        for k1, k2 in pairs(n):
+            try:
+                product = A.mul_keys(k1, k2)
+            except BudgetError:
+                continue
+            if _extend_linearly(image, product) != B.mul_terms(image[k1], image[k2]):
+                failures.append({"check": "multiplicativity", "degree": n,
+                                 "witness": f"{A.key_str(k1)}*{A.key_str(k2)}"})
+                break
+    return failures
+
+
 def euler_characteristic(A: TableCdga) -> int:
     return sum((-1) ** n * A.dim(n) for n in range(0, A.N + 1))
 
@@ -401,7 +463,6 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
     def coords_named(x, n):
         return {names[(n, j)]: c for j, c in enumerate(X.coords(x, n)) if not c.is_zero}
 
-    from .paths import BudgetError
     products = {}
     for n1 in range(0, upto + 1):
         for n2 in range(n1, upto + 1 - n1):

@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite (small, fast, exact)."""
 
+import contextlib
+import io
 import os
 import sys
 
@@ -15,6 +17,18 @@ FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fixture_path(name):
     return os.path.join(FIXDIR, name)
+
+
+def run_main(*argv):
+    """(exit code, stdout) of the CLI's main in this process."""
+    from hodgepath import cli
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as e:            # argparse usage errors
+            rc = e.code
+    return rc, out.getvalue()
 
 
 def s2_table(N=6):

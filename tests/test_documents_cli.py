@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from helpers import fixture_path
+from helpers import fixture_path, run_main
 from hodgepath import (FreeCdga, betti_numbers, build_dga, build_homorphism,
                        build_mhd, check_cdga, dga_doc, element_expr,
                        load_document, parse_document, serialize)
@@ -164,11 +164,16 @@ def _rename_target_vertices(doc):
         a["from"], a["to"] = "t" + a["from"], "t" + a["to"]
 
 
+def _rename_target_arrow(doc):
+    doc["target"]["arrows"][0]["name"] = "x"
+
+
 @pytest.mark.parametrize("mutate, where", [
     (lambda doc: doc.update(source="model"), "$.source"),
     (lambda doc: doc.update(target="mhd"), "$.target"),
     (_rename_target_vertices, "$.maps"),
-], ids=["source_model", "target_mhd", "target_vertices"])
+    (_rename_target_arrow, "$"),
+], ids=["source_model", "target_mhd", "target_vertices", "target_arrow"])
 def test_unresolved_homorphism_references_exit_2(tmp_path, mutate, where):
     """A schema-valid ho-morphism whose diagrams do not resolve is a document error."""
     doc = read_fixture("example41.json")
@@ -374,6 +379,17 @@ def test_cli_exit_codes():
     assert fail.returncode == 1
     missing_degree = run_cli("minimal-model", fixture_path("s2.json"))
     assert missing_degree.returncode == 2
+
+
+def test_one_parser_serves_every_call_in_a_process():
+    """A usage error between two runs of a command changes neither run."""
+    from hodgepath import cli
+    command = ("path", fixture_path("s2.json"), "--t-budget", "3")
+    first = run_main(*command)
+    assert first[0] == 0 and first[1]
+    assert run_main("path", fixture_path("s2.json"), "--t-budget", "100000") == (2, "")
+    assert run_main(*command) == first
+    assert cli.make_parser() is cli.make_parser()
 
 
 def test_cli_reports_are_deterministic():
