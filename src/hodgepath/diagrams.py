@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (AlgebraError, Element, FreeCdga, Morphism, SubCdga,
+from .algebra import (AlgebraError, Element, FreeCdga, Morphism, SubCdga, TableCdga,
                       compose, identity_morphism)
 from .lifting import LiftObstruction, fill_square, free_lift, homotopy_add, lift_homotopy
-from .ops import ValidationReport, check_morphism
+from .ops import ValidationReport, check_cdga, check_morphism
 from .paths import (Homotopy, MappingPath, coproduct, c_hat, delta, iota, keyed,
                     pair_paths, path_linear_map, path_of)
 from .sullivan import lift_against_weak_equivalence, minimal_model
@@ -129,11 +129,28 @@ class Diagram:
 
 
 def validate_diagram(D: Diagram) -> ValidationReport:
+    """The cdga identities of the vertex algebras and the comparison maps.
+
+    A vertex failure is reported as `vertex-<check>`, a comparison failure as
+    `comparison-<check>`, each witnessed by the vertex or arrow.  Free and
+    table vertices, the presentations of documents, get `check_cdga`; path
+    objects and subalgebras are cdgas by construction.  An arrow that does
+    not preserve degree gets no filtration check.
+    """
     rep = ValidationReport(subject=f"diagram {D.name}")
     from .filtered import check_filtration_preserving
+    for v in D.index.vertices:
+        if not isinstance(D.algebras[v], (FreeCdga, TableCdga)):
+            continue
+        for fl in check_cdga(D.algebras[v]).failures:
+            extra = {k: x for k, x in fl.items() if k not in ("check", "witness")}
+            rep.add("vertex-" + fl["check"], f"vertex {v}: {fl['witness']}", **extra)
     for u in D.phi:
-        for fl in check_morphism(D.phi[u]):
+        failures = check_morphism(D.phi[u])
+        for fl in failures:
             rep.add("comparison-" + fl["check"], f"arrow {u}: {fl['witness']}")
+        if any(fl["check"] == "degree" for fl in failures):
+            continue
         a = D.arrow(u)
         for kind, tag_need in (("W", ("filtered", "bifiltered")), ("F", ("bifiltered",))):
             if D.tags[a.src] in tag_need and D.tags[a.dst] in tag_need:

@@ -11,12 +11,19 @@ Conventions (fixed once, documented here):
       d_r : E_r^{p,n} -> E_r^{p-r,n+1}
   Pages are reliable for n <= N - r - 1.  Only convention-independent facts
   (dimensions, iso-ness of induced maps, vanishing of d_r) are exported.
+* Zero pieces: E_r^{p,n} is a subquotient of E_0^{p,n} = Gr_p C^n, so where the
+  adapted basis of degree n has no element of level p, E_r^{p,n} = 0 for
+  every r.  `page_dims`, `d_r_matrix`, `d_r_is_zero`, `verify_page_turn` and
+  `induced_page_map` take such an entry as zero and build no z-vectors for
+  it; `entry` itself always computes in full.  Skipping drops no check: a
+  zero source has no representatives to map, and the target of d_r (or of an
+  induced map) is built in full whenever its source is not zero.
 * Decalage: Dec W_p C^n = {x in W_{p-n} C^n : dx in W_{p-n-1} C^{n+1}}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, GradedAlgebra,
@@ -185,14 +192,20 @@ class GrComplex:
     d: dict                 # n -> rows over basis of degree n, coords in n+1
     hodge: dict             # n -> list of hodge levels (or None)
     reps: dict              # n -> representative Elements
+    _cohomology: dict = field(default_factory=dict, repr=False, compare=False)
 
     def dim(self, n):
         return self.dims.get(n, 0)
 
     def cohomology(self, n) -> linalg.Subquotient:
-        cols = self.dim(n)
-        kern = linalg.left_kernel(linalg.sparse(self.d.get(n, [])), cols)
-        return linalg.Subquotient(kern, linalg.sparse(self.d.get(n - 1, [])), cols)
+        """H^n of the graded piece; computed once per degree."""
+        sq = self._cohomology.get(n)
+        if sq is None:
+            cols = self.dim(n)
+            kern = linalg.left_kernel(linalg.sparse(self.d.get(n, [])), cols)
+            sq = self._cohomology[n] = linalg.Subquotient(
+                kern, linalg.sparse(self.d.get(n - 1, [])), cols)
+        return sq
 
 
 def gr(X, p: int, kind="W", bound=None, fc: FilteredComplex | None = None) -> GrComplex:
@@ -235,6 +248,20 @@ class SpectralSequence:
         self._z_cache = {}
         self._e_cache = {}
         self._d_r_cache = {}
+        self._zero_entries = {}
+
+    def _zero_piece(self, p, n):
+        """True when Gr_p C^n = 0, so that E_r^{p,n} = 0 for every r."""
+        return p not in self.fc.levels.get(n, ())
+
+    def _entry_unless_zero(self, r, p, n) -> linalg.Subquotient:
+        """entry(r, p, n), or a zero subquotient without z-vectors where Gr_p C^n = 0."""
+        if not self._zero_piece(p, n):
+            return self.entry(r, p, n)
+        zero = self._zero_entries.get(n)
+        if zero is None:
+            zero = self._zero_entries[n] = linalg.Subquotient([], [], self.fc.dim(n))
+        return zero
 
     # Z_r^{p,n} as coefficient rows over C^n
     def z_vectors(self, r, p, n):
@@ -269,6 +296,8 @@ class SpectralSequence:
         out = {}
         for n in range(0, bound + 1):
             for p in self.p_range():
+                if self._zero_piece(p, n):
+                    continue
                 d = self.entry(r, p, n).dim
                 if d:
                     out[(p, n)] = d
@@ -278,19 +307,24 @@ class SpectralSequence:
         return max(0, min(self.fc.bound - 1, self.fc.X.N - r - 1))
 
     def d_r_matrix(self, r, p, n):
-        """Rows over E_r^{p,n} reps; coords in E_r^{p-r,n+1}.  The rows are computed once."""
-        src = self.entry(r, p, n)
-        dst = self.entry(r, p - r, n + 1)
+        """(rows, E_r^{p,n}): rows over the E_r^{p,n} reps, coords in E_r^{p-r,n+1}.
+
+        The rows are computed once, an empty result included.  A source without
+        representatives leaves the target unbuilt; otherwise it is built in full.
+        """
+        src = self._entry_unless_zero(r, p, n)
         rows = self._d_r_cache.get((r, p, n))
         if rows is None:
             rows = []
-            for rep in src.reps:
-                c = dst.coords(self.fc.d_coords(n, rep))
-                if c is None:
-                    raise AlgebraError("d_r does not land in its target entry")
-                rows.append(c)
+            if src.dim:
+                dst = self.entry(r, p - r, n + 1)
+                for rep in src.reps:
+                    c = dst.coords(self.fc.d_coords(n, rep))
+                    if c is None:
+                        raise AlgebraError("d_r does not land in its target entry")
+                    rows.append(c)
             self._d_r_cache[r, p, n] = rows
-        return rows, src, dst
+        return rows, src
 
     def d_r_is_zero(self, r, bound=None) -> list:
         """Witnesses of nonzero d_r within the bound (empty = vanishes)."""
@@ -298,7 +332,7 @@ class SpectralSequence:
         bad = []
         for n in range(0, bound + 1):
             for p in self.p_range():
-                rows, src, dst = self.d_r_matrix(r, p, n)
+                rows, _ = self.d_r_matrix(r, p, n)
                 if any(not c.is_zero for row in rows for c in row):
                     bad.append({"r": r, "p": p, "n": n})
         return bad
@@ -309,11 +343,11 @@ class SpectralSequence:
         bad = []
         for n in range(0, bound + 1):
             for p in self.p_range():
-                rows, src, dst = self.d_r_matrix(r, p, n)
+                rows, src = self.d_r_matrix(r, p, n)
                 kern = linalg.left_kernel(linalg.sparse(rows), src.dim)
-                img_rows, up_src, _ = self.d_r_matrix(r, p + r, n - 1)
+                img_rows, _ = self.d_r_matrix(r, p + r, n - 1)
                 hsq = linalg.Subquotient(kern, linalg.sparse(img_rows), src.dim)
-                e_next = self.entry(r + 1, p, n)
+                e_next = self._entry_unless_zero(r + 1, p, n)
                 if e_next.dim != hsq.dim:
                     bad.append({"r": r, "p": p, "n": n, "dim_next": e_next.dim,
                                 "dim_H": hsq.dim})
@@ -347,8 +381,12 @@ def spectral_page(X, r: int, kind="W", bound=None) -> dict:
 
 def induced_page_map(f: LinearMap, r, ss_src: SpectralSequence,
                      ss_dst: SpectralSequence, p, n):
-    src = ss_src.entry(r, p, n)
-    dst = ss_dst.entry(r, p, n)
+    """Rows of f on E_r^{p,n} (None if f does not descend), source and target entries.
+
+    The target is built in full whenever the source has representatives.
+    """
+    src = ss_src._entry_unless_zero(r, p, n)
+    dst = ss_dst.entry(r, p, n) if src.dim else ss_dst._entry_unless_zero(r, p, n)
     rows = []
     for rep in src.reps:
         x = ss_src.fc.from_coords(n, rep)
@@ -382,16 +420,18 @@ def check_filtration_preserving(f: LinearMap, kind="W", bound=None, complexes=No
     return bad
 
 
-def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None):
+def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None, sequences=None):
     """Verdict: does f induce an isomorphism on page r+1 (= H of page r)?
 
-    Returns (ok, witnesses).  Pre: f preserves the filtration.
+    Returns (ok, witnesses).  Pre: f preserves the filtration.  sequences is
+    the pair of spectral sequences of f's source and target for this kind, if
+    the caller has built them already; their complexes must reach degree N.
     """
-    fcs, fct = FilteredComplex(f.source, kind=kind), FilteredComplex(f.target, kind=kind)
-    pre = check_filtration_preserving(f, complexes=(fcs, fct))
+    ss_s, ss_t = sequences or (SpectralSequence(FilteredComplex(f.source, kind=kind)),
+                               SpectralSequence(FilteredComplex(f.target, kind=kind)))
+    pre = check_filtration_preserving(f, complexes=(ss_s.fc, ss_t.fc))
     if pre:
         return False, [{"reason": "not filtration-preserving", **pre[0]}]
-    ss_s, ss_t = SpectralSequence(fcs), SpectralSequence(fct)
     if min(f.source.N, f.target.N) - r - 2 < 0:
         raise CutoffError(f"cutoff too small for an E_{r}-quasi-isomorphism check")
     bound = min(ss_s._bound(r + 1), ss_t._bound(r + 1)) if bound is None else bound

@@ -14,6 +14,11 @@ Axiom checks:
        strictly compatible with F;
   MH2  F induces a pure structure of weight p+n on H^n of the p-th
        weight-graded piece, with conjugation transported from the Q-side.
+
+Each call builds one filtered complex per (vertex algebra, filtration) and
+one graded piece per (vertex, p): MH0, the bounds, MH1, MH2 and the
+transport at every (n, p) read the same objects, which are dropped when the
+call returns.  `pi_star` builds the decalage of its model once.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .algebra import (AlgebraError, FreeCdga, combination, compose,
                       extend_scalars, identity_morphism)
 from .diagrams import Diagram, DiagramMorphism, HoMorphism, validate_ho_morphism
 from .filtered import (FilteredComplex, GrComplex, SpectralSequence, decalage,
-                       gr, gr_differential_strict, is_Er_quasi_iso)
+                       gr, gr_differential_strict, is_Er_quasi_iso,
+                       weight_bounds_report)
 from .homology import quasi_iso_report
 from .ops import ValidationReport, indecomposables, induced_on_indecomposables
 from .paths import integrate
@@ -55,6 +61,7 @@ class MhsStructure:
         self.weight_vectors = list(weight_vectors)
         self.hodge_spans = {q: [list(v) for v in vs] for q, vs in hodge_spans.items()}
         self.conj = conj or _conj_vec
+        self._caps = {}
 
     def f_span(self, q):
         out = []
@@ -93,9 +100,8 @@ class MhsStructure:
 
             qs_range = range(min(qs + [0]) - 1, max(qs + [0]) + 2) if qs else range(0, 1)
             for q in qs_range:
-                Fq = project(self._cap_weight(self.f_span(q), m))
-                Fbar = project([self.conj(v) for v in self._cap_weight(
-                    self.f_span(m - q + 1), m)])
+                Fq = project(self._f_cap_weight(q, m))
+                Fbar = project([self.conj(v) for v in self._f_cap_weight(m - q + 1, m)])
                 if linalg.intersect(linalg.sparse(Fq), linalg.sparse(Fbar), grm.dim):
                     rep.add("purity-intersection",
                             f"F^{q} cap conj(F^{m - q + 1}) != 0 at weight {m}",
@@ -107,12 +113,21 @@ class MhsStructure:
                             weight=m, q=q, dim=total, expected=grm.dim)
         return rep
 
-    def _cap_weight(self, vs, m):
-        """Intersect a span with W_m (so projecting to Gr_m is legitimate)."""
-        wm = [v for lv, v in self.weight_vectors if lv <= m]
-        out = []
-        for r in linalg.intersect(linalg.sparse(vs), linalg.sparse(wm), self.dim):
-            out.append(linalg.dense(r, self.dim))
+    def _f_cap_weight(self, q, m):
+        """F^q cap W_m (so projecting to Gr_m is legitimate); computed once per (F^q, m).
+
+        F^q is the span of the Hodge levels >= q, so it is F^q' for the least
+        such level q'; above every level it is zero.
+        """
+        q = min((qq for qq in self.hodge_spans if qq >= q), default=None)
+        if q is None:
+            return []
+        out = self._caps.get((q, m))
+        if out is None:
+            wm = [v for lv, v in self.weight_vectors if lv <= m]
+            out = self._caps[q, m] = [
+                linalg.dense(r, self.dim) for r in linalg.intersect(
+                    linalg.sparse(self.f_span(q)), linalg.sparse(wm), self.dim)]
         return out
 
     def types_at(self, m):
@@ -123,10 +138,9 @@ class MhsStructure:
         out = {}
         qs = sorted(self.hodge_spans)
         for q in qs:
-            Fq = [grm.coords(v) for v in self._cap_weight(self.f_span(q), m)]
+            Fq = [grm.coords(v) for v in self._f_cap_weight(q, m)]
             Fq = [v for v in Fq if v is not None]
-            Fb = [grm.coords(self.conj(v))
-                  for v in self._cap_weight(self.f_span(m - q), m)]
+            Fb = [grm.coords(self.conj(v)) for v in self._f_cap_weight(m - q, m)]
             Fb = [v for v in Fb if v is not None]
             d = len(linalg.intersect(linalg.sparse(Fq), linalg.sparse(Fb), grm.dim))
             if d:
@@ -266,17 +280,48 @@ class Transport:
         return sigma
 
 
-def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int):
+class _Complexes:
+    """One spectral sequence (with its filtered complex) per (algebra, filtration)
+    and one weight-graded piece per (algebra, p), built on first use.
+
+    Keys are algebra identities; the algebras belong to the diagram, which
+    outlives the call that holds this object.
+    """
+
+    def __init__(self):
+        self._sequences = {}
+        self._graded = {}
+
+    def sequence(self, X, kind="W") -> SpectralSequence:
+        ss = self._sequences.get((id(X), kind))
+        if ss is None:
+            ss = self._sequences[id(X), kind] = SpectralSequence(FilteredComplex(X, kind=kind))
+        return ss
+
+    def complex(self, X, kind="W") -> FilteredComplex:
+        return self.sequence(X, kind).fc
+
+    def graded(self, X, p) -> GrComplex:
+        g = self._graded.get((id(X), p))
+        if g is None:
+            g = self._graded[id(X), p] = gr(None, p, fc=self.complex(X))
+        return g
+
+
+def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int, complexes=None):
     """Transported isomorphism and conjugation at (n, p), with soundness checks.
 
     Fails with a witness when some comparison does not induce an isomorphism
-    on H^n of the p-th weight-graded piece.
+    on H^n of the p-th weight-graded piece.  complexes holds the vertex
+    complexes and graded pieces of a `check_mhd` call, which shares them
+    across every (n, p); without it they are built afresh.
     """
     dia = D.diagram
-    fcs = {v: FilteredComplex(_transport_vertex_algebra(D, v), kind="W")
-           for v in dia.index.vertices}
-    grcs = {v: gr(None, p, fc=fcs[v]) for v in dia.index.vertices}
+    cx = complexes or _Complexes()
     verts = dia.index.vertices
+    algs = {v: _transport_vertex_algebra(D, v) for v in verts}
+    fcs = {v: cx.complex(algs[v]) for v in verts}
+    grcs = {v: cx.graded(algs[v], p) for v in verts}
     dim = grcs[verts[0]].cohomology(n).dim
     current = _identity_vectors(dim)
     cur_dim = dim
@@ -332,27 +377,29 @@ def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
     report = MhdReport()
     dia = D.diagram
     N = D.N if max_degree is None else max_degree
+    cx = _Complexes()
 
     # MH0: E_1 quasi-isomorphisms along the string; bounds bookkeeping
     mh0 = {"ok": True, "witnesses": [], "arrows": {}}
     for u in dia.phi:
-        ok, bad = is_Er_quasi_iso(dia.phi[u], 1, kind="W")
+        phi = dia.phi[u]
+        ok, bad = is_Er_quasi_iso(phi, 1, kind="W", sequences=(
+            cx.sequence(phi.source), cx.sequence(phi.target)))
         mh0["arrows"][u] = ok
         if not ok:
             mh0["ok"] = False
             mh0["witnesses"].append({"arrow": u, "failures": bad[:3]})
-    from .filtered import weight_bounds_report
-    mh0["weight_bounds"] = weight_bounds_report(FilteredComplex(D.rational, "W"))
-    mh0["hodge_bounds"] = weight_bounds_report(FilteredComplex(D.complex_vertex, "F"))
+    mh0["weight_bounds"] = weight_bounds_report(cx.complex(D.rational, "W"))
+    mh0["hodge_bounds"] = weight_bounds_report(cx.complex(D.complex_vertex, "F"))
     mh0["finite_type"] = True
     report.axioms["MH0"] = mh0
 
     # MH1: strictness of d on Gr_p^W(A_C) with respect to F
     mh1 = {"ok": True, "witnesses": []}
-    fc_c = FilteredComplex(D.complex_vertex, kind="W")
+    fc_c = cx.complex(D.complex_vertex)
     lo, hi = fc_c.level_range()
     for p in range(lo, hi + 1):
-        grc = gr(None, p, fc=fc_c)
+        grc = cx.graded(D.complex_vertex, p)
         for n in range(0, min(N - 1, fc_c.bound - 1) + 1):
             bad = gr_differential_strict(grc, n)
             if bad:
@@ -363,13 +410,13 @@ def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
     # MH2: purity of weight p+n on H^n(Gr_p^W) with transported conjugation
     mh2 = {"ok": True, "witnesses": [], "pure_pieces": []}
     for p in range(lo, hi + 1):
-        grc = gr(None, p, fc=fc_c)
+        grc = cx.graded(D.complex_vertex, p)
         for n in range(0, min(N - 1, fc_c.bound - 1) + 1):
             sq = grc.cohomology(n)
             if sq.dim == 0:
                 continue
             try:
-                tr = transport_rational_structure(D, n, p)
+                tr = transport_rational_structure(D, n, p, complexes=cx)
             except AlgebraError as e:
                 mh2["ok"] = False
                 mh2["witnesses"].append({"p": p, "n": n, "reason": str(e)})
@@ -382,17 +429,15 @@ def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
                 continue
             fspans = _hodge_spans_on_gr_cohomology(grc, n, sq)
             m = p + n
-            ver = MhsStructure(sq.dim,
-                               [(m, v) for v in _identity_vectors(sq.dim)],
-                               fspans, conj=sigma).check()
+            st = MhsStructure(sq.dim, [(m, v) for v in _identity_vectors(sq.dim)],
+                              fspans, conj=sigma)
+            ver = st.check()
             if not ver.ok:
                 mh2["ok"] = False
                 mh2["witnesses"].append({"p": p, "n": n,
                                          "failures": ver.failures})
             else:
-                types = MhsStructure(sq.dim,
-                                     [(m, v) for v in _identity_vectors(sq.dim)],
-                                     fspans, conj=sigma).types_at(m)
+                types = st.types_at(m)
                 mh2["pure_pieces"].append(
                     {"p": p, "n": n, "weight": m, "dim": sq.dim,
                      "types": {f"({q},{r})": d for (q, r), d in sorted(types.items())}})
@@ -471,10 +516,14 @@ def mixed_hodge_dga_diagram(M: FreeCdga, D: MixedHodgeDiagram,
                    budget=budget or dia.budget, name=f"{M.name}-diagram")
 
 
-def dec_weight_structure(M: FreeCdga, n: int) -> MhsStructure:
-    """(M^n, Dec W, F) as an explicit candidate structure in monomial coords."""
-    fc = FilteredComplex(M, kind="W", bound=min(M.N, n + 1))
-    dec = decalage(fc)
+def dec_weight_structure(M: FreeCdga, n: int, dec: FilteredComplex | None = None) -> MhsStructure:
+    """(M^n, Dec W, F) as an explicit candidate structure in monomial coords.
+
+    dec is Dec W of M's weight complex, reaching degree n, if the caller has
+    built it already; its degree n does not depend on how far it reaches.
+    """
+    if dec is None:
+        dec = decalage(FilteredComplex(M, kind="W", bound=min(M.N, n + 1)))
     amb_dim = M.dim(n)
     wvecs = []
     for lv, el in zip(dec.levels[n], dec.elements[n]):
@@ -515,8 +564,10 @@ def pi_star(D: MixedHodgeDiagram, M: FreeCdga, f: HoMorphism,
     rep.preconditions["minimal"] = {"ok": ok_min, "witnesses": wit}
     mhs_ok = True
     mhs_wit = []
-    for n in range(0, min(N, M.N - 1) + 1):
-        ver = dec_weight_structure(M, n).check()
+    top = min(N, M.N - 1)
+    dec = decalage(FilteredComplex(M, kind="W", bound=top + 1)) if top >= 0 else None
+    for n in range(0, top + 1):
+        ver = dec_weight_structure(M, n, dec).check()
         if not ver.ok:
             mhs_ok = False
             mhs_wit.append({"degree": n, "failures": ver.failures})

@@ -241,23 +241,31 @@ def _extend_linearly(images: dict, terms: dict) -> dict:
 
 
 def check_morphism(f) -> list:
-    """Unit, d-commutation and multiplicativity of f, checked exactly; returns failures.
+    """Degree, unit, d-commutation and multiplicativity of f, checked exactly; returns failures.
 
     f is a linear map between keyed algebras.  The identities are linear (d)
     or bilinear (the product) in their arguments, so checking them on every
     basis key, and on every ordered pair of basis keys, decides them in
-    degrees 0..min(N_source, N_target)-1.  For the products, f is applied once
-    per key and extended linearly.  A pair whose product leaves a path
-    algebra's t-budget is skipped: the product does not exist there.  Each
-    check reports at most one failure per degree, witnessed by keys.
+    degrees 0..min(N_source, N_target)-1.  That f keeps the degree of each
+    basis key is checked one degree further, as far as a filtration check
+    reads.  For the products, f is applied once per key and extended
+    linearly.  A pair whose product leaves a path algebra's t-budget is
+    skipped: the product does not exist there.  Each check reports at most
+    one failure per degree, witnessed by keys.
     """
     A, B = f.source, f.target
     failures = []
     if f(A.unit()) != B.unit():
         failures.append({"check": "unit", "witness": "f(1) != 1"})
     top = min(A.N, B.N) - 1
-    keys = {n: A.basis_keys(n) for n in range(0, top + 1)}
-    image = {k: f(A.from_key(k)).terms for ks in keys.values() for k in ks}
+    images = {n: {k: f(A.from_key(k)) for k in A.basis_keys(n)} for n in range(0, top + 2)}
+    for n, ys in images.items():
+        for k, y in ys.items():
+            if any(y.alg.key_degree(j) != n for j in y.terms):
+                failures.append({"check": "degree", "degree": n, "witness": A.key_str(k)})
+                break
+    keys = {n: list(images[n]) for n in range(0, top + 1)}
+    image = {k: images[n][k].terms for n, ks in keys.items() for k in ks}
     for n, ks in keys.items():
         for k in ks:
             if f(A.element(A.d_key(k))).terms != B.d_terms(image[k]):

@@ -46,6 +46,33 @@ def test_cp3_fixture_fails_comparison_multiplicativity_on_u0():
     assert json.loads(out)["failures"] == rep.failures
 
 
+def test_map_that_changes_degree_fails_degree():
+    A = TableCdga([TableBasisElement("one", 0), TableBasisElement("y0", 0)], 4, unit="one")
+    B = cp3(4)
+    f = linear_morphism(A, B, {"one": B.unit(), "y0": B.basis_element("c2")})
+    assert check_morphism(f)[0] == {"check": "degree", "degree": 0, "witness": "y0"}
+
+
+def test_degree_changing_comparison_is_reported_without_a_filtration_check():
+    """fixtures/p1toy_bad_degree.json is p1toy with vertex 0's x2 moved to degree 0."""
+    with open(fixture_path("p1toy_bad_degree.json"), encoding="utf-8") as fh:
+        rep = validate_diagram(build_mhd(json.load(fh)).diagram)
+    assert rep.failures == [{"check": "comparison-degree", "witness": "arrow u0: x2"}]
+    rc, out = run_main("check", fixture_path("p1toy_bad_degree.json"))
+    assert rc == 1
+    assert json.loads(out)["failures"] == rep.failures
+
+
+def test_vertex_that_is_not_graded_commutative_fails_vertex_check():
+    """fixtures/cp3_noncommutative.json: c2*c4 = c6 but c4*c2 = 2 c6 at every vertex."""
+    rc, out = run_main("check", fixture_path("cp3_noncommutative.json"))
+    assert rc == 1
+    failures = json.loads(out)["failures"]
+    assert {"check": "vertex-graded-commutativity", "witness": "vertex 0: c2,c4"} in failures
+    assert {f["witness"].split(":")[0] for f in failures} == {"vertex 0", "vertex 1", "vertex 2"}
+    assert all(f["check"].startswith("vertex-") for f in failures)
+
+
 def test_map_that_breaks_d_fails_d_commutation():
     A = TableCdga([TableBasisElement("one", 0), TableBasisElement("u1", 1),
                    TableBasisElement("v2", 2)], 5, unit="one",
