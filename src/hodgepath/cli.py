@@ -19,7 +19,7 @@ from .diagrams import (rectify, compose_ho, validate_diagram,
 from .documents import (DocumentError, build_dga, build_diagram, build_homorphism,
                         build_homotopy, build_mhd, dga_doc, element_expr,
                         load_document, serialize)
-from .filtered import FilteredComplex, SpectralSequence, decalage, spectral_page
+from .filtered import FilteredComplex, SpectralSequence, decalage
 from .hodge import (check_mhd, degeneration_check, mixed_hodge_dga_diagram,
                     pi_star)
 from .homology import cohomology, is_quasi_iso
@@ -231,15 +231,16 @@ def cmd_mapping_path(args):
     span = rectify(f)
     out = {"command": "mapping-path", "subject": f.name, "vertices": {}, "ok": True}
     upto = f.source.check_upto() - 1
+    groups = {}  # H^n by (space, n), shared by the p, f and q checks of every vertex
     for v in f.source.index.vertices:
         mp = span.mp.mps[v]
         entry = {"dims": {str(n): mp.space.dim(n) for n in range(0, upto + 1)},
                  "q_endpoint": mp.q_endpoint}
         entry["p_surjective"] = all(
             is_surjective_at(mp.p, n) for n in range(0, upto + 1))
-        entry["p_quasi_iso"] = is_quasi_iso(mp.p, upto)
-        entry["f_quasi_iso"] = is_quasi_iso(f.maps[v], upto)
-        entry["q_quasi_iso"] = is_quasi_iso(mp.q, upto)
+        entry["p_quasi_iso"] = is_quasi_iso(mp.p, upto, groups=groups)
+        entry["f_quasi_iso"] = is_quasi_iso(f.maps[v], upto, groups=groups)
+        entry["q_quasi_iso"] = is_quasi_iso(mp.q, upto, groups=groups)
         out["vertices"][v] = entry
         if not (entry["p_surjective"] and entry["p_quasi_iso"]):
             out["ok"] = False
@@ -261,10 +262,13 @@ def cmd_rectify(args):
     upto = f.source.check_upto() - 1
     vertices = []
     p_maps, q_maps = {}, {}
+    # one table per vertex, shared by the vertex entries and the arrow maps
+    tables = {}
     for v in f.source.index.vertices:
         mp = span.mp.mps[v]
-        T, to_table, _ = table_presentation(mp.space, upto,
-                                            name=f"P(f_{v})", keep_filtrations=False)
+        tables[v] = table_presentation(mp.space, upto, name=f"P(f_{v})",
+                                       keep_filtrations=False)
+        T = tables[v][0]
         vertices.append({"name": v, "degree": f.source.index.degree(v),
                          "category": f.source.tags[v],
                          "algebra": dga_doc(T)})
@@ -275,11 +279,9 @@ def cmd_rectify(args):
     arrows = []
     for u in f.source.phi:
         a = f.source.arrow(u)
-        mp_i = span.mp.mps[a.src]
-        T_i, to_i, from_i = table_presentation(mp_i.space, upto, keep_filtrations=False)
+        T_i, _, from_i = tables[a.src]
+        _, to_j, _ = tables[a.dst]
         psi = span.mp.diagram.phi[u]
-        T_j, to_j, _ = table_presentation(span.mp.mps[a.dst].space, upto,
-                                          keep_filtrations=False)
         images = {}
         for nm in _tab_names(T_i):
             el = psi(from_i(T_i.basis_element(nm)))
@@ -337,9 +339,8 @@ def cmd_spectral(args):
     if (args.filtration == "W" and not A.has_weights) or \
             (args.filtration == "F" and not A.has_hodge):
         raise DocumentError(f"document carries no {args.filtration} filtration")
-    dims = spectral_page(A, args.page, kind=args.filtration,
-                         bound=min(args.max_degree, A.N - args.page - 1))
     ss = SpectralSequence(FilteredComplex(A, kind=args.filtration))
+    dims = ss.page_dims(args.page, bound=min(args.max_degree, A.N - args.page - 1))
     vanish = ss.d_r_is_zero(args.page)
     emit({"command": "spectral", "subject": A.name, "page": args.page,
           "filtration": args.filtration, "ok": True,

@@ -292,6 +292,11 @@ class SpectralSequence:
         return range(lo - extra, hi + 1 + extra)
 
     def page_dims(self, r, bound=None) -> dict:
+        """Dimensions {(p, n): dim E_r^{p,n}} of the r-th page, non-zero entries only."""
+        if r < 0:
+            raise AlgebraError("page index r must be >= 0")
+        if self.fc.X.N - r - 1 < 0:
+            raise CutoffError(f"cutoff {self.fc.X.N} too small for page {r}")
         bound = self._bound(r) if bound is None else bound
         out = {}
         for n in range(0, bound + 1):
@@ -327,10 +332,14 @@ class SpectralSequence:
         return rows, src
 
     def d_r_is_zero(self, r, bound=None) -> list:
-        """Witnesses of nonzero d_r within the bound (empty = vanishes)."""
+        """Witnesses of nonzero d_r within the bound (empty = vanishes).
+
+        d_r starts in degree fc.bound - 2 at most: its target entry one degree
+        up must lie below fc.bound, where the z-vectors stop.
+        """
         bound = self._bound(r) if bound is None else bound
         bad = []
-        for n in range(0, bound + 1):
+        for n in range(0, min(bound, self.fc.bound - 2) + 1):
             for p in self.p_range():
                 rows, _ = self.d_r_matrix(r, p, n)
                 if any(not c.is_zero for row in rows for c in row):
@@ -371,12 +380,7 @@ class SpectralSequence:
 
 def spectral_page(X, r: int, kind="W", bound=None) -> dict:
     """Dimensions {(p, n): dim E_r^{p,n}} of the r-th page (exact)."""
-    if r < 0:
-        raise AlgebraError("page index r must be >= 0")
-    if X.N - r - 1 < 0:
-        raise CutoffError(f"cutoff {X.N} too small for page {r}")
-    ss = SpectralSequence(FilteredComplex(X, kind=kind))
-    return ss.page_dims(r, bound=bound)
+    return SpectralSequence(FilteredComplex(X, kind=kind)).page_dims(r, bound=bound)
 
 
 def induced_page_map(f: LinearMap, r, ss_src: SpectralSequence,

@@ -139,10 +139,22 @@ def induced_map(f: LinearMap, HA: Cohomology, HB: Cohomology):
     return rows
 
 
-def is_quasi_iso(f: LinearMap, upto: int, strict: bool = True) -> bool:
+def is_quasi_iso(f: LinearMap, upto: int, strict: bool = True, groups=None) -> bool:
+    """Whether H^n(f) is an isomorphism for n = 0..upto; stops at the first degree that fails.
+
+    groups is a dict of H^n by (space, n), read and filled here; callers that
+    test several maps between the same spaces pass one dict, so that each
+    group is computed once.  By default each call computes its own.
+    """
+    groups = {} if groups is None else groups
+
+    def group(X, n):
+        if (X, n) not in groups:
+            groups[X, n] = cohomology(X, n, strict=strict)
+        return groups[X, n]
+
     for n in range(0, upto + 1):
-        HA = cohomology(f.source, n, strict=strict)
-        HB = cohomology(f.target, n, strict=strict)
+        HA, HB = group(f.source, n), group(f.target, n)
         rows = induced_map(f, HA, HB)
         if not linalg.is_isomorphism(rows, HA.dim, HB.dim):
             return False

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (AlgebraError, Element, GradedAlgebra, LinearMap, Morphism,
-                      ProductCdga, SubCdga, compose, solve_preimage)
+                      ProductCdga, SubCdga, combination, compose, solve_preimage)
 from .scalars import Scalar
 
 DEFAULT_BUDGET = 32
@@ -483,26 +483,44 @@ def constant_homotopy(f: Morphism, budget=None) -> Homotopy:
 def verify_homotopy(h, f: Morphism, g: Morphism, upto=None, d_check=True):
     """Exact endpoint and chain checks of a homotopy candidate on bases.
 
+    h is applied once per basis element of degrees 0..top, and h(db) is read
+    off by linearity from the images one degree up: over the keys of db for a
+    keyed source, each key's image computed once (a key outside the
+    enumerated bases included), and over `S.coords(db, n + 1)` for a
+    subalgebra source S.
+
     Returns a ValidationReport-style dict list (empty = verified).
     """
     from .ops import ValidationReport
     hm = h.map if isinstance(h, Homotopy) else h
     rep = ValidationReport(subject=f"homotopy {hm.name or ''}".strip())
-    P = hm.target
-    k = keyed(P)
-    d0, d1 = delta(P, 0), delta(P, 1)
-    top = min(hm.source.N, f.target.N) if upto is None else upto
-    top = min(top, hm.source.N)
-    for n in range(0, top + 1):
-        for b in hm.source.basis(n):
-            hx = hm(b)
+    X = hm.source
+    k = keyed(hm.target)
+    top = min(X.N, f.target.N) if upto is None else upto
+    top = min(top, X.N)
+    bases = {n: X.basis(n) for n in range(0, top + 1)}
+    images = {n: [hm(b) for b in bs] for n, bs in bases.items()}
+    if isinstance(X, GradedAlgebra):
+        by_key = {kk: y for n, ys in images.items() for kk, y in zip(X.basis_keys(n), ys)}
+
+        def h_of_d(n, db):
+            for kk in db.terms:
+                if kk not in by_key:
+                    by_key[kk] = hm(X.from_key(kk))
+            return combination(k, db.terms.values(), [by_key[kk] for kk in db.terms])
+    else:
+        def h_of_d(n, db):
+            return combination(k, X.coords(db, n + 1), images[n + 1])
+
+    for n, bs in bases.items():
+        for b, hx in zip(bs, images[n]):
             e0, e1 = k.evaluate(hx, 0), k.evaluate(hx, 1)
             if e0 != f(b):
                 rep.add("endpoint-0", f"degree {n}: {b!r}")
             if e1 != g(b):
                 rep.add("endpoint-1", f"degree {n}: {b!r}")
             if d_check and n <= top - 1:
-                if hm(b.d()) != hx.d():
+                if h_of_d(n, b.d()) != hx.d():
                     rep.add("chain-map", f"degree {n}: {b!r}")
     return rep
 

@@ -123,10 +123,10 @@ def test_zero_pieces_have_zero_entries_and_pages_match_brute_force(name):
 def test_d_r_and_page_turns_agree_with_a_sequence_that_skips_nothing(name, monkeypatch):
     fc = COMPLEXES[name]()
     ss = SpectralSequence(fc)
-    verdicts = [(ss.d_r_is_zero(r), ss.verify_page_turn(r)) for r in range(1, 4)]
+    verdicts = [(ss.d_r_is_zero(r), ss.verify_page_turn(r)) for r in range(0, 4)]
     monkeypatch.setattr(SpectralSequence, "_zero_piece", lambda self, p, n: False)
     full = SpectralSequence(fc)
-    assert [(full.d_r_is_zero(r), full.verify_page_turn(r)) for r in range(1, 4)] == verdicts
+    assert [(full.d_r_is_zero(r), full.verify_page_turn(r)) for r in range(0, 4)] == verdicts
 
 
 def test_induced_map_into_a_zero_piece_is_read_off_the_full_target(monkeypatch):
