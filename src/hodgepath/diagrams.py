@@ -284,13 +284,35 @@ class HoHomotopy:
         self.name = name
 
 
+def _applied_once(h: Homotopy) -> Homotopy:
+    """h with its map applied at most once per distinct non-zero input; h(0) = 0."""
+    hm = h.map
+    images = {}
+
+    def apply(x):
+        if x.is_zero:
+            return hm.target.zero()
+        y = images.get(x)
+        if y is None:
+            y = images[x] = hm(x)
+        return y
+
+    return Homotopy(h.f, h.g, Morphism(hm.source, hm.target, apply, name=hm.name))
+
+
 def validate_ho_homotopy(h: HoHomotopy, upto=None) -> ValidationReport:
+    """Vertex homotopy checks (verify_homotopy) and the four faces of each arrow square.
+
+    Each vertex homotopy is applied once per distinct non-zero input within
+    the call, and the vertex checks and the arrow faces share the images.
+    """
     rep = ValidationReport(subject=f"ho-homotopy {h.name}")
     f, g = h.f, h.g
     upto_eff = min(f.source.check_upto(), f.target.check_upto()) if upto is None else upto
     from .paths import verify_homotopy
+    vertex = {v: _applied_once(h.vertex[v]) for v in f.source.index.vertices}
     for v in f.source.index.vertices:
-        sub = verify_homotopy(h.vertex[v], f.maps[v], g.maps[v], upto=upto_eff)
+        sub = verify_homotopy(vertex[v], f.maps[v], g.maps[v], upto=upto_eff)
         for fl in sub.failures:
             rep.add("vertex-" + fl["check"], f"vertex {v}: {fl['witness']}")
     for u in f.source.phi:
@@ -304,8 +326,8 @@ def validate_ho_homotopy(h: HoHomotopy, upto=None) -> ValidationReport:
         Pd1 = path_linear_map(delta(PB, 1), P2, PB)
         F_u = f.homotopies[u]
         G_u = g.homotopies[u]
-        hj = h.vertex[a.dst]
-        hi = h.vertex[a.src]
+        hj = vertex[a.dst]
+        hi = vertex[a.src]
         Pphi = path_linear_map(f.target.comp(u),
                                path_of(f.target.algebras[a.src], kB.budget,
                                        W_SHIFT[f.target.tags[a.src]]), PB)

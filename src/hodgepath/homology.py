@@ -26,7 +26,7 @@ class Cohomology:
         self.n = n
         self.dim = dim
         self.reps = reps            # list[Element], canonical representatives
-        self._blocks = block_data   # list of (block_id, keys_or_none, subquotient)
+        self._blocks = block_data   # list of (block_id, keys_or_none, subquotient, index)
 
     def cls(self, x: Element):
         """Coordinates of the class [x] in the representative basis.
@@ -61,6 +61,28 @@ class Cohomology:
             out.extend(c)
         return out
 
+    def with_boundaries(self, Y, boundaries) -> "Cohomology":
+        """H^n of Y, an algebra that adds to X degree-(n-1) cochains with these boundaries.
+
+        Y must have X's degree-n keys, naming the same monomials, and the
+        same d on them, so that the cocycles Z^n are X's; boundaries are
+        terms dicts over those keys, and B^n(Y) = B^n(X) + span(boundaries).
+        Each block's subquotient is then taken modulo the boundaries' rows
+        (`Subquotient.quotient_by`), and the reps and cls coordinates are
+        those of a fresh cohomology(Y, n), entry for entry.  Keyed groups
+        only.
+        """
+        blocks, placed = [], 0
+        for block_id, keys, sq, index in self._blocks:
+            if keys is None:
+                raise AlgebraError("with_boundaries() needs a keyed algebra")
+            rows = [{index[k]: c for k, c in t.items() if k in index} for t in boundaries]
+            placed += sum(map(len, rows))
+            blocks.append((block_id, keys, sq.quotient_by(linalg.sparse(rows)), index))
+        if placed != sum(map(len, boundaries)):
+            raise AlgebraError(f"boundary with a key outside degree {self.n}")
+        return _keyed_group(Y, self.n, blocks)
+
 
 def _block_partition(X, n):
     """keys of degree n grouped by block id (sorted); None block => whole basis."""
@@ -85,6 +107,15 @@ def _d_rows(X, keys_src, index_dst):
     return linalg.sparse(rows)
 
 
+def _keyed_group(X, n, blocks) -> Cohomology:
+    """The group of keyed (block_id, keys, subquotient, index) blocks, reps on X."""
+    reps = []
+    for _, keys, sq, _ in blocks:
+        for rep in sq.reps:
+            reps.append(Element(X, {k: c for k, c in zip(keys, rep) if not c.is_zero}))
+    return Cohomology(X, n, len(reps), reps, blocks)
+
+
 def cohomology(X, n: int, strict: bool = True) -> Cohomology:
     """Exact H^n: kernel of d_n modulo image of d_{n-1}.
 
@@ -94,10 +125,8 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
     if strict and not (0 <= n <= X.N - 1):
         raise CutoffError(f"cohomology degree {n} outside 0..{X.N - 1} of {X!r}")
 
-    blocks = []
-    reps = []
-    dim = 0
     if _is_keyed(X):
+        blocks = []
         part_lo = _block_partition(X, n - 1)
         part_hi = _block_partition(X, n + 1)
         for block_id, keys in _block_partition(X, n).items():
@@ -108,20 +137,15 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
                                       len(keys))
             sq = linalg.Subquotient(kern, _d_rows(X, lo, index), len(keys))
             blocks.append((block_id, keys, sq, index))
-            for rep in sq.reps:
-                reps.append(Element(X, {k: c for k, c in zip(keys, rep) if not c.is_zero}))
-            dim += sq.dim
-    else:
-        basis_n = X.basis(n, strict=False)
-        cols = len(basis_n)
-        rows_d = linalg.sparse([X.coords(b.d(), n + 1, strict=False) for b in basis_n])
-        img = [X.coords(b.d(), n, strict=False) for b in X.basis(n - 1, strict=False)] \
-            if n >= 1 else []
-        sq = linalg.Subquotient(linalg.left_kernel(rows_d, cols), linalg.sparse(img), cols)
-        blocks.append((0, None, sq, None))
-        reps = [X.from_coords(n, repv, strict=False) for repv in sq.reps]
-        dim = sq.dim
-    return Cohomology(X, n, dim, reps, blocks)
+        return _keyed_group(X, n, blocks)
+    basis_n = X.basis(n, strict=False)
+    cols = len(basis_n)
+    rows_d = linalg.sparse([X.coords(b.d(), n + 1, strict=False) for b in basis_n])
+    img = [X.coords(b.d(), n, strict=False) for b in X.basis(n - 1, strict=False)] \
+        if n >= 1 else []
+    sq = linalg.Subquotient(linalg.left_kernel(rows_d, cols), linalg.sparse(img), cols)
+    reps = [X.from_coords(n, repv, strict=False) for repv in sq.reps]
+    return Cohomology(X, n, sq.dim, reps, [(0, None, sq, None)])
 
 
 def betti_numbers(X, upto: int) -> dict:
@@ -168,7 +192,7 @@ def quasi_iso_report(f: LinearMap, upto: int) -> dict:
         HA = cohomology(f.source, n)
         HB = cohomology(f.target, n)
         rows = induced_map(f, HA, HB)
-        out[n] = {"dim_source": HA.dim, "dim_target": HB.dim,
-                  "rank": linalg.rank(rows, HB.dim),
-                  "iso": linalg.is_isomorphism(rows, HA.dim, HB.dim)}
+        r = linalg.rank(rows, HB.dim)
+        out[n] = {"dim_source": HA.dim, "dim_target": HB.dim, "rank": r,
+                  "iso": HA.dim == HB.dim == r}
     return out

@@ -345,6 +345,16 @@ class Subquotient:
             _reduce(v, self._den, self._den_pivots)
         self._reps, self._rep_pivots = _eliminate([v for v in reduced if v], ncols)
 
+    def quotient_by(self, rows):
+        """span(numerator) / (span(denominator) + span(rows)), rows coefficient rows.
+
+        The reps and coordinates are those of a fresh Subquotient of the
+        original numerator over the enlarged denominator: the reduced
+        numerator spans the same space modulo the denominator, and reduced
+        echelon forms are unique.
+        """
+        return Subquotient(self._reps, self._den + list(rows), self.ncols)
+
     @property
     def dim(self) -> int:
         return len(self._reps)

@@ -4,9 +4,19 @@ The construction is the classical degreewise one: at stage n adjoin closed
 generators hitting the cokernel of H^n, then generators killing the kernel of
 H^{n+1}, with all representatives and primitives found by exact solves.  Each
 round is a relative Sullivan extension, so M grows by FreeCdga.adjoin and keeps
-its cached differentials; cohomology of A and of the current M is memoized
-within one call.  The result is certified independently: the
-quasi-isomorphism check recomputes cohomology of both sides from scratch.
+its cached differentials; cohomology of A is memoized within one call, and
+that of M until M grows.
+
+H^{n+1}(M) is carried through an extension by generators v of degree n.
+When every generator has degree >= 2 and the old keys kept their meaning
+(`keys_kept`), no monomial of degree n+1 contains a v, so C^{n+1} and d on
+it are unchanged: the cocycles Z^{n+1} stay, and the boundaries only gain
+the dv.  `Cohomology.with_boundaries` takes the old group modulo those rows;
+reduced echelon forms are unique, so its reps and class coordinates are
+those of a fresh computation, entry for entry.  Otherwise (degree-1
+generators, moved keys) every group of M is recomputed.  The result is
+certified independently: the quasi-isomorphism check, and the injectivity
+check at the horizon, recompute cohomology of both sides from scratch.
 
 Degree-N data is provisional: corrections from degree N+1 could adjust the
 top homotopy group, so stage N skips kernel-killing and the certificate
@@ -126,7 +136,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     M = FreeCdga([], N, A.field, name="M")
     rho = FreeMorphism(M, A, {}, name="rho")
     # cohomology of the construction, memoized per call: A's for the whole
-    # call, M's until M grows
+    # call, M's until M grows, except H^{n+1}(M), which grow() carries
     H_A: dict = {}
     H_M: dict = {}
     log = []
@@ -153,7 +163,12 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         rho = FreeMorphism(M, A, dict(rho_images), name="rho")
         if M.keys_kept:
             rho._key_cache = key_cache
+        carried = H_M.get(n + 1)
         H_M.clear()
+        # see the module docstring: H^{n+1} only gains the new boundaries
+        if carried is not None and M.keys_kept and M.gens[0].degree >= 2:
+            H_M[n + 1] = carried.with_boundaries(
+                M, [M.differential_of(nm).terms for nm in named])
         return list(named)
 
     def cokernel_reps(n):

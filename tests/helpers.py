@@ -6,11 +6,14 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# the benchmark's model_sweep shapes and its random basis change
+sys.path.append(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 from hodgepath import (Arrow, Diagram, Field, FreeCdga, FreeMorphism, Generator,
-                       HoMorphism, IndexCategory, MixedHodgeDiagram, TableBasisElement,
-                       TableCdga, extend_scalars, identity_morphism, keyed,
-                       linear_morphism, path_of)
+                       HoMorphism, IndexCategory, MixedHodgeDiagram, Scalar,
+                       TableBasisElement, TableCdga, extend_scalars, identity_morphism,
+                       keyed, linear_morphism, path_of)
+from workloads import MODEL_SHAPES, random_basis_change  # noqa: F401  (perfbench/)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -131,3 +134,15 @@ def toy_model(N=6):
                   Generator("a3", 3, weight=1, hodge=2)], N, name="M(P1)")
     M.set_differential({"a3": M.parse("a2^2")})
     return M
+
+
+def random_basis_table(name, basis, products, N, rng):
+    """The table of (basis, products) written in a seeded random basis.
+
+    basis is a list of (name, degree) and products maps name pairs to
+    {name: Fraction}, as in MODEL_SHAPES.
+    """
+    table = random_basis_change(basis, products, rng)
+    return TableCdga([TableBasisElement(nm, d) for nm, d in basis], N, unit="one", name=name,
+                     products={k: {kk: Scalar(c) for kk, c in v.items()}
+                               for k, v in table.items()})

@@ -8,6 +8,9 @@
 * `verify_homotopy` applies h once per basis element and reads h(db) off by
   linearity; its reports must equal those of a reference that applies h to
   d(b) directly.
+* `validate_ho_homotopy` applies each vertex homotopy once per distinct
+  non-zero input, for its vertex checks and its arrow faces together; its
+  reports must equal those of a reference that applies h afresh each time.
 * `spectral` builds one spectral sequence, and reports page 0.
 """
 
@@ -19,8 +22,8 @@ import pytest
 from helpers import fixture_path, ms2, run_main
 from test_documents_cli import _mutants
 from hodgepath import Homotopy, LinearMap, Morphism, constant_homotopy, identity_morphism
-from hodgepath import cli, filtered, homology, paths
-from hodgepath.diagrams import rectify
+from hodgepath import cli, diagrams, filtered, homology, paths
+from hodgepath.diagrams import HoHomotopy, rectify, validate_ho_homotopy
 from hodgepath.documents import (build_dga, build_homorphism, build_homotopy, element_expr,
                                  load_document, serialize)
 from hodgepath.ops import ValidationReport, table_presentation
@@ -249,6 +252,97 @@ def test_homotopy_verify_on_one_field_mutants_matches_the_direct_d_check(tmp_pat
         path.write_text(json.dumps(mutant[3]), encoding="utf-8")
         want = reference_run(monkeypatch, "homotopy-verify", str(path))
         assert run_main("homotopy-verify", str(path)) == want, mutant[:3]
+
+
+# ---------------------------------------------------------------------------
+# validate_ho_homotopy: each vertex homotopy once per distinct non-zero input
+# ---------------------------------------------------------------------------
+
+def reference_validate_ho_homotopy(h, upto):
+    """validate_ho_homotopy without shared work: every check applies h afresh."""
+    rep = ValidationReport(subject=f"ho-homotopy {h.name}")
+    f, g = h.f, h.g
+    for v in f.source.index.vertices:
+        for fl in reference_verify_homotopy(h.vertex[v], f.maps[v], g.maps[v], upto=upto).failures:
+            rep.add("vertex-" + fl["check"], f"vertex {v}: {fl['witness']}")
+    for u in f.source.phi:
+        a = f.source.arrow(u)
+        PB = f.path_target(u)
+        budget = keyed(PB).budget
+        k2 = keyed(path_of(PB, budget))
+        Pd0 = paths.path_linear_map(paths.delta(PB, 0), path_of(PB, budget), PB)
+        Pd1 = paths.path_linear_map(paths.delta(PB, 1), path_of(PB, budget), PB)
+        Pphi = paths.path_linear_map(
+            f.target.comp(u), path_of(f.target.algebras[a.src], budget,
+                                      diagrams.W_SHIFT[f.target.tags[a.src]]), PB)
+        hj, hi = h.vertex[a.dst], h.vertex[a.src]
+        for n in range(0, upto + 1):
+            for b in f.source.algebras[a.src].basis(n):
+                x = f.source.to_dom(u)(b)
+                Hx = h.arrows[u](x)
+                if Pd0(Hx) != f.homotopies[u](x):
+                    rep.add("face-F", f"arrow {u}, degree {n}")
+                    break
+                if Pd1(Hx) != g.homotopies[u](x):
+                    rep.add("face-G", f"arrow {u}, degree {n}")
+                    break
+                if k2.evaluate(Hx, 0) != hj(f.source.comp(u)(b)):
+                    rep.add("face-hj", f"arrow {u}, degree {n}")
+                    break
+                if k2.evaluate(Hx, 1) != Pphi(hi(b)):
+                    rep.add("face-hi", f"arrow {u}, degree {n}")
+                    break
+    return rep
+
+
+def _with_vertex_maps(h, wrap):
+    """h with each vertex homotopy's map replaced by wrap(v, map)."""
+    vertex = {v: Homotopy(hv.f, hv.g, Morphism(hv.map.source, hv.map.target,
+                                                wrap(v, hv.map), name=hv.map.name))
+              for v, hv in h.vertex.items()}
+    return HoHomotopy(h.f, h.g, vertex, h.arrows, name=h.name)
+
+
+def _ho_homotopy_cases():
+    """The mapping-path contractions, and each broken at one vertex in degree 1."""
+    for name in HOMORPHISMS:
+        ho = build_homorphism(read(name))
+        con = rectify(ho).mp.contraction()
+        upto = max(0, ho.source.check_upto() - 2)
+        yield f"contraction {name}", con, upto
+        for broken in con.vertex:
+            def wrap(v, hm, broken=broken):
+                if v != broken:
+                    return hm
+                return lambda x: hm(x) * 2 if x.degree() == 1 else hm(x)
+            yield f"contraction {name} broken at {broken}", _with_vertex_maps(con, wrap), upto
+
+
+def test_ho_homotopy_reports_equal_the_reference():
+    faces = set()
+    for case, h, upto in _ho_homotopy_cases():
+        got = validate_ho_homotopy(h, upto=upto)
+        want = reference_validate_ho_homotopy(h, upto)
+        assert (got.ok, got.failures) == (want.ok, want.failures), case
+        assert got.ok == ("broken" not in case), case
+        faces.update(fl["check"] for fl in got.failures if fl["check"].startswith("face-"))
+    assert faces == {"face-hi", "face-hj"}
+
+
+def test_vertex_homotopies_run_once_per_distinct_non_zero_input():
+    for case, h, upto in _ho_homotopy_cases():
+        inputs = collections.Counter()
+
+        def wrap(v, hm):
+            def counting(x):
+                inputs[v, x] += 1
+                return hm(x)
+            return counting
+
+        validate_ho_homotopy(_with_vertex_maps(h, wrap), upto=upto)
+        assert inputs, case
+        assert set(inputs.values()) == {1}, case
+        assert not any(x.is_zero for _, x in inputs), case
 
 
 # ---------------------------------------------------------------------------
