@@ -33,11 +33,11 @@ mutant = check_mhd(toy_mhd(hodge_x2=2))
 print("mutant fails MH2:", not mutant.axioms["MH2"]["ok"],
       "-", mutant.axioms["MH2"]["witnesses"][0]["failures"][0]["witness"])
 
-# transported conjugation fixes the rational class
+# transported conjugation fixes the rational class (vectors are coefficient rows)
 tr = transport_rational_structure(toy, 2, 0)
-from hodgepath.scalars import Scalar
-print("conj of the degree-2 class:", [str(c) for c in
-                                      tr.conjugation()([Scalar(1, 0, -1)])])
+from fractions import Fraction
+image = tr.conjugation()({0: Fraction(1)})
+print("conj of the degree-2 class:", [str(image.get(j, 0)) for j in range(tr.dim_dst)])
 
 # Hodge structures on the homotopy groups of the supplied minimal model
 M = toy_model()

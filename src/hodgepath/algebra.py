@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .exprs import parse_expression
-from .scalars import Field, QQ, Scalar
+from .scalars import Field, QQ, Scalar, coeff, from_coeff
 
 RESERVED_NAMES = {"t", "dt", "s", "ds", "l", "dl", "i", "sqrtd"}
 
@@ -157,13 +157,16 @@ class Element:
 
 
 def combination(alg, coeffs, elements) -> Element:
-    """sum of c * e over zip(coeffs, elements) in alg; zero coefficients are skipped."""
+    """sum of c * elements[i] in alg over the coefficient row coeffs {i: c}.
+
+    A coefficient may also be a Scalar.  Indices are taken in increasing
+    order, so the terms come out in the order of the elements.
+    """
     out = {}
-    for c, e in zip(coeffs, elements):
-        if c.is_zero:
-            continue
-        for k, v in e.terms.items():
-            s = out[k] + c * v if k in out else c * v
+    for i in sorted(coeffs):
+        c = coeffs[i]
+        for k, v in elements[i].terms.items():
+            s = out[k] + v * c if k in out else v * c
             if s.is_zero:
                 out.pop(k, None)
             else:
@@ -264,16 +267,17 @@ class GradedAlgebra:
         return len(self.basis_keys(n))
 
     def coords(self, x: Element, n, strict=True):
+        """Coefficient row {position in basis(n): coefficient} of x (see linalg)."""
         self.check_degree(n, strict)
         index = self._key_index(n)
-        v = linalg.zeros(len(index))
+        row = {}
         for k, c in x.terms.items():
             i = index.get(k)
             if i is None:
                 raise AlgebraError(
                     f"element has a degree-{self.key_degree(k)} key outside basis({n})")
-            v[i] = c
-        return v
+            row[i] = coeff(c)
+        return row
 
     def _key_index(self, n) -> dict:
         """{basis key: position} in degree n, built once per degree."""
@@ -285,9 +289,10 @@ class GradedAlgebra:
             index = self._index_cache[n] = {k: i for i, k in enumerate(keys)}
         return index
 
-    def from_coords(self, n, vec, strict=True) -> Element:
+    def from_coords(self, n, row, strict=True) -> Element:
+        """The element of degree n with coefficient row `row` over basis(n), terms in basis order."""
         keys = self.basis_keys(n) if n >= 0 else []
-        return Element(self, {k: c for k, c in zip(keys, vec) if not c.is_zero})
+        return Element(self, {keys[i]: from_coeff(row[i]) for i in sorted(row)})
 
     def random_element(self, n, rng, density=0.6, strict=True) -> Element:
         terms = {}
@@ -855,7 +860,7 @@ def linear_morphism(source, target, key_images: dict, name="") -> Morphism:
 
 
 def morphism_matrix(f: LinearMap, n, strict=True):
-    """Rows = coords of f(b) over the source basis b of degree n."""
+    """Coefficient rows: row i = coords of f(b_i) over the source basis b of degree n."""
     return [f.target.coords(f(b), n, strict=strict) for b in f.source.basis(n, strict=strict)]
 
 
@@ -867,11 +872,11 @@ def is_surjective_at(f: LinearMap, n) -> bool:
 
 def solve_preimage(f: LinearMap, y: Element, n):
     """x of degree n with f(x) = y, or None; deterministic free choice."""
-    rows = linalg.sparse(morphism_matrix(f, n))
-    sol = linalg.solve(rows, len(rows), linalg.sparse([f.target.coords(y, n)])[0])
+    rows = morphism_matrix(f, n)
+    sol, = linalg.solve(rows, len(rows), [f.target.coords(y, n)])
     if sol is None:
         return None
-    return f.source.from_coords(n, linalg.dense(sol, len(rows)))
+    return f.source.from_coords(n, sol)
 
 
 def extend_scalars(A, d: int):
@@ -921,10 +926,8 @@ class SubCdga:
             return []
         if n not in self._basis_cache:
             amb_basis = self.ambient.basis(n, strict=False)
-            out = []
-            for v in self.constraint_kernel(amb_basis):
-                out.append(self.ambient.from_coords(n, linalg.dense(v, len(amb_basis))))
-            self._basis_cache[n] = out
+            self._basis_cache[n] = [self.ambient.from_coords(n, v)
+                                    for v in self.constraint_kernel(amb_basis)]
         return list(self._basis_cache[n])
 
     def constraint_kernel(self, elements):
@@ -938,14 +941,15 @@ class SubCdga:
             row = {}
             for ci, c in enumerate(self.constraints):
                 for k, a in c(e).terms.items():
-                    row[ci, k] = a
+                    row[ci, k] = coeff(a)
             rows.append(row)
-        return linalg.left_kernel(linalg.sparse(rows), len(elements))
+        return linalg.left_kernel(rows, len(elements))
 
     def dim(self, n, strict=True):
         return len(self.basis(n, strict=strict))
 
     def coords(self, x: Element, n, strict=True):
+        """Coefficient row of x over basis(n); raises if x is not in this subalgebra."""
         self.check_degree(n, strict)
         amb = self.ambient
         if n not in self._charts:
@@ -957,8 +961,8 @@ class SubCdga:
             raise AlgebraError(f"element is not in {self.name} (degree {n})")
         return sol
 
-    def from_coords(self, n, vec, strict=True) -> Element:
-        return combination(self.ambient, vec, self.basis(n, strict=strict))
+    def from_coords(self, n, row, strict=True) -> Element:
+        return combination(self.ambient, row, self.basis(n, strict=strict))
 
     def random_element(self, n, rng, density=0.6, strict=True) -> Element:
         out = self.ambient.zero()

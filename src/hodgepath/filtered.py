@@ -24,11 +24,14 @@ Conventions (fixed once, documented here):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, GradedAlgebra,
                       LinearMap, combination)
 from .paths import path_of
+
+_ONE = Fraction(1)
 
 
 def r_path(A, r: int, budget=None):
@@ -59,7 +62,8 @@ def _key_level(X, k, kind):
 class FilteredComplex:
     """Adapted-basis view of a filtered algebra/subspace, degrees 0..bound.
 
-    The differential is computed once per adapted basis element: `d_row(n, i)`
+    Vectors are coefficient rows over the adapted basis (see linalg).  The
+    differential is computed once per adapted basis element: `d_row(n, i)`
     holds the coordinates of d(elements[n][i]) in degree n+1, filled on first
     use and kept per (n, i), and `d_coords` is their linear combination.
     """
@@ -97,10 +101,7 @@ class FilteredComplex:
             allowed = [i for i, lv in enumerate(key_levels) if lv <= p]
             # solve the constraints inside the span of allowed keys
             for v in X.constraint_kernel([amb.from_key(keys[i]) for i in allowed]):
-                row = {}
-                for i, c in v.items():
-                    row[allowed[i]] = c
-                full = linalg.dense(row, len(keys))
+                full = {allowed[i]: c for i, c in v.items()}
                 if chosen.add(full):
                     chosen_levels.append(p)
                     chosen_elems.append(amb.from_coords(n, full))
@@ -114,6 +115,7 @@ class FilteredComplex:
         return self.X if isinstance(self.X, GradedAlgebra) else self.X.ambient
 
     def coords(self, x: Element, n):
+        """Coefficient row of x over the adapted basis of degree n."""
         amb = self.ambient
         if n not in self._charts:
             self._charts[n] = linalg.Chart(
@@ -124,8 +126,8 @@ class FilteredComplex:
             raise AlgebraError("element not in the filtered complex")
         return sol
 
-    def from_coords(self, n, vec) -> Element:
-        return combination(self.ambient, vec, self.elements[n])
+    def from_coords(self, n, row) -> Element:
+        return combination(self.ambient, row, self.elements[n])
 
     def d_row(self, n, i):
         """Coordinates in degree n+1 of d(elements[n][i]); computed once, not to be mutated."""
@@ -134,21 +136,14 @@ class FilteredComplex:
             row = self._d_rows[n, i] = self.coords(self.elements[n][i].d(), n + 1)
         return row
 
-    def d_coords(self, n, vec):
-        """Coordinates in degree n+1 of d of the vector vec: sum of vec[i] * d_row(n, i)."""
-        out = linalg.zeros(self.dim(n + 1))
-        for i, c in enumerate(vec):
-            if c.is_zero:
-                continue
-            for j, a in enumerate(self.d_row(n, i)):
-                if not a.is_zero:
-                    out[j] = out[j] + c * a
-        return out
+    def d_coords(self, n, row):
+        """Coordinates in degree n+1 of d of the row: sum of row[i] * d_row(n, i)."""
+        return linalg.combine(row, {i: self.d_row(n, i) for i in row})
 
     def z_basis(self, n, a, b):
         """Basis of {x in W_a C^n : dx in W_b C^{n+1}}, as coefficient rows over C^n."""
         gens = [i for i, lv in enumerate(self.levels[n]) if lv <= a]
-        rows = linalg.sparse([self.proj_above(n + 1, self.d_row(n, i), b) for i in gens])
+        rows = [self.proj_above(n + 1, self.d_row(n, i), b) for i in gens]
         return [{gens[i]: c for i, c in v.items()} for v in linalg.left_kernel(rows, len(gens))]
 
     def level_range(self):
@@ -157,17 +152,14 @@ class FilteredComplex:
             return (0, 0)
         return (min(vals), max(vals))
 
-    def level_of_coords(self, n, vec):
-        lvls = [lv for c, lv in zip(vec, self.levels[n]) if not c.is_zero]
-        return max(lvls) if lvls else None
+    def level_of_coords(self, n, row):
+        levels = self.levels[n]
+        return max((levels[j] for j in row), default=None)
 
-    def proj_above(self, n, vec, cutlevel):
-        """Components of vec of level > cutlevel (adapted basis makes this exact)."""
-        out = linalg.zeros(len(vec))
-        for j, (c, lv) in enumerate(zip(vec, self.levels[n])):
-            if lv > cutlevel:
-                out[j] = c
-        return out
+    def proj_above(self, n, row, cutlevel):
+        """Components of the row of level > cutlevel (adapted basis makes this exact)."""
+        levels = self.levels[n]
+        return {j: c for j, c in row.items() if levels[j] > cutlevel}
 
 
 def weight_bounds_report(fc: FilteredComplex) -> dict:
@@ -189,7 +181,7 @@ class GrComplex:
     """Gr_p of a filtered complex: bases, differential, inherited second levels."""
     p: int
     dims: dict
-    d: dict                 # n -> rows over basis of degree n, coords in n+1
+    d: dict                 # n -> coefficient rows over basis of degree n, coords in n+1
     hodge: dict             # n -> list of hodge levels (or None)
     reps: dict              # n -> representative Elements
     _cohomology: dict = field(default_factory=dict, repr=False, compare=False)
@@ -202,9 +194,8 @@ class GrComplex:
         sq = self._cohomology.get(n)
         if sq is None:
             cols = self.dim(n)
-            kern = linalg.left_kernel(linalg.sparse(self.d.get(n, [])), cols)
-            sq = self._cohomology[n] = linalg.Subquotient(
-                kern, linalg.sparse(self.d.get(n - 1, [])), cols)
+            kern = linalg.left_kernel(self.d.get(n, []), cols)
+            sq = self._cohomology[n] = linalg.Subquotient(kern, self.d.get(n - 1, []), cols)
         return sq
 
 
@@ -232,7 +223,9 @@ def gr(X, p: int, kind="W", bound=None, fc: FilteredComplex | None = None) -> Gr
                 break
         hodges[n] = hs
     for n in range(0, fc.bound):
-        dmats[n] = [[fc.d_row(n, i)[j] for j in idx[n + 1]] for i in idx[n]]
+        position = {j: t for t, j in enumerate(idx[n + 1])}
+        dmats[n] = [{position[j]: c for j, c in fc.d_row(n, i).items() if j in position}
+                    for i in idx[n]]
     return GrComplex(p=p, dims=dims, d=dmats, hodge=hodges, reps=reps)
 
 
@@ -280,9 +273,8 @@ class SpectralSequence:
         fc = self.fc
         dim = fc.dim(n)
         num = self.z_vectors(r, p, n)
-        den = self.z_vectors(r - 1, p - 1, n) + linalg.sparse(
-            [fc.d_coords(n - 1, linalg.dense(v, fc.dim(n - 1)))
-             for v in self.z_vectors(r - 1, p + r - 1, n - 1)])
+        den = self.z_vectors(r - 1, p - 1, n) + [
+            fc.d_coords(n - 1, v) for v in self.z_vectors(r - 1, p + r - 1, n - 1)]
         sq = linalg.Subquotient(num, den, dim)
         self._e_cache[key] = sq
         return sq
@@ -342,7 +334,7 @@ class SpectralSequence:
         for n in range(0, min(bound, self.fc.bound - 2) + 1):
             for p in self.p_range():
                 rows, _ = self.d_r_matrix(r, p, n)
-                if any(not c.is_zero for row in rows for c in row):
+                if any(rows):
                     bad.append({"r": r, "p": p, "n": n})
         return bad
 
@@ -353,9 +345,9 @@ class SpectralSequence:
         for n in range(0, bound + 1):
             for p in self.p_range():
                 rows, src = self.d_r_matrix(r, p, n)
-                kern = linalg.left_kernel(linalg.sparse(rows), src.dim)
+                kern = linalg.left_kernel(rows, src.dim)
                 img_rows, _ = self.d_r_matrix(r, p + r, n - 1)
-                hsq = linalg.Subquotient(kern, linalg.sparse(img_rows), src.dim)
+                hsq = linalg.Subquotient(kern, img_rows, src.dim)
                 e_next = self._entry_unless_zero(r + 1, p, n)
                 if e_next.dim != hsq.dim:
                     bad.append({"r": r, "p": p, "n": n, "dim_next": e_next.dim,
@@ -479,7 +471,6 @@ def decalage(fc: FilteredComplex) -> FilteredComplex:
         chosen, levels, elems = linalg.Span(), [], []
         for p in range(lo + n, hi + n + 2):
             for v in fc.z_basis(n, p - n, p - n - 1):
-                v = linalg.dense(v, fc.dim(n))
                 if chosen.add(v):
                     levels.append(p)
                     elems.append(fc.from_coords(n, v))
@@ -495,8 +486,9 @@ def decalage(fc: FilteredComplex) -> FilteredComplex:
 def strictness_check(rows, src_levels, dst_levels, decreasing=True) -> list:
     """Witnesses of image(map) ∩ F^q != map(F^q) for a leveled linear map.
 
-    rows[i] = image coordinates of the i-th source basis vector; levels are
-    F-levels (decreasing filtration: F^q = span of level >= q).
+    rows[i] = the coefficient row of the image of the i-th source basis
+    vector; levels are F-levels (decreasing filtration: F^q = span of level
+    >= q).
     """
     bad = []
     cols = len(dst_levels)
@@ -506,11 +498,11 @@ def strictness_check(rows, src_levels, dst_levels, decreasing=True) -> list:
     for q in qs:
         if decreasing:
             img_subspace = [r for r, lv in zip(rows, src_levels) if lv >= q]
-            f_target = [linalg.unit_vec(cols, i) for i, lv in enumerate(dst_levels) if lv >= q]
+            f_target = [{i: _ONE} for i, lv in enumerate(dst_levels) if lv >= q]
         else:
             img_subspace = [r for r, lv in zip(rows, src_levels) if lv <= q]
-            f_target = [linalg.unit_vec(cols, i) for i, lv in enumerate(dst_levels) if lv <= q]
-        dim_lhs = len(linalg.intersect(linalg.sparse(rows), linalg.sparse(f_target), cols))
+            f_target = [{i: _ONE} for i, lv in enumerate(dst_levels) if lv <= q]
+        dim_lhs = len(linalg.intersect(rows, f_target, cols))
         dim_rhs = linalg.rank(img_subspace, cols)
         if dim_lhs != dim_rhs:
             bad.append({"q": q, "dim_image_cap_F": dim_lhs, "dim_image_of_F": dim_rhs})

@@ -24,6 +24,7 @@ call returns.  `pi_star` builds the decalage of its model once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
 from .algebra import (AlgebraError, FreeCdga, combination, compose,
@@ -43,23 +44,28 @@ from .sullivan import is_minimal
 # ---------------------------------------------------------------------------
 
 def _conj_vec(v):
-    return [c.conjugate() for c in v]
+    return {j: c.conjugate() for j, c in v.items()}
+
+
+def _unit_rows(dim):
+    return [{i: Fraction(1)} for i in range(dim)]
 
 
 class MhsStructure:
     """Candidate mixed Hodge structure on coordinates of a rational space.
 
-    dim: dimension of V (coordinates are with respect to a rational basis of
-    V unless a transported conjugation is supplied).  weight_vectors: list of
-    (level, vector) spanning W adaptedly.  hodge_spans: {q: [vectors]} with
-    F^q = span (decreasing: F^q contains F^{q+1} after closure).  conj: an
-    antilinear involution on coordinates (default: entrywise conjugation).
+    Vectors are coefficient rows (see linalg) over a basis of V.  dim: the
+    dimension of V (the basis is rational unless a transported conjugation
+    is supplied).  weight_vectors: list of (level, row) spanning W adaptedly.
+    hodge_spans: {q: [rows]} with F^q = span (decreasing: F^q contains
+    F^{q+1} after closure).  conj: an antilinear involution on rows
+    (default: entrywise conjugation).
     """
 
     def __init__(self, dim, weight_vectors, hodge_spans, conj=None):
         self.dim = dim
         self.weight_vectors = list(weight_vectors)
-        self.hodge_spans = {q: [list(v) for v in vs] for q, vs in hodge_spans.items()}
+        self.hodge_spans = {q: list(vs) for q, vs in hodge_spans.items()}
         self.conj = conj or _conj_vec
         self._caps = {}
 
@@ -76,7 +82,7 @@ class MhsStructure:
     def check(self) -> ValidationReport:
         rep = ValidationReport(subject="mixed Hodge structure")
         # involution
-        for i, e in enumerate(_identity_vectors(self.dim)):
+        for i, e in enumerate(_unit_rows(self.dim)):
             if self.conj(self.conj(e)) != e:
                 rep.add("conjugation", f"not an involution at basis {i}")
         levels = self.weight_levels()
@@ -86,7 +92,7 @@ class MhsStructure:
         for m in levels:
             den = [v for lv, v in self.weight_vectors if lv <= m - 1]
             num = [v for lv, v in self.weight_vectors if lv <= m]
-            grm = linalg.Subquotient(linalg.sparse(num), linalg.sparse(den), self.dim)
+            grm = linalg.Subquotient(num, den, self.dim)
             if grm.dim == 0:
                 continue
 
@@ -102,7 +108,7 @@ class MhsStructure:
             for q in qs_range:
                 Fq = project(self._f_cap_weight(q, m))
                 Fbar = project([self.conj(v) for v in self._f_cap_weight(m - q + 1, m)])
-                if linalg.intersect(linalg.sparse(Fq), linalg.sparse(Fbar), grm.dim):
+                if linalg.intersect(Fq, Fbar, grm.dim):
                     rep.add("purity-intersection",
                             f"F^{q} cap conj(F^{m - q + 1}) != 0 at weight {m}",
                             weight=m, q=q)
@@ -125,16 +131,14 @@ class MhsStructure:
         out = self._caps.get((q, m))
         if out is None:
             wm = [v for lv, v in self.weight_vectors if lv <= m]
-            out = self._caps[q, m] = [
-                linalg.dense(r, self.dim) for r in linalg.intersect(
-                    linalg.sparse(self.f_span(q)), linalg.sparse(wm), self.dim)]
+            out = self._caps[q, m] = linalg.intersect(self.f_span(q), wm, self.dim)
         return out
 
     def types_at(self, m):
         """Dimension of F^q cap conj(F^{m-q}) projected to Gr_m, per (q, m-q)."""
         den = [v for lv, v in self.weight_vectors if lv <= m - 1]
         num = [v for lv, v in self.weight_vectors if lv <= m]
-        grm = linalg.Subquotient(linalg.sparse(num), linalg.sparse(den), self.dim)
+        grm = linalg.Subquotient(num, den, self.dim)
         out = {}
         qs = sorted(self.hodge_spans)
         for q in qs:
@@ -142,7 +146,7 @@ class MhsStructure:
             Fq = [v for v in Fq if v is not None]
             Fb = [grm.coords(self.conj(v)) for v in self._f_cap_weight(m - q, m)]
             Fb = [v for v in Fb if v is not None]
-            d = len(linalg.intersect(linalg.sparse(Fq), linalg.sparse(Fb), grm.dim))
+            d = len(linalg.intersect(Fq, Fb, grm.dim))
             if d:
                 out[(q, m - q)] = d
         return out
@@ -214,19 +218,19 @@ class MhdReport:
 
 
 def _gr_class_map(phi, p, n, fc_src, fc_dst, grc_src: GrComplex, grc_dst: GrComplex):
-    """Matrix of H^n(Gr_p(phi)) (rows = source classes), or None witness."""
+    """Coefficient rows of H^n(Gr_p(phi)) (one per source class), or None witness."""
     sq_s = grc_src.cohomology(n)
     sq_d = grc_dst.cohomology(n)
     sel_dst = [i for i, lv in enumerate(fc_dst.levels[n]) if lv == p]
+    position = {j: t for t, j in enumerate(sel_dst)}
     rows = []
     for rep in sq_s.reps:
         el = combination(fc_src.ambient, rep, grc_src.reps[n])
         if el.is_zero:
-            rows.append(linalg.zeros(sq_d.dim))
+            rows.append({})
             continue
         y = phi(el)
-        yv = fc_dst.coords(y, n)
-        gr_v = [yv[i] for i in sel_dst]
+        gr_v = {position[j]: c for j, c in fc_dst.coords(y, n).items() if j in position}
         c = sq_d.coords(gr_v)
         if c is None:
             return None, sq_s, sq_d
@@ -235,28 +239,20 @@ def _gr_class_map(phi, p, n, fc_src, fc_dst, grc_src: GrComplex, grc_dst: GrComp
 
 
 def _mat_inverse(rows, dim):
-    """Inverse of a square matrix given as rows; None if singular.
+    """Inverse of a square matrix given as coefficient rows; None if singular.
 
-    Row i of the inverse is the coordinate vector of the i-th unit vector
-    over the rows.
+    Row i of the inverse is the coordinate row of the i-th unit vector over
+    the rows.
     """
     chart = linalg.Chart(rows, dim)
     if len(rows) != dim or chart.rank < dim:
         return None
-    return [chart.coords(linalg.unit_vec(dim, i)) for i in range(dim)]
+    return [chart.coords(e) for e in _unit_rows(dim)]
 
 
-def _mat_compose(first, then, dim_mid, dim_out):
-    """rows of (then o first): first maps into mid coords, then into out."""
-    out = []
-    for row in first:
-        acc = linalg.zeros(dim_out)
-        for c, trow in zip(row, then):
-            if not c.is_zero:
-                for j, a in enumerate(trow):
-                    acc[j] = acc[j] + c * a
-        out.append(acc)
-    return out
+def _mat_compose(first, then):
+    """Coefficient rows of (then o first): first maps into the rows of then."""
+    return [linalg.combine(row, then) for row in first]
 
 
 class Transport:
@@ -274,8 +270,7 @@ class Transport:
 
         def sigma(v):
             # v M^-1, conjugated, then times M
-            back = _conj_vec(_mat_compose([v], self.inverse, self.dim_dst, self.dim_src)[0])
-            return _mat_compose([back], self.matrix, self.dim_src, self.dim_dst)[0]
+            return linalg.combine(_conj_vec(linalg.combine(v, self.inverse)), self.matrix)
 
         return sigma
 
@@ -323,7 +318,7 @@ def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int, complexes
     fcs = {v: cx.complex(algs[v]) for v in verts}
     grcs = {v: cx.graded(algs[v], p) for v in verts}
     dim = grcs[verts[0]].cohomology(n).dim
-    current = _identity_vectors(dim)
+    current = _unit_rows(dim)
     cur_dim = dim
     for arrow_name, forward in D.string_path():
         a = dia.arrow(arrow_name)
@@ -337,18 +332,18 @@ def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int, complexes
             raise AlgebraError(
                 f"comparison {arrow_name} is not an isomorphism on H^{n}(Gr_{p})")
         if forward:
-            current = _mat_compose(current, rows, sq_s.dim, sq_d.dim)
+            current = _mat_compose(current, rows)
             cur_dim = sq_d.dim
         else:
             inv = _mat_inverse(rows, sq_d.dim)
             if inv is None:
                 raise AlgebraError(f"comparison {arrow_name} not invertible")
-            current = _mat_compose(current, inv, sq_d.dim, sq_s.dim)
+            current = _mat_compose(current, inv)
             cur_dim = sq_s.dim
     tr = Transport(current, dim, cur_dim)
     sigma = tr.conjugation()
     if sigma is not None:
-        for e in _identity_vectors(cur_dim):
+        for e in _unit_rows(cur_dim):
             if sigma(sigma(e)) != e:
                 raise AlgebraError("transported conjugation is not an involution")
     return tr
@@ -429,7 +424,7 @@ def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
                 continue
             fspans = _hodge_spans_on_gr_cohomology(grc, n, sq)
             m = p + n
-            st = MhsStructure(sq.dim, [(m, v) for v in _identity_vectors(sq.dim)],
+            st = MhsStructure(sq.dim, [(m, e) for e in _unit_rows(sq.dim)],
                               fspans, conj=sigma)
             ver = st.check()
             if not ver.ok:
@@ -445,25 +440,20 @@ def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
     return report
 
 
-def _identity_vectors(dim):
-    return [linalg.unit_vec(dim, i) for i in range(dim)]
-
-
 def _hodge_spans_on_gr_cohomology(grc: GrComplex, n, sq):
     """F^q on H^n(Gr_p): classes of cocycles lying in F^q."""
     spans = {}
     hodges = grc.hodge.get(n)
     if hodges is None:
         raise AlgebraError("no Hodge levels on the graded piece")
-    dim = grc.dim(n)
     rows_d = grc.d.get(n, [])
     for q in sorted(set(hodges)):
         idx = [i for i, h in enumerate(hodges) if h >= q]
-        rows = linalg.sparse([rows_d[i] for i in idx] if rows_d else [])
+        rows = [rows_d[i] for i in idx] if rows_d else []
         vs = []
         for k in linalg.left_kernel(rows, len(idx)):
-            cc = sq.coords(linalg.dense({idx[i]: c for i, c in k.items()}, dim))
-            if cc is not None and any(not c.is_zero for c in cc):
+            cc = sq.coords({idx[i]: c for i, c in k.items()})
+            if cc:
                 vs.append(cc)
         if vs:
             spans[q] = vs
@@ -529,9 +519,8 @@ def dec_weight_structure(M: FreeCdga, n: int, dec: FilteredComplex | None = None
     for lv, el in zip(dec.levels[n], dec.elements[n]):
         wvecs.append((lv, M.coords(el, n)))
     hspans = {}
-    for i, k in enumerate(M.basis_keys(n)):
-        q = M.key_hodge(k)
-        hspans.setdefault(q, []).append(linalg.unit_vec(amb_dim, i))
+    for k, e in zip(M.basis_keys(n), _unit_rows(amb_dim)):
+        hspans.setdefault(M.key_hodge(k), []).append(e)
     return MhsStructure(amb_dim, wvecs, hspans)
 
 
@@ -586,11 +575,11 @@ def pi_star(D: MixedHodgeDiagram, M: FreeCdga, f: HoMorphism,
         dim = len(gens_n)
         entry = {"dim": dim, "ok": True, "weights": {}, "types": {}}
         if dim:
-            wvecs = [(g.weight + n, v)
-                     for g, v in zip(gens_n, _identity_vectors(dim))]
+            units = _unit_rows(dim)
+            wvecs = [(g.weight + n, e) for g, e in zip(gens_n, units)]
             hspans = {}
-            for g, v in zip(gens_n, _identity_vectors(dim)):
-                hspans.setdefault(g.hodge, []).append(v)
+            for g, e in zip(gens_n, units):
+                hspans.setdefault(g.hodge, []).append(e)
             st = MhsStructure(dim, wvecs, hspans)
             ver = st.check()
             entry["ok"] = ver.ok
@@ -625,9 +614,7 @@ def pi_star_induced_map(D1, M1, f1, D2, M2, f2, g: DiagramMorphism, budget=8):
         if not src or not rows:
             continue
         for i, row in enumerate(rows):
-            for j, c in enumerate(row):
-                if c.is_zero:
-                    continue
+            for j in row:
                 if src.weights[i] is not None and dst.weights[j] is not None \
                         and dst.weights[j] > src.weights[i]:
                     compat.append({"check": "W", "degree": n,
@@ -660,7 +647,8 @@ def indecomposables_diagram(D: Diagram, upto=None) -> dict:
         qsrc = indecomposables(src_alg, upto=upto) if D.coerce[u] is not None \
             else qs[a.src]
         mats = induced_on_indecomposables(D.phi[u], qsrc, qs[a.dst], upto=upto)
-        out["arrows"][u] = {n: [[str(c) for c in row] for row in rows]
+        out["arrows"][u] = {n: [[str(row.get(j, 0)) for j in range(qs[a.dst].dim(n))]
+                                for row in rows]
                             for n, rows in mats.items() if rows}
     return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import AlgebraError, CutoffError, Element, GradedAlgebra, LinearMap
+from .scalars import coeff, from_coeff
 
 
 def _is_keyed(X) -> bool:
@@ -26,39 +27,34 @@ class Cohomology:
         self.n = n
         self.dim = dim
         self.reps = reps            # list[Element], canonical representatives
-        self._blocks = block_data   # list of (block_id, keys_or_none, subquotient, index)
+        # list of (block_id, keys or None, subquotient, local); local maps a
+        # position of X.basis(n) in the block to its position in the block
+        self._blocks = block_data
+
+    def _block_rows(self, row):
+        """The coefficient row over X.basis(n) cut into one row per block."""
+        return [row if local is None else
+                {local[i]: c for i, c in row.items() if i in local}
+                for _, _, _, local in self._blocks]
 
     def cls(self, x: Element):
-        """Coordinates of the class [x] in the representative basis.
+        """Coefficient row of the class [x] over the representatives.
 
-        Raises if x is not closed or, on a keyed algebra, has a key outside
-        degree n; returns None if x is not in this degree's cocycles span
-        (cannot happen for closed homogeneous x of degree n).
+        Raises if x is not closed or has a key outside degree n; returns None
+        if x is not in this degree's cocycles span (cannot happen for closed
+        homogeneous x of degree n).
         """
         if not x.d().is_zero:
             raise AlgebraError("cls() of a non-closed element")
-        vecs = []
-        placed = 0
-        for _, keys, _, index in self._blocks:
-            if keys is None:
-                vecs.append(self.X.coords(x, self.n))
-                placed = len(x.terms)
-                continue
-            vec = linalg.zeros(len(keys))
-            for k, c in x.terms.items():
-                i = index.get(k)
-                if i is not None:
-                    vec[i] = c
-                    placed += 1
-            vecs.append(vec)
-        if placed != len(x.terms):
-            raise AlgebraError(f"cls() of an element with a key outside degree {self.n}")
-        out = []
-        for (_, _, sq, _), vec in zip(self._blocks, vecs):
-            c = sq.coords(vec)
+        out, offset = {}, 0
+        for (_, _, sq, _), row in zip(self._blocks,
+                                      self._block_rows(self.X.coords(x, self.n, strict=False))):
+            c = sq.coords(row)
             if c is None:
                 return None
-            out.extend(c)
+            for j, a in c.items():
+                out[offset + j] = a
+            offset += sq.dim
         return out
 
     def with_boundaries(self, Y, boundaries) -> "Cohomology":
@@ -66,21 +62,17 @@ class Cohomology:
 
         Y must have X's degree-n keys, naming the same monomials, and the
         same d on them, so that the cocycles Z^n are X's; boundaries are
-        terms dicts over those keys, and B^n(Y) = B^n(X) + span(boundaries).
+        elements of Y of degree n, and B^n(Y) = B^n(X) + span(boundaries).
         Each block's subquotient is then taken modulo the boundaries' rows
         (`Subquotient.quotient_by`), and the reps and cls coordinates are
         those of a fresh cohomology(Y, n), entry for entry.  Keyed groups
         only.
         """
-        blocks, placed = [], 0
-        for block_id, keys, sq, index in self._blocks:
-            if keys is None:
-                raise AlgebraError("with_boundaries() needs a keyed algebra")
-            rows = [{index[k]: c for k, c in t.items() if k in index} for t in boundaries]
-            placed += sum(map(len, rows))
-            blocks.append((block_id, keys, sq.quotient_by(linalg.sparse(rows)), index))
-        if placed != sum(map(len, boundaries)):
-            raise AlgebraError(f"boundary with a key outside degree {self.n}")
+        if any(keys is None for _, keys, _, _ in self._blocks):
+            raise AlgebraError("with_boundaries() needs a keyed algebra")
+        cut = [self._block_rows(Y.coords(b, self.n, strict=False)) for b in boundaries]
+        blocks = [(block_id, keys, sq.quotient_by([rows[t] for rows in cut]), local)
+                  for t, (block_id, keys, sq, local) in enumerate(self._blocks)]
         return _keyed_group(Y, self.n, blocks)
 
 
@@ -102,17 +94,17 @@ def _d_rows(X, keys_src, index_dst):
             i = index_dst.get(kk)
             if i is None:
                 raise AlgebraError("differential leaves its block; block grading broken")
-            row[i] = c
+            row[i] = coeff(c)
         rows.append(row)
-    return linalg.sparse(rows)
+    return rows
 
 
 def _keyed_group(X, n, blocks) -> Cohomology:
-    """The group of keyed (block_id, keys, subquotient, index) blocks, reps on X."""
+    """The group of keyed (block_id, keys, subquotient, local) blocks, reps on X."""
     reps = []
     for _, keys, sq, _ in blocks:
         for rep in sq.reps:
-            reps.append(Element(X, {k: c for k, c in zip(keys, rep) if not c.is_zero}))
+            reps.append(Element(X, {keys[j]: from_coeff(rep[j]) for j in sorted(rep)}))
     return Cohomology(X, n, len(reps), reps, blocks)
 
 
@@ -129,6 +121,7 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
         blocks = []
         part_lo = _block_partition(X, n - 1)
         part_hi = _block_partition(X, n + 1)
+        position = X._key_index(n)
         for block_id, keys in _block_partition(X, n).items():
             lo = part_lo.get(block_id, [])
             hi = part_hi.get(block_id, [])
@@ -136,14 +129,14 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
             kern = linalg.left_kernel(_d_rows(X, keys, {k: i for i, k in enumerate(hi)}),
                                       len(keys))
             sq = linalg.Subquotient(kern, _d_rows(X, lo, index), len(keys))
-            blocks.append((block_id, keys, sq, index))
+            blocks.append((block_id, keys, sq, {position[k]: i for k, i in index.items()}))
         return _keyed_group(X, n, blocks)
     basis_n = X.basis(n, strict=False)
     cols = len(basis_n)
-    rows_d = linalg.sparse([X.coords(b.d(), n + 1, strict=False) for b in basis_n])
+    rows_d = [X.coords(b.d(), n + 1, strict=False) for b in basis_n]
     img = [X.coords(b.d(), n, strict=False) for b in X.basis(n - 1, strict=False)] \
         if n >= 1 else []
-    sq = linalg.Subquotient(linalg.left_kernel(rows_d, cols), linalg.sparse(img), cols)
+    sq = linalg.Subquotient(linalg.left_kernel(rows_d, cols), img, cols)
     reps = [X.from_coords(n, repv, strict=False) for repv in sq.reps]
     return Cohomology(X, n, sq.dim, reps, [(0, None, sq, None)])
 
@@ -153,7 +146,7 @@ def betti_numbers(X, upto: int) -> dict:
 
 
 def induced_map(f: LinearMap, HA: Cohomology, HB: Cohomology):
-    """Matrix rows of H(f): image class coords of each source representative."""
+    """Coefficient rows of H(f): the class row of the image of each source representative."""
     rows = []
     for rep in HA.reps:
         c = HB.cls(f(rep))

@@ -103,15 +103,19 @@ def _solve_closed_correction(v, err: Element, n: int):
     basis = X.basis(n, strict=False)
     if not basis:
         return None if not err.is_zero else X.zero()
-    # unknown i has image (d b_i, v b_i); the target is (err, 0)
+    # unknown i has image (d b_i, v b_i), v b_i in the columns after d b_i's;
+    # the target is (err, 0)
+    offset = X.dim(n + 1, strict=False)
     rows = []
     for b in basis:
-        rows.append(X.coords(b.d(), n + 1, strict=False) + Y.coords(v(b), n, strict=False))
-    sol = linalg.solve(linalg.sparse(rows), len(basis),
-                       linalg.sparse([X.coords(err, n + 1, strict=False)])[0])
+        row = X.coords(b.d(), n + 1, strict=False)
+        for j, c in Y.coords(v(b), n, strict=False).items():
+            row[offset + j] = c
+        rows.append(row)
+    sol, = linalg.solve(rows, len(basis), [X.coords(err, n + 1, strict=False)])
     if sol is None:
         return None
-    return X.from_coords(n, linalg.dense(sol, len(basis)), strict=False)
+    return X.from_coords(n, sol, strict=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Exact linear algebra over Q and Q(sqrt d), on one sparse elimination kernel.
 
-Rows go in and come out sparse: a coefficient row is a dict {column: coeff}
-without zeros, made by `sparse` from dense Scalar vectors or {column: Scalar}
-dicts and turned back by `dense`.  Rational coefficients are bare Fractions,
-the others Scalars; `_reduce` serves both and a mix of the two.
+Every vector in the package has one format, the coefficient row: a dict
+{index: coeff} without zero entries, whose rational coefficients are bare
+Fractions and whose others are Scalars (`scalars.coeff` and
+`scalars.from_coeff` convert one coefficient).  An algebra's `coords` turns
+an element into a row over a basis, and its `from_coords` (or `combination`)
+turns a row back into an element; in between, every function here takes and
+returns rows, and `combine` is the one linear combination of rows.  Inside,
+an elimination holds rows of one coefficient type (Fractions, or Scalars
+over Q(sqrt d)); rows leave through `_formatted`, so that they are in the
+format even where Scalar arithmetic cancelled an imaginary part.
 
 A linear system enters in one orientation: row i is the image of unknown i.
 `left_kernel(rows, count)` is {x : sum_i x_i rows_i = 0} and
-`solve(rows, count, y)` one x with sum_i x_i rows_i = y; both read their
-equations, one per column, through `_columns`.  Columns may be any hashable
-keys, so a caller can pass the terms of algebra elements as rows.
+`solve(rows, count, ys)` one x with sum_i x_i rows_i = y per y; both read
+their equations, one per column, through `_columns`.  Columns may be any
+hashable keys, so a caller can pass the terms of algebra elements as rows.
 
 `_eliminate` is Gauss-Jordan with the deterministic first-nonzero rule: the
 first row at or below the rank with a non-zero in the column becomes the
@@ -25,9 +31,10 @@ each pivot row when it is chosen.
 
 A full elimination gives the unique reduced row echelon form, so kernels,
 ranks, intersections and `Subquotient` reps do not depend on the order of
-the equations, and on a consistent system `solve`'s answer (free unknowns
-zero) is unique.  Only a `Chart` over a dependent basis depends on the pivot
-rule.  Entries are exact, so every kernel/image/solve is a certificate.
+the equations or of the entries of a row, and on a consistent system
+`solve`'s answer (free unknowns zero) is unique.  Only a `Chart` over a
+dependent basis depends on the pivot rule.  Entries are exact, so every
+kernel/image/solve is a certificate.
 """
 
 from __future__ import annotations
@@ -35,50 +42,26 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import Scalar, _scalar
+from .scalars import Scalar, coeff, from_coeff
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-# The zero entry of every vector zeros() hands out.  Scalars are immutable, so
-# one object serves them all, and the loops below skip it by identity.
-_ZERO_SCALAR = _scalar(_ZERO, _ZERO, -1)
 
 
-def zeros(n: int) -> list:
-    return [_ZERO_SCALAR] * n
+def _formatted(row) -> dict:
+    """A copy of the row in the row format: each rational Scalar becomes its Fraction."""
+    return {j: coeff(a) if type(a) is Scalar else a for j, a in row.items()}
 
 
-def unit_vec(n: int, i: int) -> list:
-    v = zeros(n)
-    v[i] = Scalar(1)
-    return v
+def combine(coeffs, rows):
+    """The coefficient row sum_i coeffs[i] * rows[i]; coeffs is a coefficient row.
 
-
-def sparse(rows):
-    """Coefficient rows {col: coeff} of dense Scalar rows or {col: Scalar} dicts.
-
-    Zeros are dropped, rational entries become bare Fractions and the others
-    stay Scalars.
+    rows is indexed by the indices of coeffs (a list, or a dict of the rows
+    needed) and is not changed.
     """
-    out = []
-    for r in rows:
-        row = {}
-        for j, a in (r.items() if type(r) is dict else enumerate(r)):
-            if a is not _ZERO_SCALAR:
-                if a.im:
-                    row[j] = a
-                elif a.re:
-                    row[j] = a.re
-        out.append(row)
-    return out
-
-
-def dense(row, width: int) -> list:
-    """Dense Scalar vector of a coefficient row."""
-    v = zeros(width)
-    for j, c in row.items():
-        v[j] = c if isinstance(c, Scalar) else _scalar(c, _ZERO, -1)
-    return v
+    out = {}
+    for i, c in coeffs.items():
+        _sub_multiple(out, -c, rows[i])
+    return _formatted(out)
 
 
 def _sub_multiple(row, c, prow):
@@ -126,8 +109,7 @@ def _eliminate(rows, ncols: int):
             _primitive(row)
         else:
             for j, a in row.items():
-                if type(a) is not Scalar:
-                    row[j] = _scalar(a, _ZERO, -1)
+                row[j] = from_coeff(a)
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -174,11 +156,11 @@ def _eliminate(rows, ncols: int):
 
 
 def rank(rows, ncols: int) -> int:
-    return len(_eliminate(sparse(rows), ncols)[1])
+    return len(_eliminate(rows, ncols)[1])
 
 
 def _kernel(R, pivots, ncols: int):
-    """Sparse basis of the null space of eliminated rows, one vector per free column."""
+    """Basis of the null space of eliminated rows as coefficient rows, one per free column."""
     pivot_set = set(pivots)
     basis = {}
     for free in range(ncols):
@@ -189,7 +171,7 @@ def _kernel(R, pivots, ncols: int):
             v = basis.get(j)
             if v is not None:
                 v[p] = -c
-    return list(basis.values())
+    return [_formatted(v) for v in basis.values()]
 
 
 def _columns(rows):
@@ -220,25 +202,31 @@ def left_kernel(rows, count: int):
     return _kernel(*_eliminate(_columns(enumerate(rows)), count), count)
 
 
-def solve(rows, count: int, y):
-    """Coefficient row x with sum_i x_i rows_i = y, or None if there is none.
+def solve(rows, count: int, ys):
+    """Per right-hand side y of ys, a coefficient row x with sum_i x_i rows_i = y, or None.
 
-    rows and y are coefficient rows; rows past len(rows) count as zero.  Free
-    unknowns are set to zero, so x is supported on the earliest possible
-    unknowns (deterministic tie-break).
+    rows and each y are coefficient rows; rows past len(rows) count as zero.
+    One elimination serves every y: the right-hand sides are carried along
+    as the columns after the unknowns and are never pivoted on, so each x is
+    the answer to its system alone.  Free unknowns are set to zero, so x is
+    supported on the earliest possible unknowns (deterministic tie-break).
+    Without pivots on the right-hand sides an inconsistent system shows only
+    in the equations left without a pivot, which the elimination drops, so
+    each candidate x is kept only if it meets its y.
     """
     pairs = list(enumerate(rows))
-    pairs.append((count, y))
-    R, pivots = _eliminate(_columns(pairs), count + 1)
-    # a pivot on the right-hand side is an equation 0 = y_j with y_j != 0
-    if pivots and pivots[-1] == count:
-        return None
-    x = {}
-    for r, p in zip(R, pivots):
-        c = r.get(count)
-        if c is not None:
-            x[p] = c
-    return x
+    pairs.extend((count + j, y) for j, y in enumerate(ys))
+    R, pivots = _eliminate(_columns(pairs), count)
+    out = []
+    for j, y in enumerate(ys):
+        x = {}
+        for r, p in zip(R, pivots):
+            c = r.get(count + j)
+            if c is not None:
+                x[p] = c
+        x = _formatted(x)
+        out.append(x if combine(x, rows) == y else None)
+    return out
 
 
 def intersect(rows_a, rows_b, ncols: int):
@@ -247,15 +235,13 @@ def intersect(rows_a, rows_b, ncols: int):
     Each relation x·a + y·b = 0 gives x·a = -y·b, a vector of both spans,
     and these vectors span the intersection.
     """
+    na = len(rows_a)
     out = []
-    for k in left_kernel(list(rows_a) + list(rows_b), len(rows_a) + len(rows_b)):
-        v = {}
-        for i, c in k.items():
-            if i < len(rows_a):
-                _sub_multiple(v, -c, rows_a[i])
+    for k in left_kernel(list(rows_a) + list(rows_b), na + len(rows_b)):
+        v = combine({i: c for i, c in k.items() if i < na}, rows_a)
         if v:
             out.append(v)
-    return _eliminate(out, ncols)[0]
+    return [_formatted(r) for r in _eliminate(out, ncols)[0]]
 
 
 def _reduce(v, rows, pivots):
@@ -286,8 +272,8 @@ class Span:
         self._pivots = []
 
     def add(self, v) -> bool:
-        """Add the dense vector v; True iff v was outside the span so far."""
-        w = sparse([v])[0]
+        """Add the coefficient row v; True iff v was outside the span so far."""
+        w = dict(v)
         _reduce(w, self._rows, self._pivots)
         if not w:
             return False
@@ -299,7 +285,7 @@ class Span:
 
 
 class Chart:
-    """Coordinates over a fixed basis of dense vectors of length ncols, eliminated once.
+    """Coordinates over a fixed basis of coefficient rows over ncols columns, eliminated once.
 
     The reduced [basis | -I], pivoting in the first ncols columns only, has
     rows [E | -T] with E = T * basis.  Reducing [v | 0] by them leaves
@@ -309,10 +295,7 @@ class Chart:
 
     def __init__(self, basis, ncols: int):
         self.ncols = ncols
-        self._k = len(basis)
-        rows = sparse(basis)
-        for i, row in enumerate(rows):
-            row[ncols + i] = -_ONE
+        rows = [{**row, ncols + i: -_ONE} for i, row in enumerate(basis)]
         self._rows, self._pivots = _eliminate(rows, ncols)
 
     @property
@@ -320,21 +303,21 @@ class Chart:
         return len(self._pivots)
 
     def coords(self, v):
-        """Coefficients of the dense vector v over the basis, or None if v is outside its span."""
-        w = sparse([v])[0]
+        """Coefficient row of the row v over the basis, or None if v is outside its span."""
+        w = dict(v)
         _reduce(w, self._rows, self._pivots)
         if any(j < self.ncols for j in w):
             return None
-        return dense({j - self.ncols: c for j, c in w.items()}, self._k)
+        return _formatted({j - self.ncols: c for j, c in w.items()})
 
 
 class Subquotient:
     """Exact subquotient span(numerator) / span(denominator) of a coordinate space.
 
-    Numerator and denominator are coefficient rows (see `sparse`).
-    Representatives are the reduced numerator modulo the denominator, hence
-    canonical: two runs produce identical reps.  Both eliminated bases are
-    kept as the kernel's sparse rows.
+    Numerator and denominator are coefficient rows.  Representatives are the
+    reduced numerator modulo the denominator, hence canonical: two runs
+    produce identical reps.  Both eliminated bases are kept as the kernel's
+    sparse rows.
     """
 
     def __init__(self, numerator, denominator, ncols: int):
@@ -361,20 +344,17 @@ class Subquotient:
 
     @property
     def reps(self) -> list:
-        """The canonical representatives, as dense vectors."""
-        return [dense(r, self.ncols) for r in self._reps]
+        """The canonical representatives, as coefficient rows."""
+        return [_formatted(r) for r in self._reps]
 
     def coords(self, v):
-        """Coordinates of [v] in the representative basis; None if v not in num+den.
-
-        v is a dense vector.
-        """
-        w = sparse([v])[0]
+        """Coefficient row of [v] over the representatives; None if v is not in num+den."""
+        w = dict(v)
         _reduce(w, self._den, self._den_pivots)
         taken = _reduce(w, self._reps, self._rep_pivots)
         if w:
             return None
-        return dense(taken, self.dim)
+        return _formatted(taken)
 
     def contains(self, v) -> bool:
         return self.coords(v) is not None

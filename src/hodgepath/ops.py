@@ -9,7 +9,7 @@ from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, GradedAlgebra,
                       LinearMap, TableBasisElement, TableCdga)
 from .paths import BudgetError
-from .scalars import Scalar
+from .scalars import coeff, from_coeff
 
 
 def normalize(raw_terms, A) -> Element:
@@ -318,8 +318,8 @@ class QComplex:
     def __init__(self, A, degrees: dict, dmats: dict, project):
         self.A = A
         self.degrees = degrees      # n -> QDegree
-        self.dmats = dmats          # n -> rows over degrees[n], coords in degrees[n+1]
-        self._project = project     # (elem, n) -> coords in degrees[n]
+        self.dmats = dmats          # n -> coefficient rows over degrees[n], coords in degrees[n+1]
+        self._project = project     # (elem, n) -> coefficient row over degrees[n]
 
     def dim(self, n) -> int:
         return self.degrees[n].dim if n in self.degrees else 0
@@ -331,8 +331,7 @@ class QComplex:
         return self._project(x, n)
 
     def differential_is_zero(self) -> bool:
-        return all(all(all(c.is_zero for c in row) for row in rows)
-                   for rows in self.dmats.values())
+        return not any(any(rows) for rows in self.dmats.values())
 
 
 def indecomposables(A, upto=None) -> QComplex:
@@ -351,20 +350,17 @@ def indecomposables(A, upto=None) -> QComplex:
                                  reps=[A.generator(g.name) for g in gens_n],
                                  weights=[g.weight for g in gens_n],
                                  hodges=[g.hodge for g in gens_n])
-        for n in range(0, upto):
-            src = degrees[n]
-            dst = degrees[n + 1]
-            rows = []
-            for nm in src.labels:
-                dg = A.differential_of(nm)
-                row = [dg.coefficient(((A.gen_index[l], 1),)) for l in dst.labels]
-                rows.append(row)
-            dmats[n] = rows
-
         def project(x: Element, n):
-            labels = degrees[n].labels
-            return [x.coefficient(((A.gen_index[l], 1),)) for l in labels]
+            """The row of the linear part of x over the degree-n generators."""
+            row = {}
+            for j, nm in enumerate(degrees[n].labels):
+                c = x.terms.get(((A.gen_index[nm], 1),))
+                if c is not None:
+                    row[j] = coeff(c)
+            return row
 
+        for n in range(0, upto):
+            dmats[n] = [project(A.differential_of(nm), n + 1) for nm in degrees[n].labels]
         return QComplex(A, degrees, dmats, project)
 
     if isinstance(A, TableCdga):
@@ -375,9 +371,10 @@ def indecomposables(A, upto=None) -> QComplex:
                 # unknown i is basis key i; its image is its augmentation
                 rows = []
                 for k in A.basis_keys(0):
-                    rows.append([A.augmentation.get(k, Scalar(0))])
-                kern = linalg.left_kernel(linalg.sparse(rows), A.dim(0))
-                plus_basis[0] = [A.from_coords(0, linalg.dense(v, A.dim(0))) for v in kern]
+                    a = A.augmentation.get(k)
+                    rows.append({0: coeff(a)} if a else {})
+                kern = linalg.left_kernel(rows, A.dim(0))
+                plus_basis[0] = [A.from_coords(0, v) for v in kern]
             else:
                 plus_basis[n] = A.basis(n)
         sqs, degrees, dmats = {}, {}, {}
@@ -391,13 +388,12 @@ def indecomposables(A, upto=None) -> QComplex:
                         if not p.is_zero:
                             dec.append(A.coords(p, n))
             num = [A.coords(b, n) for b in plus_basis[n]]
-            sq = linalg.Subquotient(linalg.sparse(num), linalg.sparse(dec), cols)
+            sq = linalg.Subquotient(num, dec, cols)
             sqs[n] = sq
             reps = [A.from_coords(n, v) for v in sq.reps]
             weights = []
             hodges = []
-            for v in sq.reps:
-                el = A.from_coords(n, v)
+            for el in reps:
                 weights.append(el.weight() if A.has_weights else None)
                 hodges.append(el.hodge() if A.has_hodge else None)
             degrees[n] = QDegree(labels=[f"q{n}_{k}" for k in range(sq.dim)],
@@ -460,16 +456,12 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
     # unit coordinates
     unit = X.unit() if hasattr(X, "unit") else X.ambient.unit()
     u_coords = X.coords(unit, 0)
-    unit_name = None
-    for k, c in enumerate(u_coords):
-        if c == 1 and all(cc.is_zero for j, cc in enumerate(u_coords) if j != k):
-            unit_name = names[(0, k)]
-            break
-    if unit_name is None:
+    if len(u_coords) != 1 or 1 not in u_coords.values():
         raise AlgebraError("table presentation needs the unit to be a basis vector")
+    unit_name = names[(0, next(iter(u_coords)))]
 
     def coords_named(x, n):
-        return {names[(n, j)]: c for j, c in enumerate(X.coords(x, n)) if not c.is_zero}
+        return {names[(n, j)]: from_coeff(c) for j, c in X.coords(x, n).items()}
 
     products = {}
     for n1 in range(0, upto + 1):

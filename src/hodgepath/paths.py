@@ -507,7 +507,8 @@ def verify_homotopy(h, f: Morphism, g: Morphism, upto=None, d_check=True):
             for kk in db.terms:
                 if kk not in by_key:
                     by_key[kk] = hm(X.from_key(kk))
-            return combination(k, db.terms.values(), [by_key[kk] for kk in db.terms])
+            return combination(k, dict(enumerate(db.terms.values())),
+                               [by_key[kk] for kk in db.terms])
     else:
         def h_of_d(n, db):
             return combination(k, X.coords(db, n + 1), images[n + 1])

@@ -10,6 +10,10 @@ operands (im == 0) does one Fraction operation and builds its result with
 the private `_scalar`, which trusts parts that already satisfy the invariant.
 No operation mutates a Scalar, so one object may be shared: each Field keeps
 one zero, one and minus one.
+
+The coefficients of linalg's sparse rows are bare Fractions where they are
+rational and Scalars otherwise; `coeff` and `from_coeff` convert one
+coefficient in each direction.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ def _scalar(re: Fraction, im: Fraction, d: int) -> "Scalar":
     s.im = im
     s.d = d
     return s
+
+
+_ZERO = Fraction(0)
 
 
 class Scalar:
@@ -166,6 +173,16 @@ class Scalar:
             return f"{self.im}*{root}"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*{root}"
+
+
+def coeff(a: Scalar):
+    """a as a row coefficient: a bare Fraction when a is rational, else a itself."""
+    return a if a.im else a.re
+
+
+def from_coeff(c) -> Scalar:
+    """The Scalar of a row coefficient (a Fraction or a Scalar)."""
+    return c if type(c) is Scalar else _scalar(c, _ZERO, -1)
 
 
 class Field:

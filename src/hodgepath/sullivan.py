@@ -27,9 +27,10 @@ one degree beyond the horizon).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
-from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, FreeMorphism,
+from .algebra import (AlgebraError, CutoffError, FreeCdga, FreeMorphism,
                       Generator, Morphism, combination, compose, is_surjective_at)
 from .homology import cohomology, quasi_iso_report
 from .lifting import free_lift, homotopy_add, lift_homotopy
@@ -86,18 +87,6 @@ class MinimalModel:
     certificate: dict = field(default_factory=dict)
 
 
-def _solve_d_preimage(A, y: Element, n: int):
-    basis = A.basis(n, strict=False)
-    rows = []
-    for b in basis:
-        rows.append(A.coords(b.d(), n + 1, strict=False))
-    sol = linalg.solve(linalg.sparse(rows), len(basis),
-                       linalg.sparse([A.coords(y, n + 1, strict=False)])[0])
-    if sol is None:
-        return None
-    return A.from_coords(n, linalg.dense(sol, len(basis)), strict=False)
-
-
 def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
                   max_rounds: int = 8, rng=None) -> MinimalModel:
     """Minimal Sullivan model of a cohomologically connected algebra, up to N.
@@ -113,7 +102,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     H0 = cohomology(A, 0)
     if H0.dim != 1:
         raise ModelError(f"not cohomologically connected: dim H^0 = {H0.dim}")
-    if H0.cls(A.unit()) is None or all(c.is_zero for c in H0.cls(A.unit())):
+    if not H0.cls(A.unit()):
         raise ModelError("unit does not generate H^0")
     start = 1
     if not allow_0_connected:
@@ -168,15 +157,15 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         # see the module docstring: H^{n+1} only gains the new boundaries
         if carried is not None and M.keys_kept and M.gens[0].degree >= 2:
             H_M[n + 1] = carried.with_boundaries(
-                M, [M.differential_of(nm).terms for nm in named])
+                M, [M.differential_of(nm) for nm in named])
         return list(named)
 
     def cokernel_reps(n):
         """Representatives in A of the cokernel of H^n(rho)."""
         HnA, HnM = H(A, H_A, n), H(M, H_M, n)
         img = [HnA.cls(rho(rep)) for rep in HnM.reps]
-        units = [linalg.unit_vec(HnA.dim, i) for i in range(HnA.dim)]
-        coker = linalg.Subquotient(linalg.sparse(units), linalg.sparse(img), HnA.dim)
+        units = [{i: Fraction(1)} for i in range(HnA.dim)]
+        coker = linalg.Subquotient(units, img, HnA.dim)
         reps = [combination(A_elements, v, HnA.reps) for v in coker.reps]
         if rng is not None:
             rng.shuffle(reps)
@@ -184,24 +173,31 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         return reps
 
     def killers(n):
-        """Terms of a basis z of the kernel of H^{n+1}(rho), and primitives of rho(z)."""
-        zs, primitives = [], []
+        """Terms of a basis z of the kernel of H^{n+1}(rho), and primitives of rho(z).
+
+        A's d rows in degree n are read once, and one elimination solves
+        d a = rho(z) for every z.
+        """
         Hn1A, Hn1M = H(A, H_A, n + 1), H(M, H_M, n + 1)
         if Hn1M.dim == 0:
-            return zs, primitives
+            return [], []
         rows = [Hn1A.cls(rho(rep)) for rep in Hn1M.reps]
-        for v in linalg.left_kernel(linalg.sparse(rows), Hn1M.dim):
-            z = combination(M, linalg.dense(v, Hn1M.dim), Hn1M.reps)
-            if z.is_zero:
-                continue
-            a = _solve_d_preimage(A, rho(z), n)
-            if a is None:
+        zs = [combination(M, v, Hn1M.reps) for v in linalg.left_kernel(rows, Hn1M.dim)]
+        zs = [z for z in zs if not z.is_zero]
+        if not zs:
+            return [], []
+        basis = A.basis(n, strict=False)
+        d_rows = [A.coords(b.d(), n + 1, strict=False) for b in basis]
+        sols = linalg.solve(d_rows, len(basis),
+                            [A.coords(rho(z), n + 1, strict=False) for z in zs])
+        primitives = []
+        for sol in sols:
+            if sol is None:
                 raise ModelError(
                     f"kernel class at degree {n + 1} has no primitive "
                     "(input differential data inconsistent)")
-            zs.append(z.terms)
-            primitives.append(a)
-        return zs, primitives
+            primitives.append(A.from_coords(n, sol, strict=False))
+        return [z.terms for z in zs], primitives
 
     for n in range(start, N + 1):
         stage = {"degree": n, "added_closed": [], "added_killers": []}
@@ -238,7 +234,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         rows = [HN_A.cls(rho(rep)) for rep in HN_M.reps]
         model.certificate[N] = {
             "dim_source": HN_M.dim, "dim_target": HN_A.dim,
-            "injective": not linalg.left_kernel(linalg.sparse(rows), HN_M.dim),
+            "injective": not linalg.left_kernel(rows, HN_M.dim),
             "provisional": True}
     except Exception:
         pass

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 # the benchmark's model_sweep shapes and its random basis change
@@ -32,6 +33,40 @@ def run_main(*argv):
         except SystemExit as e:            # argparse usage errors
             rc = e.code
     return rc, out.getvalue()
+
+
+# -- coefficient rows at a test's boundary -------------------------------------
+# The library's one vector format is the coefficient row {index: coeff}: no
+# zeros, a bare Fraction for a rational coefficient, a Scalar otherwise.
+# Tests that keep a dense reference convert at their own boundary.
+
+def assert_row(row, width=None):
+    """row is a coefficient row: int keys in range(width), no zero, Fractions for rationals."""
+    assert type(row) is dict, row
+    for j, c in row.items():
+        assert type(j) is int and (width is None or 0 <= j < width), (j, width)
+        if type(c) is Scalar:
+            assert c.im, ("a rational Scalar in a row", row)
+        else:
+            assert type(c) is Fraction and c, row
+
+
+def row_of(v):
+    """The coefficient row of a dense list of Scalars."""
+    return {j: a if a.im else a.re for j, a in enumerate(v) if not a.is_zero}
+
+
+def rows_of(vs):
+    return [row_of(v) for v in vs]
+
+
+def dense_of(row, width):
+    """The dense list of Scalars of a coefficient row, which must be in the format."""
+    assert_row(row, width)
+    v = [Scalar(0)] * width
+    for j, c in row.items():
+        v[j] = c if type(c) is Scalar else Scalar(c)
+    return v
 
 
 def s2_table(N=6):

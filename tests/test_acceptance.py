@@ -68,7 +68,10 @@ def test_criterion_1_p_category_axioms():
             rows = []
             d0, d1 = delta(P, 0), delta(P, 1)
             for b in P.basis(n):
-                rows.append(A.coords(d0(b), n) + A.coords(d1(b), n))
+                row = A.coords(d0(b), n)
+                for j, c in A.coords(d1(b), n).items():
+                    row[A.dim(n) + j] = c
+                rows.append(row)
             need = 2 * A.dim(n)
             assert rank(rows, need) == need, (A.name, n)
 

@@ -87,8 +87,8 @@ TABLE_CASES = {
 }
 
 
-def _named(n, vec):
-    return {f"b{n}_{j}": c for j, c in enumerate(vec) if not c.is_zero}
+def _named(n, row):
+    return {f"b{n}_{j}": c for j, c in row.items()}
 
 
 @pytest.mark.parametrize("case", sorted(TABLE_CASES))

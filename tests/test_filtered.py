@@ -1,6 +1,7 @@
 """Filtrations: graded pieces, spectral pages, decalage, filtered paths, strictness."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -227,6 +228,6 @@ def test_strictness_zero_and_toy():
 def test_strictness_counterexample():
     # d: source level 0 -> target level 1 (F shifted on the target): image
     # meets F^1 but is not the image of F^1.
-    rows = [[Scalar(1)]]
+    rows = [{0: Fraction(1)}]
     bad = strictness_check(rows, [0], [1], decreasing=True)
     assert bad and bad[0]["q"] == 1

@@ -7,7 +7,8 @@ cutoff.
 `FilteredComplex.d_row` / `d_coords` are checked against coordinates of d
 computed afresh from the element, and `linalg.Span.add` against the rank-based
 membership test it replaced, which this file keeps as the oracle.  Decalage
-is compared with a reference built from both oracles.
+is compared with a reference built from both oracles.  The oracles work on
+dense vectors and convert at this file's boundary (`row_of`, `dense_of`).
 """
 
 import random
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import assert_row, dense_of, row_of, rows_of
 from hodgepath import (CutoffError, Field, FreeCdga, Generator, SubCdga,
                        TableBasisElement, TableCdga, delta, iota, is_Er_quasi_iso,
                        linear_morphism, path_10, r_path)
@@ -24,6 +26,7 @@ from hodgepath.filtered import (FilteredComplex, SpectralSequence,
 from hodgepath.scalars import Scalar
 
 QI = Field(-1)
+ONE = Fraction(1)
 
 
 def weighted_free(c=3):
@@ -72,13 +75,13 @@ COMPLEXES = {
 }
 
 
-def fresh_d(fc, n, vec):
-    """Coordinates of d(x) in degree n+1, x = vec over the adapted basis, with no cache."""
-    return fc.coords(fc.from_coords(n, vec).d(), n + 1)
+def fresh_d(fc, n, row):
+    """Coordinates of d(x) in degree n+1, x = row over the adapted basis, with no cache."""
+    return fc.coords(fc.from_coords(n, row).d(), n + 1)
 
 
 def random_vec(rng, dim, field):
-    out = linalg.zeros(dim)
+    out = [Scalar(0)] * dim
     for i in range(dim):
         if rng.random() < 0.5:
             re = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -96,13 +99,15 @@ def test_d_rows_and_d_coords_match_fresh_coordinates(name):
     for n in range(0, fc.bound):
         dim = fc.dim(n)
         for i in range(dim):
-            want = fresh_d(fc, n, linalg.unit_vec(dim, i))
+            want = fresh_d(fc, n, {i: ONE})
             assert fc.d_row(n, i) == want
-            assert fc.d_coords(n, linalg.unit_vec(dim, i)) == want
-            nonzero += not is_zero(want)
+            assert fc.d_coords(n, {i: ONE}) == want
+            nonzero += bool(want)
         for _ in range(4):
-            v = random_vec(rng, dim, field)
-            assert fc.d_coords(n, v) == fresh_d(fc, n, v)
+            v = row_of(random_vec(rng, dim, field))
+            got = fc.d_coords(n, v)
+            assert_row(got, fc.dim(n + 1))
+            assert got == fresh_d(fc, n, v)
     if name != "cp2_vertex_F":
         assert nonzero, "the differential should not vanish on this complex"
 
@@ -117,12 +122,12 @@ def reference_decalage(fc):
             gens = [i for i, lv in enumerate(fc.levels[n]) if lv <= p - n]
             rows = []
             for i in gens:
-                dv = fresh_d(fc, n, linalg.unit_vec(dim, i))
+                dv = dense_of(fresh_d(fc, n, {i: ONE}), fc.dim(n + 1))
                 rows.append([c if lv > p - n - 1 else Scalar(0)
                              for c, lv in zip(dv, fc.levels[n + 1])])
-            for v in linalg.left_kernel(linalg.sparse(rows), len(gens)):
-                full = linalg.zeros(dim)
-                for c, i in zip(linalg.dense(v, len(gens)), gens):
+            for v in linalg.left_kernel(rows_of(rows), len(gens)):
+                full = [Scalar(0)] * dim
+                for c, i in zip(dense_of(v, len(gens)), gens):
                     full[i] = c
                 if not span_contains(chosen, dim, full):
                     chosen.append(full)
@@ -138,7 +143,7 @@ def test_decalage_matches_reference(name):
     levels, coords = reference_decalage(fc)
     assert dec.levels == levels
     for n, vecs in coords.items():
-        assert dec.elements[n] == [fc.from_coords(n, v) for v in vecs]
+        assert dec.elements[n] == [fc.from_coords(n, row_of(v)) for v in vecs]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +162,8 @@ def span_contains(basis_rows, ncols, v):
     """The former rank-based membership test: the oracle for Span."""
     if is_zero(v):
         return True
-    return linalg.rank(list(basis_rows) + [v], ncols) == linalg.rank(basis_rows, ncols)
+    return linalg.rank(rows_of(list(basis_rows) + [v]), ncols) == \
+        linalg.rank(rows_of(basis_rows), ncols)
 
 
 def stream(rng, field, ncols, count):
@@ -166,7 +172,7 @@ def stream(rng, field, ncols, count):
     for _ in range(count):
         kind = rng.random()
         if kind < 0.1 or not seen:
-            v = random_vec(rng, ncols, field) if seen else linalg.zeros(ncols)
+            v = random_vec(rng, ncols, field) if seen else [Scalar(0)] * ncols
         elif kind < 0.25:
             v = list(rng.choice(seen))
         elif kind < 0.45:
@@ -188,24 +194,24 @@ def test_span_add_matches_rank_oracle(field, seed):
     span, chosen = linalg.Span(), []
     for v in stream(rng, field, ncols, 25):
         outside = not span_contains(chosen, ncols, v)
-        assert span.add(v) == outside
+        assert span.add(row_of(v)) == outside
         if outside:
             chosen.append(v)
-    assert len(chosen) == linalg.rank(chosen, ncols)
+    assert len(chosen) == linalg.rank(rows_of(chosen), ncols)
 
 
 def test_span_edge_cases():
     two, half = Scalar(2), Scalar(Fraction(1, 2))
     span = linalg.Span()
-    assert not span.add(linalg.zeros(3))
-    assert span.add([two, Scalar(0), Scalar(0)])
-    assert not span.add([half, Scalar(0), Scalar(0)])
-    assert span.add([Scalar(3), Scalar(6), Scalar(0)])
-    assert not span.add([Scalar(1), Scalar(2), Scalar(0)])
+    assert not span.add(row_of([Scalar(0)] * 3))
+    assert span.add(row_of([two, Scalar(0), Scalar(0)]))
+    assert not span.add(row_of([half, Scalar(0), Scalar(0)]))
+    assert span.add(row_of([Scalar(3), Scalar(6), Scalar(0)]))
+    assert not span.add(row_of([Scalar(1), Scalar(2), Scalar(0)]))
     i3 = Scalar(0, 1, -3)
-    assert span.add([Scalar(0), Scalar(0), i3])
-    assert not span.add([two, Scalar(4), i3 * Scalar(5)])
-    assert not span.add([Scalar(1), Scalar(1), Scalar(1)])
+    assert span.add(row_of([Scalar(0), Scalar(0), i3]))
+    assert not span.add(row_of([two, Scalar(4), i3 * Scalar(5)]))
+    assert not span.add(row_of([Scalar(1), Scalar(1), Scalar(1)]))
 
 
 def test_is_er_quasi_iso_builds_each_filtered_complex_once(monkeypatch):

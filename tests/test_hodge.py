@@ -1,6 +1,7 @@
 """Mixed Hodge verification, transport, degeneration, homotopy-group structures."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -71,10 +72,10 @@ def test_transport_identity_string_and_involution():
     toy = toy_mhd()
     tr = transport_rational_structure(toy, 2, 0)
     sigma = tr.conjugation()
-    e = [Scalar(1, 0, -1)]
+    e = {0: Fraction(1)}
     assert sigma(e) == e          # x2 is real
-    i_vec = [Scalar(0, 1, -1)]
-    assert sigma(i_vec) == [Scalar(0, -1, -1)]
+    i_vec = {0: Scalar(0, 1, -1)}
+    assert sigma(i_vec) == {0: Scalar(0, -1, -1)}
     assert sigma(sigma(i_vec)) == i_vec
 
 
@@ -97,9 +98,9 @@ def test_transport_with_rescaled_intermediate():
     toy2 = MixedHodgeDiagram(D2, -1)
     tr = transport_rational_structure(toy2, 2, 0)
     sigma = tr.conjugation()
-    e = [Scalar(1, 0, -1)]
+    e = {0: Fraction(1)}
     # x2 upstairs now corresponds to -i * rational class: sigma(e) = -e
-    assert sigma(e) == [Scalar(-1, 0, -1)]
+    assert sigma(e) == {0: Fraction(-1)}
     assert sigma(sigma(e)) == e
     # purity still verifies through the twisted conjugation
     rep = check_mhd(toy2)
@@ -193,20 +194,19 @@ def test_degeneration_checks():
 
 def test_purity_convention_soundness():
     # type (1,1)
-    st = MhsStructure(1, [(2, [Scalar(1, 0, -1)])], {1: [[Scalar(1, 0, -1)]]})
+    st = MhsStructure(1, [(2, {0: Fraction(1)})], {1: [{0: Fraction(1)}]})
     assert st.check().ok and st.types_at(2) == {(1, 1): 1}
     # (2,0) + (0,2) with honestly complex Hodge lines
     i = Scalar(0, 1, -1)
-    one = Scalar(1, 0, -1)
-    zero = Scalar(0, 0, -1)
-    st2 = MhsStructure(2, [(2, [one, zero]), (2, [zero, one])],
-                       {2: [[one, i]], 0: [[one, Scalar(0, -1, -1)]]})
+    one = Fraction(1)
+    st2 = MhsStructure(2, [(2, {0: one}), (2, {1: one})],
+                       {2: [{0: one, 1: i}], 0: [{0: one, 1: Scalar(0, -1, -1)}]})
     rep = st2.check()
     assert rep.ok
     assert st2.types_at(2) == {(2, 0): 1, (0, 2): 1}
     # wrong: both lines in F^2 -> F^2 cap conj(F^1) != 0
-    st3 = MhsStructure(2, [(2, [one, zero]), (2, [zero, one])],
-                       {2: [[one, i], [one, Scalar(0, -1, -1)]]})
+    st3 = MhsStructure(2, [(2, {0: one}), (2, {1: one})],
+                       {2: [{0: one, 1: i}, {0: one, 1: Scalar(0, -1, -1)}]})
     assert not st3.check().ok
 
 
@@ -222,7 +222,7 @@ def test_mh2_implies_mhs_on_cohomology_with_dec():
     fc = FilteredComplex(AQ, "W")
     dec = decalage(fc)
     assert dec.levels[2] == [2]
-    st = MhsStructure(1, [(2, [Scalar(1, 0, -1)])], {1: [[Scalar(1, 0, -1)]]})
+    st = MhsStructure(1, [(2, {0: Fraction(1)})], {1: [{0: Fraction(1)}]})
     assert st.check().ok
 
 

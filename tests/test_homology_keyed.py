@@ -8,7 +8,9 @@ Both must give the same dimension in every degree, the same representatives
 on unblocked algebras (an invertible change of basis on blocked ones), and
 the same class coordinates.  Seeded random cocycles are built from the
 representatives with known coefficients, so `cls` is also checked against
-those coefficients, independently of the elimination kernel.
+those coefficients, independently of the elimination kernel.  Coefficients
+are drawn as dense lists and converted at this file's boundary (`row_of`,
+`dense_of`).
 """
 
 import random
@@ -108,18 +110,18 @@ def test_keyed_cohomology_matches_coords_path(name):
         change = [hs.cls(rep) for rep in hk.reps]
         assert linalg.is_isomorphism(change, hk.dim, hs.dim)
         for i, rep in enumerate(hk.reps):
-            assert hk.cls(rep) == linalg.unit_vec(hk.dim, i)
+            assert hk.cls(rep) == {i: Fraction(1)}
         for _ in range(4):
             coeffs = [_coefficient(X.field, rng) for _ in hk.reps]
-            x = combination(X, coeffs, hk.reps)
+            x = combination(X, row_of(coeffs), hk.reps)
             if n >= 1:
                 x = x + X.random_element(n - 1, rng).d()
             assert x.d().is_zero
-            assert hk.cls(x) == coeffs
-            want = linalg.zeros(hs.dim)
+            assert dense_of(hk.cls(x), hk.dim) == coeffs
+            want = [Scalar(0)] * hs.dim
             for c, row in zip(coeffs, change):
-                want = [a + c * b for a, b in zip(want, row)]
-            assert hs.cls(x) == want
+                want = [a + c * b for a, b in zip(want, dense_of(row, hs.dim))]
+            assert dense_of(hs.cls(x), hs.dim) == want
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
@@ -133,12 +135,12 @@ def test_cls_refuses_keys_outside_its_degree(name):
     for n in range(0, X.N):
         H = cohomology(X, n)
         stray = X.unit() if n else far
-        x = combination(X, [_coefficient(X.field, rng) for _ in H.reps], H.reps)
+        x = combination(X, row_of([_coefficient(X.field, rng) for _ in H.reps]), H.reps)
         for space_H in (H, cohomology(S, n)):
             with pytest.raises(AlgebraError):
                 space_H.cls(x + stray)
         if not X.basis_keys(n):
-            assert H.cls(X.zero()) == []
+            assert H.cls(X.zero()) == {}
 
 
 def test_path_algebra_cls_is_strict_in_degrees_zero_and_one():

@@ -11,7 +11,10 @@ each row as a non-zero integer multiple of the reference's row, so every
 result must agree entry for entry, including the pivot-rule dependent tails
 of the partial eliminations `_eliminate(rows, k)` behind `Chart`.
 Full-width rational cases are also checked against sympy's `Matrix.rref`
-when sympy is installed.
+when sympy is installed.  The library takes and returns coefficient rows;
+the dense references convert at this file's boundary (`row_of`, `dense_of`
+in helpers), and `dense_of` checks that every row the library returns is in
+the row format.
 """
 
 import random
@@ -21,11 +24,20 @@ import pytest
 
 from helpers import *  # noqa: F401,F403  (path setup)
 from hodgepath import linalg
-from hodgepath.linalg import unit_vec, zeros
 from hodgepath.scalars import Scalar
 
 
 # -- dense vector helpers --------------------------------------------------------
+
+def zeros(n):
+    return [Scalar(0)] * n
+
+
+def unit_vec(n, i):
+    v = zeros(n)
+    v[i] = Scalar(1)
+    return v
+
 
 def vec_add(u, v):
     return [a + b for a, b in zip(u, v)]
@@ -59,7 +71,7 @@ def combine_rows(x, rows, width):
     """sum_i x_i rows_i of a coefficient row x over dense rows."""
     total = zeros(width)
     for i, c in x.items():
-        total = vec_add(total, vec_scale(linalg.dense({0: c}, 1)[0], rows[i]))
+        total = vec_add(total, vec_scale(dense_of({0: c}, 1)[0], rows[i]))
     return total
 
 
@@ -68,14 +80,22 @@ def combine_rows(x, rows, width):
 def rref(rows, ncols: int):
     """`_eliminate` of dense rows, pivoting in the first ncols columns: dense rows, pivots."""
     width = len(rows[0]) if rows else ncols
-    R, pivots = linalg._eliminate(linalg.sparse(rows), ncols)
-    return [linalg.dense(r, width) for r in R], pivots
+    R, pivots = linalg._eliminate(rows_of(rows), ncols)
+    out = []
+    for r in R:
+        # eliminated rows hold one coefficient type, so a rational Scalar may
+        # stand in them over Q(sqrt d): they are read without dense_of's check
+        v = zeros(width)
+        for j, c in r.items():
+            v[j] = c if type(c) is Scalar else Scalar(c)
+        out.append(v)
+    return out, pivots
 
 
 def kernel_basis(rows, ncols: int):
     """{x : M x = 0} for the dense rows of M, through `left_kernel` of the columns of M."""
-    return [linalg.dense(v, ncols)
-            for v in linalg.left_kernel(linalg.sparse(transpose(rows, ncols)), ncols)]
+    return [dense_of(v, ncols)
+            for v in linalg.left_kernel(rows_of(transpose(rows, ncols)), ncols)]
 
 
 # -- the dense reference kernel ------------------------------------------------
@@ -235,6 +255,10 @@ def _check_scalars(vectors):
         assert all(isinstance(a, Scalar) for a in v)
 
 
+def dense_or_none(row, width):
+    return None if row is None else dense_of(row, width)
+
+
 # -- kernel versus reference ---------------------------------------------------
 
 @pytest.mark.parametrize("d", FIELDS)
@@ -257,11 +281,11 @@ def test_rref_matches_dense_reference(d):
 def test_rref_leaves_input_unchanged(d):
     for _, rows, ncols in _cases(d, count=20):
         before = [list(r) for r in rows]
-        sparse_rows = linalg.sparse(rows)
+        sparse_rows = rows_of(rows)
         sparse_before = [dict(r) for r in sparse_rows]
         linalg._eliminate(sparse_rows, ncols)
         linalg.left_kernel(sparse_rows, len(rows))
-        linalg.solve(sparse_rows, len(rows), {})
+        linalg.solve(sparse_rows, len(rows), [{}])
         assert sparse_rows == sparse_before
         rref(rows, ncols)
         assert rows == before
@@ -286,48 +310,73 @@ def test_solve_matches_dense_reference(d):
         for y in (mat_mul_vec(cols, x), [_entry(rng, d, 0.5) for _ in range(ncols)]):
             # count > len(rows): the missing rows are zero
             for count in (len(rows), len(rows) + rng.randint(0, 2)):
-                got = linalg.solve(linalg.sparse(rows), count, linalg.sparse([y])[0])
+                got, = linalg.solve(rows_of(rows), count, [row_of(y)])
                 padded = [list(c) + zeros(count - len(rows)) for c in cols]
                 want = dense_solve(padded, count, y)
                 if got is None:
                     assert want is None
                     inconsistent += 1
                 else:
-                    got = linalg.dense(got, count)
+                    got = dense_of(got, count)
                     assert got == want
                     consistent += 1
                     _check_scalars([got])
     assert consistent > 50 and inconsistent > 50
 
 
+@pytest.mark.parametrize("d", FIELDS)
+def test_solve_many_right_hand_sides_matches_one_at_a_time(d):
+    # one elimination for all right-hand sides must give each one the answer
+    # of its own system; two equal inconsistent right-hand sides catch a pivot
+    # on one right-hand side hiding the inconsistency of the other
+    consistent = inconsistent = repeated = 0
+    for rng, rows, ncols in _cases(d):
+        cols = transpose(rows, ncols)
+        ys = [mat_mul_vec(cols, [_entry(rng, d, 0.5) for _ in rows]) for _ in range(2)]
+        ys += [[_entry(rng, d, 0.5) for _ in range(ncols)] for _ in range(2)]
+        bad = [y for y in ys if dense_solve(cols, len(rows), y) is None]
+        if bad:
+            ys += [list(bad[0]), list(bad[0])]
+            repeated += 1
+        rng.shuffle(ys)
+        got = linalg.solve(rows_of(rows), len(rows), rows_of(ys))
+        assert got == [linalg.solve(rows_of(rows), len(rows), [row_of(y)])[0] for y in ys]
+        for x, y in zip(got, ys):
+            assert dense_or_none(x, len(rows)) == dense_solve(cols, len(rows), y)
+            consistent += x is not None
+            inconsistent += x is None
+    assert consistent > 100 and inconsistent > 100 and repeated > 50
+
+
 def test_solve_rejects_a_target_no_row_touches():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(3)}]
-    assert linalg.solve(rows, 2, {0: Fraction(1), 1: Fraction(5)}) == {0: 1, 1: 1}
-    assert linalg.solve(rows, 2, {0: Fraction(1), 4: Fraction(1)}) is None
+    assert linalg.solve(rows, 2, [{0: Fraction(1), 1: Fraction(5)}]) == [{0: 1, 1: 1}]
+    assert linalg.solve(rows, 2, [{0: Fraction(1), 4: Fraction(1)}]) == [None]
     # columns are any keys, as for the terms of algebra elements
     keyed = [{"a": Scalar(1, 1, -3)}, {"b": Fraction(2)}]
-    assert linalg.solve(keyed, 2, {"b": Fraction(4)}) == {1: 2}
-    assert linalg.solve(keyed, 2, {"c": Fraction(1)}) is None
+    assert linalg.solve(keyed, 2, [{"b": Fraction(4)}]) == [{1: 2}]
+    assert linalg.solve(keyed, 2, [{"c": Fraction(1)}]) == [None]
 
 
 def test_solve_with_no_unknowns():
-    assert linalg.solve([], 0, {}) == {}
-    assert linalg.solve([], 0, {0: Fraction(1)}) is None
-    assert linalg.solve([], 0, {2: Scalar(0, 1, -3)}) is None
+    assert linalg.solve([], 0, [{}]) == [{}]
+    assert linalg.solve([], 0, [{0: Fraction(1)}]) == [None]
+    assert linalg.solve([], 0, [{2: Scalar(0, 1, -3)}]) == [None]
     # unknowns without rows have zero images
-    assert linalg.solve([], 3, {}) == {}
-    assert linalg.solve([], 3, {0: Fraction(-1)}) is None
+    assert linalg.solve([], 3, [{}]) == [{}]
+    assert linalg.solve([], 3, [{0: Fraction(-1)}]) == [None]
+    assert linalg.solve([], 3, []) == []
 
 
 @pytest.mark.parametrize("d", FIELDS)
 def test_chart_coords_match_dense_reference(d):
     members = outside = dependent = 0
     for rng, basis, ncols in _cases(d):
-        chart, ref = linalg.Chart(basis, ncols), DenseChart(basis, ncols)
+        chart, ref = linalg.Chart(rows_of(basis), ncols), DenseChart(basis, ncols)
         assert chart.rank == len(ref.pivots)
         dependent += chart.rank < len(basis)
         for v in (_combine(rng, d, basis, ncols), [_entry(rng, d, 0.5) for _ in range(ncols)]):
-            got = chart.coords(v)
+            got = dense_or_none(chart.coords(row_of(v)), len(basis))
             assert got == ref.coords(v)
             if got is None:
                 outside += 1
@@ -346,17 +395,16 @@ def test_subquotient_matches_dense_reference(d):
         if rng.random() < 0.5:
             # a denominator inside the numerator, as for cohomology
             den = [_combine(rng, d, rng.sample(num, min(2, len(num))), ncols) for _ in den]
-        sq = linalg.Subquotient(linalg.sparse(num), linalg.sparse(den), ncols)
+        sq = linalg.Subquotient(rows_of(num), rows_of(den), ncols)
         ref = DenseSubquotient(num, den, ncols)
-        assert sq.reps == ref.reps
+        assert [dense_of(r, ncols) for r in sq.reps] == ref.reps
         assert sq.dim == len(ref.reps)
-        _check_scalars(sq.reps)
         nonzero += sq.dim > 0
         outsider = [_entry(rng, d, 0.5) for _ in range(ncols)]
         for v in (_combine(rng, d, num + den, ncols), outsider):
-            got = sq.coords(v)
+            got = dense_or_none(sq.coords(row_of(v)), sq.dim)
             assert got == ref.coords(v)
-            assert sq.contains(v) == (got is not None)
+            assert sq.contains(row_of(v)) == (got is not None)
             outside += got is None
     assert nonzero > 30 and outside > 20
 
@@ -365,9 +413,11 @@ def test_mixed_rational_and_irrational_operands():
     # a rational chart (bare Fraction rows) applied to an irrational vector
     basis = [[Scalar(1), Scalar(2)], [Scalar(0), Scalar(3)]]
     v = [Scalar(1, 1, -3), Scalar(Fraction(1, 2), -2, -3)]
-    assert linalg.Chart(basis, 2).coords(v) == DenseChart(basis, 2).coords(v)
-    sq = linalg.Subquotient(linalg.sparse(basis), linalg.sparse([[Scalar(0), Scalar(1)]]), 2)
-    assert sq.coords(v) == DenseSubquotient(basis, [[Scalar(0), Scalar(1)]], 2).coords(v)
+    got = linalg.Chart(rows_of(basis), 2).coords(row_of(v))
+    assert dense_of(got, 2) == DenseChart(basis, 2).coords(v)
+    sq = linalg.Subquotient(rows_of(basis), rows_of([[Scalar(0), Scalar(1)]]), 2)
+    got = sq.coords(row_of(v))
+    assert dense_of(got, 1) == DenseSubquotient(basis, [[Scalar(0), Scalar(1)]], 2).coords(v)
 
 
 # -- sympy as an independent oracle --------------------------------------------
@@ -439,16 +489,16 @@ def test_shaped_kernels_and_charts_match_dense_reference(shape):
     nrows, ncols = shape
     rows = _shaped(7 * nrows + ncols, nrows, ncols)
     assert kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
-    left = [linalg.dense(v, nrows) for v in linalg.left_kernel(linalg.sparse(rows), nrows)]
+    left = [dense_of(v, nrows) for v in linalg.left_kernel(rows_of(rows), nrows)]
     assert left == dense_kernel_basis(transpose(rows, ncols), nrows)
     basis = rows[:ncols // 2]
-    chart, ref = linalg.Chart(basis, ncols), DenseChart(basis, ncols)
+    chart, ref = linalg.Chart(rows_of(basis), ncols), DenseChart(basis, ncols)
     assert chart.rank < len(basis)  # a dependent basis: coordinates are not unique
     rng = random.Random(nrows)
     for _ in range(3):
         v = _combine(rng, None, rng.sample(basis, 3), ncols)
-        got = chart.coords(v)
-        assert got is not None and got == ref.coords(v)
+        got = chart.coords(row_of(v))
+        assert got is not None and dense_of(got, len(basis)) == ref.coords(v)
 
 
 def test_shaped_rref_matches_sympy():
@@ -472,14 +522,14 @@ def test_left_kernel_matches_kernel_of_transpose(d):
         for count in (len(rows), len(rows) + rng.randint(1, 3)):
             padded = rows + [zeros(ncols)] * (count - len(rows))
             want = dense_kernel_basis(transpose(padded, ncols), count)
-            got = linalg.left_kernel(linalg.sparse(rows), count)
-            assert [linalg.dense(v, count) for v in got] == want
+            got = linalg.left_kernel(rows_of(rows), count)
+            assert [dense_of(v, count) for v in got] == want
             assert want == kernel_basis(transpose(padded, ncols), count)
 
 
 def test_left_kernel_of_no_rows_is_everything():
     assert linalg.left_kernel([], 0) == []
-    got = [linalg.dense(v, 3) for v in linalg.left_kernel([], 3)]
+    got = [dense_of(v, 3) for v in linalg.left_kernel([], 3)]
     assert got == [unit_vec(3, i) for i in range(3)]
 
 
@@ -490,9 +540,9 @@ def test_stored_rows_hold_one_coefficient_type(d):
         # a denominator over the other field mixes Fractions and Scalars while
         # the numerator is reduced; the stored rows must not mix them
         den = _matrix(rng, other, rng.randint(0, 4), ncols)
-        sq = linalg.Subquotient(linalg.sparse(rows), linalg.sparse(den), ncols)
-        sq2 = linalg.Subquotient(linalg.sparse(den), linalg.sparse(rows), ncols)
-        chart = linalg.Chart(rows, ncols)
+        sq = linalg.Subquotient(rows_of(rows), rows_of(den), ncols)
+        sq2 = linalg.Subquotient(rows_of(den), rows_of(rows), ncols)
+        chart = linalg.Chart(rows_of(rows), ncols)
         for row in chart._rows + sq._den + sq._reps + sq2._den + sq2._reps:
             assert len({type(a) for a in row.values()}) <= 1
             assert all(a for a in row.values())
@@ -530,23 +580,24 @@ def test_property_kernel_vectors_are_annihilated():
         kernel = kernel_basis(rows, ncols)
         for v in kernel:
             assert vec_is_zero(mat_mul_vec(rows, v))
-        assert linalg.rank(rows, ncols) + len(kernel) == ncols
+        assert linalg.rank(rows_of(rows), ncols) + len(kernel) == ncols
     _property_test(check)
 
 
 def test_property_left_kernel_vectors_are_annihilated():
     def check(rows, ncols, _):
-        kernel = linalg.left_kernel(linalg.sparse(rows), len(rows))
+        kernel = linalg.left_kernel(rows_of(rows), len(rows))
         for x in kernel:
+            assert_row(x, len(rows))
             assert vec_is_zero(combine_rows(x, rows, ncols))
-        assert linalg.rank(rows, ncols) + len(kernel) == len(rows)
+        assert linalg.rank(rows_of(rows), ncols) + len(kernel) == len(rows)
     _property_test(check)
 
 
 def test_property_solve_satisfies_the_system():
     def check(rows, ncols, x0):
-        y = combine_rows(linalg.sparse([x0])[0], rows, ncols)
-        x = linalg.solve(linalg.sparse(rows), len(rows), linalg.sparse([y])[0])
+        y = combine_rows(row_of(x0), rows, ncols)
+        x, = linalg.solve(rows_of(rows), len(rows), [row_of(y)])
         assert x is not None and combine_rows(x, rows, ncols) == y
     _property_test(check)
 
@@ -565,7 +616,8 @@ def reference_constraint_kernel(S, elements, n):
         imgs = [c(e) for e in elements]
         T = _keyed_target(c)
         for m in sorted({x.degree() for x in imgs if not x.is_zero}):
-            vecs = [T.coords(x if x.degree() == m else T.zero(), m, strict=False)
+            width = T.dim(m, strict=False)
+            vecs = [dense_of(T.coords(x if x.degree() == m else T.zero(), m, strict=False), width)
                     for x in imgs]
             rows.extend(transpose(vecs, T.dim(m, strict=False)))
     return dense_kernel_basis(rows, len(elements))
@@ -601,7 +653,7 @@ def test_constraint_kernel_matches_kernel_of_transpose(name):
         some = basis[::2]
         mixed = [S.ambient.random_element(n, rng) for _ in range(4)]
         for elements in (basis, some, mixed):
-            got = [linalg.dense(v, len(elements)) for v in S.constraint_kernel(elements)]
+            got = [dense_of(v, len(elements)) for v in S.constraint_kernel(elements)]
             assert got == reference_constraint_kernel(S, elements, n)
             checked += len(got) > 0
     assert checked >= 3

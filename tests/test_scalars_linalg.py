@@ -57,7 +57,7 @@ def test_field_objects():
 
 def combine(coeffs, rows, width):
     """sum_i coeffs[i] rows[i] of dense vectors."""
-    out = linalg.zeros(width)
+    out = [S(0)] * width
     for c, r in zip(coeffs, rows):
         out = [a + c * b for a, b in zip(out, r)]
     return out
@@ -65,14 +65,20 @@ def combine(coeffs, rows, width):
 
 def solve(rows, count, y):
     """linalg.solve on dense rows and a dense y; x comes back dense."""
-    x = linalg.solve(linalg.sparse(rows), count, linalg.sparse([y])[0])
-    return None if x is None else linalg.dense(x, count)
+    x, = linalg.solve(rows_of(rows), count, [row_of(y)])
+    return None if x is None else dense_of(x, count)
+
+
+def coords(space, v, width):
+    """space.coords of the dense vector v, read back dense."""
+    c = space.coords(row_of(v))
+    return None if c is None else dense_of(c, width)
 
 
 def test_kernel_of_ones_matrix():
     rows = [[S(1), S(1)], [S(1), S(1)]]
-    k = linalg.left_kernel(linalg.sparse(rows), 2)
-    assert [linalg.dense(v, 2) for v in k] == [[S(-1), S(1)]]
+    k = linalg.left_kernel(rows_of(rows), 2)
+    assert [dense_of(v, 2) for v in k] == [[S(-1), S(1)]]
 
 
 def test_solve_scalar_equation():
@@ -88,26 +94,26 @@ def test_rank_nullity():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[S(rng.randint(-3, 3)) for _ in range(m)] for _ in range(n)]
         cols = [[r[j] for r in rows] for j in range(m)]
-        r = linalg.rank(rows, m)
-        assert linalg.rank(cols, n) == r
-        assert r + len(linalg.left_kernel(linalg.sparse(rows), n)) == n
-        assert r + len(linalg.left_kernel(linalg.sparse(cols), m)) == m
+        r = linalg.rank(rows_of(rows), m)
+        assert linalg.rank(rows_of(cols), n) == r
+        assert r + len(linalg.left_kernel(rows_of(rows), n)) == n
+        assert r + len(linalg.left_kernel(rows_of(cols), m)) == m
 
 
 def test_subquotient_canonical():
     rows_num = [[S(1), S(0), S(1)], [S(0), S(1), S(1)], [S(1), S(1), S(2)]]
     den = [[S(1), S(1), S(2)]]
-    sq = linalg.Subquotient(linalg.sparse(rows_num), linalg.sparse(den), 3)
+    sq = linalg.Subquotient(rows_of(rows_num), rows_of(den), 3)
     assert sq.dim == 1
-    c = sq.coords([S(1), S(0), S(1)])
+    c = coords(sq, [S(1), S(0), S(1)], 1)
     assert c is not None and len(c) == 1
     # denominator elements map to zero
-    assert sq.coords(den[0]) == [S(0)]
+    assert coords(sq, den[0], 1) == [S(0)]
 
 
 def test_intersect():
-    a = linalg.sparse([[S(1), S(0)], [S(0), S(1)]])
-    b = linalg.sparse([[S(2), S(2)]])
+    a = rows_of([[S(1), S(0)], [S(0), S(1)]])
+    b = rows_of([[S(2), S(2)]])
     assert linalg.intersect(a, b, 2) == [{0: 1, 1: 1}]
     assert linalg.intersect(b, a, 2) == [{0: 1, 1: 1}]
     assert linalg.intersect(a[:1], a[1:], 2) == []
@@ -135,17 +141,17 @@ def test_chart_coords_match_solve_on_transpose(d):
         n = rng.randint(1, 6)
         k = rng.randint(0, n)
         basis = [[_rand_scalar(rng, d) for _ in range(n)] for _ in range(k)]
-        if linalg.rank(basis, n) < k:
+        if linalg.rank(rows_of(basis), n) < k:
             continue
-        chart = linalg.Chart(basis, n)
+        chart = linalg.Chart(rows_of(basis), n)
         assert chart.rank == k
         for _ in range(4):
             coeffs = [_rand_scalar(rng, d) for _ in range(k)]
             member = combine(coeffs, basis, n)
-            assert chart.coords(member) == solve(basis, k, member) == coeffs
+            assert coords(chart, member, k) == solve(basis, k, member) == coeffs
             v = [_rand_scalar(rng, d) for _ in range(n)]
             ref = solve(basis, k, v)
-            assert chart.coords(v) == ref
+            assert coords(chart, v, k) == ref
             outside += ref is None
     assert outside > 0
 
@@ -153,11 +159,11 @@ def test_chart_coords_match_solve_on_transpose(d):
 def test_mat_inverse_via_chart():
     from hodgepath.hodge import _mat_inverse
     m = [[S(1), S(2)], [S(3), S(4, 1)]]
-    inv = _mat_inverse(m, 2)
+    inv = _mat_inverse(rows_of(m), 2)
     for i, row in enumerate(inv):
-        assert combine(row, m, 2) == linalg.unit_vec(2, i)
-    assert _mat_inverse([[S(1), S(2)], [S(2), S(4)]], 2) is None
-    assert _mat_inverse([[S(1), S(0)]], 2) is None
+        assert combine(dense_of(row, 2), m, 2) == [S(int(i == j)) for j in range(2)]
+    assert _mat_inverse(rows_of([[S(1), S(2)], [S(2), S(4)]]), 2) is None
+    assert _mat_inverse(rows_of([[S(1), S(0)]]), 2) is None
 
 
 def test_sub_space_coords_reject_constraint_breakers():
@@ -173,7 +179,7 @@ def test_sub_space_coords_reject_constraint_breakers():
     a, b = A.from_key("a"), A.from_key("b")
     fc = FilteredComplex(sub, "W")
     for space in (sub, fc):
-        assert space.coords(a + b, 2) == [S(1)]
-        assert space.coords(A.zero(), 2) == [S(0)]
+        assert space.coords(a + b, 2) == {0: Fraction(1)}
+        assert space.coords(A.zero(), 2) == {}
         with pytest.raises(AlgebraError):
             space.coords(a, 2)

@@ -211,3 +211,32 @@ def test_replaced_models_are_freed_without_the_cycle_collector(monkeypatch):
             gc.enable()
     assert len(grown) > 3
     assert alive == [model.M]
+
+
+def _solve_alone(rows, count, y):
+    """The former one-right-hand-side solve: y is a column that may take a pivot,
+    and a pivot there means the system has no solution."""
+    from hodgepath import linalg
+    R, pivots = linalg._eliminate(linalg._columns(list(enumerate(rows)) + [(count, y)]),
+                                  count + 1)
+    if pivots and pivots[-1] == count:
+        return None
+    return {p: r[count] for r, p in zip(R, pivots) if count in r}
+
+
+def test_killers_solve_a_round_at_once_as_one_at_a_time(monkeypatch):
+    """One elimination per killers round gives each class the primitive it gets alone."""
+    from hodgepath import linalg
+    solve = linalg.solve
+    sizes = []
+
+    def checked(rows, count, ys):
+        got = solve(rows, count, ys)
+        assert got == [_solve_alone(rows, count, y) for y in ys]
+        sizes.append(len(ys))
+        return got
+
+    monkeypatch.setattr(linalg, "solve", checked)
+    model = minimal_model(_noisy(8), 8, rng=random.Random(1))
+    assert _digest(model) == GOLDEN[4][3]
+    assert max(sizes) > 1, "no round solved several classes at once"
