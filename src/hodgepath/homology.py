@@ -10,9 +10,11 @@ Other spaces (SubCdga) go through Element.d and their own coords.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import linalg
 from .algebra import AlgebraError, CutoffError, Element, GradedAlgebra, LinearMap
-from .scalars import coeff, from_coeff
+from .scalars import Scalar, coeff, from_coeff
 
 
 def _is_keyed(X) -> bool:
@@ -188,4 +190,206 @@ def quasi_iso_report(f: LinearMap, upto: int) -> dict:
         r = linalg.rank(rows, HB.dim)
         out[n] = {"dim_source": HA.dim, "dim_target": HB.dim, "rank": r,
                   "iso": HA.dim == HB.dim == r}
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the mapping-cone certificate of a map out of a free algebra
+# ---------------------------------------------------------------------------
+
+# Primes for the cone's modular ranks.  Over Q the first is used; over
+# Q(sqrt d) the first modulo which d is a non-zero square, with sqrt d sent
+# to a square root of d.  2^31 - 1 serves d = -3 but not d = -1.
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+           2147483549, 2147483543, 2147483497)
+
+
+def _modulus(field):
+    """(p, image of sqrt d in GF(p)) for the field's modular ranks; None if no prime fits.
+
+    The square root of d mod p is Tonelli-Shanks'.
+    """
+    if field.is_rational:
+        return _PRIMES[0], 0
+    for p in _PRIMES:
+        a = field.d % p
+        if pow(a, (p - 1) // 2, p) != 1:
+            continue
+        q, s, z = p - 1, 0, 2
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        return p, r
+    return None
+
+
+def _residues(items, p, root):
+    """{j: c mod p} of (j, coefficient) pairs, sqrt d -> root; None if one is not p-integral.
+
+    A coefficient is a Fraction or a Scalar; a + b sqrt d maps to a + b root,
+    a ring homomorphism on the p-integral elements.
+    """
+    out = {}
+    for j, c in items:
+        b = None
+        if type(c) is Scalar:
+            c, b = c.re, c.im
+        num, den = c.as_integer_ratio()
+        if den == 1:
+            v = num
+        elif den % p:
+            v = num * pow(den, -1, p)
+        else:
+            return None
+        if b:
+            num, den = b.as_integer_ratio()
+            if not den % p:
+                return None
+            v += num * pow(den, -1, p) * root
+        v %= p
+        if v:
+            out[j] = v
+    return out
+
+
+def _chain_data_holds(rho, N) -> bool:
+    """Whether d_C^2 = 0 on the cone through degree N - 1, checked exactly.
+
+    On the generators of M: rho sends each into A in its degree, rho d = d rho
+    and d^2 = 0.  rho d - d rho and d^2 are derivations (along rho for the
+    former), so they vanish on M once they vanish on its generators; rho d g
+    and d rho g lie in A^(deg g + 1), so they agree where that is zero.
+    d(d g) is summed over the cached d of the keys of d g, on integers over
+    one common denominator (pairs for a + b sqrt d).  On A, which need not
+    be free: d^2 = 0 on its basis in degrees < N.
+    """
+    M, A = rho.source, rho.target
+    d = M.field.d or 0
+    for g in M.gens:
+        image = rho.gen_images[g.name]
+        try:
+            A.coords(image, g.degree, strict=False)
+        except AlgebraError:   # an image of another degree, or outside A
+            return False
+        dg = M.differential_of(g.name)
+        if A.dim(g.degree + 1, strict=False) and rho(dg) != image.d():
+            return False
+        m = 1
+        for k, c in dg.terms.items():
+            for x in (c, *M.d_key(k).values()):
+                m = lcm(m, x.re.denominator, x.im.denominator)
+        total = {}
+        for k, c in dg.terms.items():
+            a = c.re.numerator * (m // c.re.denominator)
+            b = c.im.numerator * (m // c.im.denominator)
+            for j, x in M.d_key(k).items():
+                u = x.re.numerator * (m // x.re.denominator)
+                v = x.im.numerator * (m // x.im.denominator)
+                re, im = total.get(j, (0, 0))
+                total[j] = (re + a * u + d * b * v, im + a * v + b * u)
+        for re, im in total.values():
+            if re or im:
+                return False
+    for n in range(N):
+        for b in A.basis(n, strict=False):
+            if not b.d().d().is_zero:
+                return False
+    return True
+
+
+def _cone_report(rho, N, groups, cycles):
+    """The certificate from ranks of cone(rho) mod p, or None where they do not prove it.
+
+    H^n(C) = 0 for n = -1..N-1 iff H(rho) is an isomorphism below N and
+    injective at N (the cone's long exact sequence).  A mod-p rank never
+    exceeds the rank over Q or Q(sqrt d), and d_C^2 = 0 bounds the latter
+    pair by dim C^n, so rank_p d^n + rank_p d^(n-1) = dim C^n proves it.
+
+    The rows of d_C on C^n = A^n + M^(n+1) are d a for a in the basis of
+    A^n, and (rho(m), d m) for each key m of M^(n+1), over A^(n+1) +
+    M^(n+2); up to the sign of the M block, which does not change a rank,
+    this is the cone's differential.  rho(m) is read only where A^(n+1) is
+    not zero, and the columns of M^(n+2) are numbered as its keys turn up.
+    """
+    M, A = rho.source, rho.target
+    modulus = _modulus(A.field)
+    if modulus is None or not _chain_data_holds(rho, N):
+        return None
+    p, root = modulus
+    below = 0
+    for n in range(-1, N):
+        shift = A.dim(n + 1, strict=False)
+        rows, cols = [], {}
+        for b in A.basis(n, strict=False):
+            rows.append(_residues(A.coords(b.d(), n + 1, strict=False).items(), p, root))
+        for k in M.basis_keys(n + 1):
+            head = _residues(A.coords(rho(M.from_key(k)), n + 1, strict=False).items(),
+                             p, root) if shift else {}
+            dm = {}
+            for kk, c in M.d_key(k).items():
+                dm[cols.setdefault(kk, shift + len(cols))] = c
+            tail = _residues(dm.items(), p, root)
+            rows.append(None if head is None or tail is None else {**head, **tail})
+        if None in rows:
+            return None
+        r = linalg.rank_mod_p(rows, p)
+        if r + below != A.dim(n, strict=False) + M.dim(n + 1, strict=False):
+            return None
+        below = r
+    out = {}
+    for n in range(N if cycles is None else N + 1):
+        if n not in groups:
+            groups[n] = cohomology(A, n, strict=False)
+        h = groups[n].dim
+        out[n] = {"dim_source": h, "dim_target": h, "rank": h, "iso": True}
+    if cycles is None:
+        return out
+    # H^N(rho) is injective, so dim H^N(M) lies between the rank of the
+    # classes of closed elements of M and dim H^N(A)
+    rows = []
+    for z in cycles:
+        if z.d().is_zero:
+            rows.append(groups[N].cls(rho(z)))
+    h = groups[N].dim
+    if linalg.rank(rows, h) != h:
+        return None
+    out[N] = {"dim_source": h, "dim_target": h, "injective": True, "provisional": True}
+    return out
+
+
+def cone_certificate(rho, N: int, groups=None, cycles=None) -> dict:
+    """quasi_iso_report(rho, N - 1), plus a provisional horizon entry, from cone(rho).
+
+    rho: M -> A is a morphism out of a free algebra M (a FreeMorphism); A is
+    any space with basis and coords (a SubCdga too).  groups is a dict of
+    H^n(A) by n, read and filled here.  cycles, when given, are closed
+    elements of M of degree N, and ask for the entry at N: dims of H^N of
+    both sides and whether H^N(rho) is injective, as the exact check gives it.
+
+    The cone's ranks mod p certify the report when the chain data holds
+    exactly and the ranks add up to dim C^n in every degree; every entry is
+    then an isomorphism, with dims read off H(A), and the horizon entry is
+    injective with dim H^N(M) = dim H^N(A) when the classes of the cycles
+    reach that rank.  Anything short of that runs quasi_iso_report and, if
+    it is iso below N, the exact horizon check, so every failure and every
+    error comes from them.
+    """
+    out = _cone_report(rho, N, {} if groups is None else groups, cycles)
+    if out is not None:
+        return out
+    out = quasi_iso_report(rho, N - 1)
+    if cycles is not None and all(r["iso"] for r in out.values()):
+        HM = cohomology(rho.source, N, strict=False)
+        HA = cohomology(rho.target, N, strict=False)
+        rows = [HA.cls(rho(rep)) for rep in HM.reps]
+        out[N] = {"dim_source": HM.dim, "dim_target": HA.dim,
+                  "injective": not linalg.left_kernel(rows, HM.dim), "provisional": True}
     return out

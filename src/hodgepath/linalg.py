@@ -159,6 +159,38 @@ def rank(rows, ncols: int) -> int:
     return len(_eliminate(rows, ncols)[1])
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) of integer rows {column: residue}, residues in 1..p-1.
+
+    Read as the rank of the p-integral rows these residues reduce, it is
+    only ever a lower bound: a minor that is non-zero mod p is non-zero,
+    but reduction can kill one that is not.  It is that rank only where an
+    upper bound meets it.  Columns may be any comparable keys.  Each row is
+    cleared at its leading column by the echelon row stored there, until it
+    leads at a new column, where it is stored normalised to 1.
+    """
+    echelon = {}
+    for r in rows:
+        row = dict(r)
+        while row:
+            col = min(row)
+            prow = echelon.get(col)
+            if prow is None:
+                inv = pow(row[col], -1, p)
+                for j in row:
+                    row[j] = row[j] * inv % p
+                echelon[col] = row
+                break
+            c = row[col]
+            for j, b in prow.items():
+                a = (row.get(j, 0) - c * b) % p
+                if a:
+                    row[j] = a
+                else:
+                    del row[j]
+    return len(echelon)
+
+
 def _kernel(R, pivots, ncols: int):
     """Basis of the null space of eliminated rows as coefficient rows, one per free column."""
     pivot_set = set(pivots)

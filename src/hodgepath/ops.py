@@ -330,9 +330,6 @@ class QComplex:
     def project(self, x: Element, n):
         return self._project(x, n)
 
-    def differential_is_zero(self) -> bool:
-        return not any(any(rows) for rows in self.dmats.values())
-
 
 def indecomposables(A, upto=None) -> QComplex:
     """Q(A) = A+/(A+.A+) with the induced differential and filtrations.

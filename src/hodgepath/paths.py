@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .algebra import (AlgebraError, Element, GradedAlgebra, LinearMap, Morphism,
                       ProductCdga, SubCdga, combination, compose, solve_preimage)
+from .exprs import ExprError, parse_expression
 from .scalars import Scalar
 
 DEFAULT_BUDGET = 32
@@ -197,12 +198,14 @@ class PathAlgebra(GradedAlgebra):
                 return self.t()
             if nm == "d" + self.var:
                 return self.dt()
+            parse = getattr(self.base, "parse", None)   # a ProductCdga has none
+            if parse is None:
+                return None
             try:
-                inner = self.base.parse(nm)
-            except Exception:
+                inner = parse(nm)
+            except ExprError:   # not a name of the base
                 return None
             return self.include(inner)
-        from .exprs import parse_expression
         return parse_expression(text, resolve, self.unit())
 
 

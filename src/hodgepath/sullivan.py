@@ -14,14 +14,24 @@ it are unchanged: the cocycles Z^{n+1} stay, and the boundaries only gain
 the dv.  `Cohomology.with_boundaries` takes the old group modulo those rows;
 reduced echelon forms are unique, so its reps and class coordinates are
 those of a fresh computation, entry for entry.  Otherwise (degree-1
-generators, moved keys) every group of M is recomputed.  The result is
-certified independently: the quasi-isomorphism check, and the injectivity
-check at the horizon, recompute cohomology of both sides from scratch.
+generators, moved keys) every group of M is recomputed.
+
+The result is certified without the construction's H(M), by the mapping
+cone C of rho (`homology.cone_certificate`): C^n = A^n + M^(n+1) is acyclic
+in degrees -1..N-1 exactly when H(rho) is an isomorphism below N and
+injective at N.  That needs ranks only, and ranks mod a prime prove it once
+d_C^2 = 0 is checked exactly: reduction can only lower a rank, and
+d_C^2 = 0 bounds rank d^n + rank d^(n-1) by dim C^n.  The report's dims
+are then those of H(A), which the construction memoizes; at the horizon,
+H^N(M) reaches dim H^N(A) through the classes of the stage-N reps and the
+closed generators of degree N.  Wherever the ranks fall short (an unlucky
+prime, or a real failure) the exact check runs instead, recomputing the
+cohomology of both sides from scratch, so every failure it reports is
+exact.
 
 Degree-N data is provisional: corrections from degree N+1 could adjust the
 top homotopy group, so stage N skips kernel-killing and the certificate
-covers degrees <= N-1 (plus injectivity at N when both sides stay enumerable
-one degree beyond the horizon).
+covers degrees <= N-1, plus injectivity at N.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, FreeCdga, FreeMorphism,
                       Generator, Morphism, combination, compose, is_surjective_at)
-from .homology import cohomology, quasi_iso_report
+from .homology import cohomology, cone_certificate
 from .lifting import free_lift, homotopy_add, lift_homotopy
 from .ops import indecomposables
 from .paths import (DoublePath, Homotopy, delta, induced_to_double_path, keyed,
@@ -99,14 +109,16 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     N = A.N if N is None else N
     if N > A.N:
         raise CutoffError(f"requested horizon {N} exceeds the input's cutoff {A.N}")
-    H0 = cohomology(A, 0)
+    # cohomology of A, memoized for the whole call
+    H_A = {0: cohomology(A, 0)}
+    H0 = H_A[0]
     if H0.dim != 1:
         raise ModelError(f"not cohomologically connected: dim H^0 = {H0.dim}")
     if not H0.cls(A.unit()):
         raise ModelError("unit does not generate H^0")
     start = 1
     if not allow_0_connected:
-        if N >= 2 and cohomology(A, 1).dim != 0:
+        if N >= 2 and H_A.setdefault(1, cohomology(A, 1)).dim != 0:
             raise ModelError("H^1 != 0; pass allow_0_connected=True to proceed "
                              "(homotopy groups lose functoriality)")
         start = 2
@@ -114,7 +126,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     if isinstance(A, FreeCdga) and is_minimal(A)[0]:
         rho = FreeMorphism(A, A, {g.name: A.generator(g.name) for g in A.gens},
                            name="identity")
-        cert = quasi_iso_report(rho, min(N - 1, A.N - 1))
+        cert = cone_certificate(rho, N, H_A)
         return MinimalModel(M=A, rho=rho, A=A, N=N,
                             log=[{"stage": "input already minimal"}],
                             certificate=cert)
@@ -124,11 +136,11 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     counters: dict = {}
     M = FreeCdga([], N, A.field, name="M")
     rho = FreeMorphism(M, A, {}, name="rho")
-    # cohomology of the construction, memoized per call: A's for the whole
-    # call, M's until M grows, except H^{n+1}(M), which grow() carries
-    H_A: dict = {}
+    # cohomology of M, memoized until M grows, except H^{n+1}(M), which
+    # grow() carries
     H_M: dict = {}
     log = []
+    cycles = []   # the reps of H^N(M) at stage N
 
     def H(X, memo, n):
         if n not in memo:
@@ -203,6 +215,8 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         stage = {"degree": n, "added_closed": [], "added_killers": []}
         # 1. cokernel of H^n(rho)
         new_reps = cokernel_reps(n)
+        if n == N:
+            cycles = H_M[N].reps
         if new_reps:
             stage["added_closed"] = grow(n, [{}] * len(new_reps), new_reps)
         # 2. kill the kernel of H^{n+1}(rho); skipped at the horizon
@@ -221,24 +235,20 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     ok_min, witnesses = is_minimal(M)
     if not ok_min:
         raise ModelError(f"construction produced a non-minimal algebra: {witnesses}")
-    cert = quasi_iso_report(rho, min(N - 1, A.N - 1))
-    model = MinimalModel(M=M, rho=rho, A=A, N=N, log=log, certificate=cert,
-                         provisional_degrees=[N])
-    bad = [n for n, r in cert.items() if not r["iso"]]
+    # degrees below N, and injectivity at the horizon N.  Closed elements of
+    # degree N: the stage-N reps, whose keys name the same monomials in the
+    # final M (generators of the top degree sort last), and the generators
+    # of degree N, all closed; the certificate re-checks them
+    top = [M.element(z.terms) for z in cycles]
+    for g in M.gens:
+        if g.degree == N:
+            top.append(M.generator(g.name))
+    cert = cone_certificate(rho, N, H_A, top)
+    bad = [n for n in range(N) if not cert[n]["iso"]]
     if bad:
         raise ModelError(f"certification failed in degrees {bad}")
-    # injectivity surrogate at the horizon, when one degree beyond is enumerable
-    try:
-        HN_M = cohomology(M, N, strict=False)
-        HN_A = cohomology(A, N, strict=False)
-        rows = [HN_A.cls(rho(rep)) for rep in HN_M.reps]
-        model.certificate[N] = {
-            "dim_source": HN_M.dim, "dim_target": HN_A.dim,
-            "injective": not linalg.left_kernel(rows, HN_M.dim),
-            "provisional": True}
-    except Exception:
-        pass
-    return model
+    return MinimalModel(M=M, rho=rho, A=A, N=N, log=log, certificate=cert,
+                        provisional_degrees=[N])
 
 
 def homotopy_groups(model: MinimalModel) -> dict:

@@ -547,6 +547,20 @@ def test_homotopy_verify_cli_failure_path():
         os.unlink(bad_path)
 
 
+def test_unknown_name_in_a_path_expression_exits_2(tmp_path):
+    """h lives in the path algebra of the target; a name neither it nor the
+    target knows is a document error with its JSON path, not a traceback."""
+    doc = read_fixture("homotopy_const.json")
+    doc["h"] = {"c2": "e2 + q9*t*dt"}
+    bad = tmp_path / "bad_h.json"
+    bad.write_text(json.dumps(doc))
+    out = run_cli("homotopy-verify", str(bad))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("error: $.h.c2: bad expression 'e2 + q9*t*dt': "
+                          "unknown name 'q9' (at column 5)\n")
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under one-field mutations
 # ---------------------------------------------------------------------------

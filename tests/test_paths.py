@@ -366,3 +366,22 @@ def test_budget_overflow_is_loud():
     t = k.t()
     with pytest.raises(BudgetError):
         (t * t) * t
+
+
+def test_path_expression_names_resolve_through_the_base():
+    """A name the base does not know is an unknown name of the path expression,
+    whether the base parses it (a free or a nested path algebra) or has no
+    parser (a product, the ambient of a mapping path)."""
+    from hodgepath import ProductCdga
+    from hodgepath.exprs import ExprError
+    M = ms2()
+    for P in (path_of(M, budget=3), path_of(path_of(M, budget=3), budget=3),
+              path_of(ProductCdga([M, s3()]), budget=3)):
+        k = keyed(P)
+        assert k.parse(f"{k.var}*d{k.var}") == k.t() * k.dt()
+        with pytest.raises(ExprError, match="unknown name 'q9'"):
+            k.parse(f"{k.var} + q9")
+    P = path_of(M, budget=3)
+    assert P.parse("e2 + t*dt") == P.include(M.generator("e2")) + P.t() * P.dt()
+    nested = path_of(P, budget=3)
+    assert nested.parse("e2*s") == nested.include(P.include(M.generator("e2"))) * nested.t()
