@@ -42,7 +42,17 @@ def _as_scalar(c) -> Scalar:
 # ---------------------------------------------------------------------------
 
 class Element:
-    """Sparse element of a graded algebra: {key: nonzero Scalar}."""
+    """Sparse element of a graded algebra: {key: nonzero Scalar}.
+
+    The terms are zero-free: no coefficient is zero, so `==`, `hash` and
+    `is_zero` read the terms directly.  The public constructor filters
+    zeros out of a copy of the terms it is given.  Producers that already
+    drop every zero they make (sums and products that pop cancelled keys,
+    negation, relabelling or splitting zero-free terms) build their result
+    with the private `_element`, which neither filters nor copies and so is
+    handed a dict that nobody else keeps.  Sums that can cancel without
+    checking (evaluation, substitutions, element * scalar) keep filtering.
+    """
 
     __slots__ = ("alg", "terms")
 
@@ -64,10 +74,10 @@ class Element:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return Element(self.alg, out)
+        return _element(self.alg, out)
 
     def __neg__(self):
-        return Element(self.alg, {k: -c for k, c in self.terms.items()})
+        return _element(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -80,13 +90,13 @@ class Element:
             return Element(self.alg, {k: c * v for k, v in self.terms.items()})
         if other.alg is not self.alg:
             raise AlgebraError("multiplying elements of different algebras")
-        return Element(self.alg, self.alg.mul_terms(self.terms, other.terms))
+        return _element(self.alg, self.alg.mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def d(self) -> "Element":
-        return Element(self.alg, self.alg.d_terms(self.terms))
+        return _element(self.alg, self.alg.d_terms(self.terms))
 
     # structure ---------------------------------------------------------------
 
@@ -99,7 +109,7 @@ class Element:
         for k, c in self.terms.items():
             n = self.alg.key_degree(k)
             out.setdefault(n, {})[k] = c
-        return {n: Element(self.alg, t) for n, t in sorted(out.items())}
+        return {n: _element(self.alg, t) for n, t in sorted(out.items())}
 
     def degree(self):
         """Degree if homogeneous (zero element has degree None)."""
@@ -156,11 +166,19 @@ class Element:
         return " + ".join(bits)
 
 
+def _element(alg, terms: dict) -> Element:
+    """Element over zero-free terms the caller gives up; nothing is checked or copied."""
+    x = object.__new__(Element)
+    x.alg = alg
+    x.terms = terms
+    return x
+
+
 def combination(alg, coeffs, elements) -> Element:
     """sum of c * elements[i] in alg over the coefficient row coeffs {i: c}.
 
-    A coefficient may also be a Scalar.  Indices are taken in increasing
-    order, so the terms come out in the order of the elements.
+    A coefficient may also be a Scalar; none is zero.  Indices are taken in
+    increasing order, so the terms come out in the order of the elements.
     """
     out = {}
     for i in sorted(coeffs):
@@ -171,7 +189,7 @@ def combination(alg, coeffs, elements) -> Element:
                 out.pop(k, None)
             else:
                 out[k] = s
-    return Element(alg, out)
+    return _element(alg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +230,7 @@ class GradedAlgebra:
         return Element(self, terms)
 
     def zero(self) -> Element:
-        return Element(self, {})
+        return _element(self, {})
 
     def unit(self) -> Element:
         return Element(self, dict(self.unit_terms()))
@@ -292,7 +310,7 @@ class GradedAlgebra:
     def from_coords(self, n, row, strict=True) -> Element:
         """The element of degree n with coefficient row `row` over basis(n), terms in basis order."""
         keys = self.basis_keys(n) if n >= 0 else []
-        return Element(self, {keys[i]: from_coeff(row[i]) for i in sorted(row)})
+        return _element(self, {keys[i]: from_coeff(row[i]) for i in sorted(row)})
 
     def random_element(self, n, rng, density=0.6, strict=True) -> Element:
         terms = {}
@@ -759,11 +777,11 @@ class ProductCdga(GradedAlgebra):
     def inject(self, i, x: Element) -> Element:
         if x.alg is not self.factors[i]:
             raise AlgebraError("inject: wrong factor")
-        return Element(self, {(i, k): c for k, c in x.terms.items()})
+        return _element(self, {(i, k): c for k, c in x.terms.items()})
 
     def project(self, i, x: Element) -> Element:
-        return Element(self.factors[i],
-                       {k[1]: c for k, c in x.terms.items() if k[0] == i})
+        return _element(self.factors[i],
+                        {k[1]: c for k, c in x.terms.items() if k[0] == i})
 
 
 # ---------------------------------------------------------------------------
@@ -870,9 +888,14 @@ def is_surjective_at(f: LinearMap, n) -> bool:
     return linalg.rank(rows, need) == need
 
 
-def solve_preimage(f: LinearMap, y: Element, n):
-    """x of degree n with f(x) = y, or None; deterministic free choice."""
-    rows = morphism_matrix(f, n)
+def solve_preimage(f: LinearMap, y: Element, n, rows=None):
+    """x of degree n with f(x) = y, or None; deterministic free choice.
+
+    rows, when given, are morphism_matrix(f, n), built once by a caller
+    that solves in degree n more than once.
+    """
+    if rows is None:
+        rows = morphism_matrix(f, n)
     sol, = linalg.solve(rows, len(rows), [f.target.coords(y, n)])
     if sol is None:
         return None
@@ -906,6 +929,13 @@ class SubCdga:
     Elements live in the ambient algebra; this object serves bases and
     coordinates.  Used for mapping paths, double paths and boundary-condition
     targets, none of which are free.
+
+    basis(n) is the left kernel of the constraints over the ambient basis of
+    degree n, one vector per free unknown of that elimination, 1 there and 0
+    at every other free unknown.  So the coordinates of x are x's ambient
+    coefficients at the free positions, read off without elimination; x is
+    a member exactly when those coordinates recombine to x, which `coords`
+    checks.
     """
 
     def __init__(self, ambient: GradedAlgebra, constraints, name=""):
@@ -915,7 +945,8 @@ class SubCdga:
         self.N = ambient.N
         self.name = name or f"Sub({ambient!r})"
         self._basis_cache = {}
-        self._charts = {}
+        # degree -> (ambient coefficient rows of basis(n), {free position: index})
+        self._rows = {}
 
     # space protocol ------------------------------------------------------------
 
@@ -926,8 +957,10 @@ class SubCdga:
             return []
         if n not in self._basis_cache:
             amb_basis = self.ambient.basis(n, strict=False)
-            self._basis_cache[n] = [self.ambient.from_coords(n, v)
-                                    for v in self.constraint_kernel(amb_basis)]
+            kernel = linalg.free_kernel(self._constraint_rows(amb_basis), len(amb_basis))
+            rows = list(kernel.values())
+            self._rows[n] = rows, {j: i for i, j in enumerate(kernel)}
+            self._basis_cache[n] = [self.ambient.from_coords(n, v) for v in rows]
         return list(self._basis_cache[n])
 
     def constraint_kernel(self, elements):
@@ -936,6 +969,9 @@ class SubCdga:
         The constraints are linear, so this is the left kernel of the rows
         c(elements[i]) of all constraints c, one column per (constraint, key).
         """
+        return linalg.left_kernel(self._constraint_rows(elements), len(elements))
+
+    def _constraint_rows(self, elements):
         rows = []
         for e in elements:
             row = {}
@@ -943,7 +979,7 @@ class SubCdga:
                 for k, a in c(e).terms.items():
                     row[ci, k] = coeff(a)
             rows.append(row)
-        return linalg.left_kernel(rows, len(elements))
+        return rows
 
     def dim(self, n, strict=True):
         return len(self.basis(n, strict=strict))
@@ -951,13 +987,16 @@ class SubCdga:
     def coords(self, x: Element, n, strict=True):
         """Coefficient row of x over basis(n); raises if x is not in this subalgebra."""
         self.check_degree(n, strict)
-        amb = self.ambient
-        if n not in self._charts:
-            self._charts[n] = linalg.Chart(
-                [amb.coords(b, n, strict=False) for b in self.basis(n, strict=False)],
-                amb.dim(n, strict=False))
-        sol = self._charts[n].coords(amb.coords(x, n, strict=False))
-        if sol is None:
+        if n not in self._rows:
+            self.basis(n, strict=False)
+        rows, free = self._rows.get(n, ((), {}))
+        amb_row = self.ambient.coords(x, n, strict=False)
+        sol = {}
+        for j, c in amb_row.items():
+            i = free.get(j)
+            if i is not None:
+                sol[i] = c
+        if linalg.combine(sol, rows) != amb_row:
             raise AlgebraError(f"element is not in {self.name} (degree {n})")
         return sol
 

@@ -15,13 +15,14 @@ import functools
 import json
 import os
 
-from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, Generator,
-                      Morphism, TableBasisElement, TableCdga, extend_scalars,
-                      linear_morphism)
+from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, FreeMorphism,
+                      Generator, Morphism, TableBasisElement, TableCdga,
+                      extend_scalars, linear_morphism)
 from .diagrams import Arrow, Diagram, HoMorphism, IndexCategory
 from .hodge import MixedHodgeDiagram
 from .paths import Homotopy, keyed, path_of
-from .scalars import QQ, Field, Scalar
+from .exprs import ExprError
+from .scalars import QQ, Field, Scalar, ScalarError
 
 SCHEMA_VERSION = 1
 KINDS = {"dga", "diagram", "mhd", "homorphism", "homotopy"}
@@ -161,9 +162,16 @@ def element_expr(x: Element) -> str:
 
 
 def parse_in(algebra, text, path="$"):
+    """algebra.parse(text); what a bad expression raises becomes a DocumentError at path.
+
+    Any other exception is a fault of the library and propagates.
+    """
     try:
         return algebra.parse(text)
-    except Exception as e:
+    # ZeroDivisionError is a literal 1/0; RecursionError is parentheses
+    # nested deeper than the recursive-descent parser goes
+    except (ExprError, AlgebraError, CutoffError, ScalarError, ZeroDivisionError,
+            RecursionError) as e:
         raise DocumentError(f"bad expression {text!r}: {e}", path)
 
 

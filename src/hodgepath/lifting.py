@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, LinearMap,
-                      Morphism, SubCdga, compose, solve_preimage)
+                      Morphism, SubCdga, compose, morphism_matrix, solve_preimage)
 from .paths import (DoublePath, Homotopy, delta, folding, induced_to_double_path,
                     keyed, mapping_path, path_linear_map, path_of, product_space)
 
@@ -58,12 +58,16 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
     """g: C -> X with v g = f, built generator by generator.
 
     Generators of degree N (the horizon) are matched against f but their
-    d-compatibility lives beyond the horizon and is left provisional.
+    d-compatibility lives beyond the horizon and is left provisional.  v's
+    rows on X^n, and the rows of (d, v) on X^n, are built once per degree
+    and serve every generator of that degree.
     """
-    X, Y = v.source, v.target
+    X = v.source
     images = {}
     horizon = X.N
     log = []
+    v_rows = {}
+    dv_rows = {}
     for idx, gen in enumerate(C.gens):
         n = gen.degree
         target_val = f(C.generator(gen.name))
@@ -72,7 +76,10 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
             if any(gi >= idx for gi, _ in key):
                 raise LiftObstruction(gen.name, n,
                                       "differential uses a later generator")
-        xi = solve_preimage(v, target_val, n)
+        rows = v_rows.get(n)
+        if rows is None:
+            rows = v_rows[n] = morphism_matrix(v, n)
+        xi = solve_preimage(v, target_val, n, rows)
         if xi is None:
             raise LiftObstruction(gen.name, n, "v is not surjective here")
         entry = {"generator": gen.name, "degree": n, "correction": False}
@@ -80,7 +87,7 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
             dg_img = _apply_partial(C, images, dgen, X)
             err = dg_img - xi.d()
             if not err.is_zero:
-                zeta = _solve_closed_correction(v, err, n)
+                zeta = _solve_closed_correction(X, rows, dv_rows, err, n)
                 if zeta is None:
                     raise LiftObstruction(
                         gen.name, n,
@@ -97,22 +104,25 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
     return g
 
 
-def _solve_closed_correction(v, err: Element, n: int):
-    """z in X^n with d z = err and v z = 0, or None."""
-    X, Y = v.source, v.target
-    basis = X.basis(n, strict=False)
-    if not basis:
+def _solve_closed_correction(X, v_rows, dv_rows, err: Element, n: int):
+    """z in X^n with d z = err and v z = 0, or None.
+
+    v_rows are v's rows on X^n; the rows of (d, v) are kept in dv_rows by degree.
+    """
+    if not v_rows:
         return None if not err.is_zero else X.zero()
     # unknown i has image (d b_i, v b_i), v b_i in the columns after d b_i's;
     # the target is (err, 0)
-    offset = X.dim(n + 1, strict=False)
-    rows = []
-    for b in basis:
-        row = X.coords(b.d(), n + 1, strict=False)
-        for j, c in Y.coords(v(b), n, strict=False).items():
-            row[offset + j] = c
-        rows.append(row)
-    sol, = linalg.solve(rows, len(basis), [X.coords(err, n + 1, strict=False)])
+    rows = dv_rows.get(n)
+    if rows is None:
+        offset = X.dim(n + 1, strict=False)
+        rows = dv_rows[n] = []
+        for b, v_row in zip(X.basis(n, strict=False), v_rows):
+            row = X.coords(b.d(), n + 1, strict=False)
+            for j, c in v_row.items():
+                row[offset + j] = c
+            rows.append(row)
+    sol, = linalg.solve(rows, len(rows), [X.coords(err, n + 1, strict=False)])
     if sol is None:
         return None
     return X.from_coords(n, sol, strict=False)

@@ -17,6 +17,11 @@ A linear system enters in one orientation: row i is the image of unknown i.
 their equations, one per column, through `_columns`.  Columns may be any
 hashable keys, so a caller can pass the terms of algebra elements as rows.
 
+`Chart` (coordinates over a fixed basis, eliminated once) serves only
+filtered complexes and the Hodge checks.  A `SubCdga` needs none: its basis
+is a `free_kernel`, each vector 1 at its own free unknown and 0 at the
+others, so coordinates are read off at the free unknowns.
+
 `_eliminate` is Gauss-Jordan with the deterministic first-nonzero rule: the
 first row at or below the rank with a non-zero in the column becomes the
 pivot row and clears that column in every other row.  When every coefficient
@@ -192,7 +197,7 @@ def rank_mod_p(rows, p: int) -> int:
 
 
 def _kernel(R, pivots, ncols: int):
-    """Basis of the null space of eliminated rows as coefficient rows, one per free column."""
+    """Basis of the null space of eliminated rows: {free column: coefficient row}."""
     pivot_set = set(pivots)
     basis = {}
     for free in range(ncols):
@@ -203,7 +208,7 @@ def _kernel(R, pivots, ncols: int):
             v = basis.get(j)
             if v is not None:
                 v[p] = -c
-    return [_formatted(v) for v in basis.values()]
+    return {free: _formatted(v) for free, v in basis.items()}
 
 
 def _columns(rows):
@@ -229,6 +234,16 @@ def left_kernel(rows, count: int):
     rows are coefficient rows; rows past len(rows) count as zero.  Free
     unknowns are taken in increasing order, and each kernel vector has a 1 at
     its free unknown, so the basis is deterministic.
+    """
+    return list(free_kernel(rows, count).values())
+
+
+def free_kernel(rows, count: int) -> dict:
+    """left_kernel's basis as {free unknown: its kernel vector}, in the same order.
+
+    Each vector is 1 at its own free unknown and 0 at every other, so the
+    coordinates of a kernel element over this basis are its entries at the
+    free unknowns.
     """
     # a full elimination does not depend on the order of the equations
     return _kernel(*_eliminate(_columns(enumerate(rows)), count), count)

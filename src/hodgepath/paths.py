@@ -26,7 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (AlgebraError, Element, GradedAlgebra, LinearMap, Morphism,
-                      ProductCdga, SubCdga, combination, compose, solve_preimage)
+                      ProductCdga, SubCdga, _element, combination, compose,
+                      solve_preimage)
 from .exprs import ExprError, parse_expression
 from .scalars import Scalar
 
@@ -173,14 +174,14 @@ class PathAlgebra(GradedAlgebra):
     def include(self, x: Element) -> Element:
         if x.alg is not self.base:
             raise AlgebraError("include: element not in the base algebra")
-        return Element(self, {(bk, (0, 0)): c for bk, c in x.terms.items()})
+        return _element(self, {(bk, (0, 0)): c for bk, c in x.terms.items()})
 
     def coefficients(self, x: Element) -> dict:
         """x, grouped as {(i, e): base element}."""
         out = {}
         for (bk, ie), c in x.terms.items():
             out.setdefault(ie, {})[bk] = c
-        return {ie: Element(self.base, t) for ie, t in sorted(out.items())}
+        return {ie: _element(self.base, t) for ie, t in sorted(out.items())}
 
     def evaluate(self, x: Element, k: int) -> Element:
         """Endpoint evaluation t -> k (k = 0,1); kills dt."""

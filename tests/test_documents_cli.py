@@ -561,6 +561,40 @@ def test_unknown_name_in_a_path_expression_exits_2(tmp_path):
                           "unknown name 'q9' (at column 5)\n")
 
 
+@pytest.mark.parametrize("field, expr, message", [
+    ("f", "1/0*e2", "Fraction(1, 0)"),
+    ("g", "e2 + q9", "unknown name 'q9'"),
+    ("h", "e2 + e2*t^5", "exceeds the t-budget 4"),
+    ("h", "(" * 400 + "e2" + ")" * 400, "recursion"),
+], ids=["zero_division", "unknown_name", "budget_overflow", "deep_nesting"])
+def test_bad_expressions_exit_2_with_their_path(tmp_path, field, expr, message):
+    """What a bad expression raises is a document error at its JSON path."""
+    doc = read_fixture("homotopy_const.json")
+    doc[field] = {"c2": expr}
+    bad = tmp_path / "bad_expr.json"
+    bad.write_text(json.dumps(doc))
+    out = run_cli("homotopy-verify", str(bad))
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"error: $.{field}.c2: bad expression ")
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_library_fault_while_parsing_propagates(monkeypatch):
+    """A fault inside parse is not read as a malformed document."""
+    from hodgepath import algebra
+
+    def broken(text, resolve, unit, one=1):
+        raise NameError("name 'parse_expression' is not defined")
+
+    monkeypatch.setattr(algebra, "parse_expression", broken)
+    with pytest.raises(NameError):
+        build_dga(read_fixture("ms2_free.json"))
+    with pytest.raises(NameError):
+        run_main("check", fixture_path("ms2_free.json"))
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under one-field mutations
 # ---------------------------------------------------------------------------
