@@ -76,6 +76,8 @@ class Element:
                 out[k] = s
         return _element(self.alg, out)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return _element(self.alg, {k: -c for k, c in self.terms.items()})
 
@@ -83,6 +85,9 @@ class Element:
         if isinstance(other, (int, Fraction, Scalar)):
             other = self.alg.unit() * other
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):

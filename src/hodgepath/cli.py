@@ -268,14 +268,15 @@ def cmd_rectify(args):
         mp = span.mp.mps[v]
         tables[v] = table_presentation(mp.space, upto, name=f"P(f_{v})",
                                        keep_filtrations=False)
-        T = tables[v][0]
+        T, _, from_T = tables[v]
         vertices.append({"name": v, "degree": f.source.index.degree(v),
                          "category": f.source.tags[v],
                          "algebra": dga_doc(T)})
-        p_maps[v] = {nm: element_expr(mp.p(_tab_elem(T, mp, nm)))
-                     for nm in _tab_names(T)}
-        q_maps[v] = {nm: element_expr(mp.q(_tab_elem(T, mp, nm)))
-                     for nm in _tab_names(T)}
+        p_maps[v], q_maps[v] = {}, {}
+        for b in T.basis_list:
+            el = from_T(T.basis_element(b.name))
+            p_maps[v][b.name] = element_expr(mp.p(el))
+            q_maps[v][b.name] = element_expr(mp.q(el))
     arrows = []
     for u in f.source.phi:
         a = f.source.arrow(u)
@@ -283,9 +284,9 @@ def cmd_rectify(args):
         _, to_j, _ = tables[a.dst]
         psi = span.mp.diagram.phi[u]
         images = {}
-        for nm in _tab_names(T_i):
-            el = psi(from_i(T_i.basis_element(nm)))
-            images[nm] = element_expr(to_j(el))
+        for b in T_i.basis_list:
+            el = psi(from_i(T_i.basis_element(b.name)))
+            images[b.name] = element_expr(to_j(el))
         arrows.append({"name": u, "from": a.src, "to": a.dst, "map": images})
     strict_ok = validate_diagram_morphism(span.p).ok and \
         validate_diagram_morphism(span.q).ok
@@ -296,16 +297,6 @@ def cmd_rectify(args):
     emit(out, args.format)
     if not strict_ok:
         raise VerifiedFailure()
-
-
-def _tab_names(T):
-    return [b.name for b in T.basis_list]
-
-
-def _tab_elem(T, mp, nm):
-    n = T.info[nm].degree
-    idx = int(nm.split("_")[1])
-    return mp.space.basis(n)[idx]
 
 
 def cmd_compose_ho(args):

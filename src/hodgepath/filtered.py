@@ -18,6 +18,10 @@ Conventions (fixed once, documented here):
   it; `entry` itself always computes in full.  Skipping drops no check: a
   zero source has no representatives to map, and the target of d_r (or of an
   induced map) is built in full whenever its source is not zero.
+* Adapted bases: over a keyed algebra, the basis keys sorted by level, so
+  coordinates re-index the ambient ones.  Over a `SubCdga` (a decalage), a
+  `linalg.Span` of ambient (parent) rows, whose coordinates are the
+  adapted ones; a non-member raises `AlgebraError`.
 * Decalage: Dec W_p C^n = {x in W_{p-n} C^n : dx in W_{p-n-1} C^{n+1}}.
 """
 
@@ -62,35 +66,39 @@ def _key_level(X, k, kind):
 class FilteredComplex:
     """Adapted-basis view of a filtered algebra/subspace, degrees 0..bound.
 
-    Vectors are coefficient rows over the adapted basis (see linalg).  The
+    Vectors are coefficient rows over the adapted basis (see linalg), read
+    through one frame per degree (see the module docstring).  The
     differential is computed once per adapted basis element: `d_row(n, i)`
     holds the coordinates of d(elements[n][i]) in degree n+1, filled on first
     use and kept per (n, i), and `d_coords` is their linear combination.
     """
 
     def __init__(self, X, kind="W", bound=None):
+        if isinstance(X, GradedAlgebra) and ((kind == "W" and not X.has_weights)
+                                             or (kind == "F" and not X.has_hodge)):
+            raise AlgebraError(f"{X!r} carries no {kind} filtration")
         self.X = X
         self.kind = kind
         self.bound = X.N if bound is None else bound
         self.levels = {}
         self.elements = {}
-        self._charts = {}
+        # degree -> {ambient position: adapted position}, or a Span whose
+        # vectors are the adapted basis in order
+        self._frames = {}
         self._d_rows = {}
-        keyed_alg = isinstance(X, GradedAlgebra)
-        if keyed_alg and ((kind == "W" and not X.has_weights)
-                          or (kind == "F" and not X.has_hodge)):
-            raise AlgebraError(f"{X!r} carries no {kind} filtration")
         for n in range(0, self.bound + 1):
-            if keyed_alg:
-                keys = sorted(X.basis_keys(n),
-                              key=lambda k: (_key_level(X, k, kind), X.key_sort(k)))
-                self.levels[n] = [_key_level(X, k, kind) for k in keys]
-                self.elements[n] = [X.from_key(k) for k in keys]
-            else:
-                self.levels[n], self.elements[n] = self._adapted_sub_basis(n)
+            self.levels[n], self.elements[n], self._frames[n] = self._adapted_basis(n)
 
-    def _adapted_sub_basis(self, n):
+    def _adapted_basis(self, n):
+        """(levels, elements, frame) of the adapted basis of degree n."""
         X = self.X
+        if isinstance(X, GradedAlgebra):
+            keys = X.basis_keys(n)
+            order = sorted(range(len(keys)), key=lambda j: (_key_level(X, keys[j], self.kind),
+                                                           X.key_sort(keys[j])))
+            return ([_key_level(X, keys[j], self.kind) for j in order],
+                    [X.from_key(keys[j]) for j in order],
+                    {j: t for t, j in enumerate(order)})
         amb = X.ambient
         keys = amb.basis_keys(n)
         key_levels = [_key_level(amb, k, self.kind) for k in keys]
@@ -105,7 +113,7 @@ class FilteredComplex:
                 if chosen.add(full):
                     chosen_levels.append(p)
                     chosen_elems.append(amb.from_coords(n, full))
-        return chosen_levels, chosen_elems
+        return chosen_levels, chosen_elems, chosen
 
     def dim(self, n) -> int:
         return len(self.elements.get(n, []))
@@ -116,12 +124,11 @@ class FilteredComplex:
 
     def coords(self, x: Element, n):
         """Coefficient row of x over the adapted basis of degree n."""
-        amb = self.ambient
-        if n not in self._charts:
-            self._charts[n] = linalg.Chart(
-                [amb.coords(b, n, strict=False) for b in self.elements[n]],
-                amb.dim(n, strict=False))
-        sol = self._charts[n].coords(amb.coords(x, n, strict=False))
+        frame = self._frames[n]
+        row = self.ambient.coords(x, n, strict=False)
+        if type(frame) is dict:
+            return {frame[j]: c for j, c in row.items()}
+        sol = frame.coords(row)
         if sol is None:
             raise AlgebraError("element not in the filtered complex")
         return sol
@@ -449,6 +456,31 @@ def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None, sequences=None):
 # decalage
 # ---------------------------------------------------------------------------
 
+class _Decalage(FilteredComplex):
+    """Dec W of a filtered complex, with its adapted basis in a Span of the parent's rows."""
+
+    def __init__(self, fc: FilteredComplex):
+        self.parent = fc
+        super().__init__(fc.X, fc.kind + "-dec", fc.bound - 1)
+
+    def _adapted_basis(self, n):
+        fc = self.parent
+        lo, hi = fc.level_range()
+        chosen, levels, elems = linalg.Span(), [], []
+        for p in range(lo + n, hi + n + 2):
+            for v in fc.z_basis(n, p - n, p - n - 1):
+                if chosen.add(v):
+                    levels.append(p)
+                    elems.append(fc.from_coords(n, v))
+        return levels, elems, chosen
+
+    def coords(self, x: Element, n):
+        sol = self._frames[n].coords(self.parent.coords(x, n))
+        if sol is None:
+            raise AlgebraError("element not in the filtered complex")
+        return sol
+
+
 def decalage(fc: FilteredComplex) -> FilteredComplex:
     """Dec W_p C^n = {x in W_{p-n} C^n : dx in W_{p-n-1} C^{n+1}}.
 
@@ -457,26 +489,7 @@ def decalage(fc: FilteredComplex) -> FilteredComplex:
     if fc.bound < 1:
         raise CutoffError(f"the decalage in degree n needs degree n + 1, but the filtered "
                           f"complex of {fc.X!r} stops at degree {fc.bound}")
-    X = fc.X
-    out = FilteredComplex.__new__(FilteredComplex)
-    out.X = X
-    out.kind = fc.kind + "-dec"
-    out.bound = fc.bound - 1
-    out.levels = {}
-    out.elements = {}
-    out._charts = {}
-    out._d_rows = {}
-    lo, hi = fc.level_range()
-    for n in range(0, out.bound + 1):
-        chosen, levels, elems = linalg.Span(), [], []
-        for p in range(lo + n, hi + n + 2):
-            for v in fc.z_basis(n, p - n, p - n - 1):
-                if chosen.add(v):
-                    levels.append(p)
-                    elems.append(fc.from_coords(n, v))
-        out.levels[n] = levels
-        out.elements[n] = elems
-    return out
+    return _Decalage(fc)
 
 
 # ---------------------------------------------------------------------------

@@ -244,10 +244,8 @@ def _mat_inverse(rows, dim):
     Row i of the inverse is the coordinate row of the i-th unit vector over
     the rows.
     """
-    chart = linalg.Chart(rows, dim)
-    if len(rows) != dim or chart.rank < dim:
-        return None
-    return [chart.coords(e) for e in _unit_rows(dim)]
+    inverse = linalg.solve(rows, dim, _unit_rows(dim)) if len(rows) == dim else [None]
+    return None if None in inverse else inverse
 
 
 def _mat_compose(first, then):

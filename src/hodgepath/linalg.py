@@ -17,10 +17,10 @@ A linear system enters in one orientation: row i is the image of unknown i.
 their equations, one per column, through `_columns`.  Columns may be any
 hashable keys, so a caller can pass the terms of algebra elements as rows.
 
-`Chart` (coordinates over a fixed basis, eliminated once) serves only
-filtered complexes and the Hodge checks.  A `SubCdga` needs none: its basis
-is a `free_kernel`, each vector 1 at its own free unknown and 0 at the
-others, so coordinates are read off at the free unknowns.
+A basis chosen vector by vector lives in a `Span`, which also gives
+coordinates over it.  A `SubCdga` needs none: its basis is a `free_kernel`,
+each vector 1 at its own free unknown and 0 at the others, so coordinates
+are read off at the free unknowns.
 
 `_eliminate` is Gauss-Jordan with the deterministic first-nonzero rule: the
 first row at or below the rank with a non-zero in the column becomes the
@@ -37,8 +37,8 @@ each pivot row when it is chosen.
 A full elimination gives the unique reduced row echelon form, so kernels,
 ranks, intersections and `Subquotient` reps do not depend on the order of
 the equations or of the entries of a row, and on a consistent system
-`solve`'s answer (free unknowns zero) is unique.  Only a `Chart` over a
-dependent basis depends on the pivot rule.  Entries are exact, so every
+`solve`'s answer (free unknowns zero) is unique.  Only the tail columns of a
+partial `_eliminate` depend on the pivot rule.  Entries are exact, so every
 kernel/image/solve is a certificate.
 """
 
@@ -306,56 +306,46 @@ def _reduce(v, rows, pivots):
 
 
 class Span:
-    """A growing span of vectors, kept as sparse echelon rows.
+    """A growing span of vectors, kept as sparse echelon rows, with coordinates.
 
     Rows stay in insertion order.  Each added vector is reduced by the rows
     before it, so it is zero at their pivots, and is then normalised to 1 at
     its first non-zero column, its pivot.  Reducing by the rows in order
     therefore clears every pivot, and leaves zero exactly on the span.
+
+    The vectors `add` takes are numbered 0, 1, ... and are independent, so
+    coordinates over them are unique: each row keeps its expression over
+    them, and a vector the reduction clears is sum_i taken_i rows_i.
     """
 
     def __init__(self):
         self._rows = []
         self._pivots = []
+        self._exprs = []
 
     def add(self, v) -> bool:
         """Add the coefficient row v; True iff v was outside the span so far."""
         w = dict(v)
-        _reduce(w, self._rows, self._pivots)
+        taken = _reduce(w, self._rows, self._pivots)
         if not w:
             return False
         p = min(w)
         inv = 1 / w[p]
+        # w = v - sum_i taken_i rows_i, and the new row is inv * w
+        expr = {i: -inv * c for i, c in combine(taken, self._exprs).items()}
+        expr[len(self._exprs)] = inv
         self._rows.append({j: inv * a for j, a in w.items()})
         self._pivots.append(p)
+        self._exprs.append(expr)
         return True
 
-
-class Chart:
-    """Coordinates over a fixed basis of coefficient rows over ncols columns, eliminated once.
-
-    The reduced [basis | -I], pivoting in the first ncols columns only, has
-    rows [E | -T] with E = T * basis.  Reducing [v | 0] by them leaves
-    [r | x]: v is in the span iff r = 0, and then v = x * basis.  For an
-    independent basis x is the unique coordinate vector.
-    """
-
-    def __init__(self, basis, ncols: int):
-        self.ncols = ncols
-        rows = [{**row, ncols + i: -_ONE} for i, row in enumerate(basis)]
-        self._rows, self._pivots = _eliminate(rows, ncols)
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
     def coords(self, v):
-        """Coefficient row of the row v over the basis, or None if v is outside its span."""
+        """Coefficient row of v over the vectors taken, or None if v is outside the span."""
         w = dict(v)
-        _reduce(w, self._rows, self._pivots)
-        if any(j < self.ncols for j in w):
+        taken = _reduce(w, self._rows, self._pivots)
+        if w:
             return None
-        return _formatted({j - self.ncols: c for j, c in w.items()})
+        return combine(taken, self._exprs)
 
 
 class Subquotient:
@@ -402,9 +392,6 @@ class Subquotient:
         if w:
             return None
         return _formatted(taken)
-
-    def contains(self, v) -> bool:
-        return self.coords(v) is not None
 
 
 def is_isomorphism(rows, src_dim: int, dst_dim: int) -> bool:

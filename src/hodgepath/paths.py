@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import (AlgebraError, Element, GradedAlgebra, LinearMap, Morphism,
                       ProductCdga, SubCdga, _element, combination, compose,
-                      solve_preimage)
+                      morphism_matrix, solve_preimage)
 from .exprs import ExprError, parse_expression
 from .scalars import Scalar
 
@@ -716,9 +716,12 @@ def p5_lift(v: Morphism, a0: Element, a1: Element, bt: Element, budget=None) -> 
     PA = path_of(A, kB.budget)
     kA = keyed(PA)
     tilde = kA.zero()
+    v_rows = {}  # degree -> morphism_matrix(v, degree), built once per degree
     for (i, e), coeff in kB.coefficients(bt).items():
         n = coeff.degree()
-        pre = solve_preimage(v, coeff, n)
+        if n not in v_rows:
+            v_rows[n] = morphism_matrix(v, n)
+        pre = solve_preimage(v, coeff, n, rows=v_rows[n])
         if pre is None:
             raise AlgebraError(
                 f"p5_lift: v is not surjective in degree {n} (no preimage)")

@@ -7,8 +7,11 @@ cutoff.
 `FilteredComplex.d_row` / `d_coords` are checked against coordinates of d
 computed afresh from the element, and `linalg.Span.add` against the rank-based
 membership test it replaced, which this file keeps as the oracle.  Decalage
-is compared with a reference built from both oracles.  The oracles work on
-dense vectors and convert at this file's boundary (`row_of`, `dense_of`).
+is compared with a reference built from both oracles.
+`FilteredComplex.coords` (a re-index of the ambient coordinates over a keyed
+algebra, a Span over a SubCdga or a decalage) is compared with
+`linalg.solve` over the ambient rows of the adapted basis.  The oracles work
+on dense vectors and convert at this file's boundary (`row_of`, `dense_of`).
 """
 
 import random
@@ -21,6 +24,7 @@ from hodgepath import (CutoffError, Field, FreeCdga, Generator, SubCdga,
                        TableBasisElement, TableCdga, delta, iota, is_Er_quasi_iso,
                        linear_morphism, path_10, r_path)
 from hodgepath import linalg
+from hodgepath.algebra import AlgebraError
 from hodgepath.filtered import (FilteredComplex, SpectralSequence,
                                 check_filtration_preserving, decalage)
 from hodgepath.scalars import Scalar
@@ -144,6 +148,42 @@ def test_decalage_matches_reference(name):
     assert dec.levels == levels
     for n, vecs in coords.items():
         assert dec.elements[n] == [fc.from_coords(n, row_of(v)) for v in vecs]
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_coords_match_a_solve_over_the_adapted_basis(name):
+    fc = COMPLEXES[name]()
+    amb, field = fc.ambient, fc.ambient.field
+    rng = random.Random(name)
+    outsiders = 0
+    for n in range(0, fc.bound + 1):
+        rows = [amb.coords(b, n, strict=False) for b in fc.elements[n]]
+
+        def solved(x):
+            return linalg.solve(rows, len(rows), [amb.coords(x, n, strict=False)])[0]
+
+        for _ in range(4):
+            row = row_of(random_vec(rng, fc.dim(n), field))
+            x = fc.from_coords(n, row)
+            got = fc.coords(x, n)
+            assert_row(got, fc.dim(n))
+            assert got == row == solved(x)
+            # an ambient element is a member exactly when the solve finds coordinates
+            y = amb.from_coords(n, row_of(random_vec(rng, amb.dim(n, strict=False), field)))
+            want = solved(y)
+            if want is None:
+                outsiders += 1
+                with pytest.raises(AlgebraError):
+                    fc.coords(y, n)
+            else:
+                assert fc.coords(y, n) == want
+            # a term of another degree is never in degree n
+            above = amb.basis_keys(n + 1)
+            if above:
+                with pytest.raises(AlgebraError):
+                    fc.coords(x + amb.from_key(above[0]), n)
+    if "subcdga" in name:
+        assert outsiders
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ the other orientation, row i being the image of unknown i, so its
 transposed matrix.  The sparse kernel skips exact no-ops and, over Q, holds
 each row as a non-zero integer multiple of the reference's row, so every
 result must agree entry for entry, including the pivot-rule dependent tails
-of the partial eliminations `_eliminate(rows, k)` behind `Chart`.
+of the partial eliminations `_eliminate(rows, k)` behind `solve`.  `Span`
+is checked against the reference's chart (the reduced [basis | -I]) over
+the vectors it took.
 Full-width rational cases are also checked against sympy's `Matrix.rref`
 when sympy is installed.  The library takes and returns coefficient rows;
 the dense references convert at this file's boundary (`row_of`, `dense_of`
@@ -268,7 +270,7 @@ def test_rref_matches_dense_reference(d):
         got = rref(rows, ncols)
         assert got == dense_rref(rows, ncols)
         _check_scalars(got[0])
-        # pivoting in a prefix of the columns only, as solve and Chart do
+        # pivoting in a prefix of the columns only, as solve does
         k = rng.randint(0, ncols)
         got = rref(rows, k)
         assert got == dense_rref(rows, k)
@@ -368,22 +370,48 @@ def test_solve_with_no_unknowns():
     assert linalg.solve([], 3, []) == []
 
 
+def span_of(basis, ncols: int):
+    """A Span fed the dense basis, the vectors it took, and the reference over them.
+
+    `add` must take exactly the vectors outside the span of those before
+    them; the ones it takes are independent, so the reference's coordinates
+    over them are unique.
+    """
+    span, taken, refused = linalg.Span(), [], []
+    for b in basis:
+        if span.add(row_of(b)):
+            taken.append(b)
+        else:
+            refused.append((b, len(taken)))
+    ref = DenseChart(taken, ncols)
+    assert len(ref.pivots) == len(taken)
+    for b, before in refused:
+        # b is a combination of the vectors taken before it
+        c = ref.coords(b)
+        assert c is not None and vec_is_zero(c[before:])
+    return span, taken, ref
+
+
 @pytest.mark.parametrize("d", FIELDS)
 def test_chart_coords_match_dense_reference(d):
+    # Span.coords against the dense chart over the vectors the Span took
     members = outside = dependent = 0
     for rng, basis, ncols in _cases(d):
-        chart, ref = linalg.Chart(rows_of(basis), ncols), DenseChart(basis, ncols)
-        assert chart.rank == len(ref.pivots)
-        dependent += chart.rank < len(basis)
+        span, taken, ref = span_of(basis, ncols)
+        assert len(taken) == len(dense_rref(basis, ncols)[1])
+        dependent += len(taken) < len(basis)
+        coeffs = [_entry(rng, d, 0.7) for _ in taken]
+        known = combine_rows(row_of(coeffs), taken, ncols)
+        assert dense_or_none(span.coords(row_of(known)), len(taken)) == coeffs
         for v in (_combine(rng, d, basis, ncols), [_entry(rng, d, 0.5) for _ in range(ncols)]):
-            got = dense_or_none(chart.coords(row_of(v)), len(basis))
+            got = dense_or_none(span.coords(row_of(v)), len(taken))
             assert got == ref.coords(v)
             if got is None:
                 outside += 1
             else:
                 members += 1
                 _check_scalars([got])
-                assert len(got) == len(basis)
+                assert len(got) == len(taken)
     assert members > 50 and outside > 20 and dependent > 20
 
 
@@ -404,17 +432,17 @@ def test_subquotient_matches_dense_reference(d):
         for v in (_combine(rng, d, num + den, ncols), outsider):
             got = dense_or_none(sq.coords(row_of(v)), sq.dim)
             assert got == ref.coords(v)
-            assert sq.contains(row_of(v)) == (got is not None)
             outside += got is None
     assert nonzero > 30 and outside > 20
 
 
 def test_mixed_rational_and_irrational_operands():
-    # a rational chart (bare Fraction rows) applied to an irrational vector
+    # a rational span (bare Fraction rows) applied to an irrational vector
     basis = [[Scalar(1), Scalar(2)], [Scalar(0), Scalar(3)]]
     v = [Scalar(1, 1, -3), Scalar(Fraction(1, 2), -2, -3)]
-    got = linalg.Chart(rows_of(basis), 2).coords(row_of(v))
-    assert dense_of(got, 2) == DenseChart(basis, 2).coords(v)
+    span, taken, ref = span_of(basis, 2)
+    assert taken == basis
+    assert dense_of(span.coords(row_of(v)), 2) == ref.coords(v)
     sq = linalg.Subquotient(rows_of(basis), rows_of([[Scalar(0), Scalar(1)]]), 2)
     got = sq.coords(row_of(v))
     assert dense_of(got, 1) == DenseSubquotient(basis, [[Scalar(0), Scalar(1)]], 2).coords(v)
@@ -492,13 +520,13 @@ def test_shaped_kernels_and_charts_match_dense_reference(shape):
     left = [dense_of(v, nrows) for v in linalg.left_kernel(rows_of(rows), nrows)]
     assert left == dense_kernel_basis(transpose(rows, ncols), nrows)
     basis = rows[:ncols // 2]
-    chart, ref = linalg.Chart(rows_of(basis), ncols), DenseChart(basis, ncols)
-    assert chart.rank < len(basis)  # a dependent basis: coordinates are not unique
+    span, taken, ref = span_of(basis, ncols)
+    assert len(taken) < len(basis)  # a dependent basis: add refuses the dependent rows
     rng = random.Random(nrows)
     for _ in range(3):
         v = _combine(rng, None, rng.sample(basis, 3), ncols)
-        got = chart.coords(row_of(v))
-        assert got is not None and dense_of(got, len(basis)) == ref.coords(v)
+        got = span.coords(row_of(v))
+        assert got is not None and dense_of(got, len(taken)) == ref.coords(v)
 
 
 def test_shaped_rref_matches_sympy():
@@ -542,8 +570,7 @@ def test_stored_rows_hold_one_coefficient_type(d):
         den = _matrix(rng, other, rng.randint(0, 4), ncols)
         sq = linalg.Subquotient(rows_of(rows), rows_of(den), ncols)
         sq2 = linalg.Subquotient(rows_of(den), rows_of(rows), ncols)
-        chart = linalg.Chart(rows_of(rows), ncols)
-        for row in chart._rows + sq._den + sq._reps + sq2._den + sq2._reps:
+        for row in sq._den + sq._reps + sq2._den + sq2._reps:
             assert len({type(a) for a in row.values()}) <= 1
             assert all(a for a in row.values())
 

@@ -5,7 +5,7 @@ entry, bare Fractions for the rational coefficients and Scalars only for the
 irrational ones (`helpers.assert_row`).  Checked on the `coords` of every
 fixture algebra and of its extension to Q(sqrt -3), of a mapping-path space
 and a SubCdga, and of filtered complexes over Q and Q(sqrt -3); on
-`FilteredComplex.d_row`/`d_coords`, `Chart.coords`, `Subquotient.coords` and
+`FilteredComplex.d_row`/`d_coords`, `Span.coords`, `Subquotient.coords` and
 `reps` and `Cohomology.cls`.  Every element's coords return it through
 `from_coords`.
 """
@@ -162,8 +162,9 @@ def test_rows_where_scalar_arithmetic_cancels_the_imaginary_part():
     one_i = Scalar(1, 1, -3)
     rows = []
     # the coordinate of (2 + 2i, 0) over (1 + i, 0) is 2
-    chart = linalg.Chart([{0: one_i}, {1: i3}], 2)
-    rows.append(chart.coords({0: one_i * 2}))
+    span = linalg.Span()
+    assert span.add({0: one_i}) and span.add({1: i3})
+    rows.append(span.coords({0: one_i * 2}))
     assert rows[-1] == {0: Fraction(2)}
     # (i, 3) minus i times the denominator row (1, 1/i) leaves 2 at the representative
     sq = linalg.Subquotient([{1: Fraction(1)}], [{0: i3, 1: Fraction(1)}], 2)

@@ -143,20 +143,20 @@ def test_chart_coords_match_solve_on_transpose(d):
         basis = [[_rand_scalar(rng, d) for _ in range(n)] for _ in range(k)]
         if linalg.rank(rows_of(basis), n) < k:
             continue
-        chart = linalg.Chart(rows_of(basis), n)
-        assert chart.rank == k
+        span = linalg.Span()
+        assert all(span.add(b) for b in rows_of(basis))
         for _ in range(4):
             coeffs = [_rand_scalar(rng, d) for _ in range(k)]
             member = combine(coeffs, basis, n)
-            assert coords(chart, member, k) == solve(basis, k, member) == coeffs
+            assert coords(span, member, k) == solve(basis, k, member) == coeffs
             v = [_rand_scalar(rng, d) for _ in range(n)]
             ref = solve(basis, k, v)
-            assert coords(chart, v, k) == ref
+            assert coords(span, v, k) == ref
             outside += ref is None
     assert outside > 0
 
 
-def test_mat_inverse_via_chart():
+def test_mat_inverse_via_solve():
     from hodgepath.hodge import _mat_inverse
     m = [[S(1), S(2)], [S(3), S(4, 1)]]
     inv = _mat_inverse(rows_of(m), 2)
@@ -164,6 +164,9 @@ def test_mat_inverse_via_chart():
         assert combine(dense_of(row, 2), m, 2) == [S(int(i == j)) for j in range(2)]
     assert _mat_inverse(rows_of([[S(1), S(2)], [S(2), S(4)]]), 2) is None
     assert _mat_inverse(rows_of([[S(1), S(0)]]), 2) is None
+    # a non-square matrix of full rank has no inverse either
+    assert _mat_inverse(rows_of([[S(1), S(0)], [S(0), S(1)], [S(1), S(1)]]), 2) is None
+    assert _mat_inverse([], 0) == []
 
 
 def test_sub_space_coords_reject_constraint_breakers():

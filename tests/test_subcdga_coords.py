@@ -1,10 +1,11 @@
-"""SubCdga.coords against a Chart over the same basis.
+"""SubCdga.coords against a solve over the same basis.
 
 `SubCdga.coords` reads an element's coordinates off its ambient coefficients
 at the free unknowns of the constraint kernel and checks that they recombine
-to the element.  The reference here eliminates a `linalg.Chart` over the
-same basis, and the two must agree: equal coordinate rows on members, the
-same `AlgebraError` on non-members.
+to the element.  The reference here solves for the element's ambient row
+over the ambient rows of the same basis with `linalg.solve`, and the two
+must agree: equal coordinate rows on members, the same `AlgebraError` on
+non-members.
 The spaces are the subalgebras the lifting layer solves in: mapping paths,
 double paths, square-boundary targets and the path object of a subalgebra,
 over Q and over Q(sqrt -3).
@@ -56,17 +57,16 @@ def _scalar(F, rng):
             return c
 
 
-class ChartCoords:
-    """The reference: a Chart eliminated over S's basis in degree n."""
+class SolveCoords:
+    """The reference: an elimination of S's basis rows in degree n per element."""
 
     def __init__(self, S, n):
-        amb = S.ambient
         self.S, self.n = S, n
-        self.chart = linalg.Chart([amb.coords(b, n, strict=False) for b in S.basis(n)],
-                                  amb.dim(n, strict=False))
+        self.rows = [S.ambient.coords(b, n, strict=False) for b in S.basis(n)]
 
     def coords(self, x):
-        sol = self.chart.coords(self.S.ambient.coords(x, self.n, strict=False))
+        sol, = linalg.solve(self.rows, len(self.rows),
+                            [self.S.ambient.coords(x, self.n, strict=False)])
         if sol is None:
             raise AlgebraError(f"element is not in {self.S.name} (degree {self.n})")
         return sol
@@ -88,7 +88,7 @@ def test_coords_match_a_chart_on_members_and_non_members(name, field):
     members = outsiders = 0
     for n in range(0, 3):
         basis = S.basis(n)
-        ref = ChartCoords(S, n)
+        ref = SolveCoords(S, n)
         for _ in range(6):
             # a seeded member with known coordinates
             row = {}
@@ -102,7 +102,7 @@ def test_coords_match_a_chart_on_members_and_non_members(name, field):
             assert got == row == ref.coords(x)
             members += bool(row)
             # the member moved off S by one ambient basis element, and a
-            # random ambient element: S.coords raises where the chart does
+            # random ambient element: S.coords raises where the solve fails
             keys = amb.basis_keys(n)
             if not keys:
                 continue
@@ -117,13 +117,27 @@ def test_coords_match_a_chart_on_members_and_non_members(name, field):
 
 
 def test_subalgebras_eliminate_no_chart(monkeypatch):
-    def no_chart(*args):
-        raise AssertionError("a SubCdga built a Chart")
+    # once basis(n) is built, coords reads the free positions: no elimination
+    eliminate = linalg._eliminate
+    calls = []
 
-    monkeypatch.setattr(linalg, "Chart", no_chart)
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     for name in SPACES:
         S = _space(name, Field(-3))
         assert isinstance(S, SubCdga)
         for n in range(0, 3):
-            for b in S.basis(n):
-                S.coords(b * 2, n)
+            basis = S.basis(n)
+            built = len(calls)
+            for b in basis:
+                assert S.coords(b * 2, n)
+            for k in S.ambient.basis_keys(n):
+                try:
+                    S.coords(S.ambient.from_key(k), n)
+                except AlgebraError:
+                    pass
+            assert len(calls) == built
+    assert calls  # the spy sees the eliminations that build the bases

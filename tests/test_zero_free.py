@@ -73,6 +73,21 @@ def test_arithmetic_results_are_zero_free(seed):
         assert (x + y) - y == x
 
 
+def test_numbers_on_the_left_add_and_subtract():
+    # 1 + x and 1 - x, also where the number cancels x's unit term
+    X = _algebra()
+    rng = random.Random(5)
+    for _ in range(12):
+        x = _random(X, rng, degrees=(0, 1, 2))
+        for c in (1, -1, 0, Fraction(1, 2)):
+            assert c + x == x + c == X.unit() * c + x
+            assert c - x == -(x - c) == X.unit() * c - x
+            assert_zero_free(c + x)
+            assert_zero_free(c - x)
+        assert sum([x, x]) == x + x
+    assert 1 - X.unit() == X.zero() and (-1 + X.unit()).is_zero
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_coordinates_and_combinations_are_zero_free(seed):
     rng = random.Random(100 + seed)
