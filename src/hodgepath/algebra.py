@@ -5,6 +5,12 @@ small key protocol (degree, product with Koszul sign, differential, basis
 enumeration) and everything else — cohomology, morphism checks, subalgebras cut
 out by linear equations — is generic on top of it.
 
+Every space — a keyed algebra or a `SubCdga` cut out of one — answers one
+space protocol: `ambient`, `zero`, `unit`, `basis`, `dim`, `coords`,
+`from_coords`, `check_degree`, `has_weights` and `has_hodge`.  A space's
+elements live in its `ambient`, the keyed algebra that holds them: an
+algebra is its own ambient, and a `SubCdga`'s is the algebra it is cut from.
+
 Algebras carry a mandatory degree cutoff N: bases and cohomology are served for
 degrees inside the horizon and fail loudly beyond it.  Free algebras only admit
 generators of degree >= 1 so that every degreewise basis is finite; degree-0
@@ -228,6 +234,11 @@ class GradedAlgebra:
     @property
     def has_hodge(self) -> bool:
         return False
+
+    @property
+    def ambient(self) -> "GradedAlgebra":
+        """The keyed algebra holding this space's elements: the algebra itself."""
+        return self
 
     # generic element machinery ------------------------------------------------
 
@@ -831,11 +842,10 @@ class FreeMorphism(Morphism):
 
     def __init__(self, source: FreeCdga, target, gen_images: dict, name=""):
         self.gen_images = {}
-        target_amb = target.ambient if isinstance(target, SubCdga) else target
         for nm, el in gen_images.items():
             if nm not in source.gen_index:
                 raise AlgebraError(f"unknown generator {nm!r}")
-            if el.alg is not target_amb:
+            if el.alg is not target.ambient:
                 raise AlgebraError(f"image of {nm!r} lies in the wrong algebra")
             self.gen_images[nm] = el
         missing = [g.name for g in source.gens if g.name not in self.gen_images]
@@ -932,8 +942,11 @@ class SubCdga:
     """Degreewise kernel of linear constraints inside a keyed ambient algebra.
 
     Elements live in the ambient algebra; this object serves bases and
-    coordinates.  Used for mapping paths, double paths and boundary-condition
-    targets, none of which are free.
+    coordinates through the space protocol (see the module docstring): its
+    `zero`, `unit`, `basis` and `from_coords` return elements of `ambient`,
+    and `has_weights` and `has_hodge` are the ambient's.  Used for mapping
+    paths, double paths and boundary-condition targets, none of which are
+    free.
 
     basis(n) is the left kernel of the constraints over the ambient basis of
     degree n, one vector per free unknown of that elimination, 1 there and 0
@@ -956,8 +969,7 @@ class SubCdga:
     # space protocol ------------------------------------------------------------
 
     def basis(self, n, strict=True):
-        if strict and not (0 <= n <= self.N):
-            raise CutoffError(f"degree {n} outside 0..{self.N} of {self.name}")
+        self.check_degree(n, strict)
         if n < 0:
             return []
         if n not in self._basis_cache:
@@ -1024,8 +1036,7 @@ class SubCdga:
         return self.ambient.zero()
 
     def unit(self):
-        u = self.ambient.unit()
-        return u
+        return self.ambient.unit()
 
     @property
     def has_weights(self):

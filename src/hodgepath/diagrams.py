@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (AlgebraError, Element, FreeCdga, Morphism, SubCdga, TableCdga,
-                      compose, identity_morphism)
+from .algebra import (AlgebraError, Element, FreeCdga, Morphism, TableCdga, compose,
+                      identity_morphism)
 from .lifting import LiftObstruction, fill_square, free_lift, homotopy_add, lift_homotopy
 from .ops import ValidationReport, check_cdga, check_morphism
 from .paths import (Homotopy, MappingPath, coproduct, c_hat, delta, iota, keyed,
@@ -188,7 +188,7 @@ class DiagramMorphism:
         tgt_dom = self.target.dom(u)
 
         def fn(x):
-            out = tgt_dom.zero() if not isinstance(tgt_dom, SubCdga) else tgt_dom.ambient.zero()
+            out = tgt_dom.zero()
             for k, c in x.terms.items():
                 img = f(Element(f.source, {k: f.source.field.one()}))
                 out = out + Element(tgt_dom, dict(img.terms)) * c

@@ -657,7 +657,6 @@ def stokes_ho_report(h, upto=None) -> ValidationReport:
     Vertexwise: d(int h) + int(d h) = g - f.  Arrowwise, with K = int int H_u:
     K d - d K = int G_u - int F_u + int h_dst phi - phi int h_src.
     """
-    from .diagrams import HoHomotopy
     rep = ValidationReport(subject="integration identities")
     f, g = h.f, h.g
     upto_eff = min(f.source.check_upto(), f.target.check_upto()) - 1 \

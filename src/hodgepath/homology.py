@@ -17,10 +17,6 @@ from .algebra import AlgebraError, CutoffError, Element, GradedAlgebra, LinearMa
 from .scalars import Scalar, coeff, from_coeff
 
 
-def _is_keyed(X) -> bool:
-    return isinstance(X, GradedAlgebra)
-
-
 class Cohomology:
     """H^n of an algebra/subspace complex, with representatives and class coords."""
 
@@ -119,7 +115,7 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
     if strict and not (0 <= n <= X.N - 1):
         raise CutoffError(f"cohomology degree {n} outside 0..{X.N - 1} of {X!r}")
 
-    if _is_keyed(X):
+    if isinstance(X, GradedAlgebra):
         blocks = []
         part_lo = _block_partition(X, n - 1)
         part_hi = _block_partition(X, n + 1)

@@ -35,7 +35,7 @@ class LiftObstruction(AlgebraError):
 
 def _apply_partial(C: FreeCdga, images: dict, x: Element, target):
     out = None
-    unit = target.unit() if not isinstance(target, SubCdga) else target.ambient.unit()
+    unit = target.unit()
     for key, c in x.terms.items():
         term = unit
         for gi, e in key:
@@ -49,8 +49,7 @@ def _apply_partial(C: FreeCdga, images: dict, x: Element, target):
                 term = term * img
         out = term * c if out is None else out + term * c
     if out is None:
-        amb = target.ambient if isinstance(target, SubCdga) else target
-        return amb.zero()
+        return target.zero()
     return out
 
 
@@ -204,7 +203,7 @@ def boundary_square_target(PB):
     kB = keyed(PB)
     B = kB.base
     # PB's own constraints (B a subalgebra) come along with each factor
-    amb, cons, _, _ = product_space([PB] * 4, name="P(B)^4")
+    amb, cons = product_space([PB] * 4, name="P(B)^4")
     for kk in (0, 1):
         for m in (0, 1):
             def gap(x, kk=kk, m=m):

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, GradedAlgebra,
-                      LinearMap, TableBasisElement, TableCdga)
+from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, LinearMap,
+                      TableBasisElement, TableCdga)
 from .paths import BudgetError
 from .scalars import coeff, from_coeff
 
@@ -442,7 +442,6 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
     bases = {n: X.basis(n) for n in range(0, upto + 1)}
     names = {}
     entries = []
-    keyed = isinstance(X, GradedAlgebra)
     for n, bs in bases.items():
         for k, b in enumerate(bs):
             nm = f"b{n}_{k}"
@@ -451,8 +450,7 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
             h = b.hodge() if keep_filtrations and X.has_hodge else None
             entries.append(TableBasisElement(nm, n, w, h))
     # unit coordinates
-    unit = X.unit() if hasattr(X, "unit") else X.ambient.unit()
-    u_coords = X.coords(unit, 0)
+    u_coords = X.coords(X.unit(), 0)
     if len(u_coords) != 1 or 1 not in u_coords.values():
         raise AlgebraError("table presentation needs the unit to be a basis vector")
     unit_name = names[(0, next(iter(u_coords)))]
@@ -492,8 +490,7 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
         return out
 
     def from_table(x: Element) -> Element:
-        amb = getattr(X, "ambient", X)
-        out = amb.zero()
+        out = X.zero()
         for k, c in x.terms.items():
             n = T.info[k].degree
             idx = int(k.split("_")[1])

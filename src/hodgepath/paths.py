@@ -29,7 +29,6 @@ from .algebra import (AlgebraError, Element, GradedAlgebra, LinearMap, Morphism,
                       ProductCdga, SubCdga, _element, combination, compose,
                       morphism_matrix, solve_preimage)
 from .exprs import ExprError, parse_expression
-from .scalars import Scalar
 
 DEFAULT_BUDGET = 32
 
@@ -153,7 +152,6 @@ class PathAlgebra(GradedAlgebra):
         """
         cap = max(1, self.budget // 2)
         terms = {}
-        from fractions import Fraction
         for k in self.basis_keys(n) if n >= 0 else []:
             if self.key_t_weight(k) > cap:
                 continue
@@ -250,11 +248,10 @@ def path_of(X, budget: int | None = None, w_shift: int = 0):
 
 
 def keyed(P):
-    """The underlying keyed path algebra of a path object."""
-    if isinstance(P, PathAlgebra):
-        return P
-    if isinstance(P, SubCdga) and isinstance(P.ambient, PathAlgebra):
-        return P.ambient
+    """The underlying keyed path algebra of a path object: its ambient."""
+    k = P.ambient
+    if isinstance(k, PathAlgebra):
+        return k
     raise AlgebraError(f"{P!r} is not a path object")
 
 
@@ -293,7 +290,7 @@ def delta(P, endpoint: int) -> Morphism:
 def _substitution(P, target, im_t: Element, im_dt: Element, coeff_map, name):
     """Algebra map out of P determined by coefficients and the image of t."""
     kP = keyed(P)
-    powers = {0: (target.unit() if hasattr(target, "unit") else target.ambient.unit())}
+    powers = {0: target.unit()}
 
     def t_power(i):
         if i not in powers:
@@ -554,9 +551,9 @@ def stokes_defect(h, upto=None):
 def product_space(spaces, name=""):
     """Product of spaces, flattening subalgebra factors into their ambients.
 
-    Returns (amb, constraints, inject, project): the keyed ambient product,
-    the factor constraints pushed through the projections, and slotwise
-    injection/projection working directly with each factor's elements.
+    Returns (amb, constraints): the keyed ambient product, whose inject and
+    project work directly with each factor's elements, and the factor
+    constraints pushed through the projections.
     """
     factors = []
     carried = []
@@ -567,25 +564,13 @@ def product_space(spaces, name=""):
         else:
             factors.append(X)
     amb = ProductCdga(factors, name=name)
-
-    def inject(i, x):
-        return amb.inject(i, x)
-
-    def project(i, x):
-        return amb.project(i, x)
-
     constraints = []
     for i, cons in carried:
         for c in cons:
             constraints.append(LinearMap(
                 amb, c.target, lambda x, c=c, i=i: c(amb.project(i, x)),
                 name=f"[{i}]{c.name}"))
-    return amb, constraints, inject, project
-
-
-def _keyed_space(X):
-    """The keyed algebra whose elements X's elements are: X, or X's ambient."""
-    return X.ambient if isinstance(X, SubCdga) else X
+    return amb, constraints
 
 
 class MappingPath:
@@ -603,33 +588,31 @@ class MappingPath:
         kB = keyed(PB)
         self.PB = PB
         # PB's own constraints (B a subalgebra) come along with its factor
-        amb, cons, inj, proj = product_space([A, PB], name=f"{A!r} x {kB!r}")
+        amb, cons = product_space([A, PB], name=f"{A!r} x {kB!r}")
         self.amb = amb
-        self._inj, self._proj = inj, proj
 
         def gap(x):
-            return f(proj(0, x)) - kB.evaluate(proj(1, x), 0)
+            return f(amb.project(0, x)) - kB.evaluate(amb.project(1, x), 0)
 
-        self.space = SubCdga(amb, cons + [LinearMap(amb, _keyed_space(B), gap, "b(0)=f(a)")],
+        self.space = SubCdga(amb, cons + [LinearMap(amb, B.ambient, gap, "b(0)=f(a)")],
                              name=f"MappingPath({f.name or 'f'})")
-        self.space.over = self.space
-        self.p = Morphism(self.space, A, lambda x: proj(0, x), name="p")
+        self.p = Morphism(self.space, A, lambda x: amb.project(0, x), name="p")
         self.q_endpoint = q_endpoint
         self.q = Morphism(self.space, B,
-                          lambda x: kB.evaluate(proj(1, x), q_endpoint), name="q")
+                          lambda x: kB.evaluate(amb.project(1, x), q_endpoint), name="q")
         self.iota = Morphism(A, self.space,
-                             lambda a: inj(0, a) + inj(1, kB.include(f(a))),
+                             lambda a: amb.inject(0, a) + amb.inject(1, kB.include(f(a))),
                              name="iota")
 
     def pair(self, a: Element, bt: Element) -> Element:
         """Element (a, b(t)) of the ambient product; caller owns the constraint."""
-        return self._inj(0, a) + self._inj(1, bt)
+        return self.amb.inject(0, a) + self.amb.inject(1, bt)
 
     def component_a(self, x: Element) -> Element:
-        return self._proj(0, x)
+        return self.amb.project(0, x)
 
     def component_path(self, x: Element) -> Element:
-        return self._proj(1, x)
+        return self.amb.project(1, x)
 
     def contraction(self) -> Homotopy:
         """h = (iota_A pi_1, c_B pi_2): a homotopy from iota p to the identity."""
@@ -670,24 +653,23 @@ class DoublePath:
         PB = path_object if path_object is not None else path_of(B, budget, w_shift)
         kB = keyed(PB)
         self.PB = PB
-        amb, cons, inj, proj = product_space([A, A2, PB],
-                                             name=f"{A!r} x {A2!r} x P({B!r})")
+        amb, cons = product_space([A, A2, PB], name=f"{A!r} x {A2!r} x P({B!r})")
         self.amb = amb
-        self._inj, self._proj = inj, proj
-        kb = _keyed_space(B)
-        c0 = LinearMap(amb, kb, lambda x: kB.evaluate(proj(2, x), 0) - v(proj(0, x)),
+        c0 = LinearMap(amb, B.ambient,
+                       lambda x: kB.evaluate(amb.project(2, x), 0) - v(amb.project(0, x)),
                        "b(0)=v(a0)")
-        c1 = LinearMap(amb, kb, lambda x: kB.evaluate(proj(2, x), 1) - v2(proj(1, x)),
+        c1 = LinearMap(amb, B.ambient,
+                       lambda x: kB.evaluate(amb.project(2, x), 1) - v2(amb.project(1, x)),
                        "b(1)=v'(a1)")
         self.space = SubCdga(amb, cons + [c0, c1],
                              name=f"DoublePath({v.name or 'v'})")
-        self.space.over = self.space
 
     def embed(self, a0: Element, a1: Element, bt: Element) -> Element:
-        return self._inj(0, a0) + self._inj(1, a1) + self._inj(2, bt)
+        return self.amb.inject(0, a0) + self.amb.inject(1, a1) + self.amb.inject(2, bt)
 
     def parts(self, x: Element):
-        return (self._proj(0, x), self._proj(1, x), self._proj(2, x))
+        amb = self.amb
+        return (amb.project(0, x), amb.project(1, x), amb.project(2, x))
 
 
 def induced_to_double_path(v: Morphism, dp: DoublePath, PA) -> Morphism:

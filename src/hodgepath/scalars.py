@@ -66,8 +66,12 @@ class Scalar:
 
     # -- helpers -----------------------------------------------------------
 
-    def _join(self, other) -> "Scalar":
+    def _join(self, other) -> "Scalar | None":
+        """other as a Scalar, or None when it is no scalar (the operator then
+        returns NotImplemented, so an Element operand gets its reflected method)."""
         if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction, str)):
+                return None
             return Scalar(other, 0, self.d)
         if other.im and self.im and other.d != self.d:
             raise ScalarError(f"mixing Q(sqrt {self.d}) with Q(sqrt {other.d})")
@@ -90,6 +94,8 @@ class Scalar:
             elif isinstance(other, (int, Fraction)):
                 return _scalar(self.re + other, self.im, self.d)
         o = self._join(other)
+        if o is None:
+            return NotImplemented
         return Scalar(self.re + o.re, self.im + o.im, self._d_with(o))
 
     __radd__ = __add__
@@ -106,10 +112,12 @@ class Scalar:
                     return _scalar(self.re - other.re, self.im, other.d)
             elif isinstance(other, (int, Fraction)):
                 return _scalar(self.re - other, self.im, self.d)
-        return self + (-self._join(other))
+        o = self._join(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + self._join(other)
+        o = self._join(other)
+        return NotImplemented if o is None else (-self) + o
 
     def __mul__(self, other):
         if not self.im:
@@ -119,6 +127,8 @@ class Scalar:
             elif isinstance(other, (int, Fraction)):
                 return _scalar(self.re * other, self.im, self.d)
         o = self._join(other)
+        if o is None:
+            return NotImplemented
         d = self._d_with(o)
         return Scalar(self.re * o.re + self.im * o.im * d,
                       self.re * o.im + self.im * o.re, d)
@@ -137,10 +147,12 @@ class Scalar:
         return Scalar(self.re / n, -self.im / n, self.d)
 
     def __truediv__(self, other):
-        return self * self._join(other).inverse()
+        o = self._join(other)
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._join(other) * self.inverse()
+        o = self._join(other)
+        return NotImplemented if o is None else o * self.inverse()
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im, self.d)

@@ -131,7 +131,6 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
                             log=[{"stage": "input already minimal"}],
                             certificate=cert)
 
-    A_elements = A.zero().alg  # the ambient algebra when A is a SubCdga
     rho_images: dict = {}
     counters: dict = {}
     M = FreeCdga([], N, A.field, name="M")
@@ -178,7 +177,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         img = [HnA.cls(rho(rep)) for rep in HnM.reps]
         units = [{i: Fraction(1)} for i in range(HnA.dim)]
         coker = linalg.Subquotient(units, img, HnA.dim)
-        reps = [combination(A_elements, v, HnA.reps) for v in coker.reps]
+        reps = [combination(A.ambient, v, HnA.reps) for v in coker.reps]
         if rng is not None:
             rng.shuffle(reps)
             reps = [el + A.random_element(n - 1, rng, density=0.3).d() for el in reps]

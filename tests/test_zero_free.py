@@ -88,6 +88,23 @@ def test_numbers_on_the_left_add_and_subtract():
     assert 1 - X.unit() == X.zero() and (-1 + X.unit()).is_zero
 
 
+def test_scalars_on_the_left_add_subtract_and_multiply():
+    # a Scalar operator returns NotImplemented for an Element, which then
+    # answers through its reflected method
+    X = _algebra()
+    rng = random.Random(11)
+    for _ in range(8):
+        x = _random(X, rng, degrees=(0, 1, 2))
+        for s in (ROOT, F.one(), F.scalar(Fraction(-2, 3))):
+            assert s * x == x * s
+            assert s + x == x + s
+            assert s - x == -(x - s)
+            assert_zero_free(s * x)
+            assert_zero_free(s - x)
+    with pytest.raises(TypeError):
+        Scalar(1) + None
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_coordinates_and_combinations_are_zero_free(seed):
     rng = random.Random(100 + seed)
