@@ -11,6 +11,12 @@ space protocol: `ambient`, `zero`, `unit`, `basis`, `dim`, `coords`,
 elements live in its `ambient`, the keyed algebra that holds them: an
 algebra is its own ambient, and a `SubCdga`'s is the algebra it is cut from.
 
+Products and differentials of keys carry their signs as the field's shared
+scalars: `mul_keys` returns `field.one()` or `field.minus_one()` with each
+product monomial, and `mul_terms` applies a sign found to be one of those
+objects (an identity test) without multiplying, as it skips multiplying a
+coefficient by a shared `one()`.
+
 Algebras carry a mandatory degree cutoff N: bases and cohomology are served for
 degrees inside the horizon and fail loudly beyond it.  Free algebras only admit
 generators of degree >= 1 so that every degreewise basis is finite; degree-0
@@ -255,15 +261,19 @@ class GradedAlgebra:
         return Element(self, {k: self.field.one() if c is None else _as_scalar(c)})
 
     def mul_terms(self, t1: dict, t2: dict) -> dict:
+        # identity tests against the field's shared unit signs (see the
+        # module docstring): multiplying by them would give the same values
+        one, m_one = self.field.one(), self.field.minus_one()
         out = {}
         for k1, c1 in t1.items():
             for k2, c2 in t2.items():
                 prod = self.mul_keys(k1, k2)
                 if not prod:
                     continue
-                c = c1 * c2
+                c = c1 if c2 is one else c2 if c1 is one else c1 * c2
                 for k, ck in prod.items():
-                    s = out[k] + c * ck if k in out else c * ck
+                    t = c if ck is one else -c if ck is m_one else c * ck
+                    s = out[k] + t if k in out else t
                     if s.is_zero:
                         out.pop(k, None)
                     else:
@@ -332,7 +342,7 @@ class GradedAlgebra:
         terms = {}
         for k in self.basis_keys(n) if n >= 0 else []:
             if rng.random() < density:
-                c = self.field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                c = self.field.random_scalar(rng)
                 if not c.is_zero:
                     terms[k] = c
         return Element(self, terms)
@@ -379,6 +389,7 @@ class FreeCdga(GradedAlgebra):
             seen.add(g.name)
         self.gens = sorted(generators, key=lambda g: (g.degree, g.name))
         self.gen_index = {g.name: i for i, g in enumerate(self.gens)}
+        self._odd = [g.degree % 2 for g in self.gens]
         self.N = int(N)
         if self.N < 0:
             raise AlgebraError("cutoff N must be >= 0")
@@ -418,12 +429,17 @@ class FreeCdga(GradedAlgebra):
         """This algebra with generators adjoined (a relative Sullivan extension).
 
         differentials maps new generator names to terms dicts over this
-        algebra's keys; the old generators keep theirs, and the name.  Every
-        key is re-indexed into the result; no sign arises, because the fixed
-        generator order keeps the old generators in their relative order.
-        The result's keys_kept says whether every old generator kept its
-        index, so that old keys name the same monomials; only then does the
-        d_key cache carry over.
+        algebra's keys; the old generators keep theirs, and the name.  The
+        result's keys_kept says whether every old generator kept its index,
+        so that old keys name the same monomials (no sign arises either way,
+        because the fixed generator order keeps the old generators in their
+        relative order).  When they do, the result costs what it adds: only
+        the new differentials are validated, and it carries this algebra's
+        differentials of the old generators (the dicts themselves, which are
+        never mutated, only replaced), its d_key cache, and its cached bases
+        of the degrees below the lowest new generator degree, whose keys
+        hold old generators only.  Otherwise every key is re-indexed into the
+        result and nothing cached carries over.
         """
         out = FreeCdga(self.gens + list(generators), self.N, self.field, name=self.name)
         for nm in differentials:
@@ -432,6 +448,14 @@ class FreeCdga(GradedAlgebra):
         remap = []
         for g in self.gens:
             remap.append(out.gen_index[g.name])
+        out.keys_kept = remap == list(range(len(remap)))
+        if out.keys_kept:
+            out._diff = dict(self._diff)
+            out.set_differential(differentials)
+            out._d_key_cache = dict(self._d_key_cache)
+            low = min((g.degree for g in generators), default=float("inf"))
+            out._basis_cache = {n: keys for n, keys in self._basis_cache.items() if n < low}
+            return out
         diffs = dict(differentials)
         for i, terms in self._diff.items():
             diffs[self.gens[i].name] = terms
@@ -444,9 +468,6 @@ class FreeCdga(GradedAlgebra):
                 moved[tuple(key)] = c
             diffs[nm] = moved
         out.set_differential(diffs)
-        out.keys_kept = remap == list(range(len(remap)))
-        if out.keys_kept:
-            out._d_key_cache = dict(self._d_key_cache)
         return out
 
     def parse(self, text: str) -> Element:
@@ -479,38 +500,36 @@ class FreeCdga(GradedAlgebra):
             return {k2: self.field.one()}
         if not k2:
             return {k1: self.field.one()}
-        # merge the two sorted factor lists, counting odd-odd transpositions
-        sign = 1
+        # one merge of the sorted factor lists: an odd factor of k2 passes the
+        # odd factors of k1 still ahead of it (odd generators have exponent 1)
+        odd = self._odd
+        ahead = 0
+        for gi, _ in k1:
+            ahead += odd[gi]
+        negative = False
         out = []
-        i, j = 0, 0
-        # parity of odd-degree content of k1 suffix from position i
-        odd_suffix = [0] * (len(k1) + 1)
-        for a in range(len(k1) - 1, -1, -1):
-            gi, e = k1[a]
-            odd = (self.gens[gi].degree % 2) * e
-            odd_suffix[a] = odd_suffix[a + 1] + odd
-        while i < len(k1) and j < len(k2):
-            if k1[i][0] <= k2[j][0]:
-                out.append(k1[i]); i += 1
+        i = j = 0
+        n1, n2 = len(k1), len(k2)
+        while i < n1 and j < n2:
+            f1, f2 = k1[i], k2[j]
+            if f1[0] < f2[0]:
+                out.append(f1)
+                ahead -= odd[f1[0]]
+                i += 1
+            elif f1[0] > f2[0]:
+                if odd[f2[0]] and ahead % 2:
+                    negative = not negative
+                out.append(f2)
+                j += 1
+            elif odd[f1[0]]:
+                return {}  # odd square
             else:
-                gj, ej = k2[j]
-                if (self.gens[gj].degree % 2) and ej % 2 and odd_suffix[i] % 2:
-                    sign = -sign
-                out.append(k2[j]); j += 1
+                out.append((f1[0], f1[1] + f2[1]))
+                i += 1
+                j += 1
         out.extend(k1[i:])
         out.extend(k2[j:])
-        merged = []
-        for gi, e in out:
-            if merged and merged[-1][0] == gi:
-                merged[-1][1] += e
-            else:
-                merged.append([gi, e])
-        key = []
-        for gi, e in merged:
-            if self.gens[gi].degree % 2 and e > 1:
-                return {}  # odd square
-            key.append((gi, e))
-        return {tuple(key): self.field.one() if sign == 1 else self.field.minus_one()}
+        return {tuple(out): self.field.minus_one() if negative else self.field.one()}
 
     def d_key(self, k):
         cached = self._d_key_cache.get(k)
@@ -533,10 +552,12 @@ class FreeCdga(GradedAlgebra):
             out = self.mul_terms(head, {rest: self.field.one()})
             drest = self.d_key(rest)
             if drest:
-                sign = self.field.minus_one() if (g_deg * e) % 2 else self.field.one()
+                odd = (g_deg * e) % 2   # the Koszul sign of d passing g^e
                 tail = self.mul_terms({(k[:1]): self.field.one()}, drest)
                 for kk, c in tail.items():
-                    s = out[kk] + sign * c if kk in out else sign * c
+                    if odd:
+                        c = -c
+                    s = out[kk] + c if kk in out else c
                     if s.is_zero:
                         out.pop(kk, None)
                     else:
@@ -1024,8 +1045,7 @@ class SubCdga:
         out = self.ambient.zero()
         for b in self.basis(n, strict=strict):
             if rng.random() < density:
-                c = self.field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-                out = out + b * c
+                out = out + b * self.field.random_scalar(rng)
         return out
 
     def check_degree(self, n, strict=True):

@@ -156,7 +156,7 @@ class PathAlgebra(GradedAlgebra):
             if self.key_t_weight(k) > cap:
                 continue
             if rng.random() < density:
-                c = self.field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                c = self.field.random_scalar(rng)
                 if not c.is_zero:
                     terms[k] = c
         return Element(self, terms)

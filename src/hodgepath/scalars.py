@@ -230,6 +230,14 @@ class Field:
     def minus_one(self) -> Scalar:
         return self._minus_one
 
+    def random_scalar(self, rng) -> Scalar:
+        """A small random rational, plus a small random rational times sqrt(d)
+        over Q(sqrt d); over Q the rng draws the rational part only."""
+        c = self.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        if self.d is not None:
+            c = c + self.sqrt_d() * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return c
+
     def sqrt_d(self) -> Scalar:
         if self.d is None:
             raise ScalarError("QQ has no adjoined square root")

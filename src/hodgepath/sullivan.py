@@ -109,6 +109,13 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     N = A.N if N is None else N
     if N > A.N:
         raise CutoffError(f"requested horizon {N} exceeds the input's cutoff {A.N}")
+    # the certificate's exact fallback assumes d^2 = 0 and never checks it
+    for n in range(N):
+        for b in A.basis(n):
+            dd = b.d().d()
+            if not dd.is_zero:
+                raise ModelError(f"the input's differential does not square to zero: "
+                                 f"d(d({b})) = {dd} in degree {n + 2}")
     # cohomology of A, memoized for the whole call
     H_A = {0: cohomology(A, 0)}
     H0 = H_A[0]

@@ -496,6 +496,25 @@ def test_wedge_model_via_cli():
     assert len(doc["generators"]) == 3
 
 
+@pytest.mark.parametrize("command", ["minimal-model", "homotopy-groups"])
+def test_input_with_d_squared_nonzero_is_a_verified_failure(command):
+    """d(z6) = x2^2*y3 gives d^2(z6) = x2^4: no model is certified."""
+    out = run_cli(command, fixture_path("free_d2_nonzero.json"), "--max-degree", "9")
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == ""
+    assert "does not square to zero" in out.stderr and "z6" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_nonminimal_free_model_via_cli():
+    """M(S2) plus a contractible pair over Q(sqrt -3): the pair is cut off."""
+    out = run_cli("minimal-model", fixture_path("free_nonminimal.json"), "--max-degree", "8")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert [g["name"] for g in doc["generators"]] == ["v2_00", "v3_00"]
+    assert doc["annotations"]["q_dims"] == {"2": 1, "3": 1}
+
+
 def test_cp2_homotopy_groups_cli():
     out = run_cli("homotopy-groups", fixture_path("cp2.json"), "--max-degree", "6")
     assert out.returncode == 0

@@ -78,6 +78,19 @@ def test_minimal_model_rejects_non_connected():
     assert homotopy_groups(m)["dims"] == {1: 2}
 
 
+def test_minimal_model_rejects_d_squared_nonzero():
+    """The certificate's exact fallback never checks d^2 = 0, so the
+    construction refuses such an input before it builds anything."""
+    from hodgepath import build_dga, load_document
+    from helpers import fixture_path
+    with open(fixture_path("free_d2_nonzero.json"), encoding="utf-8") as fh:
+        A = build_dga(load_document(fh.read()))
+    with pytest.raises(ModelError, match=r"d\(d\(z6\)\) = x2\^4 in degree 8"):
+        minimal_model(A, 9)
+    # below the degree of z6 the differential squares to zero
+    assert homotopy_groups(minimal_model(A, 6))["dims"] == {2: 1, 3: 1, 6: 1}
+
+
 def test_minimal_model_certificate_independent_oracle():
     m = minimal_model(s2_table(), 6)
     assert is_quasi_iso(m.rho, 5)  # recomputed from scratch

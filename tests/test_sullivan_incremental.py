@@ -17,7 +17,8 @@ from hodgepath import (FreeCdga, Generator, TableBasisElement, TableCdga,
                        element_expr, minimal_model)
 from hodgepath.algebra import AlgebraError, SubCdga
 from hodgepath.documents import dga_doc
-from hodgepath.scalars import Scalar
+from hodgepath.scalars import Field, Scalar
+from helpers import MODEL_SHAPES, random_basis_change
 
 N = 12
 
@@ -75,8 +76,9 @@ def test_adjoin_matches_fresh(case):
     kept = [g.name for g in grown.gens[:len(M.gens)]] == [g.name for g in M.gens]
     assert kept == (case == "sorts-last")
     assert grown.keys_kept == kept
-    # the warmed cache is carried exactly when the old keys keep their meaning
+    # the warmed caches are carried exactly when the old keys keep their meaning
     assert bool(grown._d_key_cache) == kept
+    assert bool(grown._basis_cache) == kept
     want = _fresh(OLD_GENS + new_gens, {**OLD_D, **new_d})
     _assert_same(grown, want)
     for g in grown.gens:
@@ -86,6 +88,26 @@ def test_adjoin_matches_fresh(case):
         for b in grown.basis(n):
             assert b.d().d().is_zero
     assert _snapshot(M) == before
+
+
+def test_adjoin_carries_the_bases_below_the_new_degrees_and_spares_the_parent():
+    new_gens, new_d = CASES["sorts-last"]
+    M = _fresh(OLD_GENS, OLD_D)
+    _warm(M)
+    diff = {i: dict(terms) for i, terms in M._diff.items()}
+    grown = _adjoin(M, new_gens, new_d)
+    low = min(g.degree for g in new_gens)
+    assert sorted(grown._basis_cache) == [n for n in sorted(M._basis_cache) if n < low]
+    want = _fresh(OLD_GENS + new_gens, {**OLD_D, **new_d})
+    for n, keys in grown._basis_cache.items():
+        assert keys == want.basis_keys(n)
+    assert M._diff == diff
+    # the child shares the parent's differential dicts; replacing one of its
+    # own leaves the parent's as it was
+    grown.set_differential({"v4_00": grown.parse("x2*v3_99")})
+    assert M._diff == diff
+    assert M.differential_of("v4_00") == M.parse("x2*v3_98")
+    assert grown.differential_of("v4_00") == grown.parse("x2*v3_99")
 
 
 def test_sibling_extensions_keep_their_own_caches():
@@ -154,6 +176,24 @@ def _many_spheres(N):
     return TableCdga(basis, N, unit="one", name="wedge")
 
 
+def _sqrt3_s2xs2_vs3(N):
+    """H((S2xS2) v S3) over Q(sqrt -3) in a random basis, each basis element
+    then scaled by a random a + b*sqrt(-3): structure constants with sqrt parts."""
+    F = Field(-3)
+    basis, products, _ = MODEL_SHAPES["s2xs2"]
+    basis = basis + [("c3", 3)]
+    rng = random.Random(3)
+    table = random_basis_change(basis, products, rng)
+    scale = {nm: F.scalar(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2]))
+             for nm, d in basis}
+    scale["one"] = F.one()
+    return TableCdga([TableBasisElement(nm, d) for nm, d in basis], N, field=F,
+                     unit="one", name="H(S2xS2vS3)@sqrt-3",
+                     products={(a, b): {k: F.scalar(c) * scale[a] * scale[b] / scale[k]
+                                        for k, c in v.items()}
+                               for (a, b), v in table.items()})
+
+
 def _digest(m):
     M = m.M
     doc = {"model": dga_doc(M),
@@ -170,6 +210,8 @@ GOLDEN = [
     (_noisy, 8, 0, "3642f9db9adc4571f79174b5398374ebd26dc696cc6a487561c4f04bafd2cc93"),
     (_noisy, 8, 1, "6ba8d21d6de5a56b884a68e01c0271b6f27e8a25230f30bbbcf07c6844a0f513"),
     (_many_spheres, 4, None, "549814fbfccf1b45306067a9552a43684610d928cc78d3b7d03bc347f9e1839b"),
+    # recorded while mul_terms still multiplied every coefficient by its sign
+    (_sqrt3_s2xs2_vs3, 9, None, "df6a06f5e463edef50383bdbbac922a65472da950e8c93b675b71232deab4bc0"),
 ]
 
 
