@@ -350,7 +350,7 @@ class GradedAlgebra:
     def __repr__(self):
         return self.name or f"<{type(self).__name__} at {hex(id(self))}>"
 
-    # path-object cache (filled by paths.path_of)
+    # path objects and the lifting targets built on them (filled by paths._memo)
     _path_cache: dict = None
     # per-degree key index (filled by _key_index); algebras are immutable
     _index_cache: dict = None
@@ -834,6 +834,7 @@ class LinearMap:
         if fn is not None:   # else the subclass defines fn as a method
             self.fn = fn
         self.name = name
+        self._rows = {}   # degree -> coefficient rows, filled by morphism_matrix
 
     def __call__(self, x: Element) -> Element:
         return self.fn(x)
@@ -914,8 +915,18 @@ def linear_morphism(source, target, key_images: dict, name="") -> Morphism:
 
 
 def morphism_matrix(f: LinearMap, n, strict=True):
-    """Coefficient rows: row i = coords of f(b_i) over the source basis b of degree n."""
-    return [f.target.coords(f(b), n, strict=strict) for b in f.source.basis(n, strict=strict)]
+    """Coefficient rows: row i = coords of f(b_i) over the source basis b of degree n.
+
+    Built once per degree and kept on f, for callers that only read them.
+    """
+    rows = f._rows.get(n)
+    if rows is None:
+        rows = f._rows[n] = [f.target.coords(f(b), n, strict=strict)
+                             for b in f.source.basis(n, strict=strict)]
+    f.source.check_degree(n, strict)
+    if rows:
+        f.target.check_degree(n, strict)
+    return rows
 
 
 def is_surjective_at(f: LinearMap, n) -> bool:
@@ -924,14 +935,12 @@ def is_surjective_at(f: LinearMap, n) -> bool:
     return linalg.rank(rows, need) == need
 
 
-def solve_preimage(f: LinearMap, y: Element, n, rows=None):
+def solve_preimage(f: LinearMap, y: Element, n):
     """x of degree n with f(x) = y, or None; deterministic free choice.
 
-    rows, when given, are morphism_matrix(f, n), built once by a caller
-    that solves in degree n more than once.
+    f's rows on degree n are morphism_matrix's, built once per degree on f.
     """
-    if rows is None:
-        rows = morphism_matrix(f, n)
+    rows = morphism_matrix(f, n)
     sol, = linalg.solve(rows, len(rows), [f.target.coords(y, n)])
     if sol is None:
         return None

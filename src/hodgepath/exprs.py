@@ -2,7 +2,7 @@
 
     expr   := term (('+'|'-') term)*
     term   := ('-')* factor ('*' factor)*
-    factor := atom ('^' nat)?
+    factor := atom ('^' nat)?       nat <= 64
     atom   := rational | name | '(' expr ')'
 
 Rational literals are p or p/q; names resolve through a caller-supplied map
@@ -22,6 +22,10 @@ class ExprError(ValueError):
 
 
 _OPS = set("+-*^()")
+
+# The schemas cap max_degree and the t-budget at 64, so no power of a
+# positive-degree element or of t that a document can use needs more.
+MAX_EXPONENT = 64
 
 
 def tokenize(text: str):
@@ -116,10 +120,11 @@ class _Parser:
             tok = self.peek()
             if not (isinstance(tok, tuple) and tok[0] == "num" and tok[1].denominator == 1):
                 raise ExprError("exponent must be a natural number", self.pos())
+            pos = self.pos()
             self.eat()
-            e = int(tok[1])
-            if e < 0:
-                raise ExprError("negative exponent", self.pos())
+            e = int(tok[1])   # a numeral: never negative
+            if e > MAX_EXPONENT:
+                raise ExprError(f"exponent {e} exceeds {MAX_EXPONENT}", pos)
             out = self.unit
             for _ in range(e):
                 out = out * base

@@ -12,7 +12,8 @@ Homotopy lifting and homotopy addition are the same solve against structured
 targets: the double path for homotopy lifting, the mapping path of the
 endpoint evaluation for addition, and a four-face boundary target for filling
 squares of homotopies (used by the diagram engine's homotopies of
-ho-morphisms).
+ho-morphisms).  A path object keeps the last two once built, and each map
+keeps its rows (morphism_matrix), so repeated lifts redo only their solves.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from . import linalg
 from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, LinearMap,
                       Morphism, SubCdga, compose, morphism_matrix, solve_preimage)
-from .paths import (DoublePath, Homotopy, delta, folding, induced_to_double_path,
+from .paths import (DoublePath, Homotopy, _memo, delta, folding, induced_to_double_path,
                     keyed, mapping_path, path_linear_map, path_of, product_space)
 
 
@@ -58,14 +59,13 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
 
     Generators of degree N (the horizon) are matched against f but their
     d-compatibility lives beyond the horizon and is left provisional.  v's
-    rows on X^n, and the rows of (d, v) on X^n, are built once per degree
-    and serve every generator of that degree.
+    rows on X^n are morphism_matrix's, kept on v; those of (d, v) are built
+    once per degree and call, as X's differential can change between lifts.
     """
     X = v.source
     images = {}
     horizon = X.N
     log = []
-    v_rows = {}
     dv_rows = {}
     for idx, gen in enumerate(C.gens):
         n = gen.degree
@@ -75,10 +75,7 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
             if any(gi >= idx for gi, _ in key):
                 raise LiftObstruction(gen.name, n,
                                       "differential uses a later generator")
-        rows = v_rows.get(n)
-        if rows is None:
-            rows = v_rows[n] = morphism_matrix(v, n)
-        xi = solve_preimage(v, target_val, n, rows)
+        xi = solve_preimage(v, target_val, n)
         if xi is None:
             raise LiftObstruction(gen.name, n, "v is not surjective here")
         entry = {"generator": gen.name, "degree": n, "correction": False}
@@ -86,7 +83,7 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
             dg_img = _apply_partial(C, images, dgen, X)
             err = dg_img - xi.d()
             if not err.is_zero:
-                zeta = _solve_closed_correction(X, rows, dv_rows, err, n)
+                zeta = _solve_closed_correction(X, v, dv_rows, err, n)
                 if zeta is None:
                     raise LiftObstruction(
                         gen.name, n,
@@ -103,20 +100,18 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
     return g
 
 
-def _solve_closed_correction(X, v_rows, dv_rows, err: Element, n: int):
+def _solve_closed_correction(X, v, dv_rows, err: Element, n: int):
     """z in X^n with d z = err and v z = 0, or None.
 
-    v_rows are v's rows on X^n; the rows of (d, v) are kept in dv_rows by degree.
+    The rows of (d, v) on X^n are kept in dv_rows by degree.
     """
-    if not v_rows:
-        return None if not err.is_zero else X.zero()
     # unknown i has image (d b_i, v b_i), v b_i in the columns after d b_i's;
     # the target is (err, 0)
     rows = dv_rows.get(n)
     if rows is None:
         offset = X.dim(n + 1, strict=False)
         rows = dv_rows[n] = []
-        for b, v_row in zip(X.basis(n, strict=False), v_rows):
+        for b, v_row in zip(X.basis(n, strict=False), morphism_matrix(v, n)):
             row = X.coords(b.d(), n + 1, strict=False)
             for j, c in v_row.items():
                 row[offset + j] = c
@@ -162,21 +157,7 @@ def homotopy_add(h1: Homotopy, h2: Homotopy) -> Homotopy:
         raise AlgebraError("homotopy addition needs a free source")
     if h1.path is not h2.path:
         raise AlgebraError("homotopies must share one path object")
-    if not isinstance(h1.path, type(h2.path)):
-        raise AlgebraError("incompatible paths")
-    PA = h1.path
-    kA = keyed(PA)
-    d1 = delta(PA, 1)
-    mp = mapping_path(d1, budget=kA.budget, path_object=PA)
-    P2 = path_of(PA, kA.budget)
-    k2 = keyed(P2)
-
-    def pi_A(L):
-        outer0 = k2.evaluate(L, 0)                      # delta^0 on the outer level
-        inner1 = path_linear_map(d1, P2, mp.PB)(L)      # P(delta^1)
-        return mp.pair(outer0, inner1)
-
-    pi = Morphism(P2, mp.space, pi_A, name="pi_A")
+    mp, P2, pi = _memo(h1.path, "homotopy_add", lambda: _addition_target(h1.path))
 
     def data(c):
         return mp.pair(h1.map(c), h2.map(c))
@@ -184,10 +165,24 @@ def homotopy_add(h1: Homotopy, h2: Homotopy) -> Homotopy:
     H = Morphism(C, mp.space, data, name="(h,h')")
     L = free_lift(C, pi, H, name="L")
     add_map = compose(folding(P2), L, name="h +~ h'")
-    out = Homotopy(h1.f, h2.g, Morphism(C, PA, add_map.fn, name=add_map.name))
+    out = Homotopy(h1.f, h2.g, Morphism(C, h1.path, add_map.fn, name=add_map.name))
     out.lift_log = L.lift_log
-    out.square = L
     return out
+
+
+def _addition_target(PA):
+    """(mapping path of delta^1 on PA, P^2, pi): what homotopy_add lifts against."""
+    d1 = delta(PA, 1)
+    mp = mapping_path(d1, path_object=PA)
+    P2 = path_of(PA)   # nested paths keep PA's budget
+    k2 = keyed(P2)
+    Pd1 = path_linear_map(d1, P2, PA)
+
+    def pi_A(L):
+        # delta^0 on the outer level, P(delta^1) on the inner
+        return mp.pair(k2.evaluate(L, 0), Pd1(L))
+
+    return mp, P2, Morphism(P2, mp.space, pi_A, name="pi_A")
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +193,13 @@ def boundary_square_target(PB):
     """T = {(x0, x1, y0, y1) in P(B)^4 : corners match} and theta: P^2(B) -> T.
 
     Faces of L in P^2(B): x_m = inner evaluation at m, y_k = outer evaluation
-    at k; the corner conditions are delta^k(x_m) = delta^m(y_k).
+    at k; the corner conditions are delta^k(x_m) = delta^m(y_k).  Kept on PB
+    once built, so every square filled in PB lifts against one theta.
     """
+    return _memo(PB, "square boundary", lambda: _square_target(PB))
+
+
+def _square_target(PB):
     kB = keyed(PB)
     B = kB.base
     # PB's own constraints (B a subalgebra) come along with each factor
@@ -214,15 +214,12 @@ def boundary_square_target(PB):
     T = SubCdga(amb, cons, name="square boundary")
     P2 = path_of(PB, kB.budget)
     k2 = keyed(P2)
-    d0, d1 = delta(PB, 0), delta(PB, 1)
+    Pd0 = path_linear_map(delta(PB, 0), P2, PB)
+    Pd1 = path_linear_map(delta(PB, 1), P2, PB)
 
     def theta_fn(L):
-        x0 = path_linear_map(d0, P2, PB)(L)
-        x1 = path_linear_map(d1, P2, PB)(L)
-        y0 = k2.evaluate(L, 0)
-        y1 = k2.evaluate(L, 1)
-        return (amb.inject(0, x0) + amb.inject(1, x1)
-                + amb.inject(2, y0) + amb.inject(3, y1))
+        return (amb.inject(0, Pd0(L)) + amb.inject(1, Pd1(L))
+                + amb.inject(2, k2.evaluate(L, 0)) + amb.inject(3, k2.evaluate(L, 1)))
 
     theta = Morphism(P2, T, theta_fn, name="faces")
     return T, theta, amb
@@ -244,5 +241,4 @@ def fill_square(C: FreeCdga, PB, inner0: Morphism, inner1: Morphism,
 
     f = Morphism(C, T, data, name="boundary data")
     L = free_lift(C, theta, f, name="square fill")
-    P2 = path_of(PB, keyed(PB).budget)
-    return Morphism(C, P2, L.fn, name="square fill")
+    return Morphism(C, theta.source, L.fn, name="square fill")

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import (AlgebraError, Element, GradedAlgebra, LinearMap, Morphism,
                       ProductCdga, SubCdga, _element, combination, compose,
-                      morphism_matrix, solve_preimage)
+                      solve_preimage)
 from .exprs import ExprError, parse_expression
 
 DEFAULT_BUDGET = 32
@@ -222,29 +222,27 @@ def path_of(X, budget: int | None = None, w_shift: int = 0):
     """
     if isinstance(X, SubCdga):
         PM = path_of(X.ambient, budget, w_shift)
-        key = ("path", PM.budget, w_shift)
-        cache = X._path_cache or {}
-        if key not in cache:
-            lifted = []
-            for c in X.constraints:
-                PT = path_of(c.target, PM.budget, w_shift=0)
-                lifted.append(path_linear_map(c, PM, PT))
+
+        def build():
+            lifted = [path_linear_map(c, PM, path_of(c.target, PM.budget, w_shift=0))
+                      for c in X.constraints]
             S = SubCdga(PM, lifted, name=f"P({X.name})")
             S.over = X
-            cache[key] = S
-            X._path_cache = cache
-        return cache[key]
+            return S
+        return _memo(X, ("path", PM.budget, w_shift), build)
     budget = DEFAULT_BUDGET if budget is None else budget
     if isinstance(X, PathAlgebra) and budget != X.budget:
         budget = X.budget  # nested paths share the innermost budget
-    key = ("path", budget, w_shift)
-    cache = X._path_cache or {}
-    if key not in cache:
-        P = PathAlgebra(X, budget, w_shift)
-        P.over = X
-        cache[key] = P
-        X._path_cache = cache
-    return cache[key]
+    return _memo(X, ("path", budget, w_shift), lambda: PathAlgebra(X, budget, w_shift))
+
+
+def _memo(X, key, build):
+    """build(), made once per key and kept on the space X beside its path objects."""
+    if X._path_cache is None:
+        X._path_cache = {}
+    if key not in X._path_cache:
+        X._path_cache[key] = build()
+    return X._path_cache[key]
 
 
 def keyed(P):
@@ -686,7 +684,7 @@ def induced_to_double_path(v: Morphism, dp: DoublePath, PA) -> Morphism:
 def p5_lift(v: Morphism, a0: Element, a1: Element, bt: Element, budget=None) -> Element:
     """Explicit section of (delta^0, delta^1, P(v)) over a surjection v.
 
-    Choose any coefficientwise preimage bt~ of b(t) and return
+    Solve for a coefficientwise preimage bt~ of b(t) on v's rows (kept on v) and return
     (a0 - bt~(0))(1-t) + (a1 - bt~(1)) t + bt~(t).
     """
     A, B = v.source, v.target
@@ -698,12 +696,9 @@ def p5_lift(v: Morphism, a0: Element, a1: Element, bt: Element, budget=None) -> 
     PA = path_of(A, kB.budget)
     kA = keyed(PA)
     tilde = kA.zero()
-    v_rows = {}  # degree -> morphism_matrix(v, degree), built once per degree
     for (i, e), coeff in kB.coefficients(bt).items():
         n = coeff.degree()
-        if n not in v_rows:
-            v_rows[n] = morphism_matrix(v, n)
-        pre = solve_preimage(v, coeff, n, rows=v_rows[n])
+        pre = solve_preimage(v, coeff, n)
         if pre is None:
             raise AlgebraError(
                 f"p5_lift: v is not surjective in degree {n} (no preimage)")

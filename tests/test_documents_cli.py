@@ -585,7 +585,9 @@ def test_unknown_name_in_a_path_expression_exits_2(tmp_path):
     ("g", "e2 + q9", "unknown name 'q9'"),
     ("h", "e2 + e2*t^5", "exceeds the t-budget 4"),
     ("h", "(" * 400 + "e2" + ")" * 400, "recursion"),
-], ids=["zero_division", "unknown_name", "budget_overflow", "deep_nesting"])
+    ("h", "e2^99999999", "exponent"),
+], ids=["zero_division", "unknown_name", "budget_overflow", "deep_nesting",
+        "huge_exponent"])
 def test_bad_expressions_exit_2_with_their_path(tmp_path, field, expr, message):
     """What a bad expression raises is a document error at its JSON path."""
     doc = read_fixture("homotopy_const.json")
@@ -598,6 +600,14 @@ def test_bad_expressions_exit_2_with_their_path(tmp_path, field, expr, message):
     assert out.stderr.startswith(f"error: $.{field}.c2: bad expression ")
     assert message in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_huge_power_in_a_dga_exits_2():
+    """A power is refused before it is multiplied out, at its JSON path."""
+    out = run_cli("check", fixture_path("ms2_huge_power.json"), timeout=10)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == ("error: $.generators[1].d: bad expression 'e2^99999999': "
+                          "exponent 99999999 exceeds 64 (at column 3)\n")
 
 
 def test_library_fault_while_parsing_propagates(monkeypatch):

@@ -1,11 +1,12 @@
 """free_lift applies v to X^n once per degree, with the lifts of a per-generator solve.
 
-free_lift builds v's rows on X^n once per degree and call and reads them for
-every generator of that degree, in the preimage solve and in the closed
-correction.  A spy around v counts its applications; a test-local reference
-re-solves each generator from scratch, with a fresh matrix of v for the
-preimage and for the correction, and the lift log and every generator image
-must be the ones it finds.  The lifts are those behind lift_homotopy,
+free_lift reads v's rows on X^n, which morphism_matrix builds once per degree
+and keeps on v, for every generator of that degree, in the preimage solve and
+in the closed correction.  A spy around v counts its applications; a
+test-local reference re-solves each generator from scratch, with a fresh
+matrix of v built here (not through morphism_matrix or solve_preimage) for
+the preimage and for the correction, and the lift log and every generator
+image must be the ones it finds.  The lifts are those behind lift_homotopy,
 fill_square and homotopy_add, over sources with two generators in one degree.
 """
 
@@ -15,7 +16,7 @@ import pytest
 
 from hodgepath import (FreeCdga, FreeMorphism, Generator, Homotopy, Morphism, compose,
                        constant_homotopy, delta, fill_square, homotopy_add, iota, keyed,
-                       lift_homotopy, linalg, path_of, solve_preimage)
+                       lift_homotopy, linalg, path_of)
 from hodgepath import lifting
 from hodgepath.lifting import _apply_partial
 
@@ -28,8 +29,10 @@ def reference_free_lift(C, v, f):
     images, log = {}, []
     for gen in C.gens:
         n = gen.degree
-        xi = solve_preimage(v, f(C.generator(gen.name)), n)
-        assert xi is not None
+        v_rows = [Y.coords(v(b), n) for b in X.basis(n)]
+        sol, = linalg.solve(v_rows, len(v_rows), [Y.coords(f(C.generator(gen.name)), n)])
+        assert sol is not None
+        xi = X.from_coords(n, sol)
         entry = {"generator": gen.name, "degree": n, "correction": False}
         if n + 1 <= X.N:
             err = _apply_partial(C, images, C.differential_of(gen.name), X) - xi.d()

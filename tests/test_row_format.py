@@ -38,9 +38,15 @@ def _dga_docs(doc):
             yield from _dga_docs(v)
 
 
+# fixtures that are document errors by design: they build no algebra
+DOCUMENT_ERRORS = {"ms2_huge_power.json"}
+
+
 def _fixture_dgas():
     out = {}
     for path in sorted(glob.glob(os.path.join(FIXDIR, "*.json"))):
+        if os.path.basename(path) in DOCUMENT_ERRORS:
+            continue
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         for i, d in enumerate(_dga_docs(doc)):
