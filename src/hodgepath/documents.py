@@ -329,6 +329,9 @@ def _build_map(source, target, images: dict, path, name=""):
         except AlgebraError as e:
             raise DocumentError(str(e), path)
     if isinstance(source, TableCdga):
+        for nm in parsed:
+            if nm not in source.info:
+                raise DocumentError(f"unknown basis element {nm!r}", f"{path}.{nm}")
         missing = [b.name for b in source.basis_list if b.name not in parsed
                    and b.name != source.unit_name]
         if missing:

@@ -68,8 +68,9 @@ def tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, toks, resolve, unit, one):
+    def __init__(self, toks, end, resolve, unit, one):
         self.toks = toks
+        self.end = end          # the column past the text, where its tokens run out
         self.k = 0
         self.resolve = resolve  # name -> element
         self.unit = unit        # element 1
@@ -79,7 +80,7 @@ class _Parser:
         return self.toks[self.k][0] if self.k < len(self.toks) else None
 
     def pos(self):
-        return self.toks[self.k][1] if self.k < len(self.toks) else -1
+        return self.toks[self.k][1] if self.k < len(self.toks) else self.end
 
     def eat(self):
         tok = self.toks[self.k]
@@ -155,4 +156,4 @@ class _Parser:
 
 def parse_expression(text: str, resolve, unit, one=1):
     """Parse text into an element; resolve(name) returns an element or None."""
-    return _Parser(tokenize(text), resolve, unit, one).parse()
+    return _Parser(tokenize(text), len(text), resolve, unit, one).parse()

@@ -40,6 +40,16 @@ the equations or of the entries of a row, and on a consistent system
 `solve`'s answer (free unknowns zero) is unique.  Only the tail columns of a
 partial `_eliminate` depend on the pivot rule.  Entries are exact, so every
 kernel/image/solve is a certificate.
+
+Three empty systems are answered where they enter, without elimination, with
+what the elimination would return entry for entry: `_eliminate` of rows that
+are all zero gives no rows and no pivots (a zero row is never a pivot row);
+`free_kernel` (so `left_kernel`) without equations, every row empty, gives the
+unit vectors {i: {i: Fraction(1)}}, as `_kernel` does with no pivot; and
+`intersect` with a side whose rows are all zero gives [].  Only the
+all-zero case is cut short: zero rows among non-zero ones stay, because the
+pivot swap moves them and so fixes the order of the rows below the rank, on
+which the tails of a partial elimination depend.
 """
 
 from __future__ import annotations
@@ -99,6 +109,8 @@ def _eliminate(rows, ncols: int):
     every coefficient is a Fraction, Scalar rows otherwise.
     """
     R = list(map(dict, rows))
+    if not any(R):
+        return [], []
     rational = True
     for row in R:
         for a in row.values():
@@ -245,6 +257,8 @@ def free_kernel(rows, count: int) -> dict:
     coordinates of a kernel element over this basis are its entries at the
     free unknowns.
     """
+    if not any(rows):
+        return {i: {i: _ONE} for i in range(count)}
     # a full elimination does not depend on the order of the equations
     return _kernel(*_eliminate(_columns(enumerate(rows)), count), count)
 
@@ -282,6 +296,8 @@ def intersect(rows_a, rows_b, ncols: int):
     Each relation x·a + y·b = 0 gives x·a = -y·b, a vector of both spans,
     and these vectors span the intersection.
     """
+    if not any(rows_a) or not any(rows_b):
+        return []
     na = len(rows_a)
     out = []
     for k in left_kernel(list(rows_a) + list(rows_b), na + len(rows_b)):

@@ -1,6 +1,8 @@
 """Document parsing, serialization round-trips, CLI contract, cache."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import random
@@ -57,6 +59,21 @@ def test_expression_grammar():
         M.parse("3/")
     with pytest.raises(ExprError):
         M.parse("e2 ^ x")
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("e2^", "exponent must be a natural number", 3),
+    ("(e2", "missing ')'", 3),
+    ("e2 +", "expected a term", 4),
+    ("e2 + ", "expected a term", 5),
+], ids=["exponent", "parenthesis", "term", "term_then_space"])
+def test_error_at_the_end_of_an_expression_is_located_there(text, message, column):
+    """Where the tokens run out, the column is the length of the text."""
+    from helpers import ms2
+    with pytest.raises(ExprError) as ei:
+        ms2().parse(text)
+    assert ei.value.pos == column
+    assert str(ei.value) == f"{message} (at column {column})"
 
 
 def test_element_expr_roundtrip():
@@ -610,6 +627,14 @@ def test_huge_power_in_a_dga_exits_2():
                           "exponent 99999999 exceeds 64 (at column 3)\n")
 
 
+def test_expression_cut_short_exits_2_at_its_end():
+    out = run_cli("check", fixture_path("expr_cut_short.json"), timeout=10)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == ("error: $.generators[1].d: bad expression 'e2 +': "
+                          "expected a term (at column 4)\n")
+
+
 def test_library_fault_while_parsing_propagates(monkeypatch):
     """A fault inside parse is not read as a malformed document."""
     from hodgepath import algebra
@@ -691,6 +716,212 @@ def test_cli_on_one_field_mutants_never_tracebacks(tmp_path):
         return
     hypothesis.settings(derandomize=True, max_examples=12, deadline=None, database=None)(
         hypothesis.given(hypothesis.strategies.sampled_from(_mutants()))(check))()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under name swaps: one referenced name replaced by a
+# name declared elsewhere in the document, or by a name declared nowhere
+# ---------------------------------------------------------------------------
+
+UNDECLARED = "zz_undeclared"
+# names an expression resolves besides its algebra's: the path variable and
+# its differential, and the square root of a quadratic field
+PATH_NAMES = {"t", "dt"}
+FIELD_NAMES = {"sqrtd", "i"}
+# a comparison carries no diagrams: pi-star builds its source, the model at
+# every vertex, and takes its target from the mixed Hodge diagram
+COMPARISONS = {"p1toy_comparison.json": ("p1toy.json", "p1toy_model.json")}
+
+
+def _algebra_names(dga):
+    return {e["name"] for e in dga.get("generators", []) + dga.get("basis", [])}
+
+
+def _expr_slots(at, text, scope, in_key=False):
+    for tok, pos in tokenize(text):
+        if isinstance(tok, tuple) and tok[0] == "name":
+            yield at, in_key, pos, pos + len(tok[1]), scope
+
+
+def _map_slots(at, images, src, dst, extra=frozenset()):
+    """Slots of the images of a map from the dga document src to dst: each key
+    names an element of src, each expression is parsed in dst."""
+    scope = _algebra_names(dst) | extra
+    if dst.get("field", "Q") != "Q":
+        scope |= FIELD_NAMES
+    for k, v in images.items():
+        yield at + (k,), True, 0, len(k), _algebra_names(src)
+        yield from _expr_slots(at + (k,), v, scope)
+
+
+def _dga_slots(doc, at):
+    names = _algebra_names(doc)
+    for i, g in enumerate(doc.get("generators", [])):
+        if "d" in g:
+            yield from _expr_slots(at + ("generators", i, "d"), g["d"], names)
+    for k, v in doc.get("products", {}).items():
+        a = k.partition("*")[0]
+        yield at + ("products", k), True, 0, len(a), names
+        yield at + ("products", k), True, len(a) + 1, len(k), names
+        yield from _expr_slots(at + ("products", k), v, names)
+    for field in ("differentials", "augmentation"):
+        for k, v in doc.get(field, {}).items():
+            yield at + (field, k), True, 0, len(k), names
+            yield from _expr_slots(at + (field, k), v, names)
+
+
+def _diagram_slots(doc, at):
+    algebras = {v["name"]: v["algebra"] for v in doc["vertices"]}
+    for i, v in enumerate(doc["vertices"]):
+        yield from _dga_slots(v["algebra"], at + ("vertices", i, "algebra"))
+    for i, a in enumerate(doc["arrows"]):
+        for end in ("from", "to"):
+            yield at + ("arrows", i, end), False, 0, len(a[end]), set(algebras)
+        yield from _map_slots(at + ("arrows", i, "map"), a["map"], algebras[a["from"]],
+                              algebras[a["to"]])
+
+
+def _name_slots(name, doc):
+    """(position, in a key?, start, end, names in scope) for each name doc refers to.
+
+    The name is text[start:end] of the string at position, or of the last key
+    of the position's path; scope holds the names it may take there.
+    """
+    kind = doc["kind"]
+    if kind == "dga":
+        yield from _dga_slots(doc, ())
+    elif kind in ("diagram", "mhd"):
+        yield from _diagram_slots(doc, ())
+    elif kind == "homotopy":
+        yield from _dga_slots(doc["source"], ("source",))
+        yield from _dga_slots(doc["target"], ("target",))
+        for f in ("f", "g", "h"):
+            yield from _map_slots((f,), doc[f], doc["source"], doc["target"],
+                                  PATH_NAMES if f == "h" else frozenset())
+    elif kind == "homorphism":
+        if name in COMPARISONS:
+            target, model = (read_fixture(n) for n in COMPARISONS[name])
+            source = dict(target, vertices=[dict(v, algebra=model) for v in target["vertices"]])
+        else:
+            source, target = doc["source"], doc["target"]
+            yield from _diagram_slots(source, ("source",))
+            yield from _diagram_slots(target, ("target",))
+        src = {v["name"]: v["algebra"] for v in source["vertices"]}
+        dst = {v["name"]: v["algebra"] for v in target["vertices"]}
+        for v, images in doc["maps"].items():
+            yield ("maps", v), True, 0, len(v), set(src)
+            yield from _map_slots(("maps", v), images, src[v], dst[v])
+        arrows = {a["name"]: a for a in source["arrows"]}
+        for u, images in doc["homotopies"].items():
+            yield ("homotopies", u), True, 0, len(u), set(arrows)
+            a = arrows[u]
+            yield from _map_slots(("homotopies", u), images, src[a["from"]], dst[a["to"]],
+                                  PATH_NAMES)
+
+
+def _declared(node, out):
+    """Every name declared in a document: algebra elements, vertices, arrows."""
+    if isinstance(node, dict):
+        for key in ("generators", "basis", "vertices", "arrows"):
+            if isinstance(node.get(key), list):
+                out.update(e["name"] for e in node[key])
+        for v in node.values():
+            _declared(v, out)
+    elif isinstance(node, list):
+        for v in node:
+            _declared(v, out)
+    return out
+
+
+def _swap_name(doc, at, in_key, start, end, new):
+    """doc with text[start:end] of the string or key at `at` replaced by new,
+    and the JSON path of the swapped string."""
+    doc = json.loads(json.dumps(doc))
+    parent = functools.reduce(lambda node, step: node[step], at[:-1], doc)
+    last = at[-1]
+    if in_key:
+        last = last[:start] + new + last[end:]
+        parent[last] = parent.pop(at[-1])
+    else:
+        parent[last] = parent[last][:start] + new + parent[last][end:]
+    where = "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in at[:-1] + (last,))
+    return doc, where
+
+
+@functools.cache
+def _name_mutants():
+    """(fixture, JSON path of the swap, new name, document), for every name each
+    expression-carrying fixture refers to: one swap for a name declared elsewhere
+    in the document, chosen by a generator seeded with the fixture's name, and
+    one for an undeclared name."""
+    from helpers import FIXDIR
+    out = []
+    for name in sorted(os.listdir(FIXDIR)):
+        doc = read_fixture(name)
+        declared = _declared(doc, set())
+        for other in COMPARISONS.get(name, ()):
+            _declared(read_fixture(other), declared)
+        rng = random.Random(name)
+        for at, in_key, start, end, scope in _name_slots(name, doc):
+            elsewhere = sorted(n for n in declared - scope - PATH_NAMES - FIELD_NAMES
+                               if n.isidentifier())
+            for new in ([rng.choice(elsewhere)] if elsewhere else []) + [UNDECLARED]:
+                mutant, where = _swap_name(doc, at, in_key, start, end, new)
+                out.append((name, where, new, mutant))
+    return tuple(out)
+
+
+def _name_mutant_argv(name, path):
+    if name in COMPARISONS:
+        mhd, model = COMPARISONS[name]
+        return ["pi-star", "--mhd", fixture_path(mhd), "--model", fixture_path(model),
+                "--comparison", str(path), "--max-degree", "4"]
+    return ["check", str(path)]
+
+
+def _located_at_or_above(stderr, where):
+    """stderr is one document error whose JSON path is where or an ancestor of it."""
+    assert stderr.startswith("error: $") and stderr.count("\n") == 1, stderr
+    at = stderr[len("error: "):].split(": ")[0]
+    return where == at or where.startswith((at + ".", at + "["))
+
+
+def test_name_mutants_exit_2_with_the_path_of_the_swap(tmp_path):
+    """Every swap is a document error located at the swapped name or above it,
+    in under 5 s; the CLI runs in this process, so a traceback fails the test."""
+    from hodgepath import cli
+    kinds = set()
+    for name, where, new, doc in _name_mutants():
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(_name_mutant_argv(name, path))
+        assert time.perf_counter() - start < 5, (name, where, new)
+        assert rc == 2 and out.getvalue() == "", (name, where, new, err.getvalue())
+        assert _located_at_or_above(err.getvalue(), where), (name, where, new, err.getvalue())
+        kinds.add((read_fixture(name)["kind"], new == UNDECLARED))
+    assert len(_name_mutants()) >= 380
+    # no fixture is a bare diagram, and a dga document declares no name
+    # outside its one algebra
+    assert kinds == {(k, u) for k in ("mhd", "homorphism", "homotopy") for u in (False, True)} \
+        | {("dga", True)}
+
+
+def test_cli_on_name_mutants_never_tracebacks(tmp_path):
+    def check(mutant):
+        name, where, new, doc = mutant
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = run_cli(*_name_mutant_argv(name, path), timeout=5)
+        assert out.returncode == 2, mutant[:3]
+        assert "Traceback" not in out.stderr, mutant[:3]
+        assert _located_at_or_above(out.stderr, where), (mutant[:3], out.stderr)
+
+    hypothesis = pytest.importorskip("hypothesis")
+    hypothesis.settings(derandomize=True, max_examples=8, deadline=None, database=None)(
+        hypothesis.given(hypothesis.strategies.sampled_from(_name_mutants()))(check))()
 
 
 def _jsonschema_is_valid():

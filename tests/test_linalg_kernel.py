@@ -244,12 +244,43 @@ def _matrix(rng, d, nrows, ncols):
     return rows
 
 
+def _swap_case(d):
+    """A zero row above rows that the pivot swap reorders: [0, a, c, b].
+
+    Pivoting column 0 on b swaps it with the zero row, which keeps a above c,
+    so column 1 is pivoted on a; without the zero row it would be pivoted on
+    c, whose tail past column 1 differs.
+    """
+    one = Scalar(1, 0, d or -1)
+    z = zeros(3)
+    return [z, [z[0], one, z[0]], [z[0], one, one], [one, z[0], z[0]]]
+
+
+def _degenerate(rng, d):
+    """The kernel's base cases as (rows, ncols): only zero rows, zero rows among
+    non-zero ones, and one row.  No rows at all are among _cases' shapes."""
+    def full(ncols):
+        return [_entry(rng, d, 1.0) for _ in range(ncols)]
+
+    yield [zeros(3)], 3
+    yield [zeros(4)] * 3, 4
+    yield [zeros(0)] * 2, 0
+    yield [zeros(5), full(5), zeros(5), full(5), zeros(5)], 5
+    yield [zeros(4)] + _matrix(rng, d, 5, 4) + [zeros(4)], 4
+    yield _swap_case(d), 3
+    yield [full(1)], 1
+    yield [full(5)], 5
+    yield [[Scalar(0)] + full(3)], 4
+
+
 def _cases(d, count=120):
     rng = random.Random(1000 if d is None else 2000)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1)]
     shapes += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(count)]
     for nrows, ncols in shapes:
         yield rng, _matrix(rng, d, nrows, ncols), ncols
+    for rows, ncols in _degenerate(rng, d):
+        yield rng, rows, ncols
 
 
 def _check_scalars(vectors):
@@ -277,6 +308,9 @@ def test_rref_matches_dense_reference(d):
         assert all(len(r) == ncols for r in got[0])
         partial += k < ncols and len(got[0]) > 0
     assert partial > 10
+    swap = _swap_case(d)
+    assert rref(swap, 2) == dense_rref(swap, 2)
+    assert rref(swap, 2)[0][1] == [Scalar(0), Scalar(1), Scalar(0)]
 
 
 @pytest.mark.parametrize("d", FIELDS)
@@ -423,16 +457,19 @@ def test_subquotient_matches_dense_reference(d):
         if rng.random() < 0.5:
             # a denominator inside the numerator, as for cohomology
             den = [_combine(rng, d, rng.sample(num, min(2, len(num))), ncols) for _ in den]
-        sq = linalg.Subquotient(rows_of(num), rows_of(den), ncols)
-        ref = DenseSubquotient(num, den, ncols)
-        assert [dense_of(r, ncols) for r in sq.reps] == ref.reps
-        assert sq.dim == len(ref.reps)
-        nonzero += sq.dim > 0
         outsider = [_entry(rng, d, 0.5) for _ in range(ncols)]
-        for v in (_combine(rng, d, num + den, ncols), outsider):
-            got = dense_or_none(sq.coords(row_of(v)), sq.dim)
-            assert got == ref.coords(v)
-            outside += got is None
+        vs = (_combine(rng, d, num + den, ncols), outsider)
+        # and with an empty numerator or an empty denominator
+        for n, dn in ((num, den), ([], den), (num, [])):
+            sq = linalg.Subquotient(rows_of(n), rows_of(dn), ncols)
+            ref = DenseSubquotient(n, dn, ncols)
+            assert [dense_of(r, ncols) for r in sq.reps] == ref.reps
+            assert sq.dim == len(ref.reps)
+            nonzero += sq.dim > 0
+            for v in vs:
+                got = dense_or_none(sq.coords(row_of(v)), sq.dim)
+                assert got == ref.coords(v)
+                outside += got is None
     assert nonzero > 30 and outside > 20
 
 
@@ -561,6 +598,88 @@ def test_left_kernel_of_no_rows_is_everything():
     assert got == [unit_vec(3, i) for i in range(3)]
 
 
+# -- intersect ------------------------------------------------------------------
+
+def _second_side(rng, d, a, ncols):
+    """A second span for a: empty, zero rows, partly inside span(a), or random."""
+    kind = rng.random()
+    if kind < 0.2:
+        return []
+    if kind < 0.3:
+        return [zeros(ncols)] * rng.randint(1, 3)
+    if kind < 0.6:
+        inside = [_combine(rng, d, rng.sample(a, min(2, len(a))), ncols)
+                  for _ in range(rng.randint(1, 3))]
+        return inside + _matrix(rng, d, rng.randint(0, 2), ncols)
+    return _matrix(rng, d, rng.randint(0, 5), ncols)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_intersect_matches_dense_reference(d):
+    # reduced rows that lie in both spans, as many as rank a + rank b - rank (a, b),
+    # are the reduced echelon basis of the intersection
+    meets = empty = 0
+    for rng, a, ncols in _cases(d):
+        b = _second_side(rng, d, a, ncols)
+        for x, y in ((a, b), (b, a)):
+            got = [dense_of(r, ncols) for r in linalg.intersect(rows_of(x), rows_of(y), ncols)]
+            dim = (len(dense_rref(x, ncols)[1]) + len(dense_rref(y, ncols)[1])
+                   - len(dense_rref(x + y, ncols)[1]))
+            assert len(got) == dim
+            assert dense_rref(got, ncols)[0] == got
+            for v in got:
+                assert DenseChart(x, ncols).coords(v) is not None
+                assert DenseChart(y, ncols).coords(v) is not None
+            meets += dim > 0
+            empty += not any(map(row_of, y))
+    assert meets > 30 and empty > 30
+
+
+def test_intersect_dimension_matches_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+
+    def rank(rows):
+        if not rows or not rows[0]:
+            return 0
+        return sympy.Matrix([[sympy.Rational(a.re.numerator, a.re.denominator) for a in r]
+                             for r in rows]).rank()
+
+    checked = 0
+    for rng, a, ncols in _cases(None):
+        b = _second_side(rng, None, a, ncols)
+        got = linalg.intersect(rows_of(a), rows_of(b), ncols)
+        assert len(got) == rank(a) + rank(b) - rank(a + b)
+        checked += len(got) > 0
+    assert checked > 15
+
+
+def test_empty_systems_are_answered_without_elimination(monkeypatch):
+    # free_kernel without equations and intersect with an empty side do not
+    # call the elimination at all, not even on an empty row list
+    real = linalg._eliminate
+    seen = []
+
+    def spy(rows, ncols):
+        rows = list(rows)
+        seen.append(rows)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    for d in FIELDS:
+        for _, rows, ncols in _cases(d, count=30):
+            sparse = rows_of(rows)
+            for count in (0, len(rows), len(rows) + 2):
+                for none in ([], [{}], [{}] * count):
+                    got = linalg.free_kernel(none, count)
+                    assert got == {i: {i: 1} for i in range(count)}
+                    assert all(type(c) is Fraction for v in got.values() for c in v.values())
+                    assert linalg.left_kernel(none, count) == list(got.values())
+            for empty in ([], [{}], [{}] * 3):
+                assert linalg.intersect(sparse, empty, ncols) == []
+                assert linalg.intersect(empty, sparse, ncols) == []
+    assert seen == []
+
+
 @pytest.mark.parametrize("d", FIELDS)
 def test_stored_rows_hold_one_coefficient_type(d):
     other = None if d else -3
@@ -570,7 +689,8 @@ def test_stored_rows_hold_one_coefficient_type(d):
         den = _matrix(rng, other, rng.randint(0, 4), ncols)
         sq = linalg.Subquotient(rows_of(rows), rows_of(den), ncols)
         sq2 = linalg.Subquotient(rows_of(den), rows_of(rows), ncols)
-        for row in sq._den + sq._reps + sq2._den + sq2._reps:
+        eliminated = linalg._eliminate(rows_of(rows), ncols)[0]
+        for row in sq._den + sq._reps + sq2._den + sq2._reps + eliminated:
             assert len({type(a) for a in row.values()}) <= 1
             assert all(a for a in row.values())
 
