@@ -19,6 +19,14 @@ Each call builds one filtered complex per (vertex algebra, filtration) and
 one graded piece per (vertex, p): MH0, the bounds, MH1, MH2 and the
 transport at every (n, p) read the same objects, which are dropped when the
 call returns.  `pi_star` builds the decalage of its model once.
+
+`pi_star` reads the structures on pi_* off the indecomposables of a minimal
+model M, which is valid only when the comparison rho_v: M -> A_v is a
+quasi-isomorphism at every vertex (Morgan, Publ. IHES 48, 1978).  That
+precondition is the mapping-cone verdict `homology.cone_is_quasi_iso`, the
+proof `minimal_model` certifies with; where the cone proves nothing, the
+exact `quasi_iso_report` answers.  A vertex map that changes the degree of a
+generator has no H(rho_v) and fails the precondition with a `degree` witness.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .diagrams import Diagram, DiagramMorphism, HoMorphism, validate_ho_morphism
 from .filtered import (FilteredComplex, GrComplex, SpectralSequence, decalage,
                        gr, gr_differential_strict, is_Er_quasi_iso,
                        weight_bounds_report)
-from .homology import quasi_iso_report
+from .homology import cone_is_quasi_iso, off_degree_generators
 from .ops import ValidationReport, indecomposables, induced_on_indecomposables
 from .paths import integrate
 from .sullivan import is_minimal
@@ -560,14 +568,18 @@ def pi_star(D: MixedHodgeDiagram, M: FreeCdga, f: HoMorphism,
             mhs_wit.append({"degree": n, "failures": ver.failures})
     rep.preconditions["dec-weight-mhs"] = {"ok": mhs_ok, "witnesses": mhs_wit}
     val = validate_ho_morphism(f)
-    qiso = {}
-    for v in f.source.index.vertices:
-        qiso[v] = quasi_iso_report(f.maps[v], min(N - 1, f.source.check_upto() - 1))
-    all_qiso = all(r["iso"] for rr in qiso.values() for r in rr.values())
+    # H(f_v) is not defined for a vertex map that changes degrees
+    degree = [{"check": "degree", "witness": f"vertex {v}, generator {g}"}
+              for v in f.source.index.vertices for g in off_degree_generators(f.maps[v])]
+    upto = min(N - 1, f.source.check_upto() - 1)
+    # a list, so that every vertex is asked and an error of the exact path at
+    # any vertex surfaces
+    all_qiso = not degree and all([cone_is_quasi_iso(f.maps[v], upto)
+                                   for v in f.source.index.vertices])
     rep.preconditions["comparison"] = {
         "ok": val.ok and all_qiso,
-        "witnesses": val.failures + ([] if all_qiso else
-                                     [{"check": "level-wise quasi-isomorphism"}])}
+        "witnesses": val.failures + degree + ([] if all_qiso else
+                                              [{"check": "level-wise quasi-isomorphism"}])}
     for n in range(1, N + 1):
         gens_n = [g for g in M.gens if g.degree == n]
         dim = len(gens_n)

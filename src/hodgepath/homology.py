@@ -6,6 +6,16 @@ a block grading (path algebras graded by polynomial t-weight), kernels and
 images are computed block by block; an unblocked algebra is the one-block
 case.  Everything stays exact, the blocks only keep the matrices small.
 Other spaces (SubCdga) go through Element.d and their own coords.
+
+Whether a map out of a free algebra is a quasi-isomorphism is read off its
+mapping cone (`_cone_exact`: exact chain checks, then ranks mod p; Weibel,
+An Introduction to Homological Algebra, 1.5).  Two callers read it:
+`minimal_model`'s certificate (`cone_certificate`) and `pi_star`'s verdict on
+its comparison maps (`cone_is_quasi_iso`); where the cone proves nothing both
+fall back to `quasi_iso_report`.  `is_quasi_iso` stays exact, group by group:
+it is the independent oracle that tests and the benchmark check the cone
+against, and routing it through the cone would make the oracle the method it
+checks (and slow `mapping-path`, whose maps are not out of free algebras).
 """
 
 from __future__ import annotations
@@ -13,7 +23,8 @@ from __future__ import annotations
 from math import lcm
 
 from . import linalg
-from .algebra import AlgebraError, CutoffError, Element, GradedAlgebra, LinearMap
+from .algebra import (AlgebraError, CutoffError, Element, FreeMorphism, GradedAlgebra,
+                      LinearMap)
 from .scalars import Scalar, coeff, from_coeff
 
 
@@ -190,7 +201,8 @@ def quasi_iso_report(f: LinearMap, upto: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the mapping-cone certificate of a map out of a free algebra
+# the mapping cone of a map out of a free algebra: minimal_model's
+# certificate and pi_star's verdict
 # ---------------------------------------------------------------------------
 
 # Primes for the cone's modular ranks.  Over Q the first is used; over
@@ -256,25 +268,40 @@ def _residues(items, p, root):
     return out
 
 
+def off_degree_generators(rho) -> list:
+    """The names of the generators whose images under rho are not in rho.target
+    in the generator's degree; such a map has no H(rho).  Empty for a map
+    that is not a FreeMorphism, whose images are not stored.
+    """
+    if not isinstance(rho, FreeMorphism):
+        return []
+    out = []
+    for g in rho.source.gens:
+        try:
+            rho.target.coords(rho.gen_images[g.name], g.degree, strict=False)
+        except AlgebraError:   # an image of another degree, or outside the target
+            out.append(g.name)
+    return out
+
+
 def _chain_data_holds(rho, N) -> bool:
     """Whether d_C^2 = 0 on the cone through degree N - 1, checked exactly.
 
-    On the generators of M: rho sends each into A in its degree, rho d = d rho
-    and d^2 = 0.  rho d - d rho and d^2 are derivations (along rho for the
-    former), so they vanish on M once they vanish on its generators; rho d g
-    and d rho g lie in A^(deg g + 1), so they agree where that is zero.
-    d(d g) is summed over the cached d of the keys of d g, on integers over
-    one common denominator (pairs for a + b sqrt d).  On A, which need not
-    be free: d^2 = 0 on its basis in degrees < N.
+    On the generators of M: rho sends each into A in its degree (none is in
+    off_degree_generators), rho d = d rho and d^2 = 0.  rho d - d rho and
+    d^2 are derivations (along rho for the former), so they vanish on M once
+    they vanish on its generators; rho d g and d rho g lie in A^(deg g + 1),
+    so they agree where that is zero.  d(d g) is summed over the cached d of
+    the keys of d g, on integers over one common denominator (pairs for
+    a + b sqrt d).  On A, which need not be free: d^2 = 0 on its basis in
+    degrees < N.
     """
     M, A = rho.source, rho.target
     d = M.field.d or 0
+    if off_degree_generators(rho):
+        return False
     for g in M.gens:
         image = rho.gen_images[g.name]
-        try:
-            A.coords(image, g.degree, strict=False)
-        except AlgebraError:   # an image of another degree, or outside A
-            return False
         dg = M.differential_of(g.name)
         if A.dim(g.degree + 1, strict=False) and rho(dg) != image.d():
             return False
@@ -301,13 +328,16 @@ def _chain_data_holds(rho, N) -> bool:
     return True
 
 
-def _cone_report(rho, N, groups, cycles):
-    """The certificate from ranks of cone(rho) mod p, or None where they do not prove it.
+def _cone_exact(rho, N) -> bool:
+    """Whether H^n(cone rho) = 0 for n = -1..N-1, proved from ranks mod p.
 
     H^n(C) = 0 for n = -1..N-1 iff H(rho) is an isomorphism below N and
     injective at N (the cone's long exact sequence).  A mod-p rank never
     exceeds the rank over Q or Q(sqrt d), and d_C^2 = 0 bounds the latter
     pair by dim C^n, so rank_p d^n + rank_p d^(n-1) = dim C^n proves it.
+    False means no proof: rho is not a FreeMorphism, no prime fits the
+    field, the chain data fails, a coefficient is not p-integral, or a rank
+    falls short.
 
     The rows of d_C on C^n = A^n + M^(n+1) are d a for a in the basis of
     A^n, and (rho(m), d m) for each key m of M^(n+1), over A^(n+1) +
@@ -315,10 +345,12 @@ def _cone_report(rho, N, groups, cycles):
     this is the cone's differential.  rho(m) is read only where A^(n+1) is
     not zero, and the columns of M^(n+2) are numbered as its keys turn up.
     """
+    if not isinstance(rho, FreeMorphism):
+        return False
     M, A = rho.source, rho.target
     modulus = _modulus(A.field)
     if modulus is None or not _chain_data_holds(rho, N):
-        return None
+        return False
     p, root = modulus
     below = 0
     for n in range(-1, N):
@@ -335,11 +367,24 @@ def _cone_report(rho, N, groups, cycles):
             tail = _residues(dm.items(), p, root)
             rows.append(None if head is None or tail is None else {**head, **tail})
         if None in rows:
-            return None
+            return False
         r = linalg.rank_mod_p(rows, p)
         if r + below != A.dim(n, strict=False) + M.dim(n + 1, strict=False):
-            return None
+            return False
         below = r
+    return True
+
+
+def _cone_report(rho, N, groups, cycles):
+    """The certificate read off `_cone_exact`, or None where the cone proves nothing.
+
+    Every entry below N is an isomorphism, with dims read off H(A); the
+    horizon entry, asked for by cycles, is injective with dim H^N(M) =
+    dim H^N(A) when the classes of the closed cycles reach that rank.
+    """
+    if not _cone_exact(rho, N):
+        return None
+    A = rho.target
     out = {}
     for n in range(N if cycles is None else N + 1):
         if n not in groups:
@@ -377,6 +422,11 @@ def cone_certificate(rho, N: int, groups=None, cycles=None) -> dict:
     reach that rank.  Anything short of that runs quasi_iso_report and, if
     it is iso below N, the exact horizon check, so every failure and every
     error comes from them.
+
+    The same proof (`_cone_exact`) gives `cone_is_quasi_iso`, pi_star's
+    verdict on its comparison maps, which needs no dims and so computes no
+    H(A).  is_quasi_iso does not take the cone: it is the exact oracle the
+    tests hold this certificate to.
     """
     out = _cone_report(rho, N, {} if groups is None else groups, cycles)
     if out is not None:
@@ -389,3 +439,19 @@ def cone_certificate(rho, N: int, groups=None, cycles=None) -> dict:
         out[N] = {"dim_source": HM.dim, "dim_target": HA.dim,
                   "injective": not linalg.left_kernel(rows, HM.dim), "provisional": True}
     return out
+
+
+def cone_is_quasi_iso(rho, upto: int) -> bool:
+    """Whether H^n(rho) is an isomorphism for n = 0..upto, as quasi_iso_report's iso flags say.
+
+    True at once when `_cone_exact(rho, upto + 1)` proves it; otherwise the
+    flags of quasi_iso_report(rho, upto), so that every False and every
+    error comes from the exact path.  rho is any LinearMap; only a
+    FreeMorphism can take the cone.  The cone reads both sides up to degree
+    upto + 1, so it is taken only within both horizons, where
+    quasi_iso_report's strict cohomology reads them too; past one it
+    proves nothing, and quasi_iso_report raises CutoffError.
+    """
+    if upto + 1 <= min(rho.source.N, rho.target.N) and _cone_exact(rho, upto + 1):
+        return True
+    return all(r["iso"] for r in quasi_iso_report(rho, upto).values())

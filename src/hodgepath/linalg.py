@@ -49,7 +49,10 @@ unit vectors {i: {i: Fraction(1)}}, as `_kernel` does with no pivot; and
 `intersect` with a side whose rows are all zero gives [].  Only the
 all-zero case is cut short: zero rows among non-zero ones stay, because the
 pivot swap moves them and so fixes the order of the rows below the rank, on
-which the tails of a partial elimination depend.
+which the tails of a partial elimination depend.  `rank` of one row is 1 if
+the row has an entry in a pivot column (below ncols) and 0 otherwise, the
+number of pivots `_eliminate` would find; rank returns only that count, so
+no row is normalised on a second path.
 """
 
 from __future__ import annotations
@@ -172,7 +175,15 @@ def _eliminate(rows, ncols: int):
     return R[:rank], pivots
 
 
-def rank(rows, ncols: int) -> int:
+def rank(rows: list, ncols: int) -> int:
+    """The number of pivots of the rows in their first ncols columns.
+
+    One row is answered without elimination: its rank is 1 when it has an
+    entry in one of those columns, and 0 otherwise.
+    """
+    if len(rows) == 1:
+        cols = range(ncols)
+        return 1 if any(j in cols for j in rows[0]) else 0
     return len(_eliminate(rows, ncols)[1])
 
 

@@ -10,11 +10,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 # the benchmark's model_sweep shapes and its random basis change
 sys.path.append(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
-from hodgepath import (Arrow, Diagram, Field, FreeCdga, FreeMorphism, Generator,
-                       HoMorphism, IndexCategory, MixedHodgeDiagram, Scalar,
+import hodgepath
+from hodgepath import (Arrow, Diagram, DiagramMorphism, Field, FreeCdga, FreeMorphism,
+                       Generator, HoMorphism, IndexCategory, MixedHodgeDiagram, Scalar,
                        TableBasisElement, TableCdga, extend_scalars, identity_morphism,
-                       keyed, linear_morphism, path_of)
-from workloads import MODEL_SHAPES, random_basis_change  # noqa: F401  (perfbench/)
+                       keyed, linear_morphism, mixed_hodge_dga_diagram, path_of,
+                       promote_strict)
+from workloads import MODEL_SHAPES, cp_mhd, random_basis_change  # noqa: F401  (perfbench/)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -181,3 +183,21 @@ def random_basis_table(name, basis, products, N, rng):
     return TableCdga([TableBasisElement(nm, d) for nm, d in basis], N, unit="one", name=name,
                      products={k: {kk: Scalar(c) for kk, c in v.items()}
                                for k, v in table.items()})
+
+
+def cp_family(k, rng):
+    """(D, M): the benchmark's mixed Hodge diagram of CP^k and its model
+    Lambda(a2, a_(2k+1)), with the structure constants' scales drawn from rng."""
+    scales = [Fraction(1)] + [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+                              for _ in range(k)]
+    return cp_mhd(hodgepath, k, scales)
+
+
+def strict_comparison(D, M, images, budget=4):
+    """The strict ho-morphism from M's constant diagram to D: at each vertex the
+    FreeMorphism with generator images images(A) in that vertex's algebra A."""
+    MD = mixed_hodge_dga_diagram(M, D, budget=budget)
+    maps = {v: FreeMorphism(MD.algebras[v], D.diagram.algebras[v],
+                            images(D.diagram.algebras[v]), name=f"r{v}")
+            for v in MD.index.vertices}
+    return promote_strict(DiagramMorphism(MD, D.diagram, maps, name="rho"))

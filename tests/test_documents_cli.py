@@ -730,7 +730,8 @@ PATH_NAMES = {"t", "dt"}
 FIELD_NAMES = {"sqrtd", "i"}
 # a comparison carries no diagrams: pi-star builds its source, the model at
 # every vertex, and takes its target from the mixed Hodge diagram
-COMPARISONS = {"p1toy_comparison.json": ("p1toy.json", "p1toy_model.json")}
+COMPARISONS = {"p1toy_comparison.json": ("p1toy.json", "p1toy_model.json"),
+               "p1toy_comparison_drops_class.json": ("p1toy.json", "p1toy_model.json")}
 
 
 def _algebra_names(dga):
@@ -922,6 +923,120 @@ def test_cli_on_name_mutants_never_tracebacks(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     hypothesis.settings(derandomize=True, max_examples=8, deadline=None, database=None)(
         hypothesis.given(hypothesis.strategies.sampled_from(_name_mutants()))(check))()
+
+
+def _cross_document_mutants():
+    """(JSON path of the swap, new name, document) for each name the comparison
+    takes from the model and mhd documents (vertex and arrow keys, generator
+    keys, basis names in expressions), swapped for every other name declared
+    in any of the three documents and for an undeclared name."""
+    name = "p1toy_comparison.json"
+    doc = read_fixture(name)
+    declared = _declared(doc, set())
+    for other in COMPARISONS[name]:
+        _declared(read_fixture(other), declared)
+    out = []
+    for at, in_key, start, end, _ in _name_slots(name, doc):
+        for new in sorted(declared) + [UNDECLARED]:
+            mutant, where = _swap_name(doc, at, in_key, start, end, new)
+            if mutant != doc:
+                out.append((where, new, mutant))
+    return out
+
+
+def test_cross_document_mutants_of_the_comparison(tmp_path):
+    """Each swap exits 2 at or above the swapped name's path, or exits 1 with a
+    failing precondition, or exits 0 with the original's stdout, in under 5 s;
+    the CLI runs in this process, so a traceback fails the test."""
+    from hodgepath import cli
+
+    def run(doc):
+        path = tmp_path / "comparison.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(_name_mutant_argv("p1toy_comparison.json", path))
+        assert time.perf_counter() - start < 5
+        return rc, out.getvalue(), err.getvalue()
+
+    rc0, out0, _ = run(read_fixture("p1toy_comparison.json"))
+    assert rc0 == 0
+    exits, witnesses = [], []
+    for where, new, doc in _cross_document_mutants():
+        rc, out, err = run(doc)
+        if rc == 2:
+            assert out == "" and _located_at_or_above(err, where), (where, new, err)
+        elif rc == 1:
+            assert err == "", (where, new, err)
+            report = json.loads(out)
+            assert not report["ok"]
+            assert any(not p["ok"] for p in report["preconditions"].values()), (where, new)
+            witnesses += report["preconditions"]["comparison"]["witnesses"]
+        else:
+            assert rc == 0 and out == out0, (where, new, rc)
+        exits.append(rc)
+    # 20 names, each swapped for the 8 other declared names and an undeclared one
+    assert len(exits) == 180
+    assert exits.count(1) and exits.count(2)
+    # a2 -> one has no H(rho): a witness, not an error without a report
+    assert {"check": "degree", "witness": "vertex 0, generator a2"} in witnesses
+
+
+def test_cli_on_cross_document_mutants_never_tracebacks(tmp_path):
+    for where, new, doc in random.Random(23).sample(_cross_document_mutants(), 6):
+        path = tmp_path / "comparison.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = run_cli(*_name_mutant_argv("p1toy_comparison.json", path), timeout=5)
+        assert out.returncode in (1, 2), (where, new)
+        assert "Traceback" not in out.stderr, (where, new)
+
+
+def test_a_comparison_that_drops_a_class_fails_pi_star():
+    """a2 -> 0 at every vertex and in every homotopy: a valid ho-morphism whose
+    vertex maps miss H^2, so pi-star exits 1 on the quasi-isomorphism check."""
+    from hodgepath import mixed_hodge_dga_diagram, validate_ho_morphism
+    D = build_mhd(read_fixture("p1toy.json"))
+    M = build_dga(read_fixture("p1toy_model.json"))
+    doc = read_fixture("p1toy_comparison_drops_class.json")
+    doc.pop("source")
+    doc.pop("target")
+    f = build_homorphism(doc, source=mixed_hodge_dga_diagram(M, D, budget=4),
+                         target=D.diagram)
+    assert validate_ho_morphism(f).ok
+    out = run_cli("pi-star", "--mhd", fixture_path("p1toy.json"),
+                  "--model", fixture_path("p1toy_model.json"),
+                  "--comparison", fixture_path("p1toy_comparison_drops_class.json"),
+                  "--max-degree", "4")
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == ""
+    report = json.loads(out.stdout)
+    assert report["preconditions"]["comparison"] == {
+        "ok": False, "witnesses": [{"check": "level-wise quasi-isomorphism"}]}
+    assert all(report["preconditions"][p]["ok"] for p in ("minimal", "dec-weight-mhs"))
+
+
+def test_pi_star_past_the_targets_horizon_exits_2(tmp_path):
+    """Vertex algebras with horizon 3, a model with horizon 6: asking for more
+    than degree 3 exits 2 with the cutoff, not with a report read from
+    degrees past the targets' horizon."""
+    mhd = read_fixture("p1toy.json")
+    for vertex in mhd["vertices"]:
+        vertex["algebra"]["max_degree"] = 3
+    model = read_fixture("p1toy_model.json")
+    model["max_degree"] = 6
+    (tmp_path / "mhd.json").write_text(json.dumps(mhd), encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+    argv = ["pi-star", "--mhd", str(tmp_path / "mhd.json"),
+            "--model", str(tmp_path / "model.json"),
+            "--comparison", fixture_path("p1toy_comparison.json")]
+    for top in ("4", "9"):
+        out = run_cli(*argv, "--max-degree", top)
+        assert out.returncode == 2, (top, out.stdout)
+        assert out.stdout == ""
+        assert "cohomology degree 3 outside 0..2" in out.stderr
+    assert run_cli(*argv).returncode == 0
+    assert run_cli(*argv, "--max-degree", "3").returncode == 0
 
 
 def _jsonschema_is_valid():

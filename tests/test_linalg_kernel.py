@@ -271,6 +271,7 @@ def _degenerate(rng, d):
     yield [full(1)], 1
     yield [full(5)], 5
     yield [[Scalar(0)] + full(3)], 4
+    yield [zeros(3) + full(2)], 5
 
 
 def _cases(d, count=120):
@@ -296,18 +297,26 @@ def dense_or_none(row, width):
 
 @pytest.mark.parametrize("d", FIELDS)
 def test_rref_matches_dense_reference(d):
-    partial = 0
+    partial = one_row = 0
     for rng, rows, ncols in _cases(d):
         got = rref(rows, ncols)
         assert got == dense_rref(rows, ncols)
+        assert linalg.rank(rows_of(rows), ncols) == len(got[1])
         _check_scalars(got[0])
         # pivoting in a prefix of the columns only, as solve does
         k = rng.randint(0, ncols)
         got = rref(rows, k)
         assert got == dense_rref(rows, k)
+        assert linalg.rank(rows_of(rows), k) == len(got[1])
         assert all(len(r) == ncols for r in got[0])
         partial += k < ncols and len(got[0]) > 0
+        if len(rows) == 1:
+            # the rank of one row, which skips the elimination, in every prefix
+            for k in range(ncols + 1):
+                assert linalg.rank(rows_of(rows), k) == len(dense_rref(rows, k)[1])
+            one_row += 1
     assert partial > 10
+    assert one_row > 8
     swap = _swap_case(d)
     assert rref(swap, 2) == dense_rref(swap, 2)
     assert rref(swap, 2)[0][1] == [Scalar(0), Scalar(1), Scalar(0)]
@@ -498,6 +507,7 @@ def test_rref_matches_sympy_over_q():
         ref, ref_pivots = M.rref()
         R, pivots = rref(rows, ncols)
         assert tuple(pivots) == tuple(ref_pivots)
+        assert linalg.rank(rows_of(rows), ncols) == M.rank()
         for i, r in enumerate(R):
             assert [Fraction(int(x.p), int(x.q)) for x in ref.row(i)] == [a.re for a in r]
         checked += 1
@@ -678,6 +688,21 @@ def test_empty_systems_are_answered_without_elimination(monkeypatch):
                 assert linalg.intersect(sparse, empty, ncols) == []
                 assert linalg.intersect(empty, sparse, ncols) == []
     assert seen == []
+
+
+def test_the_rank_of_one_row_is_answered_without_elimination(monkeypatch):
+    # one row has rank 1 when it has an entry in a pivot column, 0 otherwise;
+    # the elimination is taken away, so a call to it raises
+    monkeypatch.setattr(linalg, "_eliminate", None)
+    for d in FIELDS:
+        for _, rows, ncols in _cases(d):
+            if len(rows) == 1:
+                row = rows_of(rows)[0]
+                for k in range(ncols + 1):
+                    assert linalg.rank([row], k) == int(any(j < k for j in row))
+    assert linalg.rank([{}], 4) == 0
+    assert linalg.rank([{7: Fraction(2)}], 4) == 0
+    assert linalg.rank([{3: Fraction(2), 7: Fraction(1)}], 4) == 1
 
 
 @pytest.mark.parametrize("d", FIELDS)
