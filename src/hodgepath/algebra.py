@@ -7,9 +7,10 @@ out by linear equations — is generic on top of it.
 
 Every space — a keyed algebra or a `SubCdga` cut out of one — answers one
 space protocol: `ambient`, `zero`, `unit`, `basis`, `dim`, `coords`,
-`from_coords`, `check_degree`, `has_weights` and `has_hodge`.  A space's
-elements live in its `ambient`, the keyed algebra that holds them: an
-algebra is its own ambient, and a `SubCdga`'s is the algebra it is cut from.
+`d_rows`, `from_coords`, `check_degree`, `has_weights` and `has_hodge`.  A
+space's elements live in its `ambient`, the keyed algebra that holds them:
+an algebra is its own ambient, and a `SubCdga`'s is the algebra it is cut
+from.  `d_rows(n)`, kept once per degree, is every caller's matrix of d.
 
 Products and differentials of keys carry their signs as the field's shared
 scalars: `mul_keys` returns `field.one()` or `field.minus_one()` with each
@@ -209,6 +210,14 @@ def combination(alg, coeffs, elements) -> Element:
     return _element(alg, out)
 
 
+def d_rows_by_coords(space, n, basis, **strict) -> list:
+    """space.d_rows(n) where basis = space.basis(n) is not made of keys; kept in space._d_rows."""
+    rows = space._d_rows.get(n)
+    if rows is None:
+        rows = space._d_rows[n] = [space.coords(b.d(), n + 1, **strict) for b in basis]
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # algebra base
 # ---------------------------------------------------------------------------
@@ -313,15 +322,29 @@ class GradedAlgebra:
     def coords(self, x: Element, n, strict=True):
         """Coefficient row {position in basis(n): coefficient} of x (see linalg)."""
         self.check_degree(n, strict)
+        return self._row(x.terms, n)
+
+    def _row(self, terms, n):
+        """The coefficient row over basis(n) of terms {key: coefficient}."""
         index = self._key_index(n)
         row = {}
-        for k, c in x.terms.items():
+        for k, c in terms.items():
             i = index.get(k)
             if i is None:
                 raise AlgebraError(
                     f"element has a degree-{self.key_degree(k)} key outside basis({n})")
             row[i] = coeff(c)
         return row
+
+    def d_rows(self, n) -> list:
+        """The rows over basis(n + 1) of d on basis(n), built once per degree; read-only."""
+        if self._d_rows_cache is None:
+            self._d_rows_cache = {}
+        rows = self._d_rows_cache.get(n)
+        if rows is None:
+            keys = self.basis_keys(n) if n >= 0 else []
+            rows = self._d_rows_cache[n] = [self._row(self.d_key(k), n + 1) for k in keys]
+        return rows
 
     def _key_index(self, n) -> dict:
         """{basis key: position} in degree n, built once per degree."""
@@ -352,8 +375,10 @@ class GradedAlgebra:
 
     # path objects and the lifting targets built on them (filled by paths._memo)
     _path_cache: dict = None
-    # per-degree key index (filled by _key_index); algebras are immutable
+    # per-degree key index and d rows (filled by _key_index and d_rows);
+    # algebras are immutable, but FreeCdga.set_differential drops the rows
     _index_cache: dict = None
+    _d_rows_cache: dict = None
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +449,7 @@ class FreeCdga(GradedAlgebra):
                     f"d({name}) must have degree {self.gens[i].degree + 1}")
             self._diff[i] = dict(el.terms)
         self._d_key_cache.clear()
+        self._d_rows_cache = None
 
     def adjoin(self, generators, differentials: dict) -> "FreeCdga":
         """This algebra with generators adjoined (a relative Sullivan extension).
@@ -995,6 +1021,7 @@ class SubCdga:
         self._basis_cache = {}
         # degree -> (ambient coefficient rows of basis(n), {free position: index})
         self._rows = {}
+        self._d_rows = {}   # filled by d_rows
 
     # space protocol ------------------------------------------------------------
 
@@ -1046,6 +1073,10 @@ class SubCdga:
         if linalg.combine(sol, rows) != amb_row:
             raise AlgebraError(f"element is not in {self.name} (degree {n})")
         return sol
+
+    def d_rows(self, n) -> list:
+        """The rows over basis(n + 1) of d on basis(n), built once per degree; read-only."""
+        return d_rows_by_coords(self, n, self.basis(n, strict=False), strict=False)
 
     def from_coords(self, n, row, strict=True) -> Element:
         return combination(self.ambient, row, self.basis(n, strict=strict))

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, GradedAlgebra,
-                      LinearMap, combination)
+                      LinearMap, combination, d_rows_by_coords)
 from .paths import path_of
 
 _ONE = Fraction(1)
@@ -68,9 +68,9 @@ class FilteredComplex:
 
     Vectors are coefficient rows over the adapted basis (see linalg), read
     through one frame per degree (see the module docstring).  The
-    differential is computed once per adapted basis element: `d_row(n, i)`
-    holds the coordinates of d(elements[n][i]) in degree n+1, filled on first
-    use and kept per (n, i), and `d_coords` is their linear combination.
+    differential is the space protocol's `d_rows(n)`: the coordinates in
+    degree n+1 of d of each adapted basis element of degree n, built once per
+    degree; `d_coords` is their linear combination.
     """
 
     def __init__(self, X, kind="W", bound=None):
@@ -84,7 +84,7 @@ class FilteredComplex:
         # degree -> {ambient position: adapted position}, or a Span whose
         # vectors are the adapted basis in order
         self._frames = {}
-        self._d_rows = {}
+        self._d_rows = {}   # filled by d_rows
         for n in range(0, self.bound + 1):
             self.levels[n], self.elements[n], self._frames[n] = self._adapted_basis(n)
 
@@ -133,21 +133,18 @@ class FilteredComplex:
     def from_coords(self, n, row) -> Element:
         return combination(self.ambient, row, self.elements[n])
 
-    def d_row(self, n, i):
-        """Coordinates in degree n+1 of d(elements[n][i]); computed once, not to be mutated."""
-        row = self._d_rows.get((n, i))
-        if row is None:
-            row = self._d_rows[n, i] = self.coords(self.elements[n][i].d(), n + 1)
-        return row
+    def d_rows(self, n) -> list:
+        """Coordinates in degree n+1 of d of each elements[n][i], built once per degree; read-only."""
+        return d_rows_by_coords(self, n, self.elements[n])
 
     def d_coords(self, n, row):
-        """Coordinates in degree n+1 of d of the row: sum of row[i] * d_row(n, i)."""
-        return linalg.combine(row, {i: self.d_row(n, i) for i in row})
+        """Coordinates in degree n+1 of d of the row: sum of row[i] * d_rows(n)[i]."""
+        return linalg.combine(row, self.d_rows(n))
 
     def z_basis(self, n, a, b):
         """Basis of {x in W_a C^n : dx in W_b C^{n+1}}, as coefficient rows over C^n."""
         gens = [i for i, lv in enumerate(self.levels[n]) if lv <= a]
-        rows = [self.proj_above(n + 1, self.d_row(n, i), b) for i in gens]
+        rows = [self.proj_above(n + 1, self.d_rows(n)[i], b) for i in gens]
         return [{gens[i]: c for i, c in v.items()} for v in linalg.left_kernel(rows, len(gens))]
 
     def level_range(self):
@@ -228,7 +225,7 @@ def gr(X, p: int, kind="W", bound=None, fc: FilteredComplex | None = None) -> Gr
         hodges[n] = hs
     for n in range(0, fc.bound):
         position = {j: t for t, j in enumerate(idx[n + 1])}
-        dmats[n] = [{position[j]: c for j, c in fc.d_row(n, i).items() if j in position}
+        dmats[n] = [{position[j]: c for j, c in fc.d_rows(n)[i].items() if j in position}
                     for i in idx[n]]
     return GrComplex(p=p, dims=dims, d=dmats, hodge=hodges, reps=reps)
 

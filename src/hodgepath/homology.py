@@ -1,11 +1,10 @@
 """Exact cohomology of the algebras in this package.
 
-Keyed algebras (GradedAlgebra) read their d-matrices off the cached d_key of
-each basis key, as sparse coefficient rows.  Where the differential preserves
-a block grading (path algebras graded by polynomial t-weight), kernels and
-images are computed block by block; an unblocked algebra is the one-block
-case.  Everything stays exact, the blocks only keep the matrices small.
-Other spaces (SubCdga) go through Element.d and their own coords.
+Every space's d-matrices are its own `d_rows(n)`.  Where a keyed
+algebra's differential preserves a block grading (path algebras graded by
+polynomial t-weight), kernels and images are computed block by block; any
+other space is the one-block case.  Everything stays exact, the blocks only
+keep the matrices small.
 
 Whether a map out of a free algebra is a quasi-isomorphism is read off its
 mapping cone (`_cone_exact`: exact chain checks, then ranks mod p; Weibel,
@@ -25,26 +24,31 @@ from math import lcm
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, FreeMorphism, GradedAlgebra,
                       LinearMap)
-from .scalars import Scalar, coeff, from_coeff
+from .scalars import Scalar
 
 
 class Cohomology:
     """H^n of an algebra/subspace complex, with representatives and class coords."""
 
-    def __init__(self, X, n, dim, reps, block_data):
+    def __init__(self, X, n, blocks):
         self.X = X
         self.n = n
-        self.dim = dim
-        self.reps = reps            # list[Element], canonical representatives
-        # list of (block_id, keys or None, subquotient, local); local maps a
-        # position of X.basis(n) in the block to its position in the block
-        self._blocks = block_data
+        # list of (local, subquotient); local maps a position of X.basis(n)
+        # in the block to its position in the block, None for the whole basis
+        self._blocks = blocks
+        self.reps = []              # list[Element], canonical representatives
+        for local, sq in blocks:
+            cols = None if local is None else list(local)
+            for rep in sq.reps:
+                row = rep if cols is None else {cols[t]: c for t, c in rep.items()}
+                self.reps.append(X.from_coords(n, row, strict=False))
+        self.dim = len(self.reps)
 
     def _block_rows(self, row):
         """The coefficient row over X.basis(n) cut into one row per block."""
         return [row if local is None else
                 {local[i]: c for i, c in row.items() if i in local}
-                for _, _, _, local in self._blocks]
+                for local, _ in self._blocks]
 
     def cls(self, x: Element):
         """Coefficient row of the class [x] over the representatives.
@@ -56,8 +60,8 @@ class Cohomology:
         if not x.d().is_zero:
             raise AlgebraError("cls() of a non-closed element")
         out, offset = {}, 0
-        for (_, _, sq, _), row in zip(self._blocks,
-                                      self._block_rows(self.X.coords(x, self.n, strict=False))):
+        for (_, sq), row in zip(self._blocks,
+                                self._block_rows(self.X.coords(x, self.n, strict=False))):
             c = sq.coords(row)
             if c is None:
                 return None
@@ -69,52 +73,43 @@ class Cohomology:
     def with_boundaries(self, Y, boundaries) -> "Cohomology":
         """H^n of Y, an algebra that adds to X degree-(n-1) cochains with these boundaries.
 
-        Y must have X's degree-n keys, naming the same monomials, and the
-        same d on them, so that the cocycles Z^n are X's; boundaries are
+        Y must have X's degree-n basis, naming the same elements, and the
+        same d on it, so that the cocycles Z^n are X's; boundaries are
         elements of Y of degree n, and B^n(Y) = B^n(X) + span(boundaries).
         Each block's subquotient is then taken modulo the boundaries' rows
         (`Subquotient.quotient_by`), and the reps and cls coordinates are
-        those of a fresh cohomology(Y, n), entry for entry.  Keyed groups
-        only.
+        those of a fresh cohomology(Y, n), entry for entry.
         """
-        if any(keys is None for _, keys, _, _ in self._blocks):
-            raise AlgebraError("with_boundaries() needs a keyed algebra")
         cut = [self._block_rows(Y.coords(b, self.n, strict=False)) for b in boundaries]
-        blocks = [(block_id, keys, sq.quotient_by([rows[t] for rows in cut]), local)
-                  for t, (block_id, keys, sq, local) in enumerate(self._blocks)]
-        return _keyed_group(Y, self.n, blocks)
+        return Cohomology(Y, self.n, [(local, sq.quotient_by([rows[t] for rows in cut]))
+                                      for t, (local, sq) in enumerate(self._blocks)])
 
 
 def _block_partition(X, n):
-    """keys of degree n grouped by block id (sorted); None block => whole basis."""
-    keys = X.basis_keys(n) if n >= 0 else []
+    """Positions in X.basis(n) grouped by block id, ids sorted; a space not keyed is one block."""
+    if not isinstance(X, GradedAlgebra):
+        return {0: list(range(X.dim(n, strict=False)))}
     groups = {}
-    for k in keys:
-        groups.setdefault(X.key_block(k), []).append(k)
+    for i, k in enumerate(X.basis_keys(n) if n >= 0 else []):
+        groups.setdefault(X.key_block(k), []).append(i)
     return dict(sorted(groups.items(), key=lambda kv: repr(kv[0])))
 
 
-def _d_rows(X, keys_src, index_dst):
-    """Coefficient rows of d on keys_src, read off d_key, over the keys of index_dst."""
-    rows = []
-    for k in keys_src:
+def _block_rows(rows, src, dst, width):
+    """The rows at positions src, columns re-indexed to positions in dst; rows if both are whole."""
+    if len(src) == len(rows) and len(dst) == width:
+        return rows
+    local = {j: t for t, j in enumerate(dst)}
+    out = []
+    for i in src:
         row = {}
-        for kk, c in X.d_key(k).items():
-            i = index_dst.get(kk)
-            if i is None:
+        for j, c in rows[i].items():
+            t = local.get(j)
+            if t is None:
                 raise AlgebraError("differential leaves its block; block grading broken")
-            row[i] = coeff(c)
-        rows.append(row)
-    return rows
-
-
-def _keyed_group(X, n, blocks) -> Cohomology:
-    """The group of keyed (block_id, keys, subquotient, local) blocks, reps on X."""
-    reps = []
-    for _, keys, sq, _ in blocks:
-        for rep in sq.reps:
-            reps.append(Element(X, {keys[j]: from_coeff(rep[j]) for j in sorted(rep)}))
-    return Cohomology(X, n, len(reps), reps, blocks)
+            row[t] = c
+        out.append(row)
+    return out
 
 
 def cohomology(X, n: int, strict: bool = True) -> Cohomology:
@@ -125,29 +120,16 @@ def cohomology(X, n: int, strict: bool = True) -> Cohomology:
     """
     if strict and not (0 <= n <= X.N - 1):
         raise CutoffError(f"cohomology degree {n} outside 0..{X.N - 1} of {X!r}")
-
-    if isinstance(X, GradedAlgebra):
-        blocks = []
-        part_lo = _block_partition(X, n - 1)
-        part_hi = _block_partition(X, n + 1)
-        position = X._key_index(n)
-        for block_id, keys in _block_partition(X, n).items():
-            lo = part_lo.get(block_id, [])
-            hi = part_hi.get(block_id, [])
-            index = {k: i for i, k in enumerate(keys)}
-            kern = linalg.left_kernel(_d_rows(X, keys, {k: i for i, k in enumerate(hi)}),
-                                      len(keys))
-            sq = linalg.Subquotient(kern, _d_rows(X, lo, index), len(keys))
-            blocks.append((block_id, keys, sq, {position[k]: i for k, i in index.items()}))
-        return _keyed_group(X, n, blocks)
-    basis_n = X.basis(n, strict=False)
-    cols = len(basis_n)
-    rows_d = [X.coords(b.d(), n + 1, strict=False) for b in basis_n]
-    img = [X.coords(b.d(), n, strict=False) for b in X.basis(n - 1, strict=False)] \
-        if n >= 1 else []
-    sq = linalg.Subquotient(linalg.left_kernel(rows_d, cols), img, cols)
-    reps = [X.from_coords(n, repv, strict=False) for repv in sq.reps]
-    return Cohomology(X, n, sq.dim, reps, [(0, None, sq, None)])
+    part_lo, part_hi = _block_partition(X, n - 1), _block_partition(X, n + 1)
+    dim, dim_hi = X.dim(n, strict=False), X.dim(n + 1, strict=False)
+    blocks = []
+    for block_id, cols in _block_partition(X, n).items():
+        lo, hi = part_lo.get(block_id, []), part_hi.get(block_id, [])
+        kern = linalg.left_kernel(_block_rows(X.d_rows(n), cols, hi, dim_hi), len(cols))
+        sq = linalg.Subquotient(kern, _block_rows(X.d_rows(n - 1), lo, cols, dim), len(cols))
+        local = None if len(cols) == dim else {i: t for t, i in enumerate(cols)}
+        blocks.append((local, sq))
+    return Cohomology(X, n, blocks)
 
 
 def betti_numbers(X, upto: int) -> dict:
@@ -294,7 +276,7 @@ def _chain_data_holds(rho, N) -> bool:
     so they agree where that is zero.  d(d g) is summed over the cached d of
     the keys of d g, on integers over one common denominator (pairs for
     a + b sqrt d).  On A, which need not be free: d^2 = 0 on its basis in
-    degrees < N.
+    degrees < N (`d_squared_witness`).
     """
     M, A = rho.source, rho.target
     d = M.field.d or 0
@@ -321,11 +303,17 @@ def _chain_data_holds(rho, N) -> bool:
         for re, im in total.values():
             if re or im:
                 return False
+    return d_squared_witness(A, N) is None
+
+
+def d_squared_witness(A, N):
+    """'d(d(b)) = ... in degree n + 2' for the first b of A's bases below N with d d b != 0."""
     for n in range(N):
         for b in A.basis(n, strict=False):
-            if not b.d().d().is_zero:
-                return False
-    return True
+            dd = b.d().d()
+            if not dd.is_zero:
+                return f"d(d({b})) = {dd} in degree {n + 2}"
+    return None
 
 
 def _cone_exact(rho, N) -> bool:
@@ -339,11 +327,11 @@ def _cone_exact(rho, N) -> bool:
     field, the chain data fails, a coefficient is not p-integral, or a rank
     falls short.
 
-    The rows of d_C on C^n = A^n + M^(n+1) are d a for a in the basis of
-    A^n, and (rho(m), d m) for each key m of M^(n+1), over A^(n+1) +
-    M^(n+2); up to the sign of the M block, which does not change a rank,
-    this is the cone's differential.  rho(m) is read only where A^(n+1) is
-    not zero, and the columns of M^(n+2) are numbered as its keys turn up.
+    The rows of d_C on C^n = A^n + M^(n+1) are A.d_rows(n), and (rho(m), d m)
+    for each key m of M^(n+1), over A^(n+1) + M^(n+2); up to the sign of the
+    M block, which does not change a rank, this is the cone's differential.
+    rho(m) is read only where A^(n+1) is not zero, and the columns of
+    M^(n+2) are numbered as the keys of M's d_key turn up, unenumerated.
     """
     if not isinstance(rho, FreeMorphism):
         return False
@@ -355,9 +343,8 @@ def _cone_exact(rho, N) -> bool:
     below = 0
     for n in range(-1, N):
         shift = A.dim(n + 1, strict=False)
-        rows, cols = [], {}
-        for b in A.basis(n, strict=False):
-            rows.append(_residues(A.coords(b.d(), n + 1, strict=False).items(), p, root))
+        rows = [_residues(row.items(), p, root) for row in A.d_rows(n)]
+        cols = {}
         for k in M.basis_keys(n + 1):
             head = _residues(A.coords(rho(M.from_key(k)), n + 1, strict=False).items(),
                              p, root) if shift else {}

@@ -103,7 +103,7 @@ def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
 def _solve_closed_correction(X, v, dv_rows, err: Element, n: int):
     """z in X^n with d z = err and v z = 0, or None.
 
-    The rows of (d, v) on X^n are kept in dv_rows by degree.
+    The rows of (d, v) on X^n (X.d_rows(n), copied) are kept in dv_rows by degree.
     """
     # unknown i has image (d b_i, v b_i), v b_i in the columns after d b_i's;
     # the target is (err, 0)
@@ -111,8 +111,8 @@ def _solve_closed_correction(X, v, dv_rows, err: Element, n: int):
     if rows is None:
         offset = X.dim(n + 1, strict=False)
         rows = dv_rows[n] = []
-        for b, v_row in zip(X.basis(n, strict=False), morphism_matrix(v, n)):
-            row = X.coords(b.d(), n + 1, strict=False)
+        for d_row, v_row in zip(X.d_rows(n), morphism_matrix(v, n)):
+            row = dict(d_row)
             for j, c in v_row.items():
                 row[offset + j] = c
             rows.append(row)

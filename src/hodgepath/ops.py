@@ -397,8 +397,8 @@ def indecomposables(A, upto=None) -> QComplex:
                                  reps=reps, weights=weights, hodges=hodges)
         for n in range(0, upto):
             rows = []
-            for rep in degrees[n].reps:
-                c = sqs[n + 1].coords(A.coords(rep.d(), n + 1))
+            for v in sqs[n].reps:
+                c = sqs[n + 1].coords(linalg.combine(v, A.d_rows(n)))
                 if c is None:
                     raise AlgebraError("differential does not descend to Q(A)")
                 rows.append(c)
@@ -474,10 +474,9 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
                         products[(names[(n1, k1)], names[(n2, k2)])] = terms
     diffs = {}
     for n in range(0, upto):
-        for k, b in enumerate(bases[n]):
-            db = b.d()
-            if not db.is_zero:
-                diffs[names[(n, k)]] = coords_named(db, n + 1)
+        for k, row in enumerate(X.d_rows(n)):
+            if row:
+                diffs[names[(n, k)]] = {names[(n + 1, j)]: from_coeff(c) for j, c in row.items()}
     T = TableCdga(entries, upto, X.field, name=name or f"Table[{X!r}]",
                   unit=unit_name, products=products, differentials=diffs)
 

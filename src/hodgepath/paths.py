@@ -479,14 +479,12 @@ def constant_homotopy(f: Morphism, budget=None) -> Homotopy:
     return Homotopy(f, f, compose(iota(P), f, name=f"const({f.name})"))
 
 
-def verify_homotopy(h, f: Morphism, g: Morphism, upto=None, d_check=True):
+def verify_homotopy(h, f: Morphism, g: Morphism, upto=None):
     """Exact endpoint and chain checks of a homotopy candidate on bases.
 
     h is applied once per basis element of degrees 0..top, and h(db) is read
-    off by linearity from the images one degree up: over the keys of db for a
-    keyed source, each key's image computed once (a key outside the
-    enumerated bases included), and over `S.coords(db, n + 1)` for a
-    subalgebra source S.
+    off by linearity from the images one degree up, over the source's
+    d_rows(n).
 
     Returns a ValidationReport-style dict list (empty = verified).
     """
@@ -499,29 +497,15 @@ def verify_homotopy(h, f: Morphism, g: Morphism, upto=None, d_check=True):
     top = min(top, X.N)
     bases = {n: X.basis(n) for n in range(0, top + 1)}
     images = {n: [hm(b) for b in bs] for n, bs in bases.items()}
-    if isinstance(X, GradedAlgebra):
-        by_key = {kk: y for n, ys in images.items() for kk, y in zip(X.basis_keys(n), ys)}
-
-        def h_of_d(n, db):
-            for kk in db.terms:
-                if kk not in by_key:
-                    by_key[kk] = hm(X.from_key(kk))
-            return combination(k, dict(enumerate(db.terms.values())),
-                               [by_key[kk] for kk in db.terms])
-    else:
-        def h_of_d(n, db):
-            return combination(k, X.coords(db, n + 1), images[n + 1])
-
     for n, bs in bases.items():
-        for b, hx in zip(bs, images[n]):
+        for i, (b, hx) in enumerate(zip(bs, images[n])):
             e0, e1 = k.evaluate(hx, 0), k.evaluate(hx, 1)
             if e0 != f(b):
                 rep.add("endpoint-0", f"degree {n}: {b!r}")
             if e1 != g(b):
                 rep.add("endpoint-1", f"degree {n}: {b!r}")
-            if d_check and n <= top - 1:
-                if h_of_d(n, b.d()) != hx.d():
-                    rep.add("chain-map", f"degree {n}: {b!r}")
+            if n <= top - 1 and combination(k, X.d_rows(n)[i], images[n + 1]) != hx.d():
+                rep.add("chain-map", f"degree {n}: {b!r}")
     return rep
 
 

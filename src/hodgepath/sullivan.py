@@ -42,7 +42,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, FreeCdga, FreeMorphism,
                       Generator, Morphism, combination, compose, is_surjective_at)
-from .homology import cohomology, cone_certificate
+from .homology import cohomology, cone_certificate, d_squared_witness
 from .lifting import free_lift, homotopy_add, lift_homotopy
 from .ops import indecomposables
 from .paths import (DoublePath, Homotopy, delta, induced_to_double_path, keyed,
@@ -51,6 +51,9 @@ from .paths import (DoublePath, Homotopy, delta, induced_to_double_path, keyed,
 
 class ModelError(AlgebraError):
     pass
+
+
+MAX_ROUNDS = 8   # kernel-killing rounds per stage before minimal_model gives up
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +101,7 @@ class MinimalModel:
 
 
 def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
-                  max_rounds: int = 8, rng=None) -> MinimalModel:
+                  rng=None) -> MinimalModel:
     """Minimal Sullivan model of a cohomologically connected algebra, up to N.
 
     Requires H^0(A) = k; H^1(A) = 0 unless allow_0_connected (in which case
@@ -110,12 +113,9 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     if N > A.N:
         raise CutoffError(f"requested horizon {N} exceeds the input's cutoff {A.N}")
     # the certificate's exact fallback assumes d^2 = 0 and never checks it
-    for n in range(N):
-        for b in A.basis(n):
-            dd = b.d().d()
-            if not dd.is_zero:
-                raise ModelError(f"the input's differential does not square to zero: "
-                                 f"d(d({b})) = {dd} in degree {n + 2}")
+    witness = d_squared_witness(A, N)
+    if witness:
+        raise ModelError(f"the input's differential does not square to zero: {witness}")
     # cohomology of A, memoized for the whole call
     H_A = {0: cohomology(A, 0)}
     H0 = H_A[0]
@@ -193,8 +193,8 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     def killers(n):
         """Terms of a basis z of the kernel of H^{n+1}(rho), and primitives of rho(z).
 
-        A's d rows in degree n are read once, and one elimination solves
-        d a = rho(z) for every z.
+        A's d rows in degree n are A.d_rows(n), built once per degree, and one
+        elimination solves d a = rho(z) for every z.
         """
         Hn1A, Hn1M = H(A, H_A, n + 1), H(M, H_M, n + 1)
         if Hn1M.dim == 0:
@@ -204,9 +204,8 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         zs = [z for z in zs if not z.is_zero]
         if not zs:
             return [], []
-        basis = A.basis(n, strict=False)
-        d_rows = [A.coords(b.d(), n + 1, strict=False) for b in basis]
-        sols = linalg.solve(d_rows, len(basis),
+        d_rows = A.d_rows(n)
+        sols = linalg.solve(d_rows, len(d_rows),
                             [A.coords(rho(z), n + 1, strict=False) for z in zs])
         primitives = []
         for sol in sols:
@@ -227,14 +226,14 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
             stage["added_closed"] = grow(n, [{}] * len(new_reps), new_reps)
         # 2. kill the kernel of H^{n+1}(rho); skipped at the horizon
         if n + 1 <= N:
-            for _ in range(max_rounds):
+            for _ in range(MAX_ROUNDS):
                 zs, primitives = killers(n)
                 if not zs:
                     break
                 stage["added_killers"].extend(grow(n, zs, primitives))
             else:
                 raise ModelError(
-                    f"stage {n} did not stabilize after {max_rounds} rounds; "
+                    f"stage {n} did not stabilize after {MAX_ROUNDS} rounds; "
                     "the input is beyond the 0-connected construction's reach")
         log.append(stage)
 

@@ -4,7 +4,8 @@ Also: the work a spectral-sequence check does not repeat (filtered complexes
 built once per algebra, d_r rows computed once per entry), and the decalage's
 cutoff.
 
-`FilteredComplex.d_row` / `d_coords` are checked against coordinates of d
+`FilteredComplex.d_rows` / `d_coords`, and the `d_rows` of free, table and
+path algebras and of a mapping path, are checked against coordinates of d
 computed afresh from the element, and `linalg.Span.add` against the rank-based
 membership test it replaced, which this file keeps as the oracle.  Decalage
 is compared with a reference built from both oracles.
@@ -19,10 +20,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import assert_row, dense_of, row_of, rows_of
+from helpers import acyclic_table, assert_row, dense_of, rho_ms2_s2, row_of, rows_of
 from hodgepath import (CutoffError, Field, FreeCdga, Generator, SubCdga,
                        TableBasisElement, TableCdga, delta, iota, is_Er_quasi_iso,
-                       linear_morphism, path_10, r_path)
+                       linear_morphism, mapping_path, path_10, r_path)
 from hodgepath import linalg
 from hodgepath.algebra import AlgebraError
 from hodgepath.filtered import (FilteredComplex, SpectralSequence,
@@ -104,7 +105,7 @@ def test_d_rows_and_d_coords_match_fresh_coordinates(name):
         dim = fc.dim(n)
         for i in range(dim):
             want = fresh_d(fc, n, {i: ONE})
-            assert fc.d_row(n, i) == want
+            assert fc.d_rows(n)[i] == want
             assert fc.d_coords(n, {i: ONE}) == want
             nonzero += bool(want)
         for _ in range(4):
@@ -114,6 +115,35 @@ def test_d_rows_and_d_coords_match_fresh_coordinates(name):
             assert got == fresh_d(fc, n, v)
     if name != "cp2_vertex_F":
         assert nonzero, "the differential should not vanish on this complex"
+
+
+def mapping_path_space():
+    _, _, rho = rho_ms2_s2(4)
+    return mapping_path(rho, budget=2).space
+
+
+SPACES = {
+    "free": weighted_free,
+    "table": acyclic_table,
+    "path": lambda: r_path(weighted_free(), 1, budget=3),
+    "mapping_path": mapping_path_space,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_space_d_rows_match_fresh_coordinates(name):
+    X = SPACES[name]()
+    nonzero = 0
+    for n in range(0, X.N + 1):
+        basis, rows = X.basis(n), X.d_rows(n)
+        assert len(rows) == len(basis)
+        for b, row in zip(basis, rows):
+            want = X.coords(b.d(), n + 1, strict=False)
+            assert row == want
+            assert_row(row, X.dim(n + 1, strict=False))
+            nonzero += bool(want)
+        assert X.d_rows(n) is rows
+    assert nonzero, "the differential should not vanish on this space"
 
 
 def reference_decalage(fc):

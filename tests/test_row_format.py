@@ -5,7 +5,7 @@ entry, bare Fractions for the rational coefficients and Scalars only for the
 irrational ones (`helpers.assert_row`).  Checked on the `coords` of every
 fixture algebra and of its extension to Q(sqrt -3), of a mapping-path space
 and a SubCdga, and of filtered complexes over Q and Q(sqrt -3); on
-`FilteredComplex.d_row`/`d_coords`, `Span.coords`, `Subquotient.coords` and
+`FilteredComplex.d_rows`/`d_coords`, `Span.coords`, `Subquotient.coords` and
 `reps` and `Cohomology.cls`.  Every element's coords return it through
 `from_coords`.
 """
@@ -151,7 +151,7 @@ def test_filtered_complex_rows(d):
             assert fc.from_coords(n, row) == x
             assert_row(fc.d_coords(n, row), fc.dim(n + 1))
         for i in range(fc.dim(n)):
-            assert_row(fc.d_row(n, i), fc.dim(n + 1))
+            assert_row(fc.d_rows(n)[i], fc.dim(n + 1))
         for r in (0, 1):
             for p in ss.p_range():
                 sq = ss.entry(r, p, n)
