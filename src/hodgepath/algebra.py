@@ -375,10 +375,12 @@ class GradedAlgebra:
 
     # path objects and the lifting targets built on them (filled by paths._memo)
     _path_cache: dict = None
-    # per-degree key index and d rows (filled by _key_index and d_rows);
-    # algebras are immutable, but FreeCdga.set_differential drops the rows
+    # per-degree key index, d rows and d^2 verdicts (filled by _key_index,
+    # d_rows and homology.d_squared_witness); algebras are immutable, but
+    # FreeCdga.set_differential drops the rows and the verdicts
     _index_cache: dict = None
     _d_rows_cache: dict = None
+    _d_squared: dict = None
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +452,7 @@ class FreeCdga(GradedAlgebra):
             self._diff[i] = dict(el.terms)
         self._d_key_cache.clear()
         self._d_rows_cache = None
+        self._d_squared = None
 
     def adjoin(self, generators, differentials: dict) -> "FreeCdga":
         """This algebra with generators adjoined (a relative Sullivan extension).
@@ -1022,6 +1025,7 @@ class SubCdga:
         # degree -> (ambient coefficient rows of basis(n), {free position: index})
         self._rows = {}
         self._d_rows = {}   # filled by d_rows
+        self._d_squared = None   # filled by homology.d_squared_witness
 
     # space protocol ------------------------------------------------------------
 

@@ -19,9 +19,13 @@ Conventions (fixed once, documented here):
   zero source has no representatives to map, and the target of d_r (or of an
   induced map) is built in full whenever its source is not zero.
 * Adapted bases: over a keyed algebra, the basis keys sorted by level, so
-  coordinates re-index the ambient ones.  Over a `SubCdga` (a decalage), a
-  `linalg.Span` of ambient (parent) rows, whose coordinates are the
-  adapted ones; a non-member raises `AlgebraError`.
+  coordinates and d_rows re-index the ambient ones.  Over a `SubCdga` (a
+  decalage), a `linalg.Span` of ambient (parent) rows, whose coordinates
+  are the adapted ones; a non-member raises `AlgebraError`.  Level by
+  level the span takes vectors of a space that contains it (the level's
+  constraint kernel, or Z(a) for a decalage), so it stops taking them once
+  it is as large as that space; the decalage also stops its levels once
+  the span is the whole degree.
 * Decalage: Dec W_p C^n = {x in W_{p-n} C^n : dx in W_{p-n-1} C^{n+1}}.
 """
 
@@ -105,7 +109,11 @@ class FilteredComplex:
         for p in sorted(set(key_levels)):
             allowed = [i for i, lv in enumerate(key_levels) if lv <= p]
             # solve the constraints inside the span of allowed keys
-            for v in X.constraint_kernel([amb.from_key(keys[i]) for i in allowed]):
+            kernel = X.constraint_kernel([amb.from_key(keys[i]) for i in allowed])
+            for v in kernel:
+                # the span lies in this level's kernel: once as large, it is all of it
+                if len(chosen_levels) == len(kernel):
+                    break
                 full = {allowed[i]: c for i, c in v.items()}
                 if chosen.add(full):
                     chosen_levels.append(p)
@@ -134,8 +142,22 @@ class FilteredComplex:
         return combination(self.ambient, row, self.elements[n])
 
     def d_rows(self, n) -> list:
-        """Coordinates in degree n+1 of d of each elements[n][i], built once per degree; read-only."""
-        return d_rows_by_coords(self, n, self.elements[n])
+        """Coordinates in degree n+1 of d of each elements[n][i], built once per degree; read-only.
+
+        Over a keyed algebra they are the algebra's own d_rows(n), re-indexed
+        through the frames of degrees n and n+1; otherwise coords of each d b.
+        """
+        rows = self._d_rows.get(n)
+        if rows is None:
+            frame = self._frames[n]
+            if type(frame) is not dict:
+                return d_rows_by_coords(self, n, self.elements[n])
+            # the frame one degree up exists below the bound; an empty degree needs none
+            up = self._frames[n + 1] if frame else {}
+            ambient = self.X.d_rows(n)
+            rows = self._d_rows[n] = [{up[j]: c for j, c in ambient[i].items()}
+                                      for i in sorted(frame, key=frame.__getitem__)]
+        return rows
 
     def d_coords(self, n, row):
         """Coordinates in degree n+1 of d of the row: sum of row[i] * d_rows(n)[i]."""
@@ -458,11 +480,23 @@ class _Decalage(FilteredComplex):
         super().__init__(fc.X, fc.kind + "-dec", fc.bound - 1)
 
     def _adapted_basis(self, n):
+        """Level by level, the vectors of Z(a) = {x in W_a C^n : dx in W_{a-1} C^{n+1}}, a = p - n.
+
+        Z(a) grows with a and the span holds vectors of Z(a') for a' <= a
+        only, so once the span is as large as Z(a) it is Z(a), and once it
+        is as large as C^n no later level adds anything: both stop the loop.
+        """
         fc = self.parent
         lo, hi = fc.level_range()
+        full = fc.dim(n)
         chosen, levels, elems = linalg.Span(), [], []
         for p in range(lo + n, hi + n + 2):
-            for v in fc.z_basis(n, p - n, p - n - 1):
+            if len(levels) == full:
+                break
+            z = fc.z_basis(n, p - n, p - n - 1)
+            for v in z:
+                if len(levels) == len(z):
+                    break
                 if chosen.add(v):
                     levels.append(p)
                     elems.append(fc.from_coords(n, v))

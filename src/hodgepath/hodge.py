@@ -68,6 +68,12 @@ class MhsStructure:
     hodge_spans: {q: [rows]} with F^q = span (decreasing: F^q contains
     F^{q+1} after closure).  conj: an antilinear involution on rows
     (default: entrywise conjugation).
+
+    F^q is F^s for its step s, the least Hodge level >= q (None, the zero
+    space, above every level), so F^q cap W_m and its projection to Gr_m,
+    conjugated or not, are computed once per (step, m), and the dimension
+    of each intersection F^q cap conj(F^q') on Gr_m once per pair of steps:
+    `check` and `types_at` read the same objects, built on first use.
     """
 
     def __init__(self, dim, weight_vectors, hodge_spans, conj=None):
@@ -76,6 +82,9 @@ class MhsStructure:
         self.hodge_spans = {q: list(vs) for q, vs in hodge_spans.items()}
         self.conj = conj or _conj_vec
         self._caps = {}
+        self._grs = {}
+        self._projections = {}
+        self._meets = {}
 
     def f_span(self, q):
         out = []
@@ -88,6 +97,12 @@ class MhsStructure:
         return sorted({lv for lv, _ in self.weight_vectors})
 
     def check(self) -> ValidationReport:
+        """Involution, weight data and purity: for each weight m and each q,
+        F^q cap conj(F^(m-q+1)) = 0 and F^q + conj(F^(m-q+1)) = Gr_m.
+
+        The verdicts are computed once per pair of steps and reported per q,
+        in order of q.
+        """
         rep = ValidationReport(subject="mixed Hodge structure")
         # involution
         for i, e in enumerate(_unit_rows(self.dim)):
@@ -97,64 +112,82 @@ class MhsStructure:
         if not levels and self.dim:
             rep.add("weights", "no weight data")
         qs = sorted(self.hodge_spans)
+        qs_range = range(min(qs + [0]) - 1, max(qs + [0]) + 2) if qs else range(0, 1)
         for m in levels:
-            den = [v for lv, v in self.weight_vectors if lv <= m - 1]
-            num = [v for lv, v in self.weight_vectors if lv <= m]
-            grm = linalg.Subquotient(num, den, self.dim)
+            grm = self._gr(m)
             if grm.dim == 0:
                 continue
-
-            def project(vs):
-                out = []
-                for v in vs:
-                    c = grm.coords(v)
-                    if c is not None:
-                        out.append(c)
-                return out
-
-            qs_range = range(min(qs + [0]) - 1, max(qs + [0]) + 2) if qs else range(0, 1)
+            sums = {}
             for q in qs_range:
-                Fq = project(self._f_cap_weight(q, m))
-                Fbar = project([self.conj(v) for v in self._f_cap_weight(m - q + 1, m)])
-                if linalg.intersect(Fq, Fbar, grm.dim):
+                s, sbar = self._step(q), self._step(m - q + 1)
+                if self._meet(m, s, sbar):
                     rep.add("purity-intersection",
                             f"F^{q} cap conj(F^{m - q + 1}) != 0 at weight {m}",
                             weight=m, q=q)
-                total = linalg.rank(Fq + Fbar, grm.dim)
+                total = sums.get((s, sbar))
+                if total is None:
+                    total = sums[s, sbar] = linalg.rank(
+                        self._projected(s, m) + self._projected(sbar, m, conj=True), grm.dim)
                 if total != grm.dim:
                     rep.add("purity-sum",
                             f"F^{q} + conj(F^{m - q + 1}) misses Gr_{m}",
                             weight=m, q=q, dim=total, expected=grm.dim)
         return rep
 
-    def _f_cap_weight(self, q, m):
-        """F^q cap W_m (so projecting to Gr_m is legitimate); computed once per (F^q, m).
+    def _step(self, q):
+        """The least Hodge level >= q, so that F^q = F^step; None above every level."""
+        return min((qq for qq in self.hodge_spans if qq >= q), default=None)
 
-        F^q is the span of the Hodge levels >= q, so it is F^q' for the least
-        such level q'; above every level it is zero.
-        """
-        q = min((qq for qq in self.hodge_spans if qq >= q), default=None)
-        if q is None:
+    def _gr(self, m) -> linalg.Subquotient:
+        """Gr_m = W_m / W_(m-1); computed once per m."""
+        grm = self._grs.get(m)
+        if grm is None:
+            den = [v for lv, v in self.weight_vectors if lv <= m - 1]
+            num = [v for lv, v in self.weight_vectors if lv <= m]
+            grm = self._grs[m] = linalg.Subquotient(num, den, self.dim)
+        return grm
+
+    def _f_cap_weight(self, s, m):
+        """F^s cap W_m (so projecting to Gr_m is legitimate) for a step s; computed once per (s, m)."""
+        if s is None:
             return []
-        out = self._caps.get((q, m))
+        out = self._caps.get((s, m))
         if out is None:
             wm = [v for lv, v in self.weight_vectors if lv <= m]
-            out = self._caps[q, m] = linalg.intersect(self.f_span(q), wm, self.dim)
+            out = self._caps[s, m] = linalg.intersect(self.f_span(s), wm, self.dim)
         return out
+
+    def _projected(self, s, m, conj=False):
+        """Gr_m coordinates of F^s cap W_m, or of its conjugate; computed once per (s, m, conj).
+
+        A conjugate vector outside W_m + W_(m-1) has no coordinates and is left out.
+        """
+        key = (s, m, conj)
+        out = self._projections.get(key)
+        if out is None:
+            grm = self._gr(m)
+            out = []
+            for v in self._f_cap_weight(s, m):
+                c = grm.coords(self.conj(v) if conj else v)
+                if c is not None:
+                    out.append(c)
+            self._projections[key] = out
+        return out
+
+    def _meet(self, m, s, sbar) -> int:
+        """dim of F^s cap conj(F^sbar) projected to Gr_m; computed once per (m, s, sbar)."""
+        key = (m, s, sbar)
+        d = self._meets.get(key)
+        if d is None:
+            d = self._meets[key] = len(linalg.intersect(
+                self._projected(s, m), self._projected(sbar, m, conj=True), self._gr(m).dim))
+        return d
 
     def types_at(self, m):
         """Dimension of F^q cap conj(F^{m-q}) projected to Gr_m, per (q, m-q)."""
-        den = [v for lv, v in self.weight_vectors if lv <= m - 1]
-        num = [v for lv, v in self.weight_vectors if lv <= m]
-        grm = linalg.Subquotient(num, den, self.dim)
         out = {}
-        qs = sorted(self.hodge_spans)
-        for q in qs:
-            Fq = [grm.coords(v) for v in self._f_cap_weight(q, m)]
-            Fq = [v for v in Fq if v is not None]
-            Fb = [grm.coords(self.conj(v)) for v in self._f_cap_weight(m - q, m)]
-            Fb = [v for v in Fb if v is not None]
-            d = len(linalg.intersect(Fq, Fb, grm.dim))
+        for q in sorted(self.hodge_spans):
+            d = self._meet(m, self._step(q), self._step(m - q))
             if d:
                 out[(q, m - q)] = d
         return out

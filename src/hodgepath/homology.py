@@ -15,6 +15,9 @@ fall back to `quasi_iso_report`.  `is_quasi_iso` stays exact, group by group:
 it is the independent oracle that tests and the benchmark check the cone
 against, and routing it through the cone would make the oracle the method it
 checks (and slow `mapping-path`, whose maps are not out of free algebras).
+Both exact paths read H^n(f) through `induced_map`, which first checks
+exactly that f commutes with d on both sides of degree n: a map that does
+not has no H^n(f), and raises that it does not descend.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import lcm
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, FreeMorphism, GradedAlgebra,
-                      LinearMap)
+                      LinearMap, morphism_matrix)
 from .scalars import Scalar
 
 
@@ -136,14 +139,38 @@ def betti_numbers(X, upto: int) -> dict:
     return {n: cohomology(X, n).dim for n in range(0, upto + 1)}
 
 
+def _commutes_with_d(f: LinearMap, n) -> bool:
+    """Whether f(db) = d f(b) for every b of the source basis of degree n, exactly.
+
+    Both sides are read as rows over the target basis of degree n + 1, from
+    f's `morphism_matrix` rows and both spaces' d_rows.
+    """
+    if not f.source.dim(n, strict=False):
+        return True
+    rows, upper = morphism_matrix(f, n, strict=False), morphism_matrix(f, n + 1, strict=False)
+    d_target = f.target.d_rows(n)
+    return all(linalg.combine(d_row, upper) == linalg.combine(f_row, d_target)
+               for d_row, f_row in zip(f.source.d_rows(n), rows))
+
+
 def induced_map(f: LinearMap, HA: Cohomology, HB: Cohomology):
-    """Coefficient rows of H(f): the class row of the image of each source representative."""
+    """Coefficient rows of H(f): the class row of the image of each source representative.
+
+    f must be a chain map around degree n: f d = d f on the source basis of
+    degree n - 1 (so f sends boundaries to boundaries), each representative
+    must map to a closed element (else `cls` raises), and f d = d f on the
+    basis of degree n; a map that fails either check does not descend.
+    """
+    if not _commutes_with_d(f, HA.n - 1):
+        raise AlgebraError("map does not descend to cohomology")
     rows = []
     for rep in HA.reps:
         c = HB.cls(f(rep))
         if c is None:
             raise AlgebraError("map does not descend to cohomology")
         rows.append(c)
+    if not _commutes_with_d(f, HA.n):
+        raise AlgebraError("map does not descend to cohomology")
     return rows
 
 
@@ -307,12 +334,25 @@ def _chain_data_holds(rho, N) -> bool:
 
 
 def d_squared_witness(A, N):
-    """'d(d(b)) = ... in degree n + 2' for the first b of A's bases below N with d d b != 0."""
+    """'d(d(b)) = ... in degree n + 2' for the first b of A's bases below N with d d b != 0.
+
+    Each degree is swept once per space: its verdict, that witness or None,
+    is kept on A beside its d rows (`_d_squared`), and
+    `FreeCdga.set_differential` drops both.
+    """
+    if A._d_squared is None:
+        A._d_squared = {}
+    seen = A._d_squared
     for n in range(N):
-        for b in A.basis(n, strict=False):
-            dd = b.d().d()
-            if not dd.is_zero:
-                return f"d(d({b})) = {dd} in degree {n + 2}"
+        if n not in seen:
+            seen[n] = None
+            for b in A.basis(n, strict=False):
+                dd = b.d().d()
+                if not dd.is_zero:
+                    seen[n] = f"d(d({b})) = {dd} in degree {n + 2}"
+                    break
+        if seen[n] is not None:
+            return seen[n]
     return None
 
 

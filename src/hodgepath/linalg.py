@@ -18,9 +18,11 @@ their equations, one per column, through `_columns`.  Columns may be any
 hashable keys, so a caller can pass the terms of algebra elements as rows.
 
 A basis chosen vector by vector lives in a `Span`, which also gives
-coordinates over it.  A `SubCdga` needs none: its basis is a `free_kernel`,
-each vector 1 at its own free unknown and 0 at the others, so coordinates
-are read off at the free unknowns.
+coordinates over it; the expressions those coordinates need are built on
+the first request, so a span that is only grown costs its echelon rows.
+A `SubCdga` needs none: its basis is a `free_kernel`, each vector 1 at its
+own free unknown and 0 at the others, so coordinates are read off at the
+free unknowns.
 
 `_eliminate` is Gauss-Jordan with the deterministic first-nonzero rule: the
 first row at or below the rank with a non-zero in the column becomes the
@@ -341,14 +343,19 @@ class Span:
     therefore clears every pivot, and leaves zero exactly on the span.
 
     The vectors `add` takes are numbered 0, 1, ... and are independent, so
-    coordinates over them are unique: each row keeps its expression over
-    them, and a vector the reduction clears is sum_i taken_i rows_i.
+    coordinates over them are unique: each row has an expression over them,
+    and a vector the reduction clears is sum_i taken_i rows_i.  `add` keeps
+    only what the reduction took and the pivot's inverse; the expressions
+    are built on demand, in order, by the first `coords` call that needs
+    them, so a Span that only grows (a decalage's adapted basis while it is
+    chosen) builds none.
     """
 
     def __init__(self):
         self._rows = []
         self._pivots = []
-        self._exprs = []
+        self._steps = []    # (taken, inv) of each row, in order
+        self._exprs = []    # the expressions of the first len(_exprs) rows
 
     def add(self, v) -> bool:
         """Add the coefficient row v; True iff v was outside the span so far."""
@@ -358,13 +365,20 @@ class Span:
             return False
         p = min(w)
         inv = 1 / w[p]
-        # w = v - sum_i taken_i rows_i, and the new row is inv * w
-        expr = {i: -inv * c for i, c in combine(taken, self._exprs).items()}
-        expr[len(self._exprs)] = inv
         self._rows.append({j: inv * a for j, a in w.items()})
         self._pivots.append(p)
-        self._exprs.append(expr)
+        self._steps.append((taken, inv))
         return True
+
+    def _expressions(self):
+        """The expression of every row over the vectors taken, building the missing ones."""
+        exprs = self._exprs
+        for taken, inv in self._steps[len(exprs):]:
+            # the new row is inv * (v - sum_i taken_i rows_i)
+            expr = {i: -inv * c for i, c in combine(taken, exprs).items()}
+            expr[len(exprs)] = inv
+            exprs.append(expr)
+        return exprs
 
     def coords(self, v):
         """Coefficient row of v over the vectors taken, or None if v is outside the span."""
@@ -372,7 +386,7 @@ class Span:
         taken = _reduce(w, self._rows, self._pivots)
         if w:
             return None
-        return combine(taken, self._exprs)
+        return combine(taken, self._expressions())
 
 
 class Subquotient:

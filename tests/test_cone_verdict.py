@@ -11,7 +11,9 @@ map of:
 * the benchmark's CP^k diagrams, k = 2..5, with seeded scales;
 * mutants: the unit model, which drops every class; a2 -> 0, which drops
   one; the model of P^1 into CP^k, where rho(d a3) = x2^2 is not
-  d rho(a3) = 0; and images with a sqrt(-1) part, which stay isomorphisms.
+  d rho(a3) = 0, so that both the verdict and the exact flags raise that
+  the map does not descend from upto = 3 on; and images with a sqrt(-1)
+  part, which stay isomorphisms.
 
 Every vertex after the first is over Q(sqrt -1), so its ranks are taken
 modulo the second prime: -1 is not a square modulo 2^31 - 1.  A spy on
@@ -29,7 +31,7 @@ from helpers import cp_family, fixture_path, strict_comparison, toy_model
 from hodgepath import (FreeCdga, build_dga, build_homorphism, build_mhd, load_document,
                        mixed_hodge_dga_diagram, pi_star, quasi_iso_report)
 from hodgepath import homology
-from hodgepath.algebra import CutoffError
+from hodgepath.algebra import AlgebraError, CutoffError
 from hodgepath.homology import cone_is_quasi_iso
 
 CP_DEGREES = (2, 3, 4, 5)
@@ -65,13 +67,22 @@ def cp(k):
     return D, M, f
 
 
-def agree(f):
+def agree(f, descends_below=None):
     """Compare the verdict with the exact flags on every vertex map of f and
-    every upto below the horizon; the list of cone proofs, by map and upto."""
+    every upto below the horizon; the list of cone proofs, by map and upto.
+
+    From upto = descends_below on, if given, both must raise that the map
+    does not descend to cohomology, and the cone must prove nothing."""
     proofs = []
     for v in f.source.index.vertices:
         rho = f.maps[v]
         for upto in range(-1, f.source.check_upto()):
+            if descends_below is not None and upto >= descends_below:
+                for verdict in (quasi_iso_report, cone_is_quasi_iso):
+                    with pytest.raises(AlgebraError, match="^map does not descend to cohomology$"):
+                        verdict(rho, upto)
+                proofs.append(homology._cone_exact(rho, upto + 1))
+                continue
             flags = all(r["iso"] for r in quasi_iso_report(rho, upto).values())
             assert cone_is_quasi_iso(rho, upto) is flags, (v, upto)
             proved = homology._cone_exact(rho, upto + 1)
@@ -151,14 +162,13 @@ def test_mutants_agree_with_the_exact_flags(kind):
         if kind == "not-a-chain-map" and name == "p1toy":
             continue        # x2^2 = 0 there, so the P^1 model is the model itself
         f = _mutant(kind, D, M)
-        proofs = agree(f)
+        # rho(d a3) = x2^2 is not d rho(a3) = 0, so from H^3 on rho has no H(rho)
+        proofs = agree(f, descends_below=3 if kind == "not-a-chain-map" else None)
         top = f.source.check_upto() - 1
         if kind == "sqrt-part":
             assert all(proofs), name
         elif kind == "not-a-chain-map":
-            assert not any(proofs), name
-            # H^4(CP^k) is not reached, which the exact flags see
-            assert not cone_is_quasi_iso(f.maps["0"], top), name
+            assert top >= 3 and not any(proofs), name
         else:
             # H^2 is dropped
             assert not any(cone_is_quasi_iso(rho, top) for rho in f.maps.values()), name
