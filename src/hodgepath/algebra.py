@@ -377,7 +377,7 @@ class GradedAlgebra:
     _path_cache: dict = None
     # per-degree key index, d rows and d^2 verdicts (filled by _key_index,
     # d_rows and homology.d_squared_witness); algebras are immutable, but
-    # FreeCdga.set_differential drops the rows and the verdicts
+    # FreeCdga.set_differential drops the rows, the verdicts and the path objects
     _index_cache: dict = None
     _d_rows_cache: dict = None
     _d_squared: dict = None
@@ -453,6 +453,7 @@ class FreeCdga(GradedAlgebra):
         self._d_key_cache.clear()
         self._d_rows_cache = None
         self._d_squared = None
+        self._path_cache = None   # path objects, and the targets on them, read the old d
 
     def adjoin(self, generators, differentials: dict) -> "FreeCdga":
         """This algebra with generators adjoined (a relative Sullivan extension).

@@ -9,20 +9,21 @@ obstruction naming the generator (the certificate that v was not a trivial
 fibration through the horizon).
 
 Homotopy lifting and homotopy addition are the same solve against structured
-targets: the double path for homotopy lifting, the mapping path of the
-endpoint evaluation for addition, and a four-face boundary target for filling
-squares of homotopies (used by the diagram engine's homotopies of
-ho-morphisms).  A path object keeps the last two once built, and each map
+targets, each a `paths.fibre_product`: the double path for homotopy lifting,
+the mapping path of the endpoint evaluation for addition, and a four-face
+boundary target for filling squares of homotopies (used by the diagram
+engine's homotopies of ho-morphisms).  A path object keeps all three once
+built (the double path per map v and source path object P(A)), and each map
 keeps its rows (morphism_matrix), so repeated lifts redo only their solves.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, LinearMap,
-                      Morphism, SubCdga, compose, morphism_matrix, solve_preimage)
-from .paths import (DoublePath, Homotopy, _memo, delta, folding, induced_to_double_path,
-                    keyed, mapping_path, path_linear_map, path_of, product_space)
+from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, Morphism, compose,
+                      morphism_matrix, solve_preimage)
+from .paths import (DoublePath, Homotopy, _memo, delta, fibre_product, folding,
+                    induced_to_double_path, keyed, mapping_path, path_linear_map, path_of)
 
 
 class LiftObstruction(AlgebraError):
@@ -129,21 +130,31 @@ def _solve_closed_correction(X, v, dv_rows, err: Element, n: int):
 def lift_homotopy(C: FreeCdga, v: Morphism, f0: Morphism, f1: Morphism,
                   h: Homotopy) -> Homotopy:
     """Lift h: v f0 ~ v f1 to h~: f0 ~ f1 with P(v) h~ = h, exactly."""
-    PB = h.path
-    kB = keyed(PB)
+    kB = keyed(h.path)
     PA = path_of(v.source, kB.budget, kB.w_shift)
-    dp = DoublePath(v, v, budget=kB.budget, path_object=PB)
-    bar_v = induced_to_double_path(v, dp, PA)
-
-    def data(c):
-        return dp.embed(f0(c), f1(c), h.map(c))
-
-    H = Morphism(C, dp.space, data, name="(f0,f1,h)")
+    _, bar_v, H = double_path_target(C, v, f0, f1, h, PA)
     lifted = free_lift(C, bar_v, H, name="h~")
     hmap = Morphism(C, PA, lambda x: lifted(x), name="h~")
     out = Homotopy(f0, f1, hmap)
     out.lift_log = lifted.lift_log
     return out
+
+
+def double_path_target(C: FreeCdga, v: Morphism, f0: Morphism, f1: Morphism,
+                       h: Homotopy, PA):
+    """(P(v, v), (delta^0, delta^1, P(v)): PA -> P(v, v), (f0, f1, h): C -> P(v, v)).
+
+    What a homotopy h: v f0 ~ v f1 is lifted against.  The double path in
+    h's path object and the map out of PA are kept on that path object per
+    (v, PA); only the data map is built per call.
+    """
+    def build():
+        dp = DoublePath(v, v, path_object=h.path)
+        return dp, induced_to_double_path(v, dp, PA)
+
+    dp, bar_v = _memo(h.path, ("double path", v, PA), build)
+    H = Morphism(C, dp.space, lambda c: dp.embed(f0(c), f1(c), h.map(c)), name="(f0,f1,h)")
+    return dp, bar_v, H
 
 
 def homotopy_add(h1: Homotopy, h2: Homotopy) -> Homotopy:
@@ -200,19 +211,11 @@ def boundary_square_target(PB):
 
 
 def _square_target(PB):
-    kB = keyed(PB)
-    B = kB.base
     # PB's own constraints (B a subalgebra) come along with each factor
-    amb, cons = product_space([PB] * 4, name="P(B)^4")
-    for kk in (0, 1):
-        for m in (0, 1):
-            def gap(x, kk=kk, m=m):
-                xm = amb.project(m, x)
-                yk = amb.project(2 + kk, x)
-                return kB.evaluate(xm, kk) - kB.evaluate(yk, m)
-            cons.append(LinearMap(amb, B, gap, f"corner{kk}{m}"))
-    T = SubCdga(amb, cons, name="square boundary")
-    P2 = path_of(PB, kB.budget)
+    T = fibre_product([PB] * 4, [(m, delta(PB, k), 2 + k, delta(PB, m))
+                                 for k in (0, 1) for m in (0, 1)], name="square boundary")
+    amb = T.ambient
+    P2 = path_of(PB, keyed(PB).budget)
     k2 = keyed(P2)
     Pd0 = path_linear_map(delta(PB, 0), P2, PB)
     Pd1 = path_linear_map(delta(PB, 1), P2, PB)

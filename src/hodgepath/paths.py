@@ -530,29 +530,25 @@ def stokes_defect(h, upto=None):
 # mapping paths, double paths, the surjection lift
 # ---------------------------------------------------------------------------
 
-def product_space(spaces, name=""):
-    """Product of spaces, flattening subalgebra factors into their ambients.
+def fibre_product(spaces, equations, name=""):
+    """The subspace of the product of spaces where f(x_i) = g(x_j) per equation (i, f, j, g).
 
-    Returns (amb, constraints): the keyed ambient product, whose inject and
-    project work directly with each factor's elements, and the factor
-    constraints pushed through the projections.
+    The product is keyed: its inject and project work directly with each
+    factor's elements, and a subalgebra factor brings its own constraints
+    along its projection.  Returns the SubCdga over that product.
     """
-    factors = []
-    carried = []
-    for i, X in enumerate(spaces):
-        if isinstance(X, SubCdga):
-            factors.append(X.ambient)
-            carried.append((i, X.constraints))
-        else:
-            factors.append(X)
-    amb = ProductCdga(factors, name=name)
-    constraints = []
-    for i, cons in carried:
-        for c in cons:
-            constraints.append(LinearMap(
-                amb, c.target, lambda x, c=c, i=i: c(amb.project(i, x)),
-                name=f"[{i}]{c.name}"))
-    return amb, constraints
+    amb = ProductCdga([X.ambient for X in spaces], name=" x ".join(map(repr, spaces)))
+
+    def on(i, f):
+        return lambda x: f(amb.project(i, x))
+
+    cons = [LinearMap(amb, c.target, on(i, c), name=f"[{i}]{c.name}")
+            for i, X in enumerate(spaces) if isinstance(X, SubCdga) for c in X.constraints]
+    for i, f, j, g in equations:
+        fi, gj = on(i, f), on(j, g)
+        cons.append(LinearMap(amb, f.target.ambient, lambda x, fi=fi, gj=gj: fi(x) - gj(x),
+                              name=f"{f.name}[{i}]={g.name}[{j}]"))
+    return SubCdga(amb, cons, name=name)
 
 
 class MappingPath:
@@ -569,15 +565,9 @@ class MappingPath:
         PB = path_object if path_object is not None else path_of(B, budget, w_shift)
         kB = keyed(PB)
         self.PB = PB
-        # PB's own constraints (B a subalgebra) come along with its factor
-        amb, cons = product_space([A, PB], name=f"{A!r} x {kB!r}")
-        self.amb = amb
-
-        def gap(x):
-            return f(amb.project(0, x)) - kB.evaluate(amb.project(1, x), 0)
-
-        self.space = SubCdga(amb, cons + [LinearMap(amb, B.ambient, gap, "b(0)=f(a)")],
-                             name=f"MappingPath({f.name or 'f'})")
+        self.space = fibre_product([A, PB], [(0, f, 1, delta(PB, 0))],
+                                   name=f"MappingPath({f.name or 'f'})")
+        self.amb = amb = self.space.ambient
         self.p = Morphism(self.space, A, lambda x: amb.project(0, x), name="p")
         self.q_endpoint = q_endpoint
         self.q = Morphism(self.space, B,
@@ -630,21 +620,13 @@ class DoublePath:
                  path_object=None):
         if v.target is not v2.target:
             raise AlgebraError("double path needs a shared target")
-        A, A2, B = v.source, v2.source, v.target
         self.v, self.v2 = v, v2
-        PB = path_object if path_object is not None else path_of(B, budget, w_shift)
-        kB = keyed(PB)
+        PB = path_object if path_object is not None else path_of(v.target, budget, w_shift)
         self.PB = PB
-        amb, cons = product_space([A, A2, PB], name=f"{A!r} x {A2!r} x P({B!r})")
-        self.amb = amb
-        c0 = LinearMap(amb, B.ambient,
-                       lambda x: kB.evaluate(amb.project(2, x), 0) - v(amb.project(0, x)),
-                       "b(0)=v(a0)")
-        c1 = LinearMap(amb, B.ambient,
-                       lambda x: kB.evaluate(amb.project(2, x), 1) - v2(amb.project(1, x)),
-                       "b(1)=v'(a1)")
-        self.space = SubCdga(amb, cons + [c0, c1],
-                             name=f"DoublePath({v.name or 'v'})")
+        self.space = fibre_product(
+            [v.source, v2.source, PB], [(2, delta(PB, 0), 0, v), (2, delta(PB, 1), 1, v2)],
+            name=f"DoublePath({v.name or 'v'})")
+        self.amb = self.space.ambient
 
     def embed(self, a0: Element, a1: Element, bt: Element) -> Element:
         return self.amb.inject(0, a0) + self.amb.inject(1, a1) + self.amb.inject(2, bt)

@@ -43,10 +43,9 @@ from . import linalg
 from .algebra import (AlgebraError, CutoffError, FreeCdga, FreeMorphism,
                       Generator, Morphism, combination, compose, is_surjective_at)
 from .homology import cohomology, cone_certificate, d_squared_witness
-from .lifting import free_lift, homotopy_add, lift_homotopy
+from .lifting import double_path_target, free_lift, homotopy_add, lift_homotopy
 from .ops import indecomposables
-from .paths import (DoublePath, Homotopy, delta, induced_to_double_path, keyed,
-                    mapping_path, path_linear_map, path_of)
+from .paths import Homotopy, delta, keyed, mapping_path, path_linear_map, path_of
 
 
 class ModelError(AlgebraError):
@@ -309,13 +308,7 @@ def homotopy_between_lifts(C: FreeCdga, w: Morphism, g0: Morphism, g1: Morphism,
         return lift_homotopy(C, w, g0, g1, h)
     A = w.source
     PA = path_of(A, budget, kh.w_shift)
-    dp = DoublePath(w, w, budget=budget, path_object=h.path)
-    barw = induced_to_double_path(w, dp, PA)
-
-    def data(c):
-        return dp.embed(g0(c), g1(c), h.map(c))
-
-    H = Morphism(C, dp.space, data, name="(g0,g1,h)")
+    dp, barw, H = double_path_target(C, w, g0, g1, h, PA)
     G, K = lift_against_weak_equivalence(C, barw, H, budget=budget)
     # project the homotopy K: barw G ~ H to the two A-coordinates
     Pdp = K.path

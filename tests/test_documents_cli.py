@@ -17,7 +17,7 @@ from hodgepath import (FreeCdga, betti_numbers, build_dga, build_homorphism,
                        build_mhd, check_cdga, dga_doc, element_expr,
                        load_document, parse_document, serialize)
 from hodgepath.algebra import CutoffError
-from hodgepath.documents import MAX_DEGREE, DocumentError
+from hodgepath.documents import MAX_BUDGET, MAX_DEGREE, DocumentError
 from hodgepath.exprs import ExprError, parse_expression, tokenize
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -244,7 +244,7 @@ def test_t_budget_above_the_cap_exits_2_at_once():
 
 def test_budget_cap_is_one_bound_in_every_schema_and_the_cli():
     from hodgepath.cli import make_parser
-    from hodgepath.documents import MAX_BUDGET, _schema
+    from hodgepath.documents import _schema
     assert MAX_BUDGET == MAX_DEGREE == 64
     for name in ("diagram.json", "homotopy.json", "mhd.json"):
         assert _schema(name)["properties"]["budget"]["maximum"] == MAX_BUDGET
@@ -653,7 +653,9 @@ def test_library_fault_while_parsing_propagates(monkeypatch):
 # the exit-code contract under one-field mutations
 # ---------------------------------------------------------------------------
 
-WRONG_VALUES = (None, True, 0, -1, 1.5, "x", [], [1], {})
+# the last three overflow the schemas' caps on degrees and budgets, and any count
+WRONG_VALUES = (None, True, 0, -1, 1.5, "x", [], [1], {},
+                MAX_DEGREE + 1, MAX_BUDGET + 1, 10 ** 9)
 
 
 def _positions(node, at=()):
@@ -696,7 +698,7 @@ def test_one_field_mutants_build_or_raise_document_errors():
             pass
         except Exception as e:  # anything else would exit 1 with a traceback
             escapes.append((name, at, value, repr(e)))
-    assert len(_mutants()) >= 5370
+    assert len(_mutants()) >= 12720
     assert escapes == []
 
 

@@ -1,8 +1,10 @@
 """Lifting targets are built once per path object, with the lifts of fresh ones.
 
 A square of homotopies in P(B) is filled against the four-face boundary map
-theta of P(B), and homotopies in P(A) are added against the mapping path pi
-of delta^1 on P(A).  Both depend only on the path object, which keeps them,
+theta of P(B), homotopies in P(A) are added against the mapping path pi
+of delta^1 on P(A), and a homotopy h: v f0 ~ v f1 in P(B) is lifted against
+(delta^0, delta^1, P(v)): P(A) -> P(v, v).  The first two depend only on the
+path object and the third on it, v and P(A); the path object keeps them,
 and morphism_matrix keeps each map's rows per degree.  A spy shows that a
 chain of ho-homotopies (compose_ho, build_ho_homotopy, ho_homotopy_add) on
 one diagram builds the square boundary's basis once and applies theta and
@@ -18,8 +20,9 @@ from helpers import square_diagram
 from hodgepath import (FreeCdga, FreeMorphism, Generator, Homotopy, Morphism,
                        build_ho_homotopy, compose, compose_ho, constant_homotopy,
                        delta, element_expr, fill_square, homotopy_add, identity_ho,
-                       iota, keyed, path_of, reflexive_ho_homotopy)
-from hodgepath import algebra, lifting
+                       iota, keyed, lift_homotopy, path_of, reflexive_ho_homotopy,
+                       verify_homotopy)
+from hodgepath import algebra, lifting, paths
 from hodgepath.diagrams import ho_homotopy_add
 
 BUDGET = 3
@@ -124,3 +127,39 @@ def test_second_fill_and_sum_on_one_path_object_equal_fresh_ones():
     assert _exprs(_fill(*_loop_setup())) == cached_fill
     C, P, h = _loop_setup()
     assert _exprs(homotopy_add(h, h.reversed()).map) == cached_sum
+
+
+def _lift_setup():
+    """C, v = delta^0: P(B) -> B, f0, f1: C -> P(B) and h: v f0 ~ v f1, on algebras of their own."""
+    C = FreeCdga([Generator("c1", 1)], 4, name="C")
+    B = FreeCdga([Generator("b1", 1)], 4, name="B")
+    P = path_of(B, BUDGET)
+    k = keyed(P)
+    v = delta(P, 0)
+    b1 = k.include(B.generator("b1"))
+    f0 = FreeMorphism(C, k, {"c1": b1}, name="f0")
+    f1 = FreeMorphism(C, k, {"c1": b1 + k.t() * k.dt() - k.t() * k.t() * k.dt()}, name="f1")
+    vf0 = compose(v, f0)
+    return C, v, f0, f1, Homotopy(vf0, compose(v, f1), constant_homotopy(vf0, BUDGET).map)
+
+
+def test_two_homotopy_lifts_against_one_v_build_one_double_path(monkeypatch):
+    built = []
+    init = paths.DoublePath.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(paths.DoublePath, "__init__", counting)
+    C, v, f0, f1, h = _lift_setup()
+    there = lift_homotopy(C, v, f0, f1, h)
+    back = lift_homotopy(C, v, f1, f0, h.reversed())
+    assert built == [v]
+    assert verify_homotopy(there, f0, f1, upto=3).ok
+    assert verify_homotopy(back, f1, f0, upto=3).ok
+    # the second lift is the one found against a target built for it alone
+    monkeypatch.setattr(lifting, "_memo", lambda P, key, build: build())
+    C, v, f0, f1, h = _lift_setup()
+    assert _exprs(lift_homotopy(C, v, f1, f0, h.reversed()).map) == _exprs(back.map)
+    assert len(built) == 2

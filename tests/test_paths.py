@@ -33,6 +33,20 @@ def test_path_preserves_cohomology():
     assert betti_numbers(PM, 5) == betti_numbers(M, 5)
 
 
+def test_set_differential_drops_the_path_objects():
+    """A path object built before d changes reads the new d, as a fresh one does."""
+    def lambda_x2_y3():
+        return FreeCdga([Generator("x2", 2), Generator("y3", 3)], 6, name="A")
+
+    A = lambda_x2_y3()
+    assert betti_numbers(path_of(A, 2), 5) == {0: 1, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1}
+    A.set_differential({"y3": A.parse("x2^2")})
+    fresh = lambda_x2_y3()
+    fresh.set_differential({"y3": fresh.parse("x2^2")})
+    assert betti_numbers(path_of(fresh, 2), 5) == {0: 1, 1: 0, 2: 1, 3: 0, 4: 0, 5: 0}
+    assert betti_numbers(path_of(A, 2), 5) == betti_numbers(path_of(fresh, 2), 5)
+
+
 def test_endpoint_evaluations():
     A = k_q2()
     P = path_of(A, budget=4)
