@@ -5,6 +5,9 @@ small key protocol (degree, product with Koszul sign, differential, basis
 enumeration) and everything else — cohomology, morphism checks, subalgebras cut
 out by linear equations — is generic on top of it.
 
+Elements are combined in one place, `_accumulate`: sums, differences, linear
+images and substitutions add their terms into one result dict in place.
+
 Every space — a keyed algebra or a `SubCdga` cut out of one — answers one
 space protocol: `ambient`, `zero`, `unit`, `basis`, `dim`, `coords`,
 `d_rows`, `from_coords`, `check_degree`, `has_weights` and `has_hodge`.  A
@@ -60,11 +63,13 @@ class Element:
     The terms are zero-free: no coefficient is zero, so `==`, `hash` and
     `is_zero` read the terms directly.  The public constructor filters
     zeros out of a copy of the terms it is given.  Producers that already
-    drop every zero they make (sums and products that pop cancelled keys,
-    negation, relabelling or splitting zero-free terms) build their result
-    with the private `_element`, which neither filters nor copies and so is
-    handed a dict that nobody else keeps.  Sums that can cancel without
-    checking (evaluation, substitutions, element * scalar) keep filtering.
+    drop every zero they make build their result with the private
+    `_element`, which neither filters nor copies and so is handed a dict
+    that nobody else keeps: sums, differences and linear images folded by
+    `_accumulate`, products that pop cancelled keys, negation, relabelling
+    or splitting zero-free terms, and element * non-zero scalar (a product
+    of non-zero field elements is non-zero).  Only sums that can cancel
+    without a check filter; evaluation is one of them.
     """
 
     __slots__ = ("alg", "terms")
@@ -75,19 +80,16 @@ class Element:
 
     # arithmetic ------------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, c):
+        """self + c * other in one pass (c None for 1)."""
         if isinstance(other, (int, Fraction, Scalar)):
             other = self.alg.unit() * other
         if other.alg is not self.alg:
             raise AlgebraError("adding elements of different algebras")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out[k] + c if k in out else c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return _element(self.alg, out)
+        return _element(self.alg, _accumulate(dict(self.terms), other.terms, c))
+
+    def __add__(self, other):
+        return self._plus(other, None)
 
     __radd__ = __add__
 
@@ -95,9 +97,7 @@ class Element:
         return _element(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self.alg.unit() * other
-        return self + (-other)
+        return self._plus(other, self.alg.field.minus_one())
 
     def __rsub__(self, other):
         return -self + other
@@ -105,7 +105,9 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c = _as_scalar(other)
-            return Element(self.alg, {k: c * v for k, v in self.terms.items()})
+            if c.is_zero:
+                return self.alg.zero()
+            return _element(self.alg, {k: c * v for k, v in self.terms.items()})
         if other.alg is not self.alg:
             raise AlgebraError("multiplying elements of different algebras")
         return _element(self.alg, self.alg.mul_terms(self.terms, other.terms))
@@ -192,6 +194,27 @@ def _element(alg, terms: dict) -> Element:
     return x
 
 
+def _accumulate(out: dict, terms: dict, c=None) -> dict:
+    """out += c * terms in place, popping every key that cancels; returns out.
+
+    c is a non-zero Scalar or Fraction (None for 1) and terms are zero-free,
+    so only keys already in out can cancel.  New keys go last, in the order
+    of terms: a fold into {} has the terms, in order, of the chain of sums.
+    """
+    for k, v in terms.items():
+        if c is not None:
+            v = v * c
+        if k in out:
+            s = out[k] + v
+            if s.is_zero:
+                del out[k]
+            else:
+                out[k] = s
+        else:
+            out[k] = v
+    return out
+
+
 def combination(alg, coeffs, elements) -> Element:
     """sum of c * elements[i] in alg over the coefficient row coeffs {i: c}.
 
@@ -200,13 +223,7 @@ def combination(alg, coeffs, elements) -> Element:
     """
     out = {}
     for i in sorted(coeffs):
-        c = coeffs[i]
-        for k, v in elements[i].terms.items():
-            s = out[k] + v * c if k in out else v * c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+        _accumulate(out, elements[i].terms, coeffs[i])
     return _element(alg, out)
 
 
@@ -264,10 +281,12 @@ class GradedAlgebra:
         return _element(self, {})
 
     def unit(self) -> Element:
-        return Element(self, dict(self.unit_terms()))
+        return _element(self, dict(self.unit_terms()))
 
     def from_key(self, k, c=None) -> Element:
-        return Element(self, {k: self.field.one() if c is None else _as_scalar(c)})
+        if c is None:
+            return _element(self, {k: self.field.one()})
+        return Element(self, {k: _as_scalar(c)})
 
     def mul_terms(self, t1: dict, t2: dict) -> dict:
         # identity tests against the field's shared unit signs (see the
@@ -362,13 +381,9 @@ class GradedAlgebra:
         return _element(self, {keys[i]: from_coeff(row[i]) for i in sorted(row)})
 
     def random_element(self, n, rng, density=0.6, strict=True) -> Element:
-        terms = {}
-        for k in self.basis_keys(n) if n >= 0 else []:
-            if rng.random() < density:
-                c = self.field.random_scalar(rng)
-                if not c.is_zero:
-                    terms[k] = c
-        return Element(self, terms)
+        keys = self.basis_keys(n) if n >= 0 else []
+        return Element(self, {k: self.field.random_scalar(rng) for k in keys
+                              if rng.random() < density})
 
     def __repr__(self):
         return self.name or f"<{type(self).__name__} at {hex(id(self))}>"
@@ -582,16 +597,9 @@ class FreeCdga(GradedAlgebra):
             out = self.mul_terms(head, {rest: self.field.one()})
             drest = self.d_key(rest)
             if drest:
-                odd = (g_deg * e) % 2   # the Koszul sign of d passing g^e
-                tail = self.mul_terms({(k[:1]): self.field.one()}, drest)
-                for kk, c in tail.items():
-                    if odd:
-                        c = -c
-                    s = out[kk] + c if kk in out else c
-                    if s.is_zero:
-                        out.pop(kk, None)
-                    else:
-                        out[kk] = s
+                # the Koszul sign of d passing g^e
+                sign = self.field.minus_one() if (g_deg * e) % 2 else None
+                _accumulate(out, self.mul_terms({(k[:1]): self.field.one()}, drest), sign)
         self._d_key_cache[k] = out
         return out
 
@@ -842,9 +850,17 @@ class ProductCdga(GradedAlgebra):
         return all(f.has_hodge for f in self.factors)
 
     def inject(self, i, x: Element) -> Element:
-        if x.alg is not self.factors[i]:
-            raise AlgebraError("inject: wrong factor")
-        return _element(self, {(i, k): c for k, c in x.terms.items()})
+        return self.tuple_of({i: x})
+
+    def tuple_of(self, parts: dict) -> Element:
+        """The sum of inject(i, x) over parts {slot i: x}: disjoint slots, one dict, in order."""
+        out = {}
+        for i, x in parts.items():
+            if x.alg is not self.factors[i]:
+                raise AlgebraError("inject: wrong factor")
+            for k, c in x.terms.items():
+                out[(i, k)] = c
+        return _element(self, out)
 
     def project(self, i, x: Element) -> Element:
         return _element(self.factors[i],
@@ -925,22 +941,22 @@ class FreeMorphism(Morphism):
         return out
 
     def fn(self, x: Element) -> Element:
-        out = self.target.zero()
+        out = {}
         for k, c in x.terms.items():
-            out = out + self._image_of_key(k) * c
-        return out
+            _accumulate(out, self._image_of_key(k).terms, c)
+        return _element(self.target.ambient, out)
 
 
 def linear_morphism(source, target, key_images: dict, name="") -> Morphism:
     """Morphism given by images of basis keys (e.g. out of a TableCdga)."""
     def fn(x: Element) -> Element:
-        out = target.zero()
+        out = {}
         for k, c in x.terms.items():
             img = key_images.get(k)
             if img is None:
                 raise AlgebraError(f"no image for basis key {k!r}")
-            out = out + img * c
-        return out
+            _accumulate(out, img.terms, c)
+        return _element(target.ambient, out)
     return Morphism(source, target, fn, name)
 
 
@@ -1087,11 +1103,10 @@ class SubCdga:
         return combination(self.ambient, row, self.basis(n, strict=strict))
 
     def random_element(self, n, rng, density=0.6, strict=True) -> Element:
-        out = self.ambient.zero()
-        for b in self.basis(n, strict=strict):
-            if rng.random() < density:
-                out = out + b * self.field.random_scalar(rng)
-        return out
+        basis = self.basis(n, strict=strict)
+        drawn = [(i, self.field.random_scalar(rng)) for i in range(len(basis))
+                 if rng.random() < density]
+        return combination(self.ambient, {i: c for i, c in drawn if not c.is_zero}, basis)
 
     def check_degree(self, n, strict=True):
         if strict and not (0 <= n <= self.N):

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (AlgebraError, Element, FreeCdga, Morphism, TableCdga, combination,
-                      compose, identity_morphism)
+from .algebra import (AlgebraError, FreeCdga, Morphism, TableCdga, _accumulate, _element,
+                      combination, compose, identity_morphism)
 from .lifting import LiftObstruction, fill_square, free_lift, homotopy_add, lift_homotopy
 from .ops import ValidationReport, check_cdga, check_morphism
 from .paths import (Homotopy, MappingPath, coproduct, c_hat, delta, iota, keyed,
@@ -188,11 +188,10 @@ class DiagramMorphism:
         tgt_dom = self.target.dom(u)
 
         def fn(x):
-            out = tgt_dom.zero()
+            out = {}
             for k, c in x.terms.items():
-                img = f(Element(f.source, {k: f.source.field.one()}))
-                out = out + Element(tgt_dom, dict(img.terms)) * c
-            return out
+                _accumulate(out, f(f.source.from_key(k)).terms, c)
+            return _element(tgt_dom, out)
 
         return Morphism(src_dom, tgt_dom, fn, name=f"{self.name}@{u}")
 

@@ -89,8 +89,9 @@ class Cohomology:
 
 
 def _block_partition(X, n):
-    """Positions in X.basis(n) grouped by block id, ids sorted; a space not keyed is one block."""
-    if not isinstance(X, GradedAlgebra):
+    """Positions in X.basis(n) grouped by block id, ids sorted; one block, keys
+    unread, unless X's class overrides GradedAlgebra's key_block."""
+    if getattr(type(X), "key_block", GradedAlgebra.key_block) is GradedAlgebra.key_block:
         return {0: list(range(X.dim(n, strict=False)))}
     groups = {}
     for i, k in enumerate(X.basis_keys(n) if n >= 0 else []):

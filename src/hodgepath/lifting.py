@@ -20,8 +20,8 @@ keeps its rows (morphism_matrix), so repeated lifts redo only their solves.
 from __future__ import annotations
 
 from . import linalg
-from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, Morphism, compose,
-                      morphism_matrix, solve_preimage)
+from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, Morphism, _accumulate,
+                      _element, compose, morphism_matrix, solve_preimage)
 from .paths import (DoublePath, Homotopy, _memo, delta, fibre_product, folding,
                     induced_to_double_path, keyed, mapping_path, path_linear_map, path_of)
 
@@ -36,7 +36,7 @@ class LiftObstruction(AlgebraError):
 
 
 def _apply_partial(C: FreeCdga, images: dict, x: Element, target):
-    out = None
+    out = {}
     unit = target.unit()
     for key, c in x.terms.items():
         term = unit
@@ -49,10 +49,8 @@ def _apply_partial(C: FreeCdga, images: dict, x: Element, target):
                     "the source is not well-ordered for lifting")
             for _ in range(e):
                 term = term * img
-        out = term * c if out is None else out + term * c
-    if out is None:
-        return target.zero()
-    return out
+        _accumulate(out, term.terms, c)
+    return _element(target.ambient, out)
 
 
 def free_lift(C: FreeCdga, v, f, name="lift") -> FreeMorphism:
@@ -221,8 +219,7 @@ def _square_target(PB):
     Pd1 = path_linear_map(delta(PB, 1), P2, PB)
 
     def theta_fn(L):
-        return (amb.inject(0, Pd0(L)) + amb.inject(1, Pd1(L))
-                + amb.inject(2, k2.evaluate(L, 0)) + amb.inject(3, k2.evaluate(L, 1)))
+        return amb.tuple_of({0: Pd0(L), 1: Pd1(L), 2: k2.evaluate(L, 0), 3: k2.evaluate(L, 1)})
 
     theta = Morphism(P2, T, theta_fn, name="faces")
     return T, theta, amb
@@ -239,8 +236,7 @@ def fill_square(C: FreeCdga, PB, inner0: Morphism, inner1: Morphism,
     T, theta, amb = boundary_square_target(PB)
 
     def data(c):
-        return (amb.inject(0, inner0(c)) + amb.inject(1, inner1(c))
-                + amb.inject(2, outer0(c)) + amb.inject(3, outer1(c)))
+        return amb.tuple_of({0: inner0(c), 1: inner1(c), 2: outer0(c), 3: outer1(c)})
 
     f = Morphism(C, T, data, name="boundary data")
     L = free_lift(C, theta, f, name="square fill")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, LinearMap,
-                      TableBasisElement, TableCdga)
+                      TableBasisElement, TableCdga, _accumulate, _element)
 from .paths import BudgetError
 from .scalars import coeff, from_coeff
 
@@ -16,10 +16,10 @@ def normalize(raw_terms, A) -> Element:
     """Canonical form of a raw term list [(coeff, [name, name, ...]), ...].
 
     Factors are multiplied in the given order, so Koszul signs fall out of the
-    algebra's product; merging and zero-dropping happen in Element arithmetic.
+    algebra's product; the terms are merged, and zeros dropped, by `_accumulate`.
     Idempotent: normalizing a normalized element is the identity.
     """
-    out = A.zero()
+    out = {}
     for coeff, names in raw_terms:
         term = A.unit() * coeff
         for nm in names:
@@ -29,8 +29,8 @@ def normalize(raw_terms, A) -> Element:
                 term = term * A.basis_element(nm)
             else:
                 raise AlgebraError("normalize needs a free or table presentation")
-        out = out + term
-    return out
+        _accumulate(out, term.terms)
+    return _element(A, out)
 
 
 def differentiate(a: Element, A=None) -> Element:
@@ -231,12 +231,7 @@ def _extend_linearly(images: dict, terms: dict) -> dict:
     """
     out = {}
     for k, c in terms.items():
-        for kk, ck in images[k].items():
-            s = out[kk] + c * ck if kk in out else c * ck
-            if s.is_zero:
-                out.pop(kk, None)
-            else:
-                out[kk] = s
+        _accumulate(out, images[k], c)
     return out
 
 
@@ -481,20 +476,20 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
                   unit=unit_name, products=products, differentials=diffs)
 
     def to_table(x: Element) -> Element:
-        out = T.zero()
+        out = {}
         for n, part in x.degree_parts().items():
             if n > upto:
                 raise CutoffError("element beyond the truncation degree")
-            out = out + Element(T, coords_named(part, n))
-        return out
+            _accumulate(out, coords_named(part, n))
+        return _element(T, out)
 
     def from_table(x: Element) -> Element:
-        out = X.zero()
+        out = {}
         for k, c in x.terms.items():
             n = T.info[k].degree
             idx = int(k.split("_")[1])
-            out = out + bases[n][idx] * c
-        return out
+            _accumulate(out, bases[n][idx].terms, c)
+        return _element(X.ambient, out)
 
     return T, LinearMap(X, T, to_table, "to_table"), LinearMap(T, X, from_table, "from_table")
 

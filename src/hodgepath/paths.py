@@ -26,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (AlgebraError, Element, GradedAlgebra, LinearMap, Morphism,
-                      ProductCdga, SubCdga, _element, combination, compose,
-                      solve_preimage)
+                      ProductCdga, SubCdga, _accumulate, _element, combination,
+                      compose, solve_preimage)
 from .exprs import ExprError, parse_expression
 
 DEFAULT_BUDGET = 32
@@ -98,12 +98,10 @@ class PathAlgebra(GradedAlgebra):
     def d_key(self, k):
         bk, (i, e) = k
         out = {(dk, (i, e)): c for dk, c in self.base.d_key(bk).items()}
-        if e == 0 and i >= 1:
+        if e == 0 and i >= 1:   # a new key: the base's part keeps e = 0
             sign = -1 if self.base.key_degree(bk) % 2 else 1
-            c = self.field.scalar(sign * i)
-            prev = out.get((bk, (i - 1, 1)))
-            out[(bk, (i - 1, 1))] = c if prev is None else prev + c
-        return {kk: c for kk, c in out.items() if not c.is_zero}
+            out[(bk, (i - 1, 1))] = self.field.scalar(sign * i)
+        return out
 
     def basis_keys(self, n):
         keys = self._basis_cache.get(n)
@@ -151,15 +149,9 @@ class PathAlgebra(GradedAlgebra):
         exercisable on random inputs.
         """
         cap = max(1, self.budget // 2)
-        terms = {}
-        for k in self.basis_keys(n) if n >= 0 else []:
-            if self.key_t_weight(k) > cap:
-                continue
-            if rng.random() < density:
-                c = self.field.random_scalar(rng)
-                if not c.is_zero:
-                    terms[k] = c
-        return Element(self, terms)
+        keys = [k for k in (self.basis_keys(n) if n >= 0 else []) if self.key_t_weight(k) <= cap]
+        return Element(self, {k: self.field.random_scalar(rng) for k in keys
+                              if rng.random() < density})
 
     # ----- convenience elements
 
@@ -258,14 +250,9 @@ def path_linear_map(f: LinearMap, PS, PT) -> LinearMap:
     kS, kT = keyed(PS), keyed(PT)
 
     def fn(x: Element) -> Element:
-        out = {}
-        for ie, coeff in kS.coefficients(x).items():
-            img = f(coeff)
-            for bk, c in img.terms.items():
-                kk = (bk, ie)
-                prev = out.get(kk)
-                out[kk] = c if prev is None else prev + c
-        return Element(kT, out)
+        # each (i, e) holds one coefficient, so the keys (bk, (i, e)) never meet
+        return _element(kT, {(bk, ie): c for ie, coeff in kS.coefficients(x).items()
+                             for bk, c in f(coeff).terms.items()})
 
     cls = Morphism if isinstance(f, Morphism) else LinearMap
     return cls(PS, PT, fn, name=f"P({f.name or 'f'})")
@@ -296,16 +283,13 @@ def _substitution(P, target, im_t: Element, im_dt: Element, coeff_map, name):
         return powers[i]
 
     def fn(x: Element) -> Element:
-        out = None
-        for ie, coeff in kP.coefficients(x).items():
-            i, e = ie
+        out = {}
+        for (i, e), coeff in kP.coefficients(x).items():
             term = coeff_map(coeff) * t_power(i)
             if e:
                 term = term * im_dt
-            out = term if out is None else out + term
-        if out is None:
-            return target.zero()
-        return out
+            _accumulate(out, term.terms)
+        return _element(target.ambient, out)
 
     return Morphism(P, target, fn, name=name)
 
@@ -358,14 +342,9 @@ def interchange(P2) -> Morphism:
         raise AlgebraError("interchange needs a double path")
 
     def fn(x: Element) -> Element:
-        out = {}
-        for ((bk, (i1, e1)), (i2, e2)), c in x.terms.items():
-            if e1 and e2:
-                c = -c
-            kk = ((bk, (i2, e2)), (i1, e1))
-            prev = out.get(kk)
-            out[kk] = c if prev is None else prev + c
-        return Element(k2, out)
+        # swapping the levels is a bijection of keys: nothing meets or cancels
+        return _element(k2, {((bk, (i2, e2)), (i1, e1)): -c if e1 and e2 else c
+                             for ((bk, (i1, e1)), (i2, e2)), c in x.terms.items()})
 
     return Morphism(P2, P2, fn, name="interchange")
 
@@ -437,14 +416,9 @@ def _retag(key, slot, depth):
 
 def pair_paths(P_prod, parts, depth: int = 1) -> Element:
     """Assemble elements of P^depth(X_j) into one element of P^depth(prod X_j)."""
-    kp = keyed(P_prod)
-    out = {}
-    for slot, x in enumerate(parts):
-        for k, c in x.terms.items():
-            kk = _retag(k, slot, depth)
-            prev = out.get(kk)
-            out[kk] = c if prev is None else prev + c
-    return Element(kp, out)
+    # the slots are disjoint, so no two retagged keys meet
+    return _element(keyed(P_prod), {_retag(k, slot, depth): c for slot, x in enumerate(parts)
+                                    for k, c in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +546,12 @@ class MappingPath:
         self.q_endpoint = q_endpoint
         self.q = Morphism(self.space, B,
                           lambda x: kB.evaluate(amb.project(1, x), q_endpoint), name="q")
-        self.iota = Morphism(A, self.space,
-                             lambda a: amb.inject(0, a) + amb.inject(1, kB.include(f(a))),
+        self.iota = Morphism(A, self.space, lambda a: amb.tuple_of({0: a, 1: kB.include(f(a))}),
                              name="iota")
 
     def pair(self, a: Element, bt: Element) -> Element:
         """Element (a, b(t)) of the ambient product; caller owns the constraint."""
-        return self.amb.inject(0, a) + self.amb.inject(1, bt)
+        return self.amb.tuple_of({0: a, 1: bt})
 
     def component_a(self, x: Element) -> Element:
         return self.amb.project(0, x)
@@ -629,7 +602,7 @@ class DoublePath:
         self.amb = self.space.ambient
 
     def embed(self, a0: Element, a1: Element, bt: Element) -> Element:
-        return self.amb.inject(0, a0) + self.amb.inject(1, a1) + self.amb.inject(2, bt)
+        return self.amb.tuple_of({0: a0, 1: a1, 2: bt})
 
     def parts(self, x: Element):
         amb = self.amb
@@ -661,14 +634,16 @@ def p5_lift(v: Morphism, a0: Element, a1: Element, bt: Element, budget=None) -> 
         raise AlgebraError("p5_lift: endpoints of b(t) do not match v(a0), v(a1)")
     PA = path_of(A, kB.budget)
     kA = keyed(PA)
-    tilde = kA.zero()
+    terms = {}
     for (i, e), coeff in kB.coefficients(bt).items():
         n = coeff.degree()
         pre = solve_preimage(v, coeff, n)
         if pre is None:
             raise AlgebraError(
                 f"p5_lift: v is not surjective in degree {n} (no preimage)")
-        tilde = tilde + kA.include(pre) * _t_pow(kA, i) * (kA.dt() if e else kA.unit())
+        term = kA.include(pre) * _t_pow(kA, i) * (kA.dt() if e else kA.unit())
+        _accumulate(terms, term.terms)
+    tilde = _element(kA, terms)
     t = kA.t()
     one = kA.unit()
     at = (kA.include(a0 - kA.evaluate(tilde, 0)) * (one - t)

@@ -45,7 +45,7 @@ from .algebra import (AlgebraError, CutoffError, FreeCdga, FreeMorphism,
 from .homology import cohomology, cone_certificate, d_squared_witness
 from .lifting import double_path_target, free_lift, homotopy_add, lift_homotopy
 from .ops import indecomposables
-from .paths import Homotopy, delta, keyed, mapping_path, path_linear_map, path_of
+from .paths import Homotopy, _memo, delta, keyed, mapping_path, path_linear_map, path_of
 
 
 class ModelError(AlgebraError):
@@ -274,14 +274,15 @@ def lift_against_weak_equivalence(C: FreeCdga, w: Morphism, f: Morphism,
 
     Factor w through its mapping path, lift f through the endpoint projection
     q (a trivial fibration when w is a weak equivalence), and read the
-    homotopy off the canonical contraction.
+    homotopy off the canonical contraction.  The mapping path is kept on
+    its path object P(w.target) per w, so a repeated lift rebuilds nothing.
     """
-    mp = mapping_path(w, budget=budget)
+    PB = path_of(w.target, budget)
+    mp = _memo(PB, ("mapping path", w), lambda: mapping_path(w, path_object=PB))
     gprime = free_lift(C, mp.q, f, name="g'")
     g = FreeMorphism(C, w.source, {gen.name: mp.p(gprime(C.generator(gen.name)))
                                    for gen in C.gens}, name="g")
     h = mp.contraction()
-    PB = mp.PB
     Pq = path_linear_map(mp.q, path_of(mp.space, keyed(PB).budget), PB)
     hmap = Morphism(C, PB, lambda x: Pq(h.map(gprime(x))), name="w g ~ f")
     wg = compose(w, g, name="w g")

@@ -179,6 +179,32 @@ def test_homotopy_between_lifts_through_a_non_surjective_map():
     assert verify_homotopy(h, idm, g, upto=upto).ok
 
 
+def test_non_surjective_lifts_build_their_mapping_path_once(monkeypatch):
+    # the mapping path of (d0, d1, P(w)) is kept on its path object per w
+    from hodgepath import paths
+    built = []
+    init = paths.MappingPath.__init__
+
+    def counting_init(self, f, *args, **kwargs):
+        built.append(f.name)
+        init(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(paths.MappingPath, "__init__", counting_init)
+    A = unit_sphere_plus_acyclic_pair()
+    mm = minimal_model(A)
+    M, w = mm.M, mm.rho
+    idm = identity_morphism(M)
+    homotopies = [homotopy_between_lifts(M, w, idm, idm, constant_homotopy(w, 3), budget=3)
+                  for _ in range(2)]
+    assert built.count("(d0,d1,P(v))") == 1
+    upto = min(M.N, A.N) - 1
+    for n in range(0, upto + 1):
+        for b in M.basis(n):
+            first, second = (list(h(b).terms.items()) for h in homotopies)
+            assert first == second
+    assert verify_homotopy(homotopies[1], idm, idm, upto=upto).ok
+
+
 def test_lift_roundtrip_class():
     # w_* surjectivity round-trip: lift f = w, compose back, land in [f]
     M, A, rho = rho_ms2_s2()

@@ -12,9 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from hodgepath import (Element, Field, FreeCdga, Generator, ProductCdga, Scalar,
-                       keyed, path_of)
+from hodgepath import (DoublePath, Element, Field, FreeCdga, FreeMorphism, Generator,
+                       ProductCdga, Scalar, delta, folding, keyed, linear_morphism,
+                       mapping_path, path_linear_map, path_of, symmetry, table_presentation)
 from hodgepath.algebra import combination
+from hodgepath.lifting import _apply_partial, boundary_square_target
+from hodgepath.scalars import from_coeff
 
 F = Field(-3)
 ROOT = F.sqrt_d()
@@ -149,3 +152,181 @@ def test_product_and_path_maps_are_zero_free(seed):
             assert_zero_free(r)
         assert prod.project(1, p + q) == y + x
         assert k.evaluate(path, 1) == x + y
+
+
+# ---------------------------------------------------------------------------
+# linear images, substitutions and product tuples, against the old chains
+# ---------------------------------------------------------------------------
+
+def _old_sum(parts):
+    """Terms of the chain ((0 + c1 * x1) + c2 * x2) + ... of Element sums that
+    copied the partial sum per term: parts are (terms, c), c None for 1."""
+    out = {}
+    for terms, c in parts:
+        scaled = dict(terms) if c is None else {k: c * v for k, v in terms.items()}
+        nxt = dict(out)
+        for k, v in scaled.items():
+            if v.is_zero:
+                continue
+            s = nxt[k] + v if k in nxt else v
+            if s.is_zero:
+                nxt.pop(k, None)
+            else:
+                nxt[k] = s
+        out = nxt
+    return out
+
+
+def assert_old_sum(result, parts):
+    """result is zero-free and holds the old chain's terms in the old chain's order."""
+    assert_zero_free(result)
+    assert list(result.terms.items()) == list(_old_sum(parts).items())
+
+
+def _source():
+    """Free on p1, q1, r2 over Q(sqrt -3); the maps below send p1 and q1 to nearly opposite images."""
+    return FreeCdga([Generator("p1", 1), Generator("q1", 1), Generator("r2", 2)], 4,
+                    field=F, name="C")
+
+
+def _images(X, rng):
+    y = X.zero()
+    while y.is_zero:
+        y = _random(X, rng, degrees=(1,))
+    return {"p1": y, "q1": _near(y, rng) * F.minus_one(), "r2": _random(X, rng, degrees=(2,))}
+
+
+def _key_image(C, X, images, k):
+    # the product of generator images, multiplied from the last factor out
+    out = X.unit()
+    for gi, e in reversed(k):
+        for _ in range(e):
+            out = images[C.gens[gi].name] * out
+    return out
+
+
+def _sources(C, rng):
+    p, q = C.generator("p1"), C.generator("q1")
+    xs = [p + q, p * ROOT - q * ROOT, (p + q) * C.generator("r2")]
+    xs += [_random(C, rng) for _ in range(6)]
+    return xs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_free_and_linear_morphism_images_equal_the_old_sums(seed):
+    rng = random.Random(300 + seed)
+    X, C = _algebra(), _source()
+    images = _images(X, rng)
+    f = FreeMorphism(C, X, images)
+    key_images = {k: _random(X, rng, degrees=(n,)) for n in (1, 2, 3) for k in C.basis_keys(n)}
+    lin = linear_morphism(C, X, key_images)
+    cancelled = 0
+    for x in _sources(C, rng):
+        parts = [(_key_image(C, X, images, k).terms, c) for k, c in x.terms.items()]
+        assert_old_sum(f(x), parts)
+        assert_old_sum(_apply_partial(C, images, x, X), parts)
+        assert_old_sum(lin(x), [(key_images[k].terms, c) for k, c in x.terms.items()])
+        cancelled += len(f(x).terms) < sum(len(t) for t, _ in parts)
+    assert cancelled
+    assert _apply_partial(C, images, C.zero(), X) == X.zero()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_differences_and_scalar_multiples_equal_the_old_results(seed):
+    rng = random.Random(400 + seed)
+    X = _algebra()
+    for _ in range(10):
+        x = _random(X, rng)
+        y = _near(x, rng) + _random(X, rng, degrees=(2,))
+        assert_old_sum(x - y, [(x.terms, None), ({k: -c for k, c in y.terms.items()}, None)])
+        assert_old_sum(x - x, [(x.terms, None), (x.terms, F.minus_one())])
+        for c in COEFFS + [F.zero()]:
+            assert_old_sum(x * c, [(x.terms, c)])
+        for zero in (0, Fraction(0), F.zero()):
+            assert x * zero == X.zero() and (x * zero).alg is X
+    for k in X.basis_keys(2):
+        assert_old_sum(X.from_key(k), [({k: F.one()}, None)])
+    assert_old_sum(X.unit(), [(X.unit_terms(), None)])
+
+
+def _substituted(k, z, im_t, im_dt, coeff_map):
+    """The old substitution's summands: coeff_map(a) * im_t^i (* im_dt) per term a t^i dt^e of z."""
+    parts = []
+    for (i, e), a in k.coefficients(z).items():
+        power = im_t.alg.unit()
+        for _ in range(i):
+            power = power * im_t
+        term = coeff_map(a) * power
+        if e:
+            term = term * im_dt
+        parts.append((term.terms, None))
+    return parts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_substitutions_equal_the_old_sums(seed):
+    rng = random.Random(500 + seed)
+    X = _algebra()
+    P = path_of(X, 2)
+    k = keyed(P)
+    k2 = keyed(path_of(P))
+    sym, fold = symmetry(P), folding(path_of(P))
+    for _ in range(6):
+        x, y = _random(X, rng, degrees=(1, 2)), _random(X, rng, degrees=(1,))
+        near = _near(x, rng)
+        for z in (k.include(x) * k.t() - k.include(x),           # the constant terms cancel
+                  k.include(x) + k.include(near) * k.t() + k.include(y) * k.dt()):
+            assert_old_sum(sym(z), _substituted(k, z, k.unit() - k.t(), -k.dt(), k.include))
+            for L in (k2.include(z) * k2.t() - k2.include(z * k.t()),   # folds to zero
+                      k2.include(z) * k2.dt() + k2.include(k.include(near) * k.t())):
+                assert_old_sum(fold(L), _substituted(k2, L, k.t(), k.dt(), lambda a: a))
+        assert fold(k2.include(k.include(x)) * k2.t() - k2.include(k.include(x) * k.t())).is_zero
+
+
+def _injected(i, x):
+    return {(i, key): c for key, c in x.terms.items()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_product_tuples_equal_the_old_sums(seed):
+    rng = random.Random(600 + seed)
+    X, C = _algebra(), _source()
+    f = FreeMorphism(C, X, _images(X, rng))
+    mp = mapping_path(f, budget=2)
+    dp = DoublePath(f, f, budget=2)
+    PB = path_of(X, 2)
+    kB = keyed(PB)
+    T, theta, amb = boundary_square_target(PB)
+    P2 = path_of(PB)
+    k2 = keyed(P2)
+    faces = [path_linear_map(delta(PB, 0), P2, PB), path_linear_map(delta(PB, 1), P2, PB),
+             lambda L: k2.evaluate(L, 0), lambda L: k2.evaluate(L, 1)]
+    for a in _sources(C, rng)[:5]:
+        x, y = _random(X, rng, degrees=(1, 2)), _random(X, rng, degrees=(1,))
+        bt = kB.include(x) + kB.include(_near(x, rng)) * kB.t() + kB.include(y) * kB.dt()
+        assert_old_sum(mp.pair(a, bt), [(_injected(0, a), None), (_injected(1, bt), None)])
+        assert_old_sum(mp.iota(a), [(_injected(0, a), None),
+                                    (_injected(1, kB.include(f(a))), None)])
+        assert_old_sum(dp.embed(a, a * ROOT, bt),
+                       [(_injected(i, e), None) for i, e in enumerate((a, a * ROOT, bt))])
+        L = k2.include(bt) * k2.t() + k2.include(kB.include(x)) * k2.dt() - k2.include(bt)
+        assert_old_sum(theta(L), [(_injected(i, face(L)), None) for i, face in enumerate(faces)])
+        quad = {0: bt, 1: -bt, 2: kB.zero(), 3: bt * ROOT}
+        assert_old_sum(amb.tuple_of(quad), [(_injected(i, e), None) for i, e in quad.items()])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_table_presentation_maps_equal_the_old_sums(seed):
+    rng = random.Random(700 + seed)
+    X = _algebra()
+    T, to_table, from_table = table_presentation(X, 3)
+    for _ in range(6):
+        x = _random(X, rng, degrees=(0, 1, 2, 3))
+        parts = [({f"b{n}_{j}": from_coeff(c) for j, c in X.coords(part, n).items()}, None)
+                 for n, part in x.degree_parts().items()]
+        t = to_table(x)
+        assert_old_sum(t, parts)
+        back = from_table(t)
+        assert_old_sum(back, [(X.basis(T.info[k].degree)[int(k.split("_")[1])].terms, c)
+                              for k, c in t.terms.items()])
+        assert back == x
