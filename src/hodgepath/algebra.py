@@ -69,7 +69,7 @@ class Element:
     `_accumulate`, products that pop cancelled keys, negation, relabelling
     or splitting zero-free terms, and element * non-zero scalar (a product
     of non-zero field elements is non-zero).  Only sums that can cancel
-    without a check filter; evaluation is one of them.
+    without a check filter; evaluation at t = 1 is one of them.
     """
 
     __slots__ = ("alg", "terms")

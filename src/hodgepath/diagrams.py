@@ -8,9 +8,12 @@ a quadratic extension); rectification and composition require one common
 scalar field, which is all their callers need.
 
 A ho-morphism is a family of vertex maps plus one chosen homotopy per arrow
-making each square commute up to homotopy.  The mapping path of a ho-morphism
-alternates the endpoint evaluation with the vertex degree, which is exactly
-what makes its two legs strict.
+making each square commute up to homotopy; validating one checks each arrow
+homotopy as a homotopy, with the endpoint and chain checks of
+`paths.verify_homotopy`.  The ho-composite g * f joins the two composites
+with a strict side, P(g)F and G f, per arrow by `homotopy_add`.  The mapping
+path of a ho-morphism alternates the endpoint evaluation with the vertex
+degree, which is exactly what makes its two legs strict.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (AlgebraError, FreeCdga, Morphism, TableCdga, _accumulate, _element,
-                      combination, compose, identity_morphism)
+                      compose, identity_morphism)
+from .filtered import check_filtration_preserving
 from .lifting import LiftObstruction, fill_square, free_lift, homotopy_add, lift_homotopy
 from .ops import ValidationReport, check_cdga, check_morphism
-from .paths import (Homotopy, MappingPath, coproduct, c_hat, delta, iota, keyed,
-                    pair_paths, path_linear_map, path_of)
+from .paths import (Homotopy, MappingPath, _homotopy_failures, coproduct, c_hat, delta, iota,
+                    keyed, pair_paths, path_linear_map, path_of, verify_homotopy)
 from .sullivan import lift_against_weak_equivalence, minimal_model
 
 W_SHIFT = {"plain": 0, "filtered": 1, "bifiltered": 1}
@@ -138,7 +142,6 @@ def validate_diagram(D: Diagram) -> ValidationReport:
     not preserve degree gets no filtration check.
     """
     rep = ValidationReport(subject=f"diagram {D.name}")
-    from .filtered import check_filtration_preserving
     for v in D.index.vertices:
         if not isinstance(D.algebras[v], (FreeCdga, TableCdga)):
             continue
@@ -237,57 +240,31 @@ def promote_strict(F: DiagramMorphism, name="") -> HoMorphism:
     for u in F.source.phi:
         a = F.source.arrow(u)
         PB = F.target.vertex_path(a.dst)
-        const = compose(iota(PB), compose(F.maps[a.dst], F.source.comp(u)))
-        homotopies[u] = Morphism(F.source.dom(u), PB, const.fn, name=f"const@{u}")
+        homotopies[u] = compose(iota(PB), compose(F.maps[a.dst], F.source.phi[u]),
+                                name=f"const@{u}")
     return HoMorphism(F.source, F.target, F.maps, homotopies,
                       name=name or F.name)
 
 
 def validate_ho_morphism(f: HoMorphism, upto=None) -> ValidationReport:
-    """Endpoint and chain checks of each arrow homotopy F_u on the basis of its vertex.
+    """Each arrow homotopy checked as one homotopy on the basis of its source vertex.
 
-    Per arrow u and degree n <= upto, the basis elements b of the source
-    vertex are checked in order: F_u(x) at t = 0 is f_dst phi_u(b), at t = 1
-    it is phi_u f_src(b), and below upto F_u(to_dom(db)) = d F_u(x), where
-    x = to_dom(b); the first failure of a degree is its witness.  F_u is
-    applied once per basis element, memoised per (degree, index), and
-    F_u(to_dom(db)) is read off by linearity from the images one degree up,
-    over the vertex's d_rows(n), as `paths.verify_homotopy` does.
+    Per arrow u, F_u after to_dom(u) must be a homotopy from f_dst phi_u to
+    phi_u f_src in the vertex path of dst: `paths._homotopy_failures` checks
+    its endpoints and d through upto, and the first failure of a degree is
+    its witness.
     """
     rep = ValidationReport(subject=f"ho-morphism {f.name}")
     upto_eff = min(f.source.check_upto(), f.target.check_upto()) if upto is None else upto
     for u in f.source.phi:
         a = f.source.arrow(u)
-        F_u = f.homotopies[u]
-        kB = keyed(f.path_target(u))
-        lhs0 = compose(f.maps[a.dst], f.source.comp(u))      # f_j phi_u
-        rhs1 = compose(f.target.comp(u), f.maps[a.src])      # phi_u f_i
-        dom = f.source.algebras[a.src]
-        to_dom = f.source.to_dom(u)
-        bases = [dom.basis(n) for n in range(0, upto_eff + 1)]
-        images = [[None] * len(bs) for bs in bases]
-
-        def image(n, i):
-            """F_u(to_dom(bases[n][i])), applied once."""
-            hx = images[n][i]
-            if hx is None:
-                hx = images[n][i] = F_u(to_dom(bases[n][i]))
-            return hx
-
-        for n, basis in enumerate(bases):
-            for i, b in enumerate(basis):
-                hx = image(n, i)
-                if kB.evaluate(hx, 0) != lhs0(b):
-                    rep.add("endpoint-0", f"arrow {u}, degree {n}")
-                    break
-                if kB.evaluate(hx, 1) != rhs1(b):
-                    rep.add("endpoint-1", f"arrow {u}, degree {n}")
-                    break
-                if n <= upto_eff - 1:
-                    row = dom.d_rows(n)[i]
-                    if combination(kB, row, {j: image(n + 1, j) for j in row}) != hx.d():
-                        rep.add("chain-map", f"arrow {u}, degree {n}")
-                        break
+        hm = compose(f.homotopies[u], f.source.to_dom(u))
+        lhs0 = compose(f.maps[a.dst], f.source.comp(u))      # f_dst phi_u
+        rhs1 = compose(f.target.comp(u), f.maps[a.src])      # phi_u f_src
+        for n, failures in _homotopy_failures(hm, lhs0, rhs1, upto_eff,
+                                              keyed(f.path_target(u))):
+            if failures:
+                rep.add(failures[0][0], f"arrow {u}, degree {n}")
     return rep
 
 
@@ -328,7 +305,6 @@ def validate_ho_homotopy(h: HoHomotopy, upto=None) -> ValidationReport:
     rep = ValidationReport(subject=f"ho-homotopy {h.name}")
     f, g = h.f, h.g
     upto_eff = min(f.source.check_upto(), f.target.check_upto()) if upto is None else upto
-    from .paths import verify_homotopy
     vertex = {v: _applied_once(h.vertex[v]) for v in f.source.index.vertices}
     for v in f.source.index.vertices:
         sub = verify_homotopy(vertex[v], f.maps[v], g.maps[v], upto=upto_eff)
@@ -347,9 +323,7 @@ def validate_ho_homotopy(h: HoHomotopy, upto=None) -> ValidationReport:
         G_u = g.homotopies[u]
         hj = vertex[a.dst]
         hi = vertex[a.src]
-        Pphi = path_linear_map(f.target.comp(u),
-                               path_of(f.target.algebras[a.src], kB.budget,
-                                       W_SHIFT[f.target.tags[a.src]]), PB)
+        Pphi = path_linear_map(f.target.comp(u), f.target.vertex_path(a.src), PB)
         dom = f.source.algebras[a.src]
         for n in range(0, upto_eff + 1):
             for b in dom.basis(n):
@@ -373,9 +347,7 @@ def validate_ho_homotopy(h: HoHomotopy, upto=None) -> ValidationReport:
 def vertex_constant_homotopy(f: HoMorphism, v) -> Homotopy:
     """Constant homotopy at f_v inside the tag-appropriate vertex path."""
     P = f.target.vertex_path(v)
-    const = compose(iota(P), f.maps[v])
-    return Homotopy(f.maps[v], f.maps[v],
-                    Morphism(f.maps[v].source, P, const.fn, name=f"const_{v}"))
+    return Homotopy(f.maps[v], f.maps[v], compose(iota(P), f.maps[v], name=f"const_{v}"))
 
 
 def reflexive_ho_homotopy(f: HoMorphism) -> HoHomotopy:
@@ -387,10 +359,8 @@ def reflexive_ho_homotopy(f: HoMorphism) -> HoHomotopy:
         PB = f.path_target(u)
         kB = keyed(PB)
         P2 = path_of(PB, kB.budget)
-        F_u = f.homotopies[u]
-        Pi = path_linear_map(iota(PB), PB, P2)
-        arrows[u] = Morphism(F_u.source, P2, lambda x, F_u=F_u, Pi=Pi: Pi(F_u(x)),
-                             name=f"refl@{u}")
+        arrows[u] = compose(path_linear_map(iota(PB), PB, P2), f.homotopies[u],
+                            name=f"refl@{u}")
     return HoHomotopy(f, f, vertex, arrows, name=f"refl({f.name})")
 
 
@@ -405,22 +375,13 @@ def build_ho_homotopy(f: HoMorphism, g: HoMorphism, vertex_homotopies: dict,
     for u in f.source.phi:
         a = f.source.arrow(u)
         PB = f.path_target(u)
-        kB = keyed(PB)
         dom = f.source.dom(u)
         if not isinstance(dom, FreeCdga):
             raise AlgebraError("square filling needs free comparison domains")
-        hj = vertex_homotopies[a.dst]
-        hi = vertex_homotopies[a.src]
-        Pphi = path_linear_map(f.target.comp(u),
-                               path_of(f.target.algebras[a.src], kB.budget,
-                                       W_SHIFT[f.target.tags[a.src]]), PB)
-        to_dom = f.source.to_dom(u)
-        # faces as morphisms out of dom(u); vertex data enters through phi
-        phiC = f.source.phi[u]
-        outer0 = Morphism(dom, PB, lambda x, hj=hj, phiC=phiC: hj(phiC(x)),
-                          name="hj.phi")
-        outer1 = Morphism(dom, PB, lambda x, hi=hi, Pphi=Pphi: Pphi(hi(x)),
-                          name="P(phi).hi")
+        Pphi = path_linear_map(f.target.comp(u), f.target.vertex_path(a.src), PB)
+        # faces as maps out of dom(u); vertex data enters through phi
+        outer0 = compose(vertex_homotopies[a.dst].map, f.source.phi[u], name="hj.phi")
+        outer1 = compose(Pphi, vertex_homotopies[a.src].map, name="P(phi).hi")
         arrows[u] = fill_square(dom, PB, f.homotopies[u], g.homotopies[u],
                                 outer0, outer1)
     return HoHomotopy(f, g, vertex_homotopies, arrows, name=name)
@@ -554,10 +515,7 @@ def compose_with_strict_left(f: HoMorphism, g: DiagramMorphism, name="") -> HoMo
     homotopies = {}
     for u in f.source.phi:
         F_u = f.homotopies[u]
-        g_dom = g.dom_map(u)
-        homotopies[u] = Morphism(g.source.dom(u), F_u.target,
-                                 lambda x, F_u=F_u, g_dom=g_dom: F_u(g_dom(x)),
-                                 name=f"{F_u.name}.g")
+        homotopies[u] = compose(F_u, g.dom_map(u), name=f"{F_u.name}.g")
     return HoMorphism(g.source, f.target, maps, homotopies, name=name or "f g")
 
 
@@ -567,48 +525,36 @@ def compose_with_strict_right(g: DiagramMorphism, f: HoMorphism, name="") -> HoM
     homotopies = {}
     for u in f.source.phi:
         a = f.source.arrow(u)
-        PB = f.path_target(u)
-        PC = g.target.vertex_path(a.dst)
-        Pg = path_linear_map(g.maps[a.dst], PB, PC)
+        Pg = path_linear_map(g.maps[a.dst], f.path_target(u), g.target.vertex_path(a.dst))
         F_u = f.homotopies[u]
-        homotopies[u] = Morphism(F_u.source, PC,
-                                 lambda x, F_u=F_u, Pg=Pg: Pg(F_u(x)),
-                                 name=f"P(g).{F_u.name}")
+        homotopies[u] = compose(Pg, F_u, name=f"P(g).{F_u.name}")
     return HoMorphism(f.source, g.target, maps, homotopies, name=name or "g f")
 
 
 def compose_ho(g: HoMorphism, f: HoMorphism, name="") -> HoMorphism:
     """Representative of [g][f]: vertexwise g f, arrows P(g)F +~ G f.
 
-    Needs level-wise free (Sullivan) comparison domains on f's source; the
-    class of the result does not depend on the lift choices.
+    P(g)F is `compose_with_strict_right` of g's strict part and f, G f is
+    `compose_with_strict_left` of g and f's strict part; homotopy_add joins
+    them per arrow.  Needs level-wise free (Sullivan) comparison domains on
+    f's source; the class of the result does not depend on the lift choices.
     """
     src = f.source
-    maps = {v: compose(g.maps[v], f.maps[v]) for v in src.index.vertices}
+    if not all(isinstance(src.dom(u), FreeCdga) for u in src.phi):
+        raise AlgebraError("ho-composition needs free comparison domains")
+    g_strict = DiagramMorphism(g.source, g.target, g.maps)
+    f_strict = DiagramMorphism(f.source, f.target, f.maps)
+    PgF = compose_with_strict_right(g_strict, f)
+    Gf = compose_with_strict_left(g, f_strict)
     homotopies = {}
     for u in src.phi:
         a = src.arrow(u)
-        dom = src.dom(u)
-        if not isinstance(dom, FreeCdga):
-            raise AlgebraError("ho-composition needs free comparison domains")
-        PB = f.path_target(u)
-        PC = g.path_target(u)
-        Pg = path_linear_map(g.maps[a.dst], PB, PC)
-        F_u = f.homotopies[u]
-        G_u = g.homotopies[u]
-        f_dom = DiagramMorphism(f.source, f.target, f.maps).dom_map(u)
-        # endpoints for bookkeeping
-        gj_fj_phi = compose(maps[a.dst], src.comp(u))
-        gj_phi_fi = compose(compose(g.maps[a.dst], f.target.comp(u)), f.maps[a.src])
-        phi_gi_fi = compose(g.target.comp(u), maps[a.src])
-        h1 = Homotopy(gj_fj_phi, gj_phi_fi,
-                      Morphism(dom, PC, lambda x, F_u=F_u, Pg=Pg: Pg(F_u(x)),
-                               name="P(g)F"))
-        h2 = Homotopy(gj_phi_fi, phi_gi_fi,
-                      Morphism(dom, PC, lambda x, G_u=G_u, f_dom=f_dom: G_u(f_dom(x)),
-                               name="G f"))
+        # endpoints: g_j f_j phi ~ g_j phi f_i ~ phi g_i f_i
+        middle = compose(compose(g.maps[a.dst], f.target.comp(u)), f.maps[a.src])
+        h1 = Homotopy(compose(PgF.maps[a.dst], src.comp(u)), middle, PgF.homotopies[u])
+        h2 = Homotopy(middle, compose(g.target.comp(u), PgF.maps[a.src]), Gf.homotopies[u])
         homotopies[u] = homotopy_add(h1, h2).map
-    return HoMorphism(src, g.target, maps, homotopies, name=name or "g * f")
+    return HoMorphism(src, g.target, PgF.maps, homotopies, name=name or "g * f")
 
 
 def identity_ho(D: Diagram) -> HoMorphism:
@@ -759,7 +705,5 @@ def diagram_cofibrant_model(D: Diagram, N=None, budget=None,
     C = Diagram(D.index, {v: models[v].M for v in D.index.vertices},
                 tags=D.tags, arrows=arrows, budget=budget,
                 name=f"model({D.name})")
-    f = HoMorphism(C, D, {v: models[v].rho for v in D.index.vertices},
-                   homotopies, name="rho")
-    f.models = models
-    return C, f
+    return C, HoMorphism(C, D, {v: models[v].rho for v in D.index.vertices},
+                         homotopies, name="rho")

@@ -16,7 +16,7 @@ import json
 import os
 
 from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, FreeMorphism,
-                      Generator, Morphism, TableBasisElement, TableCdga,
+                      Generator, TableBasisElement, TableCdga,
                       extend_scalars, linear_morphism)
 from .diagrams import Arrow, Diagram, HoMorphism, IndexCategory
 from .hodge import MixedHodgeDiagram
@@ -245,8 +245,10 @@ def _dga(doc, path):
     if "augmentation" in doc:
         augmentation = {}
         for nm, expr in doc["augmentation"].items():
-            el = parse_in(A, expr, f"{path}.augmentation.{nm}")
-            augmentation[nm] = _scalar_of(el, A)
+            at = f"{path}.augmentation.{nm}"
+            if nm not in seen:
+                raise DocumentError(f"unknown basis element {nm!r}", at)
+            augmentation[nm] = _scalar_of(parse_in(A, expr, at), A, at)
     try:
         return TableCdga(entries, N, fld, name=name, unit=unit,
                          products=products, differentials=diffs,
@@ -255,14 +257,14 @@ def _dga(doc, path):
         raise DocumentError(str(e), path)
 
 
-def _scalar_of(el: Element, A) -> Scalar:
+def _scalar_of(el: Element, A, path) -> Scalar:
     if el.is_zero:
         return Scalar(0)
     terms = dict(el.terms)
     for uk, c in A.unit_terms().items():
         if set(terms) == {uk}:
             return terms[uk] / c
-    raise DocumentError("augmentation values must be scalars")
+    raise DocumentError("augmentation values must be scalars", path)
 
 
 def dga_doc(A, name=None, annotations=None) -> dict:
@@ -349,7 +351,6 @@ def build_diagram(doc, path="$"):
 def _diagram(doc, path):
     """The diagram of a diagram or mhd document that has passed its schema."""
     degrees, tags, algebras = {}, {}, {}
-    order = []
     for i, v in enumerate(doc["vertices"]):
         nm = v["name"]
         if nm in degrees:
@@ -357,7 +358,6 @@ def _diagram(doc, path):
         degrees[nm] = v["degree"]
         tags[nm] = v.get("category", "plain")
         algebras[nm] = _dga(v["algebra"], f"{path}.vertices[{i}].algebra")
-        order.append(nm)
     arrows = []
     arrow_maps = {}
     for i, a in enumerate(doc["arrows"]):
@@ -383,7 +383,6 @@ def _diagram(doc, path):
                     budget=doc.get("budget"), name=doc.get("name", "diagram"))
     except AlgebraError as e:
         raise DocumentError(str(e), path)
-    D.vertex_order = order
     return D
 
 
@@ -451,9 +450,8 @@ def build_homotopy(doc, path="$"):
     B = _dga(doc["target"], f"{path}.target")
     f = _build_map(A, B, doc["f"], f"{path}.f", "f")
     g = _build_map(A, B, doc["g"], f"{path}.g", "g")
-    PB = path_of(B, doc.get("budget"))
-    hmap = _build_map(A, keyed(PB), doc["h"], f"{path}.h", "h")
-    return f, g, Homotopy(f, g, Morphism(A, PB, hmap.fn, name="h"))
+    h = _build_map(A, path_of(B, doc.get("budget")), doc["h"], f"{path}.h", "h")
+    return f, g, Homotopy(f, g, h)
 
 
 def parse_document(doc, path="$"):

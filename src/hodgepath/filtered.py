@@ -524,7 +524,7 @@ def decalage(fc: FilteredComplex) -> FilteredComplex:
 # strictness
 # ---------------------------------------------------------------------------
 
-def strictness_check(rows, src_levels, dst_levels, decreasing=True) -> list:
+def strictness_check(rows, src_levels, dst_levels) -> list:
     """Witnesses of image(map) ∩ F^q != map(F^q) for a leveled linear map.
 
     rows[i] = the coefficient row of the image of the i-th source basis
@@ -537,12 +537,8 @@ def strictness_check(rows, src_levels, dst_levels, decreasing=True) -> list:
         return bad
     qs = sorted(set(src_levels) | set(dst_levels))
     for q in qs:
-        if decreasing:
-            img_subspace = [r for r, lv in zip(rows, src_levels) if lv >= q]
-            f_target = [{i: _ONE} for i, lv in enumerate(dst_levels) if lv >= q]
-        else:
-            img_subspace = [r for r, lv in zip(rows, src_levels) if lv <= q]
-            f_target = [{i: _ONE} for i, lv in enumerate(dst_levels) if lv <= q]
+        img_subspace = [r for r, lv in zip(rows, src_levels) if lv >= q]
+        f_target = [{i: _ONE} for i, lv in enumerate(dst_levels) if lv >= q]
         dim_lhs = len(linalg.intersect(rows, f_target, cols))
         dim_rhs = linalg.rank(img_subspace, cols)
         if dim_lhs != dim_rhs:
@@ -554,5 +550,4 @@ def gr_differential_strict(g: GrComplex, n: int) -> list:
     """MH-style strictness of d: Gr^n -> Gr^{n+1} for the inherited F levels."""
     if g.hodge.get(n) is None or g.hodge.get(n + 1) is None:
         raise AlgebraError("graded piece carries no second filtration")
-    return strictness_check(g.d.get(n, []), g.hodge[n], g.hodge[n + 1],
-                            decreasing=True)
+    return strictness_check(g.d.get(n, []), g.hodge[n], g.hodge[n + 1])

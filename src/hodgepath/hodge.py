@@ -43,8 +43,8 @@ from .filtered import (FilteredComplex, GrComplex, SpectralSequence, decalage,
                        weight_bounds_report)
 from .homology import cone_is_quasi_iso, off_degree_generators
 from .ops import ValidationReport, indecomposables, induced_on_indecomposables
-from .paths import integrate
-from .sullivan import is_minimal
+from .paths import integrate, stokes_defect
+from .sullivan import is_minimal, lift_against_weak_equivalence
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +500,21 @@ def _hodge_spans_on_gr_cohomology(grc: GrComplex, n, sq):
 
 
 def degeneration_check(D: MixedHodgeDiagram, max_degree=None) -> dict:
-    """d_r = 0 on E_r(W) for r >= 2 and on E_r(F) for r >= 1, within cutoff."""
+    """d_r = 0 on E_r(W) for r >= 2 and on E_r(F) for r >= 1, within cutoff.
+
+    d_r is read in degrees up to the sequence's own bound, and at most
+    max_degree when given.
+    """
     out = {"ok": True, "witnesses": []}
-    fc_w = FilteredComplex(D.rational, kind="W")
-    ss_w = SpectralSequence(fc_w)
-    lo, hi = fc_w.level_range()
-    for r in range(2, (hi - lo) + 2):
-        bad = ss_w.d_r_is_zero(r)
-        if bad:
-            out["ok"] = False
-            out["witnesses"].extend({"filtration": "W", **b} for b in bad)
-    fc_f = FilteredComplex(D.complex_vertex, kind="F")
-    ss_f = SpectralSequence(fc_f)
-    lo_f, hi_f = fc_f.level_range()
-    for r in range(1, (hi_f - lo_f) + 2):
-        bad = ss_f.d_r_is_zero(r)
-        if bad:
-            out["ok"] = False
-            out["witnesses"].extend({"filtration": "F", **b} for b in bad)
+    for kind, X, first in (("W", D.rational, 2), ("F", D.complex_vertex, 1)):
+        ss = SpectralSequence(FilteredComplex(X, kind=kind))
+        lo, hi = ss.fc.level_range()
+        for r in range(first, (hi - lo) + 2):
+            bound = ss._bound(r) if max_degree is None else min(max_degree, ss._bound(r))
+            bad = ss.d_r_is_zero(r, bound)
+            if bad:
+                out["ok"] = False
+                out["witnesses"].extend({"filtration": kind, **b} for b in bad)
     return out
 
 
@@ -644,7 +641,6 @@ def pi_star_induced_map(D1, M1, f1, D2, M2, f2, g: DiagramMorphism, budget=8):
     Lifts g f1 through f2 on the rational vertex and reports filtration
     compatibility of the induced matrices on Q.
     """
-    from .sullivan import lift_against_weak_equivalence
     v0 = D1.first
     target = compose(g.maps[v0], f1.maps[v0])
     h, hom = lift_against_weak_equivalence(M1, f2.maps[v0], target, budget=budget)
@@ -706,7 +702,6 @@ def stokes_ho_report(h, upto=None) -> ValidationReport:
     f, g = h.f, h.g
     upto_eff = min(f.source.check_upto(), f.target.check_upto()) - 1 \
         if upto is None else upto
-    from .paths import stokes_defect
     for v in f.source.index.vertices:
         for w in stokes_defect(h.vertex[v], upto=upto_eff):
             rep.add("vertex-stokes", f"vertex {v}: {w}")

@@ -175,7 +175,7 @@ def induced_map(f: LinearMap, HA: Cohomology, HB: Cohomology):
     return rows
 
 
-def is_quasi_iso(f: LinearMap, upto: int, strict: bool = True, groups=None) -> bool:
+def is_quasi_iso(f: LinearMap, upto: int, groups=None) -> bool:
     """Whether H^n(f) is an isomorphism for n = 0..upto; stops at the first degree that fails.
 
     groups is a dict of H^n by (space, n), read and filled here; callers that
@@ -186,7 +186,7 @@ def is_quasi_iso(f: LinearMap, upto: int, strict: bool = True, groups=None) -> b
 
     def group(X, n):
         if (X, n) not in groups:
-            groups[X, n] = cohomology(X, n, strict=strict)
+            groups[X, n] = cohomology(X, n)
         return groups[X, n]
 
     for n in range(0, upto + 1):

@@ -131,11 +131,7 @@ def lift_homotopy(C: FreeCdga, v: Morphism, f0: Morphism, f1: Morphism,
     kB = keyed(h.path)
     PA = path_of(v.source, kB.budget, kB.w_shift)
     _, bar_v, H = double_path_target(C, v, f0, f1, h, PA)
-    lifted = free_lift(C, bar_v, H, name="h~")
-    hmap = Morphism(C, PA, lambda x: lifted(x), name="h~")
-    out = Homotopy(f0, f1, hmap)
-    out.lift_log = lifted.lift_log
-    return out
+    return Homotopy(f0, f1, free_lift(C, bar_v, H, name="h~"))
 
 
 def double_path_target(C: FreeCdga, v: Morphism, f0: Morphism, f1: Morphism,
@@ -173,10 +169,7 @@ def homotopy_add(h1: Homotopy, h2: Homotopy) -> Homotopy:
 
     H = Morphism(C, mp.space, data, name="(h,h')")
     L = free_lift(C, pi, H, name="L")
-    add_map = compose(folding(P2), L, name="h +~ h'")
-    out = Homotopy(h1.f, h2.g, Morphism(C, h1.path, add_map.fn, name=add_map.name))
-    out.lift_log = L.lift_log
-    return out
+    return Homotopy(h1.f, h2.g, compose(folding(P2), L, name="h +~ h'"))
 
 
 def _addition_target(PA):
@@ -238,6 +231,4 @@ def fill_square(C: FreeCdga, PB, inner0: Morphism, inner1: Morphism,
     def data(c):
         return amb.tuple_of({0: inner0(c), 1: inner1(c), 2: outer0(c), 3: outer1(c)})
 
-    f = Morphism(C, T, data, name="boundary data")
-    L = free_lift(C, theta, f, name="square fill")
-    return Morphism(C, theta.source, L.fn, name="square fill")
+    return free_lift(C, theta, Morphism(C, T, data, name="boundary data"), name="square fill")

@@ -175,9 +175,13 @@ class PathAlgebra(GradedAlgebra):
 
     def evaluate(self, x: Element, k: int) -> Element:
         """Endpoint evaluation t -> k (k = 0,1); kills dt."""
+        if k == 0:
+            # only the t^0 terms survive, one per base key: nothing meets or cancels
+            return _element(self.base, {bk: c for (bk, ie), c in x.terms.items()
+                                        if ie == (0, 0)})
         terms = {}
         for (bk, (i, e)), c in x.terms.items():
-            if e or (k == 0 and i > 0):
+            if e:
                 continue
             prev = terms.get(bk)
             terms[bk] = c if prev is None else prev + c
@@ -350,12 +354,12 @@ def interchange(P2) -> Morphism:
 
 
 def folding(P2) -> Morphism:
-    """nabla: P^2(A) -> P(A), s -> t."""
+    """nabla: P^2(A) -> P(A), s -> t; into P(A) itself when P^2 is a path of it."""
     k2 = keyed(P2)
     P = k2.base
     if not isinstance(P, PathAlgebra):
         raise AlgebraError("folding needs a double path")
-    return _substitution(P2, P, P.t(), P.dt(), lambda c: c, "folding")
+    return _substitution(P2, getattr(P2, "over", P), P.t(), P.dt(), lambda c: c, "folding")
 
 
 def c_hat(P) -> Morphism:
@@ -453,33 +457,44 @@ def constant_homotopy(f: Morphism, budget=None) -> Homotopy:
     return Homotopy(f, f, compose(iota(P), f, name=f"const({f.name})"))
 
 
+def _homotopy_failures(hm, f: Morphism, g: Morphism, top: int, k):
+    """(n, [(check, b), ...]) for n = 0..top: where hm fails as a homotopy from f to g.
+
+    Per basis element b of degree n, in basis order: endpoint-0 when hm(b) at
+    t = 0 is not f(b), endpoint-1 when at t = 1 it is not g(b), and below top
+    chain-map when hm(db) != d hm(b).  hm is applied once per basis element,
+    and hm(db) is read off by linearity from the images one degree up, over
+    the source's d_rows(n), in the keyed path algebra k.
+    """
+    X = hm.source
+    bases = [X.basis(n) for n in range(0, top + 1)]
+    images = [[hm(b) for b in bs] for bs in bases]
+    for n, bs in enumerate(bases):
+        failures = []
+        for i, (b, hx) in enumerate(zip(bs, images[n])):
+            if k.evaluate(hx, 0) != f(b):
+                failures.append(("endpoint-0", b))
+            if k.evaluate(hx, 1) != g(b):
+                failures.append(("endpoint-1", b))
+            if n < top and combination(k, X.d_rows(n)[i], images[n + 1]) != hx.d():
+                failures.append(("chain-map", b))
+        yield n, failures
+
+
 def verify_homotopy(h, f: Morphism, g: Morphism, upto=None):
     """Exact endpoint and chain checks of a homotopy candidate on bases.
 
-    h is applied once per basis element of degrees 0..top, and h(db) is read
-    off by linearity from the images one degree up, over the source's
-    d_rows(n).
-
+    Every failure of `_homotopy_failures` over degrees 0..top is reported.
     Returns a ValidationReport-style dict list (empty = verified).
     """
     from .ops import ValidationReport
     hm = h.map if isinstance(h, Homotopy) else h
     rep = ValidationReport(subject=f"homotopy {hm.name or ''}".strip())
-    X = hm.source
-    k = keyed(hm.target)
-    top = min(X.N, f.target.N) if upto is None else upto
-    top = min(top, X.N)
-    bases = {n: X.basis(n) for n in range(0, top + 1)}
-    images = {n: [hm(b) for b in bs] for n, bs in bases.items()}
-    for n, bs in bases.items():
-        for i, (b, hx) in enumerate(zip(bs, images[n])):
-            e0, e1 = k.evaluate(hx, 0), k.evaluate(hx, 1)
-            if e0 != f(b):
-                rep.add("endpoint-0", f"degree {n}: {b!r}")
-            if e1 != g(b):
-                rep.add("endpoint-1", f"degree {n}: {b!r}")
-            if n <= top - 1 and combination(k, X.d_rows(n)[i], images[n + 1]) != hx.d():
-                rep.add("chain-map", f"degree {n}: {b!r}")
+    top = min(hm.source.N, f.target.N) if upto is None else upto
+    top = min(top, hm.source.N)
+    for n, failures in _homotopy_failures(hm, f, g, top, keyed(hm.target)):
+        for check, b in failures:
+            rep.add(check, f"degree {n}: {b!r}")
     return rep
 
 

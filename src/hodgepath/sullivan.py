@@ -284,9 +284,8 @@ def lift_against_weak_equivalence(C: FreeCdga, w: Morphism, f: Morphism,
                                    for gen in C.gens}, name="g")
     h = mp.contraction()
     Pq = path_linear_map(mp.q, path_of(mp.space, keyed(PB).budget), PB)
-    hmap = Morphism(C, PB, lambda x: Pq(h.map(gprime(x))), name="w g ~ f")
-    wg = compose(w, g, name="w g")
-    return g, Homotopy(wg, f, hmap)
+    hmap = compose(compose(Pq, h.map), gprime, name="w g ~ f")
+    return g, Homotopy(compose(w, g, name="w g"), f, hmap)
 
 
 def _surjective_through(w: Morphism, upto: int) -> bool:
@@ -317,10 +316,7 @@ def homotopy_between_lifts(C: FreeCdga, w: Morphism, g0: Morphism, g1: Morphism,
     pi1 = Morphism(dp.space, A, lambda x: dp.parts(x)[1], name="pr1")
     Ppi0 = path_linear_map(pi0, Pdp, PA)
     Ppi1 = path_linear_map(pi1, Pdp, PA)
-    k0 = Homotopy(compose(delta(PA, 0), G), g0,
-                  Morphism(C, PA, lambda x: Ppi0(K.map(x)), name="k0"))
-    k1 = Homotopy(compose(delta(PA, 1), G), g1,
-                  Morphism(C, PA, lambda x: Ppi1(K.map(x)), name="k1"))
-    mid = Homotopy(compose(delta(PA, 0), G), compose(delta(PA, 1), G),
-                   Morphism(C, PA, G.fn, name="G"))
+    k0 = Homotopy(compose(delta(PA, 0), G), g0, compose(Ppi0, K.map, name="k0"))
+    k1 = Homotopy(compose(delta(PA, 1), G), g1, compose(Ppi1, K.map, name="k1"))
+    mid = Homotopy(compose(delta(PA, 0), G), compose(delta(PA, 1), G), G)
     return homotopy_add(homotopy_add(k0.reversed(), mid), k1)

@@ -627,6 +627,40 @@ def test_huge_power_in_a_dga_exits_2():
                           "exponent 99999999 exceeds 64 (at column 3)\n")
 
 
+def test_augmentation_of_an_unknown_name_exits_2_at_its_entry():
+    out = run_cli("check", fixture_path("s2_unknown_augmentation.json"))
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == "error: $.augmentation.zzz: unknown basis element 'zzz'\n"
+
+
+@pytest.mark.parametrize("augmentation, where, message", [
+    ({"one": "1", "zzz": "0"}, "$.augmentation.zzz", "unknown basis element 'zzz'"),
+    ({"x2": "x2"}, "$.augmentation.x2", "augmentation values must be scalars"),
+    ({"one": "1", "x2": "one + x2"}, "$.augmentation.x2", "augmentation values must be scalars"),
+])
+def test_bad_augmentation_entries_are_located(tmp_path, augmentation, where, message):
+    doc = dict(read_fixture("s2.json"), augmentation=augmentation)
+    with pytest.raises(DocumentError) as ei:
+        build_dga(doc)
+    assert (ei.value.path, ei.value.message) == (where, message)
+    path = tmp_path / "augmentation.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = run_cli("check", str(path))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: {where}: {message}\n"
+
+
+def test_a_valid_augmentation_passes_its_checks():
+    for doc in (read_fixture("s2_augmented.json"),
+                dict(read_fixture("s2.json"), augmentation={"one": "1", "x2": "0"})):
+        A = build_dga(doc)
+        assert A.augmentation == {"one": 1, "x2": 0}
+    out = run_cli("check", fixture_path("s2_augmented.json"))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["ok"] is True
+
+
 def test_expression_cut_short_exits_2_at_its_end():
     out = run_cli("check", fixture_path("expr_cut_short.json"), timeout=10)
     assert out.returncode == 2, out.stderr

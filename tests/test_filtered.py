@@ -229,5 +229,5 @@ def test_strictness_counterexample():
     # d: source level 0 -> target level 1 (F shifted on the target): image
     # meets F^1 but is not the image of F^1.
     rows = [{0: Fraction(1)}]
-    bad = strictness_check(rows, [0], [1], decreasing=True)
+    bad = strictness_check(rows, [0], [1])
     assert bad and bad[0]["q"] == 1

@@ -171,6 +171,15 @@ def test_degeneration_checks():
     assert degeneration_check(D)["ok"]
 
     # broken filtration: the two-term complex with a weight-2 jump has d_2 != 0
+    deg = degeneration_check(weight_jump_mhd())
+    assert not deg["ok"]
+    assert any(w["filtration"] == "W" and w["r"] == 2 for w in deg["witnesses"])
+
+
+def weight_jump_mhd():
+    """The two-term complex u1 -> v2 with a weight-2 jump at u1: d_2 != 0 on E_2(W)."""
+    QI = Field(-1)
+    I = IndexCategory({"0": 0, "1": 1}, [("u", "0", "1")])
     AQ2 = TableCdga([TableBasisElement("one", 0, weight=0),
                      TableBasisElement("u1", 1, weight=2),
                      TableBasisElement("v2", 2, weight=0)], 5, unit="one",
@@ -184,12 +193,39 @@ def test_degeneration_checks():
     phi2 = linear_morphism(E2, AC2, {"one": AC2.unit(),
                                      "u1": AC2.basis_element("u1"),
                                      "v2": AC2.basis_element("v2")})
-    Db = MixedHodgeDiagram(Diagram(I, {"0": AQ2, "1": AC2},
-                                   tags={"0": "filtered", "1": "bifiltered"},
-                                   arrows={"u": (phi2, coer2)}, budget=3), -1)
-    deg = degeneration_check(Db)
-    assert not deg["ok"]
-    assert any(w["filtration"] == "W" and w["r"] == 2 for w in deg["witnesses"])
+    from hodgepath import MixedHodgeDiagram
+    return MixedHodgeDiagram(Diagram(I, {"0": AQ2, "1": AC2},
+                                     tags={"0": "filtered", "1": "bifiltered"},
+                                     arrows={"u": (phi2, coer2)}, budget=3), -1)
+
+
+def test_a_cutoff_below_d_2_reads_none_of_it():
+    D = weight_jump_mhd()
+    deg = degeneration_check(D)
+    # d_2 starts at u1 in degree 1
+    assert {w["n"] for w in deg["witnesses"]} == {1}
+    assert degeneration_check(D, max_degree=1) == deg
+    assert degeneration_check(D, max_degree=0) == {"ok": True, "witnesses": []}
+
+
+def test_degeneration_check_reads_no_degree_above_max_degree(monkeypatch):
+    from hodgepath.filtered import SpectralSequence
+    bounds = []
+    d_r_is_zero = SpectralSequence.d_r_is_zero
+
+    def spy(self, r, bound=None):
+        bounds.append((self.fc.kind, r, bound, self._bound(r)))
+        return d_r_is_zero(self, r, bound)
+
+    monkeypatch.setattr(SpectralSequence, "d_r_is_zero", spy)
+    D = toy_mhd()
+    assert degeneration_check(D)["ok"]
+    full = list(bounds)   # the toy's W has one level: only E_r(F) has pages to read
+    assert full and all(bound == own for _, _, bound, own in full)
+    for k in range(0, max(own for *_, own in full) + 2):
+        bounds.clear()
+        assert degeneration_check(D, max_degree=k)["ok"]
+        assert bounds == [(kind, r, min(k, own), own) for kind, r, _, own in full]
 
 
 def test_purity_convention_soundness():

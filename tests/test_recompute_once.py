@@ -28,10 +28,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import (cp_family, row_of, square_diagram, strict_comparison, toy_model)
-from hodgepath import (Field, FreeCdga, Generator, HoMorphism, MhsStructure,
+from hodgepath import (Diagram, DiagramMorphism, Field, FreeCdga, FreeMorphism, Generator,
+                       HoMorphism, IndexCategory, MhsStructure,
                        Morphism, SubCdga, TableBasisElement, TableCdga, cohomology, delta,
-                       is_quasi_iso, keyed, minimal_model, quasi_iso_report, r_path,
-                       validate_ho_morphism)
+                       is_quasi_iso, keyed, minimal_model, promote_strict, quasi_iso_report,
+                       r_path, validate_ho_morphism)
 from hodgepath import filtered, hodge, homology, linalg
 from hodgepath.algebra import AlgebraError
 from hodgepath.filtered import FilteredComplex, decalage
@@ -528,6 +529,79 @@ def test_validate_ho_morphism_matches_the_reference_on_mutants(mutant):
                 assert len(new_calls) == dims < len(old_calls), name
         else:
             assert mutant in checks, name
+
+
+def _free_square(degrees):
+    """The strict ho-morphism, promoted, between two copies of the arrow
+    Lambda(x_n : n in degrees) -> Lambda(x_n) sending x_n to x_n, with d = 0."""
+    I = IndexCategory({"0": 0, "1": 1}, [("u", "0", "1")])
+
+    def diagram(name):
+        algs = {v: FreeCdga([Generator(f"{name}{n}", n) for n in degrees], 5, name=f"{name}{v}")
+                for v in ("0", "1")}
+
+        def same(src, dst):
+            return FreeMorphism(src, dst, {g.name: dst.generator(g.name) for g in src.gens})
+
+        return Diagram(I, algs, arrows={"u": same(algs["0"], algs["1"])}, budget=6), same
+
+    (DA, same), (DB, _) = diagram("a"), diagram("b")
+    maps = {v: FreeMorphism(DA.algebras[v], DB.algebras[v],
+                            {f"a{n}": DB.algebras[v].generator(f"b{n}") for n in degrees})
+            for v in ("0", "1")}
+    return promote_strict(DiagramMorphism(DA, DB, maps, name="x -> x"))
+
+
+# p at the one generator, c a basis element of the target vertex in its degree
+ONE_GENERATOR_MUTANTS = {
+    "endpoint-0": lambda kB, c: c * (kB.unit() - kB.t()),
+    "endpoint-1": lambda kB, c: c * kB.t(),
+    "chain-map": lambda kB, c: c * (kB.t() - kB.t() * kB.t()),   # endpoints stay
+}
+
+
+def _at_one_generator(f, u, gen, p):
+    """f with F_u, rebuilt from its generator images, changed by p at gen alone."""
+    F, dom = f.homotopies[u], f.source.dom(u)
+    images = {g.name: F(dom.generator(g.name)) for g in dom.gens}
+    if p is not None:
+        images[gen] = images[gen] + p
+    homotopies = dict(f.homotopies, **{u: FreeMorphism(dom, F.target, images, name=F.name)})
+    return HoMorphism(f.source, f.target, f.maps, homotopies, name=f.name)
+
+
+def _one_generator_subjects():
+    yield "free 1, 2, 3", _free_square((1, 2, 3))
+    D, M = cp_family(2, random.Random("ho:cp2"))
+    yield "cp2", strict_comparison(D, M, lambda A: {"a2": A.basis_element("x2"),
+                                                    "a5": A.zero()})
+
+
+@pytest.mark.parametrize("mutant", sorted(ONE_GENERATOR_MUTANTS))
+def test_validate_ho_morphism_matches_the_reference_at_one_generator(mutant):
+    """F_u changed at one generator of each degree the target vertex reaches:
+    the report is the reference's, and the mutant's failure is among the
+    witnesses of that generator's degree.  Through degree 4, (t - t^2)^2 in
+    a2^2 stays inside cp2's t-budget 4."""
+    degrees, upto = set(), 4
+    for name, f in _one_generator_subjects():
+        for u in f.source.phi:
+            assert validate_ho_morphism(_at_one_generator(f, u, None, None), upto).ok, name
+            kB = keyed(f.path_target(u))
+            for gen in f.source.dom(u).gens:
+                n = gen.degree
+                targets = kB.base.basis(n) if n <= upto else []
+                if not targets or (mutant == "chain-map" and n == upto):
+                    continue
+                p = ONE_GENERATOR_MUTANTS[mutant](kB, kB.include(targets[0]))
+                g = _at_one_generator(f, u, gen.name, p)
+                got = validate_ho_morphism(g, upto)
+                assert got.failures == reference_validate_ho_morphism(g, upto).failures, \
+                    (name, gen)
+                assert {"check": mutant, "witness": f"arrow {u}, degree {n}"} in got.failures, \
+                    (name, gen, got.failures)
+                degrees.add(n)
+    assert degrees == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

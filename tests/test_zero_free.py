@@ -283,6 +283,37 @@ def test_substitutions_equal_the_old_sums(seed):
         assert fold(k2.include(k.include(x)) * k2.t() - k2.include(k.include(x) * k.t())).is_zero
 
 
+def _old_evaluate(k, x, t):
+    """PathAlgebra.evaluate as it was: every endpoint merged and filtered."""
+    terms = {}
+    for (bk, (i, e)), c in x.terms.items():
+        if e or (t == 0 and i > 0):
+            continue
+        prev = terms.get(bk)
+        terms[bk] = c if prev is None else prev + c
+    return Element(k.base, terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_endpoint_evaluations_equal_the_old_ones_term_for_term(seed):
+    """delta^0 keeps the t^0 terms without a merge or a filter; delta^1 sums over t^i."""
+    rng = random.Random(550 + seed)
+    X = _algebra()
+    k = keyed(path_of(X, 3))
+    k2 = keyed(path_of(path_of(X, 3)))
+    for _ in range(8):
+        x = _random(X, rng)
+        for alg, z in ((k, _random(k, rng)),
+                       (k, k.include(x) - k.include(x) * k.t()),        # cancels at t = 1
+                       (k, k.include(x) * k.t() + k.include(_near(x, rng)) * k.dt()),
+                       (k2, _random(k2, rng, degrees=(1, 2)))):
+            for t in (0, 1):
+                got, want = alg.evaluate(z, t), _old_evaluate(alg, z, t)
+                assert_zero_free(got)
+                assert got.alg is want.alg
+                assert list(got.terms.items()) == list(want.terms.items())
+
+
 def _injected(i, x):
     return {(i, key): c for key, c in x.terms.items()}
 
