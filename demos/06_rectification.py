@@ -44,11 +44,11 @@ span = rectify(f)
 print("p strict:", validate_diagram_morphism(span.p).ok)
 print("q strict:", validate_diagram_morphism(span.q).ok)
 
-mp0 = span.mp.mps["0"]
+mp0 = span.mps["0"]
 x = mp0.space.basis(1)[0]
-print("psi(a, b(t)) =", span.mp.diagram.phi["u"](x))
+print("psi(a, b(t)) =", span.diagram.phi["u"](x))
 
-con = span.mp.contraction()
+con = span.contraction()
 print("contraction homotopy iota p ~ 1 validates:",
       validate_ho_homotopy(con, upto=3).ok)
 

@@ -19,7 +19,7 @@ from .ops import (check_cdga, differentiate, euler_characteristic, indecomposabl
 from .paths import (BudgetError, DoublePath, Homotopy, MappingPath, PathAlgebra,
                     c_hat, constant_homotopy, coproduct, coproduct_prime, delta,
                     folding, integrate, interchange, iota, keyed, mapping_path,
-                    p5_lift, pair_paths, path_linear_map, path_of,
+                    p5_lift, pair_paths, path_like, path_linear_map, path_of,
                     structural_map, symmetry, verify_homotopy)
 from .algebra import is_surjective_at, morphism_matrix, solve_preimage
 from .lifting import (LiftObstruction, fill_square, free_lift, homotopy_add,
@@ -31,9 +31,9 @@ from .sullivan import (MinimalModel, homotopy_between_lifts, homotopy_groups,
                        is_minimal, lift_against_weak_equivalence, minimal_model)
 from .diagrams import (Arrow, Diagram, DiagramMorphism, HoHomotopy, HoMorphism,
                        IndexCategory, build_ho_homotopy, compose_ho,
-                       diagram_cofibrant_model, evaluate_zigzag, ho_mapping_path,
-                       ho_morphisms_equal, identity_ho, lift_ho_through_trivial_fibration,
-                       promote_strict, rectify, reflexive_ho_homotopy, span_zigzag,
+                       diagram_cofibrant_model, evaluate_zigzag, ho_morphisms_equal,
+                       identity_ho, lift_ho_through_trivial_fibration, promote_strict,
+                       rectify, reflexive_ho_homotopy, span_zigzag,
                        validate_diagram, validate_diagram_morphism,
                        validate_ho_homotopy, validate_ho_morphism,
                        vertex_constant_homotopy)

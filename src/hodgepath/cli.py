@@ -233,7 +233,7 @@ def cmd_mapping_path(args):
     upto = f.source.check_upto() - 1
     groups = {}  # H^n by (space, n), shared by the p, f and q checks of every vertex
     for v in f.source.index.vertices:
-        mp = span.mp.mps[v]
+        mp = span.mps[v]
         entry = {"dims": {str(n): mp.space.dim(n) for n in range(0, upto + 1)},
                  "q_endpoint": mp.q_endpoint}
         entry["p_surjective"] = all(
@@ -246,7 +246,7 @@ def cmd_mapping_path(args):
             out["ok"] = False
         if entry["f_quasi_iso"] and not entry["q_quasi_iso"]:
             out["ok"] = False
-    con = span.mp.contraction()
+    con = span.contraction()
     rep = validate_ho_homotopy(con, upto=max(0, upto - 1))
     out["contraction_ok"] = rep.ok
     out["ok"] = out["ok"] and rep.ok
@@ -265,7 +265,7 @@ def cmd_rectify(args):
     # one table per vertex, shared by the vertex entries and the arrow maps
     tables = {}
     for v in f.source.index.vertices:
-        mp = span.mp.mps[v]
+        mp = span.mps[v]
         tables[v] = table_presentation(mp.space, upto, name=f"P(f_{v})",
                                        keep_filtrations=False)
         T, _, from_T = tables[v]
@@ -282,7 +282,7 @@ def cmd_rectify(args):
         a = f.source.arrow(u)
         T_i, _, from_i = tables[a.src]
         _, to_j, _ = tables[a.dst]
-        psi = span.mp.diagram.phi[u]
+        psi = span.diagram.phi[u]
         images = {}
         for b in T_i.basis_list:
             el = psi(from_i(T_i.basis_element(b.name)))

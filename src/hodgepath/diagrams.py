@@ -3,9 +3,13 @@
 Index categories carry a binary degree; non-identity arrows go from degree 0
 to degree 1.  Vertices are tagged plain / filtered / bifiltered; the tag
 selects the vertex path object (plain path, weight-shifted path) and the
-equivalence notion.  Comparison maps may change scalars (rational vertex into
-a quadratic extension); rectification and composition require one common
-scalar field, which is all their callers need.
+equivalence notion.  `Diagram.vertex_path` makes that choice, from the
+diagram's budget and the vertex's tag: every homotopy, mapping path and lift
+of a diagram lives in that path object or in a path of it, and a space
+paired with it gets its path from `paths.path_like`.  Comparison maps may
+change scalars (rational vertex into a quadratic extension); rectification
+and composition require one common scalar field, which is all their callers
+need.
 
 A ho-morphism is a family of vertex maps plus one chosen homotopy per arrow
 making each square commute up to homotopy; validating one checks each arrow
@@ -13,7 +17,7 @@ homotopy as a homotopy, with the endpoint and chain checks of
 `paths.verify_homotopy`.  The ho-composite g * f joins the two composites
 with a strict side, P(g)F and G f, per arrow by `homotopy_add`.  The mapping
 path of a ho-morphism alternates the endpoint evaluation with the vertex
-degree, which is exactly what makes its two legs strict.
+degree, which is exactly what makes its two legs strict; `rectify` returns it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .filtered import check_filtration_preserving
 from .lifting import LiftObstruction, fill_square, free_lift, homotopy_add, lift_homotopy
 from .ops import ValidationReport, check_cdga, check_morphism
 from .paths import (Homotopy, MappingPath, _homotopy_failures, coproduct, c_hat, delta, iota,
-                    keyed, pair_paths, path_linear_map, path_of, verify_homotopy)
+                    keyed, pair_paths, path_like, path_linear_map, path_of, verify_homotopy)
 from .sullivan import lift_against_weak_equivalence, minimal_model
 
 W_SHIFT = {"plain": 0, "filtered": 1, "bifiltered": 1}
@@ -313,8 +317,7 @@ def validate_ho_homotopy(h: HoHomotopy, upto=None) -> ValidationReport:
     for u in f.source.phi:
         a = f.source.arrow(u)
         PB = f.path_target(u)
-        kB = keyed(PB)
-        P2 = path_of(PB, kB.budget)
+        P2 = path_of(PB)
         k2 = keyed(P2)
         H_u = h.arrows[u]
         Pd0 = path_linear_map(delta(PB, 0), P2, PB)
@@ -357,9 +360,7 @@ def reflexive_ho_homotopy(f: HoMorphism) -> HoHomotopy:
     arrows = {}
     for u in f.source.phi:
         PB = f.path_target(u)
-        kB = keyed(PB)
-        P2 = path_of(PB, kB.budget)
-        arrows[u] = compose(path_linear_map(iota(PB), PB, P2), f.homotopies[u],
+        arrows[u] = compose(path_linear_map(iota(PB), PB, path_of(PB)), f.homotopies[u],
                             name=f"refl@{u}")
     return HoHomotopy(f, f, vertex, arrows, name=f"refl({f.name})")
 
@@ -403,19 +404,22 @@ def ho_homotopy_add(h1: HoHomotopy, h2: HoHomotopy, name="") -> HoHomotopy:
 # ---------------------------------------------------------------------------
 
 class HoMappingPath:
-    """Vertexwise mapping paths with comparisons psi_u = (phi_u, F_u) pi_1."""
+    """Vertexwise mapping paths with comparisons psi_u = (phi_u, F_u) pi_1.
+
+    Each f_v's mapping path lives in the target's vertex path, and the
+    mapping-path diagram takes the target's tags, so its vertex paths are
+    the paths beside those.  The strict span p, q, the section iota and the
+    contraction represent f's class.
+    """
 
     def __init__(self, f: HoMorphism):
         if not f.source.same_field() or not f.target.same_field():
             raise AlgebraError("rectification needs one common scalar field")
         self.f = f
         src, tgt = f.source, f.target
-        budget = tgt.budget
-        self.mps = {}
-        for v in src.index.vertices:
-            self.mps[v] = MappingPath(f.maps[v], budget=budget,
-                                      w_shift=W_SHIFT[tgt.tags[v]],
-                                      q_endpoint=src.index.degree(v))
+        self.mps = {v: MappingPath(f.maps[v], tgt.vertex_path(v),
+                                   q_endpoint=src.index.degree(v))
+                    for v in src.index.vertices}
         arrows = {}
         for u in src.phi:
             a = src.arrow(u)
@@ -429,7 +433,7 @@ class HoMappingPath:
 
             arrows[u] = Morphism(mp_i.space, mp_j.space, psi, name=f"psi_{u}")
         self.diagram = Diagram(src.index, {v: self.mps[v].space for v in src.index.vertices},
-                               tags=src.tags, arrows=arrows, budget=budget,
+                               tags=tgt.tags, arrows=arrows, budget=tgt.budget,
                                name=f"MappingPath({f.name})")
         self.p = DiagramMorphism(self.diagram, src,
                                  {v: self.mps[v].p for v in src.index.vertices}, name="p")
@@ -439,14 +443,12 @@ class HoMappingPath:
         J = {}
         for u in src.phi:
             a = src.arrow(u)
-            mp_j = self.mps[a.dst]
-            PA_j = path_of(src.algebras[a.dst], budget, W_SHIFT[src.tags[a.dst]])
-            PS = path_of(mp_j.space, budget)
-            Pamb = path_of(mp_j.amb, budget)
+            PS = self.diagram.vertex_path(a.dst)
+            Pamb = keyed(PS)
             phi_u = src.comp(u)
             F_u = f.homotopies[u]
-            cB = coproduct(mp_j.PB)
-            iA = iota(PA_j)
+            cB = coproduct(self.mps[a.dst].PB)
+            iA = iota(path_like(PS, src.algebras[a.dst]))
 
             def J_u(x, phi_u=phi_u, F_u=F_u, cB=cB, iA=iA, Pamb=Pamb):
                 return pair_paths(Pamb, [iA(phi_u(x)), cB(F_u(x))], depth=1)
@@ -458,7 +460,6 @@ class HoMappingPath:
         """Homotopy from iota p to the identity, with three-level square fillers."""
         f = self.f
         src = f.source
-        budget = self.diagram.budget
         vertex = {v: self.mps[v].contraction() for v in src.index.vertices}
         iota_p = compose_with_strict_left(self.iota, self.p)
         identity = promote_strict(
@@ -468,16 +469,15 @@ class HoMappingPath:
         arrows = {}
         for u in src.phi:
             a = src.arrow(u)
-            mp_i, mp_j = self.mps[a.src], self.mps[a.dst]
-            PA_j = path_of(src.algebras[a.dst], budget, W_SHIFT[src.tags[a.dst]])
-            P2A_j = path_of(PA_j, budget)
-            PS = path_of(mp_j.space, budget)
-            P2S = path_of(PS, budget)
-            P2amb = path_of(path_of(mp_j.amb, budget), budget)
+            mp_i = self.mps[a.src]
+            PS = self.diagram.vertex_path(a.dst)
+            P2S = path_of(PS)
+            P2amb = keyed(P2S)
+            PA_j = path_like(PS, src.algebras[a.dst])
             phi_u = src.comp(u)
             F_u = f.homotopies[u]
-            chB = c_hat(mp_j.PB)
-            ii = compose(path_linear_map(iota(PA_j), PA_j, P2A_j), iota(PA_j))
+            chB = c_hat(self.mps[a.dst].PB)
+            ii = compose(path_linear_map(iota(PA_j), PA_j, path_of(PA_j)), iota(PA_j))
 
             def H_u(x, mp_i=mp_i, phi_u=phi_u, F_u=F_u, chB=chB, ii=ii, P2amb=P2amb):
                 av = mp_i.component_a(x)
@@ -487,22 +487,9 @@ class HoMappingPath:
         return HoHomotopy(iota_p, identity, vertex, arrows, name="contraction")
 
 
-def ho_mapping_path(f: HoMorphism) -> HoMappingPath:
+def rectify(f: HoMorphism) -> HoMappingPath:
+    """The mapping path of f: its strict span p, q represents f's class."""
     return HoMappingPath(f)
-
-
-@dataclass
-class RectifiedSpan:
-    """The span of strict morphisms p, q representing a ho-morphism's class."""
-    mp: HoMappingPath
-    p: DiagramMorphism
-    q: DiagramMorphism
-    iota: HoMorphism
-
-
-def rectify(f: HoMorphism) -> RectifiedSpan:
-    mp = ho_mapping_path(f)
-    return RectifiedSpan(mp=mp, p=mp.p, q=mp.q, iota=mp.iota)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +602,7 @@ def evaluate_zigzag(source: Diagram, items, name="") -> HoMorphism:
     return out
 
 
-def span_zigzag(span: RectifiedSpan):
+def span_zigzag(span: HoMappingPath):
     """The zig-zag q . p^{-1} of a rectified span, with iota as p's inverse."""
     return [("bwd", span.p, span.iota), ("fwd", span.q)]
 
@@ -664,10 +651,7 @@ def lift_ho_through_trivial_fibration(C: Diagram, w: DiagramMorphism,
     for u in C.phi:
         a = C.arrow(u)
         dom = C.dom(u)
-        A_j = w.source.algebras[a.dst]
-        budget = keyed(f.path_target(u)).budget
         f0 = compose(gmaps[a.dst], C.comp(u))
-        g_dom = DiagramMorphism(C, w.source, gmaps).dom_map(u)
         f1 = compose(w.source.comp(u), gmaps[a.src])
         h = Homotopy(compose(w.maps[a.dst], f0), compose(w.maps[a.dst], f1),
                      f.homotopies[u])
@@ -679,31 +663,31 @@ def lift_ho_through_trivial_fibration(C: Diagram, w: DiagramMorphism,
     return HoMorphism(C, w.source, gmaps, homotopies, name=f"lift({f.name})")
 
 
-def diagram_cofibrant_model(D: Diagram, N=None, budget=None,
-                            allow_0_connected=False):
+def diagram_cofibrant_model(D: Diagram, N=None, allow_0_connected=False):
     """Level-wise minimal models with comparisons lifted up to homotopy.
 
     Returns (C, f) where C is a diagram of minimal algebras and f: C -> D is a
-    ho-morphism, a level-wise quasi-isomorphism up to the horizon.
+    ho-morphism, a level-wise quasi-isomorphism up to the horizon.  Each arrow
+    homotopy lives in D's vertex path of its target, and C has D's budget.
     """
     if any(t != "plain" for t in D.tags.values()):
         raise AlgebraError("cofibrant models are built for plain vertices")
     models = {v: minimal_model(D.algebras[v], N,
                                allow_0_connected=allow_0_connected)
               for v in D.index.vertices}
-    budget = budget if budget is not None else (D.budget or 8)
     arrows = {}
     homotopies = {}
     for u in D.phi:
         a = D.arrow(u)
         mi, mj = models[a.src], models[a.dst]
         target_map = compose(D.comp(u), mi.rho)
+        # plain vertices: D.vertex_path(a.dst) is the path of mj.rho's target at D.budget
         phi_prime, hom = lift_against_weak_equivalence(mi.M, mj.rho, target_map,
-                                                       budget=budget)
+                                                       budget=D.budget)
         arrows[u] = phi_prime
         homotopies[u] = hom.map
     C = Diagram(D.index, {v: models[v].M for v in D.index.vertices},
-                tags=D.tags, arrows=arrows, budget=budget,
+                tags=D.tags, arrows=arrows, budget=D.budget,
                 name=f"model({D.name})")
     return C, HoMorphism(C, D, {v: models[v].rho for v in D.index.vertices},
                          homotopies, name="rho")

@@ -22,8 +22,8 @@ from __future__ import annotations
 from . import linalg
 from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, Morphism, _accumulate,
                       _element, compose, morphism_matrix, solve_preimage)
-from .paths import (DoublePath, Homotopy, _memo, delta, fibre_product, folding,
-                    induced_to_double_path, keyed, mapping_path, path_linear_map, path_of)
+from .paths import (DoublePath, Homotopy, MappingPath, _memo, delta, fibre_product, folding,
+                    induced_to_double_path, keyed, path_like, path_linear_map, path_of)
 
 
 class LiftObstruction(AlgebraError):
@@ -128,9 +128,7 @@ def _solve_closed_correction(X, v, dv_rows, err: Element, n: int):
 def lift_homotopy(C: FreeCdga, v: Morphism, f0: Morphism, f1: Morphism,
                   h: Homotopy) -> Homotopy:
     """Lift h: v f0 ~ v f1 to h~: f0 ~ f1 with P(v) h~ = h, exactly."""
-    kB = keyed(h.path)
-    PA = path_of(v.source, kB.budget, kB.w_shift)
-    _, bar_v, H = double_path_target(C, v, f0, f1, h, PA)
+    _, bar_v, H = double_path_target(C, v, f0, f1, h, path_like(h.path, v.source))
     return Homotopy(f0, f1, free_lift(C, bar_v, H, name="h~"))
 
 
@@ -143,7 +141,7 @@ def double_path_target(C: FreeCdga, v: Morphism, f0: Morphism, f1: Morphism,
     (v, PA); only the data map is built per call.
     """
     def build():
-        dp = DoublePath(v, v, path_object=h.path)
+        dp = DoublePath(v, v, h.path)
         return dp, induced_to_double_path(v, dp, PA)
 
     dp, bar_v = _memo(h.path, ("double path", v, PA), build)
@@ -175,7 +173,7 @@ def homotopy_add(h1: Homotopy, h2: Homotopy) -> Homotopy:
 def _addition_target(PA):
     """(mapping path of delta^1 on PA, P^2, pi): what homotopy_add lifts against."""
     d1 = delta(PA, 1)
-    mp = mapping_path(d1, path_object=PA)
+    mp = MappingPath(d1, PA)
     P2 = path_of(PA)   # nested paths keep PA's budget
     k2 = keyed(P2)
     Pd1 = path_linear_map(d1, P2, PA)
@@ -206,7 +204,7 @@ def _square_target(PB):
     T = fibre_product([PB] * 4, [(m, delta(PB, k), 2 + k, delta(PB, m))
                                  for k in (0, 1) for m in (0, 1)], name="square boundary")
     amb = T.ambient
-    P2 = path_of(PB, keyed(PB).budget)
+    P2 = path_of(PB)
     k2 = keyed(P2)
     Pd0 = path_linear_map(delta(PB, 0), P2, PB)
     Pd1 = path_linear_map(delta(PB, 1), P2, PB)

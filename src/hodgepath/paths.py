@@ -249,6 +249,12 @@ def keyed(P):
     raise AlgebraError(f"{P!r} is not a path object")
 
 
+def path_like(P, X):
+    """The path object of X beside the path object P: P's budget and weight shift."""
+    k = keyed(P)
+    return path_of(X, k.budget, k.w_shift)
+
+
 def path_linear_map(f: LinearMap, PS, PT) -> LinearMap:
     """P(f): apply f to path coefficients (t stays t)."""
     kS, kT = keyed(PS), keyed(PT)
@@ -543,15 +549,14 @@ def fibre_product(spaces, equations, name=""):
 class MappingPath:
     """P(f) = {(a, b(t)) : f(a) = b(0)} with projections p, q and section iota.
 
-    q evaluates the path at the chosen endpoint (1 by default; diagrams
-    alternate endpoints by vertex degree).
+    PB is the path object of f's target that b(t) lives in.  q evaluates
+    the path at the chosen endpoint (1 by default; diagrams alternate
+    endpoints by vertex degree).
     """
 
-    def __init__(self, f: Morphism, budget=None, w_shift: int = 0,
-                 q_endpoint: int = 1, path_object=None):
+    def __init__(self, f: Morphism, PB, q_endpoint: int = 1):
         A, B = f.source, f.target
         self.f = f
-        PB = path_object if path_object is not None else path_of(B, budget, w_shift)
         kB = keyed(PB)
         self.PB = PB
         self.space = fibre_product([A, PB], [(0, f, 1, delta(PB, 0))],
@@ -576,11 +581,10 @@ class MappingPath:
 
     def contraction(self) -> Homotopy:
         """h = (iota_A pi_1, c_B pi_2): a homotopy from iota p to the identity."""
-        PS = path_of(self.space, keyed(self.PB).budget)
-        PA = path_of(self.f.source, keyed(self.PB).budget)
+        PS = path_like(self.PB, self.space)
         c_B = coproduct(self.PB)
-        iota_A = iota(PA)
-        Pamb = path_of(self.amb, keyed(self.PB).budget)
+        iota_A = iota(path_like(self.PB, self.f.source))
+        Pamb = keyed(PS)
 
         def fn(x):
             a = self.component_a(x)
@@ -595,21 +599,18 @@ class MappingPath:
         return Homotopy(iota_p, id_space, hmap)
 
 
-def mapping_path(f: Morphism, budget=None, w_shift: int = 0, q_endpoint: int = 1,
-                 path_object=None) -> MappingPath:
-    return MappingPath(f, budget=budget, w_shift=w_shift, q_endpoint=q_endpoint,
-                       path_object=path_object)
+def mapping_path(f: Morphism, budget=None) -> MappingPath:
+    """The mapping path of f in the path object of f's target at this budget."""
+    return MappingPath(f, path_of(f.target, budget))
 
 
 class DoublePath:
-    """P(v, v') = {(a0, a1, b(t)) : b(0) = v(a0), b(1) = v'(a1)}."""
+    """P(v, v') = {(a0, a1, b(t)) : b(0) = v(a0), b(1) = v'(a1)}, b(t) in PB."""
 
-    def __init__(self, v: Morphism, v2: Morphism, budget=None, w_shift: int = 0,
-                 path_object=None):
+    def __init__(self, v: Morphism, v2: Morphism, PB):
         if v.target is not v2.target:
             raise AlgebraError("double path needs a shared target")
         self.v, self.v2 = v, v2
-        PB = path_object if path_object is not None else path_of(v.target, budget, w_shift)
         self.PB = PB
         self.space = fibre_product(
             [v.source, v2.source, PB], [(2, delta(PB, 0), 0, v), (2, delta(PB, 1), 1, v2)],
@@ -635,11 +636,11 @@ def induced_to_double_path(v: Morphism, dp: DoublePath, PA) -> Morphism:
     return Morphism(PA, dp.space, fn, name="(d0,d1,P(v))")
 
 
-def p5_lift(v: Morphism, a0: Element, a1: Element, bt: Element, budget=None) -> Element:
+def p5_lift(v: Morphism, a0: Element, a1: Element, bt: Element) -> Element:
     """Explicit section of (delta^0, delta^1, P(v)) over a surjection v.
 
     Solve for a coefficientwise preimage bt~ of b(t) on v's rows (kept on v) and return
-    (a0 - bt~(0))(1-t) + (a1 - bt~(1)) t + bt~(t).
+    (a0 - bt~(0))(1-t) + (a1 - bt~(1)) t + bt~(t), in the path of v's source beside b(t)'s.
     """
     A, B = v.source, v.target
     kB = bt.alg
@@ -647,8 +648,7 @@ def p5_lift(v: Morphism, a0: Element, a1: Element, bt: Element, budget=None) -> 
         raise AlgebraError("p5_lift: b(t) must live in P(target)")
     if kB.evaluate(bt, 0) != v(a0) or kB.evaluate(bt, 1) != v(a1):
         raise AlgebraError("p5_lift: endpoints of b(t) do not match v(a0), v(a1)")
-    PA = path_of(A, kB.budget)
-    kA = keyed(PA)
+    kA = keyed(path_like(kB, A))
     terms = {}
     for (i, e), coeff in kB.coefficients(bt).items():
         n = coeff.degree()

@@ -45,7 +45,8 @@ from .algebra import (AlgebraError, CutoffError, FreeCdga, FreeMorphism,
 from .homology import cohomology, cone_certificate, d_squared_witness
 from .lifting import double_path_target, free_lift, homotopy_add, lift_homotopy
 from .ops import indecomposables
-from .paths import Homotopy, _memo, delta, keyed, mapping_path, path_linear_map, path_of
+from .paths import (Homotopy, MappingPath, _memo, delta, keyed, path_like, path_linear_map,
+                    path_of)
 
 
 class ModelError(AlgebraError):
@@ -278,12 +279,12 @@ def lift_against_weak_equivalence(C: FreeCdga, w: Morphism, f: Morphism,
     its path object P(w.target) per w, so a repeated lift rebuilds nothing.
     """
     PB = path_of(w.target, budget)
-    mp = _memo(PB, ("mapping path", w), lambda: mapping_path(w, path_object=PB))
+    mp = _memo(PB, ("mapping path", w), lambda: MappingPath(w, PB))
     gprime = free_lift(C, mp.q, f, name="g'")
     g = FreeMorphism(C, w.source, {gen.name: mp.p(gprime(C.generator(gen.name)))
                                    for gen in C.gens}, name="g")
     h = mp.contraction()
-    Pq = path_linear_map(mp.q, path_of(mp.space, keyed(PB).budget), PB)
+    Pq = path_linear_map(mp.q, h.path, PB)
     hmap = compose(compose(Pq, h.map), gprime, name="w g ~ f")
     return g, Homotopy(compose(w, g, name="w g"), f, hmap)
 
@@ -293,23 +294,21 @@ def _surjective_through(w: Morphism, upto: int) -> bool:
 
 
 def homotopy_between_lifts(C: FreeCdga, w: Morphism, g0: Morphism, g1: Morphism,
-                           h: Homotopy, budget=None) -> Homotopy:
+                           h: Homotopy) -> Homotopy:
     """From h: w g0 ~ w g1 produce an explicit homotopy g0 ~ g1.
 
     When w is surjective through the horizon this is the homotopy lifting
     property (exact: P(w) applied to the result gives h back).  Otherwise the
     double-path factorization reduces to three composable homotopies which are
-    added over the free source.
+    added over the free source, in paths beside h's.
     """
-    kh = keyed(h.path)
-    budget = kh.budget if budget is None else budget
     upto = min(w.source.N, w.target.N) - 1
     if _surjective_through(w, upto):
         return lift_homotopy(C, w, g0, g1, h)
     A = w.source
-    PA = path_of(A, budget, kh.w_shift)
+    PA = path_like(h.path, A)
     dp, barw, H = double_path_target(C, w, g0, g1, h, PA)
-    G, K = lift_against_weak_equivalence(C, barw, H, budget=budget)
+    G, K = lift_against_weak_equivalence(C, barw, H, budget=keyed(PA).budget)
     # project the homotopy K: barw G ~ H to the two A-coordinates
     Pdp = K.path
     pi0 = Morphism(dp.space, A, lambda x: dp.parts(x)[0], name="pr0")

@@ -118,10 +118,12 @@ def rho_ms2_s2(N=6):
     return M, A, rho
 
 
-def square_diagram(budget=5, N=5, twist=1):
+def square_diagram(budget=5, N=5, twist=1, tags=("plain", "plain")):
     """Two-vertex diagrams A, B with a genuinely non-constant square homotopy.
 
-    Returns (DA, DB, f) where f's arrow homotopy is b1 + twist * t^k dt.
+    Returns (DA, DB, f) where f's arrow homotopy is b1 + twist * t^k dt, in
+    the vertex path of B's vertex 1; the vertices of A and B carry tags[0]
+    and tags[1].
     """
     I = IndexCategory({"0": 0, "1": 1}, [("u", "0", "1")])
     A0 = FreeCdga([Generator("a1", 1)], N, name="A0")
@@ -130,8 +132,10 @@ def square_diagram(budget=5, N=5, twist=1):
     B1 = FreeCdga([Generator("b1", 1)], N, name="B1")
     phiA = FreeMorphism(A0, A1, {"a1": A1.generator("a1")}, name="phiA")
     phiB = FreeMorphism(B0, B1, {"b1": B1.generator("b1")}, name="phiB")
-    DA = Diagram(I, {"0": A0, "1": A1}, arrows={"u": phiA}, budget=budget, name="A")
-    DB = Diagram(I, {"0": B0, "1": B1}, arrows={"u": phiB}, budget=budget, name="B")
+    DA = Diagram(I, {"0": A0, "1": A1}, tags=dict.fromkeys("01", tags[0]),
+                 arrows={"u": phiA}, budget=budget, name="A")
+    DB = Diagram(I, {"0": B0, "1": B1}, tags=dict.fromkeys("01", tags[1]),
+                 arrows={"u": phiB}, budget=budget, name="B")
     f0 = FreeMorphism(A0, B0, {"a1": B0.generator("b1")}, name="f0")
     f1 = FreeMorphism(A1, B1, {"a1": B1.generator("b1")}, name="f1")
     k = keyed(DB.vertex_path("1"))

@@ -319,16 +319,16 @@ def test_criterion_5_rectification():
     # Example: the square with F(a) = b + t dt reproduced symbol-for-symbol
     DA, DB, f = square_diagram()
     span = rectify(f)
-    mp0, mp1 = span.mp.mps["0"], span.mp.mps["1"]
+    mp0, mp1 = span.mps["0"], span.mps["1"]
     phi, F = DA.comp("u"), f.homotopies["u"]
     for n in range(0, 4):
         for x in mp0.space.basis(n):
             a = mp0.component_a(x)
-            assert span.mp.diagram.phi["u"](x) == mp1.pair(phi(a), F(a))
+            assert span.diagram.phi["u"](x) == mp1.pair(phi(a), F(a))
     assert validate_diagram_morphism(span.p).ok    # the ladder is strict
     assert validate_diagram_morphism(span.q).ok
     assert validate_ho_morphism(span.iota).ok
-    con = span.mp.contraction()
+    con = span.contraction()
     assert validate_ho_homotopy(con, upto=3).ok
 
     # round trip on 10 random ho-morphisms with Sullivan sources

@@ -76,7 +76,7 @@ def _path_object(name, budget):
 
 def _mapping_path_space(name, v):
     f = build_homorphism(read(name))
-    return rectify(f).mp.mps[v].space, f.source.check_upto() - 1
+    return rectify(f).mps[v].space, f.source.check_upto() - 1
 
 
 TABLE_CASES = {
@@ -131,11 +131,11 @@ def test_rectify_arrow_maps_equal_those_of_fresh_tables(name):
     upto = f.source.check_upto() - 1
     assert arrows
     for arrow in arrows:
-        T_i, _, from_i = table_presentation(span.mp.mps[arrow["from"]].space, upto,
+        T_i, _, from_i = table_presentation(span.mps[arrow["from"]].space, upto,
                                             keep_filtrations=False)
-        _, to_j, _ = table_presentation(span.mp.mps[arrow["to"]].space, upto,
+        _, to_j, _ = table_presentation(span.mps[arrow["to"]].space, upto,
                                         keep_filtrations=False)
-        psi = span.mp.diagram.phi[arrow["name"]]
+        psi = span.diagram.phi[arrow["name"]]
         assert arrow["map"] == {b.name: element_expr(to_j(psi(from_i(T_i.basis_element(b.name)))))
                                 for b in T_i.basis_list}
 
@@ -202,7 +202,7 @@ def _homotopy_cases():
     yield "homotopy_const", h, f, g, None
     for name in HOMORPHISMS:
         ho = build_homorphism(read(name))
-        con = rectify(ho).mp.contraction()
+        con = rectify(ho).contraction()
         upto = max(0, ho.source.check_upto() - 2)
         for v in ho.source.index.vertices:
             yield f"contraction {name}:{v}", con.vertex[v], con.f.maps[v], con.g.maps[v], upto
@@ -307,7 +307,7 @@ def _ho_homotopy_cases():
     """The mapping-path contractions, and each broken at one vertex in degree 1."""
     for name in HOMORPHISMS:
         ho = build_homorphism(read(name))
-        con = rectify(ho).mp.contraction()
+        con = rectify(ho).contraction()
         upto = max(0, ho.source.check_upto() - 2)
         yield f"contraction {name}", con, upto
         for broken in con.vertex:

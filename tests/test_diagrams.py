@@ -6,12 +6,11 @@ import pytest
 
 from helpers import ms2, rho_ms2_s2, s2_table, square_diagram
 from hodgepath import (Arrow, Diagram, DiagramMorphism, FreeCdga, FreeMorphism,
-                       Generator, HoMorphism, IndexCategory, LiftObstruction,
+                       Generator, HoMorphism, IndexCategory, LiftObstruction, MappingPath,
                        build_ho_homotopy, compose, compose_ho, constant_homotopy,
-                       diagram_cofibrant_model, evaluate_zigzag, ho_mapping_path,
-                       ho_morphisms_equal, identity_ho, identity_morphism,
-                       is_quasi_iso, is_surjective_at, keyed,
-                       lift_ho_through_trivial_fibration, mapping_path, path_of,
+                       diagram_cofibrant_model, evaluate_zigzag, ho_morphisms_equal,
+                       identity_ho, identity_morphism, is_quasi_iso, is_surjective_at, keyed,
+                       lift_ho_through_trivial_fibration, path_of,
                        promote_strict, rectify, reflexive_ho_homotopy, span_zigzag,
                        validate_diagram, validate_diagram_morphism,
                        validate_ho_homotopy, validate_ho_morphism, verify_homotopy)
@@ -53,8 +52,8 @@ def test_validate_detects_broken_endpoint():
 def test_ho_mapping_path_psi_formula_and_ladder():
     DA, DB, f = square_diagram()
     span = rectify(f)
-    mp0, mp1 = span.mp.mps["0"], span.mp.mps["1"]
-    psi = span.mp.diagram.phi["u"]
+    mp0, mp1 = span.mps["0"], span.mps["1"]
+    psi = span.diagram.phi["u"]
     phi = DA.comp("u")
     F = f.homotopies["u"]
     for n in range(0, 4):
@@ -67,14 +66,14 @@ def test_ho_mapping_path_psi_formula_and_ladder():
     # q_j psi = phi q_i on every arrow
     for n in range(0, 4):
         for x in mp0.space.basis(n):
-            assert span.mp.mps["1"].q(psi(x)) == DB.comp("u")(mp0.q(x))
+            assert span.mps["1"].q(psi(x)) == DB.comp("u")(mp0.q(x))
 
 
 def test_ho_mapping_path_alternating_q():
     DA, DB, f = square_diagram()
     span = rectify(f)
-    assert span.mp.mps["0"].q_endpoint == 0
-    assert span.mp.mps["1"].q_endpoint == 1
+    assert span.mps["0"].q_endpoint == 0
+    assert span.mps["1"].q_endpoint == 1
 
 
 def test_iota_and_contraction():
@@ -89,15 +88,28 @@ def test_iota_and_contraction():
             x = A.generator(g.name)
             assert span.p.maps[v](io.maps[v](x)) == x
             assert span.q.maps[v](io.maps[v](x)) == f.maps[v](x)
-    con = span.mp.contraction()
+    con = span.contraction()
     assert validate_ho_homotopy(con, upto=3).ok
+
+
+@pytest.mark.parametrize("tags", [("plain", "plain"), ("filtered", "filtered"),
+                                  ("plain", "filtered"), ("filtered", "plain")])
+def test_iota_and_contraction_live_in_the_vertex_paths(tags):
+    # J_u and the contraction are built in the mapping-path diagram's vertex
+    # paths, the paths beside the target's, so a filtered (weight-shifted)
+    # path verifies as a plain one does, also when the source's tags differ
+    DA, DB, f = square_diagram(tags=tags)
+    assert validate_ho_morphism(f).ok
+    span = rectify(f)
+    assert validate_ho_morphism(span.iota).ok
+    assert validate_ho_homotopy(span.contraction(), upto=3).ok
 
 
 def test_p_trivial_fibration_and_q_equivalence_transfer():
     DA, DB, f = square_diagram()
     span = rectify(f)
     for v in ("0", "1"):
-        mp = span.mp.mps[v]
+        mp = span.mps[v]
         for n in range(0, 4):
             assert is_surjective_at(mp.p, n)
         assert is_quasi_iso(mp.p, 3)
@@ -112,9 +124,9 @@ def test_single_vertex_reduces_to_mapping_path():
     DB = Diagram(I, {"0": A}, arrows={}, budget=4)
     f = HoMorphism(DA, DB, {"0": rho}, {}, name="rho")
     span = rectify(f)
-    classic = mapping_path(rho, budget=4, q_endpoint=0)
+    classic = MappingPath(rho, path_of(A, 4), q_endpoint=0)
     for n in range(0, 4):
-        assert span.mp.mps["0"].space.dim(n) == classic.space.dim(n)
+        assert span.mps["0"].space.dim(n) == classic.space.dim(n)
 
 
 def test_strict_ho_mapping_path_comparisons_homotopic():
@@ -123,8 +135,8 @@ def test_strict_ho_mapping_path_comparisons_homotopic():
     strict = DiagramMorphism(DA, DB, f.maps)
     fho = promote_strict(strict)
     span = rectify(fho)
-    mp0, mp1 = span.mp.mps["0"], span.mp.mps["1"]
-    psi_ho = span.mp.diagram.phi["u"]
+    mp0, mp1 = span.mps["0"], span.mps["1"]
+    psi_ho = span.diagram.phi["u"]
     phiA, phiB = DA.comp("u"), DB.comp("u")
     PB1 = DB.vertex_path("1")
     Pphi = path_linear_map(phiB, DB.vertex_path("0"), PB1)
@@ -221,11 +233,11 @@ def test_inverse_then_map_gives_identity_class():
     # z = p^{-1} then p: the class of the identity, witnessed explicitly
     DA, DB, f = square_diagram()
     span = rectify(f)
-    MP = span.mp.diagram
+    MP = span.diagram
     out = evaluate_zigzag(MP, [("fwd", span.p), ("bwd", span.p, span.iota)])
     assert validate_ho_morphism(out).ok
     # out = iota p; the contraction is the explicit ho-homotopy to the identity
-    con = span.mp.contraction()
+    con = span.contraction()
     assert validate_ho_homotopy(con, upto=3).ok
     assert ho_morphisms_equal(out, con.f)
 
@@ -299,11 +311,25 @@ def test_diagram_cofibrant_model_constant_s2():
     idm = identity_morphism(A)
     D = Diagram(I, {"0": A, "1": A, "2": A},
                 arrows={a.name: idm for a in I.arrows}, budget=4, name="const")
-    C, f = diagram_cofibrant_model(D, N=6, budget=4)
+    C, f = diagram_cofibrant_model(D, N=6)
     assert validate_ho_morphism(f).ok
     for v in C.index.vertices:
         assert [g.degree for g in C.algebras[v].gens] == [2, 3]
         assert is_quasi_iso(f.maps[v], 5)
+
+
+@pytest.mark.parametrize("budget", [None, 4])
+def test_diagram_cofibrant_model_homotopies_live_in_the_vertex_paths(budget):
+    # without a budget the vertex paths have the default one, and the arrow
+    # homotopies are lifted into those same paths
+    I = IndexCategory({"0": 0, "1": 1}, [("u", "0", "1")])
+    A = s2_table(4)
+    D = Diagram(I, {"0": A, "1": A}, arrows={"u": identity_morphism(A)}, budget=budget,
+                name="const")
+    C, rho = diagram_cofibrant_model(D, N=4)
+    assert C.budget == D.budget
+    assert rho.homotopies["u"].target is D.vertex_path("1")
+    assert validate_ho_morphism(rho, upto=3).ok
 
 
 def test_diagram_cofibrant_model_of_minimal_strict_is_identity_like():
@@ -312,7 +338,7 @@ def test_diagram_cofibrant_model_of_minimal_strict_is_identity_like():
     M2 = ms2(N=6)
     phi = FreeMorphism(M, M2, {"e2": M2.generator("e2"), "e3": M2.generator("e3")})
     D = Diagram(I, {"0": M, "1": M2}, arrows={"u": phi}, budget=4, name="min")
-    C, f = diagram_cofibrant_model(D, N=6, budget=4)
+    C, f = diagram_cofibrant_model(D, N=6)
     assert validate_ho_morphism(f).ok
     for v in ("0", "1"):
         assert is_quasi_iso(f.maps[v], 5)
@@ -321,5 +347,5 @@ def test_diagram_cofibrant_model_of_minimal_strict_is_identity_like():
 
 def test_diagram_cofibrant_model_square_source():
     DA, DB, f = square_diagram()
-    C, ff = diagram_cofibrant_model(DB, N=5, budget=5, allow_0_connected=True)
+    C, ff = diagram_cofibrant_model(DB, N=5, allow_0_connected=True)
     assert validate_ho_morphism(ff).ok

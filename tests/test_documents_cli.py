@@ -451,6 +451,16 @@ def test_mapping_path_cli():
     assert doc["vertices"]["1"]["q_endpoint"] == 1
 
 
+def test_mapping_path_cli_filtered_vertices():
+    # example41 with every vertex filtered: the mapping paths, J and the
+    # contraction live in the weight-shifted vertex paths, so all checks hold
+    out = run_cli("mapping-path", fixture_path("example41_filtered.json"))
+    assert out.returncode == 0, out.stdout
+    doc = json.loads(out.stdout)
+    assert doc["ok"] and doc["contraction_ok"]
+    assert doc == json.loads(run_cli("mapping-path", fixture_path("example41.json")).stdout)
+
+
 def test_mapping_path_cli_single_vertex():
     out = run_cli("mapping-path", fixture_path("rho_single_vertex.json"))
     assert out.returncode == 0

@@ -801,7 +801,7 @@ def _constraint_spaces():
     from hodgepath.lifting import boundary_square_target
     from hodgepath.paths import induced_to_double_path
     M, A, rho = rho_ms2_s2(5)
-    dp = DoublePath(rho, rho, budget=2)
+    dp = DoublePath(rho, rho, path_of(A, 2))
     # a mapping path into a subalgebra: the one the double-path branch of
     # homotopy_between_lifts builds
     into_sub = mapping_path(induced_to_double_path(rho, dp, path_of(M, 2)), budget=2)

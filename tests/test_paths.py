@@ -234,6 +234,19 @@ def test_p5_lift_projection_fixture():
     assert path_linear_map(v, path_of(A, 4), PB)(at) == bt
 
 
+def test_p5_lift_lands_in_the_path_beside_b_t():
+    # a weight-shifted b(t) is lifted into the path of A with the same shift
+    A = FreeCdga([Generator("x1", 1), Generator("y2", 2)], N=5, name="big")
+    B = FreeCdga([Generator("x1", 1)], N=5, name="small")
+    v = FreeMorphism(A, B, {"x1": B.generator("x1"), "y2": B.zero()}, name="v")
+    PB, PA = path_of(B, 4, w_shift=1), path_of(A, 4, w_shift=1)
+    kB = keyed(PB)
+    bt = kB.include(B.generator("x1")) + kB.dt()
+    at = p5_lift(v, A.generator("x1"), A.generator("x1"), bt)
+    assert at.alg is keyed(PA)
+    assert path_linear_map(v, PA, PB)(at) == bt
+
+
 def test_p5_lift_constant_path_and_random_targets():
     rng = random.Random(9)
     A, B, v = rho_ms2_s2()
@@ -311,10 +324,10 @@ def test_mapping_and_double_paths_into_a_subalgebra_keep_its_constraints():
     from hodgepath import DoublePath
     from hodgepath.paths import induced_to_double_path
     M, A, rho = rho_ms2_s2(5)
-    dp = DoublePath(rho, rho, budget=2)
+    dp = DoublePath(rho, rho, path_of(rho.target, 2))
     v = induced_to_double_path(rho, dp, path_of(M, 2))    # P(M) -> DoublePath(rho)
     mp = mapping_path(v, budget=2)
-    dp2 = DoublePath(v, v, budget=2)
+    dp2 = DoublePath(v, v, path_of(v.target, 2))
     B, PB = dp.space, path_of(dp.space, 2)
     assert mp.PB is PB and dp2.PB is PB
     for n in range(0, 3):

@@ -28,7 +28,7 @@ def _spaces():
         "PathAlgebra": path_of(B, 2),
         "P(SubCdga)": path_of(mp.space, 2),
         "MappingPath": mp.space,
-        "DoublePath": DoublePath(rho, rho, budget=2).space,
+        "DoublePath": DoublePath(rho, rho, path_of(A, 2)).space,
         "square boundary": boundary_square_target(path_of(B, 2))[0],
     }
 

@@ -40,7 +40,7 @@ def _space(name, F):
     if name == "mapping_path":
         return mapping_path(rho, budget=2).space
     if name == "double_path":
-        return DoublePath(rho, rho, budget=2).space
+        return DoublePath(rho, rho, path_of(rho.target, 2)).space
     if name == "square_boundary":
         B = FreeCdga([Generator("b1", 1)], 4, field=F, name="B")
         return boundary_square_target(path_of(B, 2))[0]

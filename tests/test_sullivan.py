@@ -172,10 +172,10 @@ def test_homotopy_between_lifts_through_a_non_surjective_map():
     assert not is_surjective_at(w, 3)
     upto = min(M.N, A.N) - 1
     idm = identity_morphism(M)
-    h = homotopy_between_lifts(M, w, idm, idm, constant_homotopy(w, 3), budget=3)
+    h = homotopy_between_lifts(M, w, idm, idm, constant_homotopy(w, 3))
     assert verify_homotopy(h, idm, idm, upto=upto).ok
     g, _ = lift_against_weak_equivalence(M, w, w, budget=3)
-    h = homotopy_between_lifts(M, w, idm, g, constant_homotopy(w, 3), budget=3)
+    h = homotopy_between_lifts(M, w, idm, g, constant_homotopy(w, 3))
     assert verify_homotopy(h, idm, g, upto=upto).ok
 
 
@@ -194,7 +194,7 @@ def test_non_surjective_lifts_build_their_mapping_path_once(monkeypatch):
     mm = minimal_model(A)
     M, w = mm.M, mm.rho
     idm = identity_morphism(M)
-    homotopies = [homotopy_between_lifts(M, w, idm, idm, constant_homotopy(w, 3), budget=3)
+    homotopies = [homotopy_between_lifts(M, w, idm, idm, constant_homotopy(w, 3))
                   for _ in range(2)]
     assert built.count("(d0,d1,P(v))") == 1
     upto = min(M.N, A.N) - 1

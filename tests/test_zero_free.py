@@ -324,7 +324,7 @@ def test_product_tuples_equal_the_old_sums(seed):
     X, C = _algebra(), _source()
     f = FreeMorphism(C, X, _images(X, rng))
     mp = mapping_path(f, budget=2)
-    dp = DoublePath(f, f, budget=2)
+    dp = DoublePath(f, f, path_of(X, 2))
     PB = path_of(X, 2)
     kB = keyed(PB)
     T, theta, amb = boundary_square_target(PB)
