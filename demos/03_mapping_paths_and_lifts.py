@@ -43,7 +43,7 @@ at = p5_lift(rho, a0, M.zero(), bt)
 print("section through rho:", at)
 
 # lifting against a weak equivalence, with the homotopy w g ~ f attached
-g, hom = lift_against_weak_equivalence(M, rho, rho, budget=4)
+g, hom = lift_against_weak_equivalence(M, rho, rho, path_of(rho.target, 4))
 print("lift of rho through itself:",
       {x.name: str(g(M.generator(x.name))) for x in M.gens})
 print("homotopy w g ~ f verifies:",

@@ -1,8 +1,11 @@
 """Command-line surface.
 
-Every command reads JSON documents, prints one deterministic report to stdout
-(--format json | table) and exits 0 on success, 1 on a verified failure, 2 on
-usage/document errors.
+Every command reads JSON documents and returns (report, verdict): the report
+is a dict, or for `minimal-model` in JSON format the serialized text it read
+from or stored in the cache; the verdict is the bool of a passing run.
+`main` alone writes the report to stdout (--format json | table) and picks
+the exit code: 0 on success, 1 on a verified failure, 2 on usage/document
+errors.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from .algebra import AlgebraError, CutoffError, FreeCdga, is_surjective_at
 from .diagrams import (rectify, compose_ho, validate_diagram,
                        validate_diagram_morphism, validate_ho_homotopy,
                        validate_ho_morphism)
-from .documents import (DocumentError, build_dga, build_diagram, build_homorphism,
-                        build_homotopy, build_mhd, dga_doc, element_expr,
-                        load_document, serialize)
+from .documents import (DocumentError, build_dga, build_homorphism, build_homotopy,
+                        build_mhd, dga_doc, element_expr, load_document,
+                        parse_document, serialize)
 from .filtered import FilteredComplex, SpectralSequence, decalage
 from .hodge import (check_mhd, degeneration_check, mixed_hodge_dga_diagram,
                     pi_star)
@@ -26,10 +29,6 @@ from .homology import cohomology, is_quasi_iso
 from .ops import _extend_linearly, check_cdga, check_morphism, table_presentation
 from .paths import delta, iota, keyed, path_of, symmetry, verify_homotopy
 from .sullivan import minimal_model, homotopy_groups
-
-
-class VerifiedFailure(Exception):
-    """A verification command produced a negative verdict."""
 
 
 def _flatten(prefix, obj, out):
@@ -85,36 +84,23 @@ def _budget(args, doc):
 # commands
 # ---------------------------------------------------------------------------
 
+# per kind: the built document's check report and the report's subject
+_CHECKS = {
+    "dga": lambda A: (check_cdga(A), A.name),
+    "diagram": lambda D: (validate_diagram(D), D.name),
+    "mhd": lambda M: (validate_diagram(M.diagram), M.diagram.name),
+    "homorphism": lambda f: (validate_ho_morphism(f), f.name),
+    "homotopy": lambda fgh: (verify_homotopy(fgh[2], fgh[0], fgh[1]), "homotopy"),
+}
+
+
 def cmd_check(args):
     doc = _read(args.document)
-    kind = doc.get("kind")
-    if kind == "dga":
-        A = build_dga(doc)
-        rep = check_cdga(A)
-        out = {"command": "check", "kind": kind, "subject": A.name, **rep.to_doc()}
-    elif kind == "diagram":
-        D = build_diagram(doc)
-        rep = validate_diagram(D)
-        out = {"command": "check", "kind": kind, "subject": D.name, **rep.to_doc()}
-    elif kind == "mhd":
-        M = build_mhd(doc)
-        rep = validate_diagram(M.diagram)
-        out = {"command": "check", "kind": kind, "subject": M.diagram.name,
-               **rep.to_doc()}
-    elif kind == "homorphism":
-        f = build_homorphism(doc)
-        rep = validate_ho_morphism(f)
-        out = {"command": "check", "kind": kind, "subject": f.name, **rep.to_doc()}
-    elif kind == "homotopy":
-        f, g, h = build_homotopy(doc)
-        rep = verify_homotopy(h, f, g)
-        out = {"command": "check", "kind": kind, "subject": "homotopy",
-               **rep.to_doc()}
-    else:
-        raise DocumentError(f"unknown kind {kind!r}", "$.kind")
-    emit(out, args.format)
-    if not out["ok"]:
-        raise VerifiedFailure()
+    built = parse_document(doc)  # first: it rejects an unknown kind
+    kind = doc["kind"]
+    rep, subject = _CHECKS[kind](built)
+    out = {"command": "check", "kind": kind, "subject": subject, **rep.to_doc()}
+    return out, out["ok"]
 
 
 def cmd_cohomology(args):
@@ -126,8 +112,8 @@ def cmd_cohomology(args):
         H = cohomology(A, n)
         degrees[str(n)] = {"dim": H.dim,
                            "representatives": [element_expr(r) for r in H.reps]}
-    emit({"command": "cohomology", "subject": A.name, "max_degree": top,
-          "degrees": degrees, "ok": True}, args.format)
+    return {"command": "cohomology", "subject": A.name, "max_degree": top,
+            "degrees": degrees, "ok": True}, True
 
 
 def cmd_minimal_model(args):
@@ -135,8 +121,7 @@ def cmd_minimal_model(args):
     key = cache.cache_key(doc, args.max_degree)
     cached = cache.lookup(key)
     if cached is not None:
-        sys.stdout.write(cached)
-        return
+        return cached, True
     A = build_dga(doc)
     model = minimal_model(A, args.max_degree,
                           allow_0_connected=args.allow_0_connected)
@@ -150,12 +135,11 @@ def cmd_minimal_model(args):
         "construction_log": model.log,
     }
     out = dga_doc(model.M, name=f"minimal-model({A.name})", annotations=annotations)
-    text = serialize(out) if args.format == "json" else None
-    if text is None:
-        emit(out, args.format)
-    else:
-        cache.store(key, text)
-        sys.stdout.write(text)
+    if args.format != "json":
+        return out, True
+    text = serialize(out)
+    cache.store(key, text)
+    return text, True
 
 
 def cmd_homotopy_groups(args):
@@ -164,9 +148,9 @@ def cmd_homotopy_groups(args):
     model = minimal_model(A, args.max_degree,
                           allow_0_connected=args.allow_0_connected)
     q = homotopy_groups(model)
-    emit({"command": "homotopy-groups", "subject": A.name, "ok": True,
-          "dims": {str(k): v for k, v in q["dims"].items()},
-          "provisional_degree": q["provisional_degree"]}, args.format)
+    return {"command": "homotopy-groups", "subject": A.name, "ok": True,
+            "dims": {str(k): v for k, v in q["dims"].items()},
+            "provisional_degree": q["provisional_degree"]}, True
 
 
 def cmd_path(args):
@@ -203,18 +187,14 @@ def cmd_path(args):
     out = {"command": "path", "subject": A.name, "budget": k.budget,
            "dims": {str(n): P.dim(n) for n in range(0, A.N)},
            "ok": not failures, "failures": failures}
-    emit(out, args.format)
-    if failures:
-        raise VerifiedFailure()
+    return out, not failures
 
 
 def cmd_homotopy_verify(args):
     doc = _read(args.document)
     f, g, h = build_homotopy(doc)
     rep = verify_homotopy(h, f, g)
-    emit({"command": "homotopy-verify", **rep.to_doc()}, args.format)
-    if not rep.ok:
-        raise VerifiedFailure()
+    return {"command": "homotopy-verify", **rep.to_doc()}, rep.ok
 
 
 def _ho_from_doc(doc):
@@ -250,9 +230,7 @@ def cmd_mapping_path(args):
     rep = validate_ho_homotopy(con, upto=max(0, upto - 1))
     out["contraction_ok"] = rep.ok
     out["ok"] = out["ok"] and rep.ok
-    emit(out, args.format)
-    if not out["ok"]:
-        raise VerifiedFailure()
+    return out, out["ok"]
 
 
 def cmd_rectify(args):
@@ -294,9 +272,7 @@ def cmd_rectify(args):
            "vertices": vertices, "arrows": arrows,
            "annotations": {"command": "rectify", "ok": strict_ok,
                            "p": p_maps, "q": q_maps}}
-    emit(out, args.format)
-    if not strict_ok:
-        raise VerifiedFailure()
+    return out, strict_ok
 
 
 def cmd_compose_ho(args):
@@ -319,9 +295,7 @@ def cmd_compose_ho(args):
                           for u in f.source.phi
                           if isinstance(f.source.dom(u), FreeCdga)},
            "failures": rep.failures}
-    emit(out, args.format)
-    if not rep.ok:
-        raise VerifiedFailure()
+    return out, rep.ok
 
 
 def cmd_spectral(args):
@@ -333,11 +307,10 @@ def cmd_spectral(args):
     ss = SpectralSequence(FilteredComplex(A, kind=args.filtration))
     dims = ss.page_dims(args.page, bound=min(args.max_degree, A.N - args.page - 1))
     vanish = ss.d_r_is_zero(args.page)
-    emit({"command": "spectral", "subject": A.name, "page": args.page,
-          "filtration": args.filtration, "ok": True,
-          "dims": {f"({p},{n})": d for (p, n), d in sorted(dims.items())},
-          "d_r_nonzero_at": [f"({b['p']},{b['n']})" for b in vanish]},
-         args.format)
+    return {"command": "spectral", "subject": A.name, "page": args.page,
+            "filtration": args.filtration, "ok": True,
+            "dims": {f"({p},{n})": d for (p, n), d in sorted(dims.items())},
+            "d_r_nonzero_at": [f"({b['p']},{b['n']})" for b in vanish]}, True
 
 
 def cmd_decalage(args):
@@ -347,19 +320,15 @@ def cmd_decalage(args):
         raise DocumentError("document carries no W filtration")
     fc = FilteredComplex(A, kind="W")
     dec = decalage(fc)
-    emit({"command": "decalage", "subject": A.name, "ok": True,
-          "levels": {str(n): sorted(dec.levels[n]) for n in dec.levels}},
-         args.format)
+    return {"command": "decalage", "subject": A.name, "ok": True,
+            "levels": {str(n): sorted(dec.levels[n]) for n in dec.levels}}, True
 
 
 def cmd_mhd_check(args):
     doc = _read(args.document)
     D = build_mhd(doc)
     rep = check_mhd(D, max_degree=args.max_degree)
-    emit({"command": "mhd-check", "subject": D.diagram.name, **rep.to_doc()},
-         args.format)
-    if not rep.ok:
-        raise VerifiedFailure()
+    return {"command": "mhd-check", "subject": D.diagram.name, **rep.to_doc()}, rep.ok
 
 
 def cmd_degeneration(args):
@@ -370,9 +339,7 @@ def cmd_degeneration(args):
     out = {"command": "degeneration", "subject": D.diagram.name,
            "mhd_ok": pre.ok, **res}
     out["ok"] = out["ok"] and pre.ok
-    emit(out, args.format)
-    if not out["ok"]:
-        raise VerifiedFailure()
+    return out, out["ok"]
 
 
 def cmd_pi_star(args):
@@ -389,10 +356,7 @@ def cmd_pi_star(args):
     comp.pop("target", None)
     f = build_homorphism(comp, source=Mhat, target=D.diagram)
     rep = pi_star(D, M, f, max_degree=args.max_degree)
-    emit({"command": "pi-star", "subject": D.diagram.name, **rep.to_doc()},
-         args.format)
-    if not rep.ok:
-        raise VerifiedFailure()
+    return {"command": "pi-star", "subject": D.diagram.name, **rep.to_doc()}, rep.ok
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +465,18 @@ def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
     try:
-        args.fn(args)
-        return 0
-    except VerifiedFailure:
-        return 1
+        report, verdict = args.fn(args)
     except (DocumentError, CutoffError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except AlgebraError as e:
         sys.stderr.write(f"verification error: {e}\n")
         return 1
+    if isinstance(report, str):
+        sys.stdout.write(report)
+    else:
+        emit(report, args.format)
+    return 0 if verdict else 1
 
 
 if __name__ == "__main__":

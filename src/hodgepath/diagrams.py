@@ -681,9 +681,8 @@ def diagram_cofibrant_model(D: Diagram, N=None, allow_0_connected=False):
         a = D.arrow(u)
         mi, mj = models[a.src], models[a.dst]
         target_map = compose(D.comp(u), mi.rho)
-        # plain vertices: D.vertex_path(a.dst) is the path of mj.rho's target at D.budget
         phi_prime, hom = lift_against_weak_equivalence(mi.M, mj.rho, target_map,
-                                                       budget=D.budget)
+                                                       D.vertex_path(a.dst))
         arrows[u] = phi_prime
         homotopies[u] = hom.map
     C = Diagram(D.index, {v: models[v].M for v in D.index.vertices},

@@ -43,7 +43,7 @@ from .filtered import (FilteredComplex, GrComplex, SpectralSequence, decalage,
                        weight_bounds_report)
 from .homology import cone_is_quasi_iso, off_degree_generators
 from .ops import ValidationReport, indecomposables, induced_on_indecomposables
-from .paths import integrate, stokes_defect
+from .paths import integrate, path_of, stokes_defect
 from .sullivan import is_minimal, lift_against_weak_equivalence
 
 
@@ -643,7 +643,8 @@ def pi_star_induced_map(D1, M1, f1, D2, M2, f2, g: DiagramMorphism, budget=8):
     """
     v0 = D1.first
     target = compose(g.maps[v0], f1.maps[v0])
-    h, hom = lift_against_weak_equivalence(M1, f2.maps[v0], target, budget=budget)
+    h, hom = lift_against_weak_equivalence(M1, f2.maps[v0], target,
+                                            path_of(f2.maps[v0].target, budget))
     QA, QB = indecomposables(M1), indecomposables(M2)
     mats = induced_on_indecomposables(h, QA, QB, upto=min(M1.N, M2.N))
     compat = []

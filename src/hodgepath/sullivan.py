@@ -45,8 +45,7 @@ from .algebra import (AlgebraError, CutoffError, FreeCdga, FreeMorphism,
 from .homology import cohomology, cone_certificate, d_squared_witness
 from .lifting import double_path_target, free_lift, homotopy_add, lift_homotopy
 from .ops import indecomposables
-from .paths import (Homotopy, MappingPath, _memo, delta, keyed, path_like, path_linear_map,
-                    path_of)
+from .paths import Homotopy, MappingPath, _memo, delta, path_like, path_linear_map
 
 
 class ModelError(AlgebraError):
@@ -269,16 +268,15 @@ def homotopy_groups(model: MinimalModel) -> dict:
 # lifting along weak equivalences (surjectivity and injectivity of w_*)
 # ---------------------------------------------------------------------------
 
-def lift_against_weak_equivalence(C: FreeCdga, w: Morphism, f: Morphism,
-                                  budget=None):
-    """g: C -> A with an explicit verified homotopy w g ~ f.
+def lift_against_weak_equivalence(C: FreeCdga, w: Morphism, f: Morphism, PB):
+    """g: C -> A with an explicit verified homotopy w g ~ f in PB.
 
-    Factor w through its mapping path, lift f through the endpoint projection
-    q (a trivial fibration when w is a weak equivalence), and read the
-    homotopy off the canonical contraction.  The mapping path is kept on
-    its path object P(w.target) per w, so a repeated lift rebuilds nothing.
+    PB is a path object of w.target.  Factor w through its mapping path in
+    PB, lift f through the endpoint projection q (a trivial fibration when w
+    is a weak equivalence), and read the homotopy off the canonical
+    contraction.  The mapping path is kept on PB per w, so a repeated lift
+    rebuilds nothing.
     """
-    PB = path_of(w.target, budget)
     mp = _memo(PB, ("mapping path", w), lambda: MappingPath(w, PB))
     gprime = free_lift(C, mp.q, f, name="g'")
     g = FreeMorphism(C, w.source, {gen.name: mp.p(gprime(C.generator(gen.name)))
@@ -308,7 +306,7 @@ def homotopy_between_lifts(C: FreeCdga, w: Morphism, g0: Morphism, g1: Morphism,
     A = w.source
     PA = path_like(h.path, A)
     dp, barw, H = double_path_target(C, w, g0, g1, h, PA)
-    G, K = lift_against_weak_equivalence(C, barw, H, budget=keyed(PA).budget)
+    G, K = lift_against_weak_equivalence(C, barw, H, path_like(PA, barw.target))
     # project the homotopy K: barw G ~ H to the two A-coordinates
     Pdp = K.path
     pi0 = Morphism(dp.space, A, lambda x: dp.parts(x)[0], name="pr0")

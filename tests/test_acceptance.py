@@ -256,18 +256,18 @@ def test_criterion_4_lifting_bijection():
     ]
     count = 0
     for C, w, f in triples:
-        g, h = lift_against_weak_equivalence(C, w, f, budget=4)
+        g, h = lift_against_weak_equivalence(C, w, f, path_of(w.target, 4))
         wg = compose(w, g)
         upto = min(C.N, w.target.N) - 1
         assert verify_homotopy(h, wg, f, upto=upto).ok, (C.name, w.name)
         count += 1
     # injectivity companion: any supplied homotopy w g0 ~ w g1 produces an
     # explicit verified homotopy g0 ~ g1
-    g, h = lift_against_weak_equivalence(M, rho, rho, budget=4)
+    g, h = lift_against_weak_equivalence(M, rho, rho, path_of(rho.target, 4))
     idm = identity_morphism(M)
     hcomp = homotopy_between_lifts(M, rho, idm, g, constant_homotopy(rho, 4))
     assert verify_homotopy(hcomp, idm, g, upto=5).ok
-    g2, h2 = lift_against_weak_equivalence(KQ2, rho, e2_to_x2, budget=4)
+    g2, h2 = lift_against_weak_equivalence(KQ2, rho, e2_to_x2, path_of(rho.target, 4))
     lift2 = FreeMorphism(KQ2, M, {"e2": M.generator("e2")}, name="direct")
     hsup = constant_homotopy(compose(rho, lift2), budget=4)
     hcomp2 = homotopy_between_lifts(KQ2, rho, lift2, g2, hsup)

@@ -476,6 +476,38 @@ def test_cli_table_format():
     assert "ok = True" in out.stdout
 
 
+def test_cli_table_format_of_a_failed_check():
+    # a verified failure prints its report, flattened, and exits 1
+    from hodgepath import cli
+    rc, text = run_main("check", fixture_path("cp3_noncommutative.json"))
+    lines = []
+    cli._flatten("", json.loads(text), lines)
+    table = run_main("check", fixture_path("cp3_noncommutative.json"), "--format", "table")
+    assert rc == 1 and table == (1, "\n".join(lines) + "\n")
+    assert "ok = False" in lines
+
+
+def test_check_unknown_kind_is_a_document_error(tmp_path):
+    path = tmp_path / "nope.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "nope"}), encoding="utf-8")
+    out = run_cli("check", str(path))
+    assert out.returncode == 2
+    assert "$.kind" in out.stderr and out.stdout == ""
+
+
+def test_minimal_model_cache_hit_prints_the_stored_text(tmp_path, monkeypatch):
+    from hodgepath import cli
+    monkeypatch.setenv("HODGEPATH_CACHE", str(tmp_path / "cache"))
+    argv = ["minimal-model", fixture_path("cp2.json"), "--max-degree", "6"]
+    first = run_main(*argv)
+    # the hit returns the stored text as it is and builds no model
+    monkeypatch.setattr(cli, "minimal_model", None)
+    args = cli.make_parser().parse_args(argv)
+    report, verdict = args.fn(args)
+    assert isinstance(report, str) and verdict
+    assert run_main(*argv) == first == (0, report)
+
+
 def test_minimal_model_output_parses_and_cache_transparent(tmp_path):
     plain = run_cli("minimal-model", fixture_path("s2.json"), "--max-degree", "6")
     assert plain.returncode == 0

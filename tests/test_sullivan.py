@@ -6,10 +6,10 @@ import pytest
 
 from helpers import (acyclic_table, k_q2, ms2, qq_algebra, rho_ms2_s2, s2_table,
                      s2_wedge_s5, s3, toy_model, two_torus_like)
-from hodgepath import (FreeCdga, FreeMorphism, Generator, compose,
+from hodgepath import (FreeCdga, FreeMorphism, Generator, Homotopy, compose,
                        constant_homotopy, homotopy_between_lifts, homotopy_groups,
                        identity_morphism, is_minimal, is_quasi_iso,
-                       lift_against_weak_equivalence, minimal_model,
+                       lift_against_weak_equivalence, minimal_model, path_of,
                        verify_homotopy)
 from hodgepath.sullivan import ModelError
 
@@ -130,7 +130,7 @@ def test_is_minimal_filtered_variant():
 
 def test_lift_against_identity():
     M, A, rho = rho_ms2_s2()
-    g, h = lift_against_weak_equivalence(M, identity_morphism(A), rho, budget=4)
+    g, h = lift_against_weak_equivalence(M, identity_morphism(A), rho, path_of(A, 4))
     for gen in M.gens:
         assert g(M.generator(gen.name)) == rho(M.generator(gen.name))
     assert verify_homotopy(h, h.f, h.g, upto=5).ok
@@ -138,7 +138,7 @@ def test_lift_against_identity():
 
 def test_lift_against_rho_gives_homotopy_identity():
     M, A, rho = rho_ms2_s2()
-    g, h = lift_against_weak_equivalence(M, rho, rho, budget=4)
+    g, h = lift_against_weak_equivalence(M, rho, rho, path_of(rho.target, 4))
     assert verify_homotopy(h, compose(rho, g), rho, upto=5).ok
     # g is homotopic to the identity: certify with an explicit homotopy
     idm = identity_morphism(M)
@@ -174,7 +174,7 @@ def test_homotopy_between_lifts_through_a_non_surjective_map():
     idm = identity_morphism(M)
     h = homotopy_between_lifts(M, w, idm, idm, constant_homotopy(w, 3))
     assert verify_homotopy(h, idm, idm, upto=upto).ok
-    g, _ = lift_against_weak_equivalence(M, w, w, budget=3)
+    g, _ = lift_against_weak_equivalence(M, w, w, path_of(w.target, 3))
     h = homotopy_between_lifts(M, w, idm, g, constant_homotopy(w, 3))
     assert verify_homotopy(h, idm, g, upto=upto).ok
 
@@ -205,9 +205,32 @@ def test_non_surjective_lifts_build_their_mapping_path_once(monkeypatch):
     assert verify_homotopy(homotopies[1], idm, idm, upto=upto).ok
 
 
+def test_non_surjective_lift_keeps_the_weight_shift_of_h(monkeypatch):
+    # h lives in a weight-shifted path of A: the mapping path of
+    # (d0, d1, P(w)), like the addition target's, is built in the path
+    # beside h's, at h's w-shift
+    from hodgepath import iota, keyed, paths
+    shifts = []
+    init = paths.MappingPath.__init__
+
+    def recording_init(self, f, PB, *args, **kwargs):
+        shifts.append(keyed(PB).w_shift)
+        init(self, f, PB, *args, **kwargs)
+
+    monkeypatch.setattr(paths.MappingPath, "__init__", recording_init)
+    A = unit_sphere_plus_acyclic_pair()
+    mm = minimal_model(A)
+    M, w = mm.M, mm.rho
+    idm = identity_morphism(M)
+    h = Homotopy(w, w, compose(iota(path_of(A, 3, w_shift=1)), w))
+    out = homotopy_between_lifts(M, w, idm, idm, h)
+    assert shifts and set(shifts) == {1}
+    assert verify_homotopy(out, idm, idm, upto=min(M.N, A.N) - 1).ok
+
+
 def test_lift_roundtrip_class():
     # w_* surjectivity round-trip: lift f = w, compose back, land in [f]
     M, A, rho = rho_ms2_s2()
-    g, h = lift_against_weak_equivalence(M, rho, rho, budget=4)
+    g, h = lift_against_weak_equivalence(M, rho, rho, path_of(rho.target, 4))
     # h already certifies [w g] = [f]
     assert verify_homotopy(h, compose(rho, g), rho, upto=5).ok
