@@ -24,8 +24,8 @@ from .paths import (BudgetError, DoublePath, Homotopy, MappingPath, PathAlgebra,
 from .algebra import is_surjective_at, morphism_matrix, solve_preimage
 from .lifting import (LiftObstruction, fill_square, free_lift, homotopy_add,
                       lift_homotopy)
-from .filtered import (FilteredComplex, SpectralSequence, decalage, gr,
-                       is_Er_quasi_iso, path_10, r_path, spectral_page,
+from .filtered import (FilteredComplex, SpectralSequence, decalage, filtered_complex, gr,
+                       is_Er_quasi_iso, path_10, r_path, spectral_page, spectral_sequence,
                        strictness_check)
 from .sullivan import (MinimalModel, homotopy_between_lifts, homotopy_groups,
                        is_minimal, lift_against_weak_equivalence, minimal_model)

@@ -13,7 +13,8 @@ space protocol: `ambient`, `zero`, `unit`, `basis`, `dim`, `coords`,
 `d_rows`, `from_coords`, `check_degree`, `has_weights` and `has_hodge`.  A
 space's elements live in its `ambient`, the keyed algebra that holds them:
 an algebra is its own ambient, and a `SubCdga`'s is the algebra it is cut
-from.  `d_rows(n)`, kept once per degree, is every caller's matrix of d.
+from.  `d_rows(n)`, kept once per degree, is every caller's matrix of d, and
+everything else derived from a space is kept on it by `derived`.
 
 Products and differentials of keys carry their signs as the field's shared
 scalars: `mul_keys` returns `field.one()` or `field.minus_one()` with each
@@ -235,6 +236,24 @@ def d_rows_by_coords(space, n, basis, **strict) -> list:
     return rows
 
 
+def derived(X, key, build):
+    """build(), made once per key and kept on the space X; the one memo of a space.
+
+    Everything worked out from a space once and read many times is kept
+    here, in X's one `_derived` dict: its path objects and the lifting
+    targets on them, its cohomology groups and d^2 verdicts, its filtered
+    complexes, spectral sequences and graded pieces, and the scalar
+    extension of a rational vertex.  Only this function writes the dict,
+    and `FreeCdga.set_differential` drops it.
+    """
+    memo = X._derived
+    if memo is None:
+        memo = X._derived = {}
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 # ---------------------------------------------------------------------------
 # algebra base
 # ---------------------------------------------------------------------------
@@ -388,14 +407,13 @@ class GradedAlgebra:
     def __repr__(self):
         return self.name or f"<{type(self).__name__} at {hex(id(self))}>"
 
-    # path objects and the lifting targets built on them (filled by paths._memo)
-    _path_cache: dict = None
-    # per-degree key index, d rows and d^2 verdicts (filled by _key_index,
-    # d_rows and homology.d_squared_witness); algebras are immutable, but
-    # FreeCdga.set_differential drops the rows, the verdicts and the path objects
+    # per-degree key index and d rows (filled by _key_index and d_rows), and
+    # everything else derived from the space (filled by `derived`); algebras
+    # are immutable, but FreeCdga.set_differential drops the rows and the
+    # derived objects, which read the old d
     _index_cache: dict = None
     _d_rows_cache: dict = None
-    _d_squared: dict = None
+    _derived: dict = None
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +485,7 @@ class FreeCdga(GradedAlgebra):
             self._diff[i] = dict(el.terms)
         self._d_key_cache.clear()
         self._d_rows_cache = None
-        self._d_squared = None
-        self._path_cache = None   # path objects, and the targets on them, read the old d
+        self._derived = None   # everything derived from the space read the old d
 
     def adjoin(self, generators, differentials: dict) -> "FreeCdga":
         """This algebra with generators adjoined (a relative Sullivan extension).
@@ -1042,7 +1059,6 @@ class SubCdga:
         # degree -> (ambient coefficient rows of basis(n), {free position: index})
         self._rows = {}
         self._d_rows = {}   # filled by d_rows
-        self._d_squared = None   # filled by homology.d_squared_witness
 
     # space protocol ------------------------------------------------------------
 
@@ -1129,4 +1145,4 @@ class SubCdga:
     def __repr__(self):
         return self.name
 
-    _path_cache = None
+    _derived = None   # filled by `derived`

@@ -1,10 +1,13 @@
 """Content-addressed cache for computed minimal models.
 
-Keyed by sha256 of (canonical input document, horizon, engine version); a hit
-reproduces byte-identical output.  The engine version is the package version
-plus a fingerprint of the package's own sources, so any change to the engine
-invalidates every older entry.  Writes are atomic (write then rename), so
-concurrent identical invocations may duplicate work but never corrupt.
+Keyed by sha256 of (canonical input document, horizon, --allow-0-connected,
+engine version).  An entry holds the report as `documents.serialize` wrote
+it, and a hit reads it back as a dict, so it is written out in whatever
+format the hit asks for; a JSON hit reproduces the miss's bytes.  The engine
+version is the package version plus a fingerprint of the package's own
+sources, so any change to the engine invalidates every older entry.  Writes
+are atomic (write then rename), so concurrent identical invocations may
+duplicate work but never corrupt.
 """
 
 from __future__ import annotations
@@ -40,14 +43,16 @@ def engine_version() -> str:
     return f"{__version__}+{source_fingerprint(os.path.dirname(os.path.abspath(__file__)))}"
 
 
-def cache_key(doc: dict, max_degree: int) -> str:
+def cache_key(doc: dict, max_degree: int, allow_0_connected: bool = False) -> str:
     payload = json.dumps({"doc": doc, "max_degree": max_degree,
+                          "allow_0_connected": allow_0_connected,
                           "engine": engine_version()},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def lookup(key: str):
+    """The stored report, parsed, or None on a miss or without a cache directory."""
     base = cache_dir()
     if not base:
         return None
@@ -55,7 +60,7 @@ def lookup(key: str):
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
+        return json.loads(fh.read().decode("utf-8"))
 
 
 def store(key: str, text: str):

@@ -1,11 +1,10 @@
 """Command-line surface.
 
 Every command reads JSON documents and returns (report, verdict): the report
-is a dict, or for `minimal-model` in JSON format the serialized text it read
-from or stored in the cache; the verdict is the bool of a passing run.
-`main` alone writes the report to stdout (--format json | table) and picks
-the exit code: 0 on success, 1 on a verified failure, 2 on usage/document
-errors.
+is a dict, for `minimal-model` the one it read from or stored in the cache;
+the verdict is the bool of a passing run.  `main` alone writes the report to
+stdout (--format json | table) and picks the exit code: 0 on success, 1 on a
+verified failure, 2 on usage/document errors.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .diagrams import (rectify, compose_ho, validate_diagram,
 from .documents import (DocumentError, build_dga, build_homorphism, build_homotopy,
                         build_mhd, dga_doc, element_expr, load_document,
                         parse_document, serialize)
-from .filtered import FilteredComplex, SpectralSequence, decalage
+from .filtered import decalage, filtered_complex, spectral_sequence
 from .hodge import (check_mhd, degeneration_check, mixed_hodge_dga_diagram,
                     pi_star)
 from .homology import cohomology, is_quasi_iso
@@ -118,7 +117,7 @@ def cmd_cohomology(args):
 
 def cmd_minimal_model(args):
     doc = _read(args.document)
-    key = cache.cache_key(doc, args.max_degree)
+    key = cache.cache_key(doc, args.max_degree, args.allow_0_connected)
     cached = cache.lookup(key)
     if cached is not None:
         return cached, True
@@ -135,11 +134,8 @@ def cmd_minimal_model(args):
         "construction_log": model.log,
     }
     out = dga_doc(model.M, name=f"minimal-model({A.name})", annotations=annotations)
-    if args.format != "json":
-        return out, True
-    text = serialize(out)
-    cache.store(key, text)
-    return text, True
+    cache.store(key, serialize(out))
+    return out, True
 
 
 def cmd_homotopy_groups(args):
@@ -211,16 +207,15 @@ def cmd_mapping_path(args):
     span = rectify(f)
     out = {"command": "mapping-path", "subject": f.name, "vertices": {}, "ok": True}
     upto = f.source.check_upto() - 1
-    groups = {}  # H^n by (space, n), shared by the p, f and q checks of every vertex
     for v in f.source.index.vertices:
         mp = span.mps[v]
         entry = {"dims": {str(n): mp.space.dim(n) for n in range(0, upto + 1)},
                  "q_endpoint": mp.q_endpoint}
         entry["p_surjective"] = all(
             is_surjective_at(mp.p, n) for n in range(0, upto + 1))
-        entry["p_quasi_iso"] = is_quasi_iso(mp.p, upto, groups=groups)
-        entry["f_quasi_iso"] = is_quasi_iso(f.maps[v], upto, groups=groups)
-        entry["q_quasi_iso"] = is_quasi_iso(mp.q, upto, groups=groups)
+        entry["p_quasi_iso"] = is_quasi_iso(mp.p, upto)
+        entry["f_quasi_iso"] = is_quasi_iso(f.maps[v], upto)
+        entry["q_quasi_iso"] = is_quasi_iso(mp.q, upto)
         out["vertices"][v] = entry
         if not (entry["p_surjective"] and entry["p_quasi_iso"]):
             out["ok"] = False
@@ -304,7 +299,7 @@ def cmd_spectral(args):
     if (args.filtration == "W" and not A.has_weights) or \
             (args.filtration == "F" and not A.has_hodge):
         raise DocumentError(f"document carries no {args.filtration} filtration")
-    ss = SpectralSequence(FilteredComplex(A, kind=args.filtration))
+    ss = spectral_sequence(A, args.filtration)
     dims = ss.page_dims(args.page, bound=min(args.max_degree, A.N - args.page - 1))
     vanish = ss.d_r_is_zero(args.page)
     return {"command": "spectral", "subject": A.name, "page": args.page,
@@ -318,8 +313,7 @@ def cmd_decalage(args):
     A = build_dga(doc)
     if not A.has_weights:
         raise DocumentError("document carries no W filtration")
-    fc = FilteredComplex(A, kind="W")
-    dec = decalage(fc)
+    dec = decalage(filtered_complex(A))
     return {"command": "decalage", "subject": A.name, "ok": True,
             "levels": {str(n): sorted(dec.levels[n]) for n in dec.levels}}, True
 
@@ -472,10 +466,7 @@ def main(argv=None) -> int:
     except AlgebraError as e:
         sys.stderr.write(f"verification error: {e}\n")
         return 1
-    if isinstance(report, str):
-        sys.stdout.write(report)
-    else:
-        emit(report, args.format)
+    emit(report, args.format)
     return 0 if verdict else 1
 
 

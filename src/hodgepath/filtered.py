@@ -27,6 +27,11 @@ Conventions (fixed once, documented here):
   it is as large as that space; the decalage also stops its levels once
   the span is the whole degree.
 * Decalage: Dec W_p C^n = {x in W_{p-n} C^n : dx in W_{p-n-1} C^{n+1}}.
+* One of each per space: `filtered_complex(X, kind, bound)`,
+  `spectral_sequence(X, kind)` and `gr(X, p, kind, bound)` build their
+  object on first use and keep it on X (`algebra.derived`), a bound of None
+  keyed as X.N, so every check of a space reads the same complexes, pages
+  and graded pieces.  A decalage is built from the complex it is handed.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, GradedAlgebra,
-                      LinearMap, combination, d_rows_by_coords)
+                      LinearMap, combination, d_rows_by_coords, derived)
 from .paths import path_of
 
 _ONE = Fraction(1)
@@ -185,11 +190,18 @@ class FilteredComplex:
         return {j: c for j, c in row.items() if levels[j] > cutlevel}
 
 
-def weight_bounds_report(fc: FilteredComplex) -> dict:
+def filtered_complex(X, kind="W", bound=None) -> FilteredComplex:
+    """X's complex for this filtration through degree bound (X.N by default), kept on X."""
+    bound = X.N if bound is None else bound
+    return derived(X, ("filtered complex", kind, bound),
+                   lambda: FilteredComplex(X, kind, bound))
+
+
+def weight_bounds_report(C: FilteredComplex) -> dict:
     """Exhaustive/bounded-below summary per degree (regularity within horizon)."""
     out = {}
-    for n in range(0, fc.bound + 1):
-        lv = fc.levels.get(n, [])
+    for n in range(0, C.bound + 1):
+        lv = C.levels.get(n, [])
         out[n] = {"dim": len(lv), "min": min(lv) if lv else None,
                   "max": max(lv) if lv else None}
     return out
@@ -222,32 +234,39 @@ class GrComplex:
         return sq
 
 
-def gr(X, p: int, kind="W", bound=None, fc: FilteredComplex | None = None) -> GrComplex:
-    """The graded piece W_p/W_{p-1} with its induced differential.
+def gr(X, p: int, kind="W", bound=None) -> GrComplex:
+    """The graded piece W_p/W_{p-1} with its induced differential, kept on X.
 
-    Out-of-range p gives the zero complex.  A second filtration descends
-    through the levels of the adapted basis vectors.
+    It is read off `filtered_complex(X, kind, bound)`.  Out-of-range p gives
+    the zero complex.  A second filtration descends through the levels of
+    the adapted basis vectors.
     """
-    fc = fc or FilteredComplex(X, kind=kind, bound=bound)
+    bound = X.N if bound is None else bound
+    return derived(X, ("gr", p, kind, bound),
+                   lambda: _graded(filtered_complex(X, kind, bound), p))
+
+
+def _graded(C: FilteredComplex, p: int) -> GrComplex:
+    """Gr_p of C."""
     dims, dmats, hodges, reps = {}, {}, {}, {}
     idx = {}
-    for n in range(0, fc.bound + 1):
-        sel = [i for i, lv in enumerate(fc.levels[n]) if lv == p]
+    for n in range(0, C.bound + 1):
+        sel = [i for i, lv in enumerate(C.levels[n]) if lv == p]
         idx[n] = sel
         dims[n] = len(sel)
-        reps[n] = [fc.elements[n][i] for i in sel]
+        reps[n] = [C.elements[n][i] for i in sel]
         hs = []
         for i in sel:
-            el = fc.elements[n][i]
+            el = C.elements[n][i]
             try:
                 hs.append(el.hodge())
             except AlgebraError:
                 hs = None
                 break
         hodges[n] = hs
-    for n in range(0, fc.bound):
+    for n in range(0, C.bound):
         position = {j: t for t, j in enumerate(idx[n + 1])}
-        dmats[n] = [{position[j]: c for j, c in fc.d_rows(n)[i].items() if j in position}
+        dmats[n] = [{position[j]: c for j, c in C.d_rows(n)[i].items() if j in position}
                     for i in idx[n]]
     return GrComplex(p=p, dims=dims, d=dmats, hodge=hodges, reps=reps)
 
@@ -259,8 +278,8 @@ def gr(X, p: int, kind="W", bound=None, fc: FilteredComplex | None = None) -> Gr
 class SpectralSequence:
     """Pages of the filtered complex, computed exactly per (r, p, n)."""
 
-    def __init__(self, fc: FilteredComplex):
-        self.fc = fc
+    def __init__(self, C: FilteredComplex):
+        self.fc = C
         self._z_cache = {}
         self._e_cache = {}
         self._d_r_cache = {}
@@ -393,9 +412,15 @@ class SpectralSequence:
         return bad
 
 
+def spectral_sequence(X, kind="W") -> SpectralSequence:
+    """The spectral sequence of X's filtered complex of this kind (through X.N), kept on X."""
+    return derived(X, ("spectral sequence", kind),
+                   lambda: SpectralSequence(filtered_complex(X, kind)))
+
+
 def spectral_page(X, r: int, kind="W", bound=None) -> dict:
     """Dimensions {(p, n): dim E_r^{p,n}} of the r-th page (exact)."""
-    return SpectralSequence(FilteredComplex(X, kind=kind)).page_dims(r, bound=bound)
+    return spectral_sequence(X, kind).page_dims(r, bound=bound)
 
 
 def induced_page_map(f: LinearMap, r, ss_src: SpectralSequence,
@@ -417,16 +442,14 @@ def induced_page_map(f: LinearMap, r, ss_src: SpectralSequence,
     return rows, src, dst
 
 
-def check_filtration_preserving(f: LinearMap, kind="W", bound=None, complexes=None) -> list:
+def check_filtration_preserving(f: LinearMap, kind="W", bound=None) -> list:
     """Witnesses of adapted basis elements that f sends to a higher level, degrees 0..bound.
 
-    complexes is the pair of filtered complexes of f's source and target, if
-    the caller has built them already; they must reach degree bound.
+    The filtered complexes are those kept on f's source and target.
     """
     bad = []
     bound = min(f.source.N, f.target.N) if bound is None else bound
-    fcs, fct = complexes or (FilteredComplex(f.source, kind=kind, bound=bound),
-                             FilteredComplex(f.target, kind=kind, bound=bound))
+    fcs, fct = filtered_complex(f.source, kind, bound), filtered_complex(f.target, kind, bound)
     for n in range(0, bound + 1):
         for b, lv in zip(fcs.elements[n], fcs.levels[n]):
             y = f(b)
@@ -439,16 +462,14 @@ def check_filtration_preserving(f: LinearMap, kind="W", bound=None, complexes=No
     return bad
 
 
-def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None, sequences=None):
+def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None):
     """Verdict: does f induce an isomorphism on page r+1 (= H of page r)?
 
-    Returns (ok, witnesses).  Pre: f preserves the filtration.  sequences is
-    the pair of spectral sequences of f's source and target for this kind, if
-    the caller has built them already; their complexes must reach degree N.
+    Returns (ok, witnesses).  Pre: f preserves the filtration.  The spectral
+    sequences are those kept on f's source and target for this kind.
     """
-    ss_s, ss_t = sequences or (SpectralSequence(FilteredComplex(f.source, kind=kind)),
-                               SpectralSequence(FilteredComplex(f.target, kind=kind)))
-    pre = check_filtration_preserving(f, complexes=(ss_s.fc, ss_t.fc))
+    ss_s, ss_t = spectral_sequence(f.source, kind), spectral_sequence(f.target, kind)
+    pre = check_filtration_preserving(f, kind)
     if pre:
         return False, [{"reason": "not filtration-preserving", **pre[0]}]
     if min(f.source.N, f.target.N) - r - 2 < 0:
@@ -475,9 +496,9 @@ def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None, sequences=None):
 class _Decalage(FilteredComplex):
     """Dec W of a filtered complex, with its adapted basis in a Span of the parent's rows."""
 
-    def __init__(self, fc: FilteredComplex):
-        self.parent = fc
-        super().__init__(fc.X, fc.kind + "-dec", fc.bound - 1)
+    def __init__(self, parent: FilteredComplex):
+        self.parent = parent
+        super().__init__(parent.X, parent.kind + "-dec", parent.bound - 1)
 
     def _adapted_basis(self, n):
         """Level by level, the vectors of Z(a) = {x in W_a C^n : dx in W_{a-1} C^{n+1}}, a = p - n.
@@ -509,15 +530,15 @@ class _Decalage(FilteredComplex):
         return sol
 
 
-def decalage(fc: FilteredComplex) -> FilteredComplex:
+def decalage(C: FilteredComplex) -> FilteredComplex:
     """Dec W_p C^n = {x in W_{p-n} C^n : dx in W_{p-n-1} C^{n+1}}.
 
-    Degree n needs degree n+1 of fc, so the result stops one degree below fc.
+    Degree n needs degree n+1 of C, so the result stops one degree below C.
     """
-    if fc.bound < 1:
+    if C.bound < 1:
         raise CutoffError(f"the decalage in degree n needs degree n + 1, but the filtered "
-                          f"complex of {fc.X!r} stops at degree {fc.bound}")
-    return _Decalage(fc)
+                          f"complex of {C.X!r} stops at degree {C.bound}")
+    return _Decalage(C)
 
 
 # ---------------------------------------------------------------------------

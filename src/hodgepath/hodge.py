@@ -15,10 +15,13 @@ Axiom checks:
   MH2  F induces a pure structure of weight p+n on H^n of the p-th
        weight-graded piece, with conjugation transported from the Q-side.
 
-Each call builds one filtered complex per (vertex algebra, filtration) and
-one graded piece per (vertex, p): MH0, the bounds, MH1, MH2 and the
-transport at every (n, p) read the same objects, which are dropped when the
-call returns.  `pi_star` builds the decalage of its model once.
+Each vertex algebra keeps one filtered complex and one spectral sequence per
+filtration and one graded piece per p (`filtered.filtered_complex`,
+`spectral_sequence` and `gr`), and the rational vertex keeps its scalar
+extension: MH0, the bounds, MH1, MH2, the transport at every (n, p), the
+degeneration checks and a `validate_diagram` of the same diagram read the
+same objects, for as long as the algebras live.  `pi_star` builds the
+decalage of its model once.
 
 `pi_star` reads the structures on pi_* off the indecomposables of a minimal
 model M, which is valid only when the comparison rho_v: M -> A_v is a
@@ -35,11 +38,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (AlgebraError, FreeCdga, combination, compose,
+from .algebra import (AlgebraError, FreeCdga, combination, compose, derived,
                       extend_scalars, identity_morphism)
 from .diagrams import Diagram, DiagramMorphism, HoMorphism, validate_ho_morphism
-from .filtered import (FilteredComplex, GrComplex, SpectralSequence, decalage,
-                       gr, gr_differential_strict, is_Er_quasi_iso,
+from .filtered import (FilteredComplex, GrComplex, decalage, filtered_complex, gr,
+                       gr_differential_strict, is_Er_quasi_iso, spectral_sequence,
                        weight_bounds_report)
 from .homology import cone_is_quasi_iso, off_degree_generators
 from .ops import ValidationReport, indecomposables, induced_on_indecomposables
@@ -314,48 +317,18 @@ class Transport:
         return sigma
 
 
-class _Complexes:
-    """One spectral sequence (with its filtered complex) per (algebra, filtration)
-    and one weight-graded piece per (algebra, p), built on first use.
-
-    Keys are algebra identities; the algebras belong to the diagram, which
-    outlives the call that holds this object.
-    """
-
-    def __init__(self):
-        self._sequences = {}
-        self._graded = {}
-
-    def sequence(self, X, kind="W") -> SpectralSequence:
-        ss = self._sequences.get((id(X), kind))
-        if ss is None:
-            ss = self._sequences[id(X), kind] = SpectralSequence(FilteredComplex(X, kind=kind))
-        return ss
-
-    def complex(self, X, kind="W") -> FilteredComplex:
-        return self.sequence(X, kind).fc
-
-    def graded(self, X, p) -> GrComplex:
-        g = self._graded.get((id(X), p))
-        if g is None:
-            g = self._graded[id(X), p] = gr(None, p, fc=self.complex(X))
-        return g
-
-
-def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int, complexes=None):
+def transport_rational_structure(D: MixedHodgeDiagram, n: int, p: int):
     """Transported isomorphism and conjugation at (n, p), with soundness checks.
 
     Fails with a witness when some comparison does not induce an isomorphism
-    on H^n of the p-th weight-graded piece.  complexes holds the vertex
-    complexes and graded pieces of a `check_mhd` call, which shares them
-    across every (n, p); without it they are built afresh.
+    on H^n of the p-th weight-graded piece.  The vertex complexes and graded
+    pieces are those kept on the vertex algebras, shared across every (n, p).
     """
     dia = D.diagram
-    cx = complexes or _Complexes()
     verts = dia.index.vertices
     algs = {v: _transport_vertex_algebra(D, v) for v in verts}
-    fcs = {v: cx.complex(algs[v]) for v in verts}
-    grcs = {v: cx.graded(algs[v], p) for v in verts}
+    fcs = {v: filtered_complex(algs[v]) for v in verts}
+    grcs = {v: gr(algs[v], p) for v in verts}
     dim = grcs[verts[0]].cohomology(n).dim
     current = _unit_rows(dim)
     cur_dim = dim
@@ -393,17 +366,14 @@ def _transport_vertex_algebra(D: MixedHodgeDiagram, v):
 
     At the rational vertex this is the scalar extension used by the first
     comparison (so transported representatives live where the comparison maps
-    can consume them)."""
+    can consume them), or else the one kept on the rational vertex."""
     if v != D.first:
         return D.diagram.algebras[v]
     for a in D.diagram.index.arrows:
         if a.src == D.first and D.diagram.coerce[a.name] is not None:
             return D.diagram.phi[a.name].source
-    cached = getattr(D, "_extended_first_cache", None)
-    if cached is None:
-        cached, _ = extend_scalars(D.rational, D.d)
-        D._extended_first_cache = cached
-    return cached
+    return derived(D.rational, ("scalar extension", D.d),
+                   lambda: extend_scalars(D.rational, D.d)[0])
 
 
 def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
@@ -411,29 +381,26 @@ def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
     report = MhdReport()
     dia = D.diagram
     N = D.N if max_degree is None else max_degree
-    cx = _Complexes()
 
     # MH0: E_1 quasi-isomorphisms along the string; bounds bookkeeping
     mh0 = {"ok": True, "witnesses": [], "arrows": {}}
     for u in dia.phi:
-        phi = dia.phi[u]
-        ok, bad = is_Er_quasi_iso(phi, 1, kind="W", sequences=(
-            cx.sequence(phi.source), cx.sequence(phi.target)))
+        ok, bad = is_Er_quasi_iso(dia.phi[u], 1, kind="W")
         mh0["arrows"][u] = ok
         if not ok:
             mh0["ok"] = False
             mh0["witnesses"].append({"arrow": u, "failures": bad[:3]})
-    mh0["weight_bounds"] = weight_bounds_report(cx.complex(D.rational, "W"))
-    mh0["hodge_bounds"] = weight_bounds_report(cx.complex(D.complex_vertex, "F"))
+    mh0["weight_bounds"] = weight_bounds_report(filtered_complex(D.rational, "W"))
+    mh0["hodge_bounds"] = weight_bounds_report(filtered_complex(D.complex_vertex, "F"))
     mh0["finite_type"] = True
     report.axioms["MH0"] = mh0
 
     # MH1: strictness of d on Gr_p^W(A_C) with respect to F
     mh1 = {"ok": True, "witnesses": []}
-    fc_c = cx.complex(D.complex_vertex)
+    fc_c = filtered_complex(D.complex_vertex)
     lo, hi = fc_c.level_range()
     for p in range(lo, hi + 1):
-        grc = cx.graded(D.complex_vertex, p)
+        grc = gr(D.complex_vertex, p)
         for n in range(0, min(N - 1, fc_c.bound - 1) + 1):
             bad = gr_differential_strict(grc, n)
             if bad:
@@ -444,13 +411,13 @@ def check_mhd(D: MixedHodgeDiagram, max_degree=None) -> MhdReport:
     # MH2: purity of weight p+n on H^n(Gr_p^W) with transported conjugation
     mh2 = {"ok": True, "witnesses": [], "pure_pieces": []}
     for p in range(lo, hi + 1):
-        grc = cx.graded(D.complex_vertex, p)
+        grc = gr(D.complex_vertex, p)
         for n in range(0, min(N - 1, fc_c.bound - 1) + 1):
             sq = grc.cohomology(n)
             if sq.dim == 0:
                 continue
             try:
-                tr = transport_rational_structure(D, n, p, complexes=cx)
+                tr = transport_rational_structure(D, n, p)
             except AlgebraError as e:
                 mh2["ok"] = False
                 mh2["witnesses"].append({"p": p, "n": n, "reason": str(e)})
@@ -507,7 +474,7 @@ def degeneration_check(D: MixedHodgeDiagram, max_degree=None) -> dict:
     """
     out = {"ok": True, "witnesses": []}
     for kind, X, first in (("W", D.rational, 2), ("F", D.complex_vertex, 1)):
-        ss = SpectralSequence(FilteredComplex(X, kind=kind))
+        ss = spectral_sequence(X, kind)
         lo, hi = ss.fc.level_range()
         for r in range(first, (hi - lo) + 2):
             bound = ss._bound(r) if max_degree is None else min(max_degree, ss._bound(r))
@@ -549,7 +516,7 @@ def dec_weight_structure(M: FreeCdga, n: int, dec: FilteredComplex | None = None
     built it already; its degree n does not depend on how far it reaches.
     """
     if dec is None:
-        dec = decalage(FilteredComplex(M, kind="W", bound=min(M.N, n + 1)))
+        dec = decalage(filtered_complex(M, "W", min(M.N, n + 1)))
     amb_dim = M.dim(n)
     wvecs = []
     for lv, el in zip(dec.levels[n], dec.elements[n]):
@@ -590,7 +557,7 @@ def pi_star(D: MixedHodgeDiagram, M: FreeCdga, f: HoMorphism,
     mhs_ok = True
     mhs_wit = []
     top = min(N, M.N - 1)
-    dec = decalage(FilteredComplex(M, kind="W", bound=top + 1)) if top >= 0 else None
+    dec = decalage(filtered_complex(M, "W", top + 1)) if top >= 0 else None
     for n in range(0, top + 1):
         ver = dec_weight_structure(M, n, dec).check()
         if not ver.ok:

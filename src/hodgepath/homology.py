@@ -18,6 +18,12 @@ checks (and slow `mapping-path`, whose maps are not out of free algebras).
 Both exact paths read H^n(f) through `induced_map`, which first checks
 exactly that f commutes with d on both sides of degree n: a map that does
 not has no H^n(f), and raises that it does not descend.
+
+Each group H^n(X) is computed once and kept on X (`cohomology`, through
+`algebra.derived`), so the maps out of and into one space share its groups,
+and an exact fallback reads the same H(A) the cone's dims were read off:
+the output of the same exact function.  `fresh_cohomology` computes a group
+without keeping it, for `minimal_model`'s round-local groups of its model.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from math import lcm
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, Element, FreeMorphism, GradedAlgebra,
-                      LinearMap, morphism_matrix)
+                      LinearMap, derived, morphism_matrix)
 from .scalars import Scalar
 
 
@@ -117,13 +123,22 @@ def _block_rows(rows, src, dst, width):
 
 
 def cohomology(X, n: int, strict: bool = True) -> Cohomology:
-    """Exact H^n: kernel of d_n modulo image of d_{n-1}.
+    """Exact H^n: kernel of d_n modulo image of d_{n-1}; built once per degree and kept on X.
 
     Needs bases in degrees n-1, n, n+1; within the horizon this means
     n <= N - 1 (per the cutoff design decision).
     """
     if strict and not (0 <= n <= X.N - 1):
         raise CutoffError(f"cohomology degree {n} outside 0..{X.N - 1} of {X!r}")
+    return derived(X, ("cohomology", n), lambda: fresh_cohomology(X, n))
+
+
+def fresh_cohomology(X, n: int) -> Cohomology:
+    """H^n of X computed afresh and kept nowhere, degree unchecked: `cohomology`'s builder.
+
+    `minimal_model` builds its model's groups with it: they live for one
+    round, and a group kept on the model would refer back to it.
+    """
     part_lo, part_hi = _block_partition(X, n - 1), _block_partition(X, n + 1)
     dim, dim_hi = X.dim(n, strict=False), X.dim(n + 1, strict=False)
     blocks = []
@@ -175,22 +190,14 @@ def induced_map(f: LinearMap, HA: Cohomology, HB: Cohomology):
     return rows
 
 
-def is_quasi_iso(f: LinearMap, upto: int, groups=None) -> bool:
+def is_quasi_iso(f: LinearMap, upto: int) -> bool:
     """Whether H^n(f) is an isomorphism for n = 0..upto; stops at the first degree that fails.
 
-    groups is a dict of H^n by (space, n), read and filled here; callers that
-    test several maps between the same spaces pass one dict, so that each
-    group is computed once.  By default each call computes its own.
+    The groups are those kept on f's source and target, so maps between the
+    same spaces share them.
     """
-    groups = {} if groups is None else groups
-
-    def group(X, n):
-        if (X, n) not in groups:
-            groups[X, n] = cohomology(X, n)
-        return groups[X, n]
-
     for n in range(0, upto + 1):
-        HA, HB = group(f.source, n), group(f.target, n)
+        HA, HB = cohomology(f.source, n), cohomology(f.target, n)
         rows = induced_map(f, HA, HB)
         if not linalg.is_isomorphism(rows, HA.dim, HB.dim):
             return False
@@ -338,22 +345,21 @@ def d_squared_witness(A, N):
     """'d(d(b)) = ... in degree n + 2' for the first b of A's bases below N with d d b != 0.
 
     Each degree is swept once per space: its verdict, that witness or None,
-    is kept on A beside its d rows (`_d_squared`), and
-    `FreeCdga.set_differential` drops both.
+    is kept on A (`algebra.derived`), and `FreeCdga.set_differential` drops it.
     """
-    if A._d_squared is None:
-        A._d_squared = {}
-    seen = A._d_squared
     for n in range(N):
-        if n not in seen:
-            seen[n] = None
-            for b in A.basis(n, strict=False):
-                dd = b.d().d()
-                if not dd.is_zero:
-                    seen[n] = f"d(d({b})) = {dd} in degree {n + 2}"
-                    break
-        if seen[n] is not None:
-            return seen[n]
+        witness = derived(A, ("d squared", n), lambda: _d_squared_at(A, n))
+        if witness is not None:
+            return witness
+    return None
+
+
+def _d_squared_at(A, n):
+    """The witness of d d b != 0 for the first b of A's basis of degree n, or None."""
+    for b in A.basis(n, strict=False):
+        dd = b.d().d()
+        if not dd.is_zero:
+            return f"d(d({b})) = {dd} in degree {n + 2}"
     return None
 
 
@@ -403,7 +409,7 @@ def _cone_exact(rho, N) -> bool:
     return True
 
 
-def _cone_report(rho, N, groups, cycles):
+def _cone_report(rho, N, cycles):
     """The certificate read off `_cone_exact`, or None where the cone proves nothing.
 
     Every entry below N is an isomorphism, with dims read off H(A); the
@@ -415,33 +421,32 @@ def _cone_report(rho, N, groups, cycles):
     A = rho.target
     out = {}
     for n in range(N if cycles is None else N + 1):
-        if n not in groups:
-            groups[n] = cohomology(A, n, strict=False)
-        h = groups[n].dim
+        h = cohomology(A, n, strict=False).dim
         out[n] = {"dim_source": h, "dim_target": h, "rank": h, "iso": True}
     if cycles is None:
         return out
     # H^N(rho) is injective, so dim H^N(M) lies between the rank of the
     # classes of closed elements of M and dim H^N(A)
+    HA = cohomology(A, N, strict=False)
     rows = []
     for z in cycles:
         if z.d().is_zero:
-            rows.append(groups[N].cls(rho(z)))
-    h = groups[N].dim
+            rows.append(HA.cls(rho(z)))
+    h = HA.dim
     if linalg.rank(rows, h) != h:
         return None
     out[N] = {"dim_source": h, "dim_target": h, "injective": True, "provisional": True}
     return out
 
 
-def cone_certificate(rho, N: int, groups=None, cycles=None) -> dict:
+def cone_certificate(rho, N: int, cycles=None) -> dict:
     """quasi_iso_report(rho, N - 1), plus a provisional horizon entry, from cone(rho).
 
     rho: M -> A is a morphism out of a free algebra M (a FreeMorphism); A is
-    any space with basis and coords (a SubCdga too).  groups is a dict of
-    H^n(A) by n, read and filled here.  cycles, when given, are closed
-    elements of M of degree N, and ask for the entry at N: dims of H^N of
-    both sides and whether H^N(rho) is injective, as the exact check gives it.
+    any space with basis and coords (a SubCdga too).  cycles, when given, are
+    closed elements of M of degree N, and ask for the entry at N: dims of H^N
+    of both sides and whether H^N(rho) is injective, as the exact check gives
+    it.
 
     The cone's ranks mod p certify the report when the chain data holds
     exactly and the ranks add up to dim C^n in every degree; every entry is
@@ -449,14 +454,16 @@ def cone_certificate(rho, N: int, groups=None, cycles=None) -> dict:
     injective with dim H^N(M) = dim H^N(A) when the classes of the cycles
     reach that rank.  Anything short of that runs quasi_iso_report and, if
     it is iso below N, the exact horizon check, so every failure and every
-    error comes from them.
+    error comes from them.  Both read the groups kept on M and A: H(A) is
+    the one the cone's dims came from, the output of the same exact
+    function, and `minimal_model` keeps none of M's.
 
     The same proof (`_cone_exact`) gives `cone_is_quasi_iso`, pi_star's
     verdict on its comparison maps, which needs no dims and so computes no
     H(A).  is_quasi_iso does not take the cone: it is the exact oracle the
     tests hold this certificate to.
     """
-    out = _cone_report(rho, N, {} if groups is None else groups, cycles)
+    out = _cone_report(rho, N, cycles)
     if out is not None:
         return out
     out = quasi_iso_report(rho, N - 1)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import (AlgebraError, Element, FreeCdga, FreeMorphism, Morphism, _accumulate,
-                      _element, compose, morphism_matrix, solve_preimage)
-from .paths import (DoublePath, Homotopy, MappingPath, _memo, delta, fibre_product, folding,
+                      _element, compose, derived, morphism_matrix, solve_preimage)
+from .paths import (DoublePath, Homotopy, MappingPath, delta, fibre_product, folding,
                     induced_to_double_path, keyed, path_like, path_linear_map, path_of)
 
 
@@ -144,7 +144,7 @@ def double_path_target(C: FreeCdga, v: Morphism, f0: Morphism, f1: Morphism,
         dp = DoublePath(v, v, h.path)
         return dp, induced_to_double_path(v, dp, PA)
 
-    dp, bar_v = _memo(h.path, ("double path", v, PA), build)
+    dp, bar_v = derived(h.path, ("double path", v, PA), build)
     H = Morphism(C, dp.space, lambda c: dp.embed(f0(c), f1(c), h.map(c)), name="(f0,f1,h)")
     return dp, bar_v, H
 
@@ -160,7 +160,7 @@ def homotopy_add(h1: Homotopy, h2: Homotopy) -> Homotopy:
         raise AlgebraError("homotopy addition needs a free source")
     if h1.path is not h2.path:
         raise AlgebraError("homotopies must share one path object")
-    mp, P2, pi = _memo(h1.path, "homotopy_add", lambda: _addition_target(h1.path))
+    mp, P2, pi = derived(h1.path, "homotopy_add", lambda: _addition_target(h1.path))
 
     def data(c):
         return mp.pair(h1.map(c), h2.map(c))
@@ -196,7 +196,7 @@ def boundary_square_target(PB):
     at k; the corner conditions are delta^k(x_m) = delta^m(y_k).  Kept on PB
     once built, so every square filled in PB lifts against one theta.
     """
-    return _memo(PB, "square boundary", lambda: _square_target(PB))
+    return derived(PB, "square boundary", lambda: _square_target(PB))
 
 
 def _square_target(PB):

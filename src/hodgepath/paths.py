@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import (AlgebraError, Element, GradedAlgebra, LinearMap, Morphism,
                       ProductCdga, SubCdga, _accumulate, _element, combination,
-                      compose, solve_preimage)
+                      compose, derived, solve_preimage)
 from .exprs import ExprError, parse_expression
 
 DEFAULT_BUDGET = 32
@@ -225,20 +225,11 @@ def path_of(X, budget: int | None = None, w_shift: int = 0):
             S = SubCdga(PM, lifted, name=f"P({X.name})")
             S.over = X
             return S
-        return _memo(X, ("path", PM.budget, w_shift), build)
+        return derived(X, ("path", PM.budget, w_shift), build)
     budget = DEFAULT_BUDGET if budget is None else budget
     if isinstance(X, PathAlgebra) and budget != X.budget:
         budget = X.budget  # nested paths share the innermost budget
-    return _memo(X, ("path", budget, w_shift), lambda: PathAlgebra(X, budget, w_shift))
-
-
-def _memo(X, key, build):
-    """build(), made once per key and kept on the space X beside its path objects."""
-    if X._path_cache is None:
-        X._path_cache = {}
-    if key not in X._path_cache:
-        X._path_cache[key] = build()
-    return X._path_cache[key]
+    return derived(X, ("path", budget, w_shift), lambda: PathAlgebra(X, budget, w_shift))
 
 
 def keyed(P):

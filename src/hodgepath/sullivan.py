@@ -4,8 +4,10 @@ The construction is the classical degreewise one: at stage n adjoin closed
 generators hitting the cokernel of H^n, then generators killing the kernel of
 H^{n+1}, with all representatives and primitives found by exact solves.  Each
 round is a relative Sullivan extension, so M grows by FreeCdga.adjoin and keeps
-its cached differentials; cohomology of A is memoized within one call, and
-that of M until M grows.
+its cached differentials.  The cohomology of A is kept on A
+(`homology.cohomology`), and that of M lives for one round: each round
+replaces M and frees the old one by reference counting, which a group kept
+on M, referring back to it, would turn into a reference cycle.
 
 H^{n+1}(M) is carried through an extension by generators v of degree n.
 When every generator has degree >= 2 and the old keys kept their meaning
@@ -22,12 +24,12 @@ in degrees -1..N-1 exactly when H(rho) is an isomorphism below N and
 injective at N.  That needs ranks only, and ranks mod a prime prove it once
 d_C^2 = 0 is checked exactly: reduction can only lower a rank, and
 d_C^2 = 0 bounds rank d^n + rank d^(n-1) by dim C^n.  The report's dims
-are then those of H(A), which the construction memoizes; at the horizon,
-H^N(M) reaches dim H^N(A) through the classes of the stage-N reps and the
-closed generators of degree N.  Wherever the ranks fall short (an unlucky
-prime, or a real failure) the exact check runs instead, recomputing the
-cohomology of both sides from scratch, so every failure it reports is
-exact.
+are then those of H(A), kept on A since the construction read them; at the
+horizon, H^N(M) reaches dim H^N(A) through the classes of the stage-N reps
+and the closed generators of degree N.  Wherever the ranks fall short (an
+unlucky prime, or a real failure) the exact check runs instead: it reads
+H(A) off A and computes H(M) afresh, never a group the construction
+carried, so every failure it reports is exact.
 
 Degree-N data is provisional: corrections from degree N+1 could adjust the
 top homotopy group, so stage N skips kernel-killing and the certificate
@@ -41,11 +43,11 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import (AlgebraError, CutoffError, FreeCdga, FreeMorphism,
-                      Generator, Morphism, combination, compose, is_surjective_at)
-from .homology import cohomology, cone_certificate, d_squared_witness
+                      Generator, Morphism, combination, compose, derived, is_surjective_at)
+from .homology import cohomology, cone_certificate, d_squared_witness, fresh_cohomology
 from .lifting import double_path_target, free_lift, homotopy_add, lift_homotopy
 from .ops import indecomposables
-from .paths import Homotopy, MappingPath, _memo, delta, path_like, path_linear_map
+from .paths import Homotopy, MappingPath, delta, path_like, path_linear_map
 
 
 class ModelError(AlgebraError):
@@ -115,16 +117,14 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     witness = d_squared_witness(A, N)
     if witness:
         raise ModelError(f"the input's differential does not square to zero: {witness}")
-    # cohomology of A, memoized for the whole call
-    H_A = {0: cohomology(A, 0)}
-    H0 = H_A[0]
+    H0 = cohomology(A, 0)
     if H0.dim != 1:
         raise ModelError(f"not cohomologically connected: dim H^0 = {H0.dim}")
     if not H0.cls(A.unit()):
         raise ModelError("unit does not generate H^0")
     start = 1
     if not allow_0_connected:
-        if N >= 2 and H_A.setdefault(1, cohomology(A, 1)).dim != 0:
+        if N >= 2 and cohomology(A, 1).dim != 0:
             raise ModelError("H^1 != 0; pass allow_0_connected=True to proceed "
                              "(homotopy groups lose functoriality)")
         start = 2
@@ -132,7 +132,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     if isinstance(A, FreeCdga) and is_minimal(A)[0]:
         rho = FreeMorphism(A, A, {g.name: A.generator(g.name) for g in A.gens},
                            name="identity")
-        cert = cone_certificate(rho, N, H_A)
+        cert = cone_certificate(rho, N)
         return MinimalModel(M=A, rho=rho, A=A, N=N,
                             log=[{"stage": "input already minimal"}],
                             certificate=cert)
@@ -141,16 +141,16 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     counters: dict = {}
     M = FreeCdga([], N, A.field, name="M")
     rho = FreeMorphism(M, A, {}, name="rho")
-    # cohomology of M, memoized until M grows, except H^{n+1}(M), which
-    # grow() carries
+    # cohomology of M, kept until M grows, except H^{n+1}(M), which grow()
+    # carries (see the module docstring)
     H_M: dict = {}
     log = []
     cycles = []   # the reps of H^N(M) at stage N
 
-    def H(X, memo, n):
-        if n not in memo:
-            memo[n] = cohomology(X, n, strict=False)
-        return memo[n]
+    def H_of_M(n):
+        if n not in H_M:
+            H_M[n] = fresh_cohomology(M, n)
+        return H_M[n]
 
     def grow(n, diffs, images):
         """Adjoin degree-n generators with these d values (terms over M) and
@@ -179,7 +179,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
 
     def cokernel_reps(n):
         """Representatives in A of the cokernel of H^n(rho)."""
-        HnA, HnM = H(A, H_A, n), H(M, H_M, n)
+        HnA, HnM = cohomology(A, n, strict=False), H_of_M(n)
         img = [HnA.cls(rho(rep)) for rep in HnM.reps]
         units = [{i: Fraction(1)} for i in range(HnA.dim)]
         coker = linalg.Subquotient(units, img, HnA.dim)
@@ -195,7 +195,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
         A's d rows in degree n are A.d_rows(n), built once per degree, and one
         elimination solves d a = rho(z) for every z.
         """
-        Hn1A, Hn1M = H(A, H_A, n + 1), H(M, H_M, n + 1)
+        Hn1A, Hn1M = cohomology(A, n + 1, strict=False), H_of_M(n + 1)
         if Hn1M.dim == 0:
             return [], []
         rows = [Hn1A.cls(rho(rep)) for rep in Hn1M.reps]
@@ -247,7 +247,7 @@ def minimal_model(A, N: int | None = None, allow_0_connected: bool = False,
     for g in M.gens:
         if g.degree == N:
             top.append(M.generator(g.name))
-    cert = cone_certificate(rho, N, H_A, top)
+    cert = cone_certificate(rho, N, top)
     bad = [n for n in range(N) if not cert[n]["iso"]]
     if bad:
         raise ModelError(f"certification failed in degrees {bad}")
@@ -277,7 +277,7 @@ def lift_against_weak_equivalence(C: FreeCdga, w: Morphism, f: Morphism, PB):
     contraction.  The mapping path is kept on PB per w, so a repeated lift
     rebuilds nothing.
     """
-    mp = _memo(PB, ("mapping path", w), lambda: MappingPath(w, PB))
+    mp = derived(PB, ("mapping path", w), lambda: MappingPath(w, PB))
     gprime = free_lift(C, mp.q, f, name="g'")
     g = FreeMorphism(C, w.source, {gen.name: mp.p(gprime(C.generator(gen.name)))
                                    for gen in C.gens}, name="g")

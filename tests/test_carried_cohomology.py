@@ -102,14 +102,14 @@ def test_degree_one_generators_fall_back_to_fresh_groups(monkeypatch):
     seen = []
     _checked_carry(monkeypatch, seen)
     fresh = []
-    compute = sullivan.cohomology
+    compute = sullivan.fresh_cohomology
 
-    def counting(X, n, strict=True):
+    def counting(X, n):
         if isinstance(X, FreeCdga):
             fresh.append((X, n))
-        return compute(X, n, strict=strict)
+        return compute(X, n)
 
-    monkeypatch.setattr(sullivan, "cohomology", counting)
+    monkeypatch.setattr(sullivan, "fresh_cohomology", counting)
     model = minimal_model(_s1_times_s2(6), 6, allow_0_connected=True)
     assert all(r["iso"] for n, r in model.certificate.items() if n < 6)
     assert model.M.gens[0].degree == 1

@@ -61,7 +61,8 @@ def reference_run(monkeypatch, *argv):
     with monkeypatch.context() as m:
         m.setattr(paths, "verify_homotopy", reference_verify_homotopy)
         m.setattr(cli, "verify_homotopy", reference_verify_homotopy)
-        m.setattr(cli, "is_quasi_iso", lambda f, upto, groups: homology.is_quasi_iso(f, upto))
+        m.setattr(homology, "cohomology",
+                  lambda X, n, strict=True: homology.fresh_cohomology(X, n))
         return run_main(*argv)
 
 
@@ -160,13 +161,14 @@ def test_rectify_builds_one_table_per_vertex(monkeypatch):
 def test_mapping_path_computes_each_group_once(name, monkeypatch):
     want = reference_run(monkeypatch, "mapping-path", fixture_path(name))
     calls = collections.Counter()
-    compute = homology.cohomology
+    compute = homology.fresh_cohomology
 
-    def counting(X, n, strict=True):
+    def counting(X, n):
         calls[X, n] += 1
-        return compute(X, n, strict=strict)
+        return compute(X, n)
 
-    monkeypatch.setattr(homology, "cohomology", counting)
+    # every group is built through the memo of its space, once
+    monkeypatch.setattr(homology, "fresh_cohomology", counting)
     assert run_main("mapping-path", fixture_path(name)) == want
     assert want[0] == 0 and calls
     assert set(calls.values()) == {1}
@@ -376,7 +378,6 @@ def test_spectral_pages_1_and_2_are_unchanged(name, page, monkeypatch):
             built.append(fc)
             super().__init__(fc)
 
-    monkeypatch.setattr(cli, "SpectralSequence", Counting)
     monkeypatch.setattr(filtered, "SpectralSequence", Counting)
     subject, dims, nonzero = PAGES[name, page]
     want = {"command": "spectral", "subject": subject, "page": page, "filtration": "W",

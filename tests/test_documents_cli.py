@@ -500,12 +500,12 @@ def test_minimal_model_cache_hit_prints_the_stored_text(tmp_path, monkeypatch):
     monkeypatch.setenv("HODGEPATH_CACHE", str(tmp_path / "cache"))
     argv = ["minimal-model", fixture_path("cp2.json"), "--max-degree", "6"]
     first = run_main(*argv)
-    # the hit returns the stored text as it is and builds no model
+    # the hit returns the stored report, read back as a dict, and builds no model
     monkeypatch.setattr(cli, "minimal_model", None)
     args = cli.make_parser().parse_args(argv)
     report, verdict = args.fn(args)
-    assert isinstance(report, str) and verdict
-    assert run_main(*argv) == first == (0, report)
+    assert isinstance(report, dict) and verdict
+    assert run_main(*argv) == first == (0, serialize(report))
 
 
 def test_minimal_model_output_parses_and_cache_transparent(tmp_path):
@@ -522,6 +522,32 @@ def test_minimal_model_output_parses_and_cache_transparent(tmp_path):
                      env_extra={"HODGEPATH_CACHE": cache_dir})
     assert first.stdout == second.stdout == plain.stdout
     assert os.listdir(cache_dir)  # the cache was actually used
+
+
+def test_allow_0_connected_is_part_of_the_cache_key(tmp_path, monkeypatch):
+    """A refused run is not answered by the model an --allow-0-connected run stored."""
+    from hodgepath import cache
+    doc = read_fixture("free_e1.json")
+    assert cache.cache_key(doc, 4) != cache.cache_key(doc, 4, True)
+    monkeypatch.setenv("HODGEPATH_CACHE", str(tmp_path / "cache"))
+    argv = ["minimal-model", fixture_path("free_e1.json"), "--max-degree", "4"]
+    # H^1 != 0: refused, then built and stored, then refused again
+    rcs = [run_main(*argv)[0], run_main(*argv, "--allow-0-connected")[0], run_main(*argv)[0]]
+    assert rcs == [1, 0, 1]
+    assert len(os.listdir(tmp_path / "cache")) == 1
+
+
+@pytest.mark.parametrize("name, horizon", [("cp2.json", 6), ("s2.json", 6),
+                                           ("two_term_w.json", 3)])
+def test_a_cache_hit_is_written_in_the_format_it_asks_for(name, horizon, tmp_path, monkeypatch):
+    argv = ["minimal-model", fixture_path(name), "--max-degree", str(horizon)]
+    monkeypatch.delenv("HODGEPATH_CACHE", raising=False)
+    table = run_main(*argv, "--format", "table")
+    monkeypatch.setenv("HODGEPATH_CACHE", str(tmp_path / "cache"))
+    miss = run_main(*argv)
+    assert table[0] == miss[0] == 0 and os.listdir(tmp_path / "cache")
+    assert run_main(*argv, "--format", "table") == table
+    assert run_main(*argv) == miss
 
 
 def test_cache_key_follows_engine_sources(tmp_path, monkeypatch):

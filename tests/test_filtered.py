@@ -10,7 +10,7 @@ from hodgepath import (CutoffError, FreeCdga, FreeMorphism, Generator,
                        LinearMap, Morphism, TableBasisElement, TableCdga,
                        compose, identity_morphism, iota, is_Er_quasi_iso, keyed,
                        linear_morphism, path_10, path_of, r_path, spectral_page)
-from hodgepath.filtered import (FilteredComplex, SpectralSequence, decalage,
+from hodgepath.filtered import (FilteredComplex, SpectralSequence, decalage, filtered_complex,
                                 gr, gr_differential_strict, strictness_check)
 from hodgepath.scalars import Scalar
 
@@ -30,11 +30,13 @@ def two_term(N=4):
 
 def test_gr_trivial_filtration():
     A = s2_weighted()
-    fc = FilteredComplex(A, "W")
-    g0 = gr(None, 0, fc=fc)
+    g0 = gr(A, 0)
     assert g0.dims == {n: A.dim(n) for n in range(0, A.N + 1)}
-    g1 = gr(None, 1, fc=fc)
+    g1 = gr(A, 1)
     assert all(d == 0 for d in g1.dims.values())
+    # both pieces are read off the one complex kept on A, and kept there too
+    assert gr(A, 0) is g0 and gr(A, 1, bound=A.N) is g1
+    assert g0.reps == {n: filtered_complex(A).elements[n] for n in g0.reps}
 
 
 def test_gr_two_step():
@@ -50,9 +52,8 @@ def test_gr_of_filtered_path():
                    TableBasisElement("x2", 2, weight=1)], N=4, unit="one")
     T = 3
     P1 = r_path(A, 1, budget=T)
-    fc = FilteredComplex(P1, "W")
     for p in (-1, 0, 1):
-        g = gr(None, p, fc=fc)
+        g = gr(P1, p)
         for n in range(0, 4):
             dim_t = (T + 1) * sum(1 for k in A.basis_keys(n) if A.key_weight(k) == p)
             dim_dt = T * sum(1 for k in A.basis_keys(n - 1) if A.key_weight(k) == p + 1)
@@ -72,9 +73,8 @@ def test_spectral_pages_of_two_term_complex():
 def test_e0_is_gr_and_e1_of_trivial_filtration():
     A = s2_weighted()
     e0 = spectral_page(A, 0)
-    fc = FilteredComplex(A, "W")
     for (p, n), d in e0.items():
-        assert d == gr(None, p, fc=fc).dims[n]
+        assert d == gr(A, p).dims[n]
     e1 = spectral_page(A, 1)
     assert e1 == {(0, 0): 1, (0, 2): 1}  # H(A) in one column
 

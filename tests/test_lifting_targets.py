@@ -84,7 +84,7 @@ def test_chain_builds_each_target_and_matrix_once(monkeypatch):
     assert built == {("faces", id(PB1)): 1, ("pi_A", id(PB1)): 1, ("pi_A", id(PB0)): 1}
     assert bases == {("square boundary", 1): 1, ("MappingPath(delta^1)", 1): 2}
     theta = lifting.boundary_square_target(PB1)[1]
-    pis = {id(P): P._path_cache["homotopy_add"][2] for P in (PB0, PB1)}
+    pis = {id(P): P._derived["homotopy_add"][2] for P in (PB0, PB1)}
     # every lift is of degree-1 generators: one row of theta or pi per basis element
     assert applied == {("faces", id(PB1), 1): theta.source.dim(1),
                        ("pi_A", id(PB0), 1): pis[id(PB0)].source.dim(1),
@@ -96,7 +96,7 @@ def test_chain_lifts_equal_those_of_fresh_targets(monkeypatch, twist):
     DA, _, f = square_diagram(budget=BUDGET, twist=twist)
     cached = _chain_exprs(*_chain(DA, f))
     # every lift against a target built for it alone, on a diagram of its own
-    monkeypatch.setattr(lifting, "_memo", lambda P, key, build: build())
+    monkeypatch.setattr(lifting, "derived", lambda P, key, build: build())
     DA, _, f = square_diagram(budget=BUDGET, twist=twist)
     assert _chain_exprs(*_chain(DA, f)) == cached
 
@@ -159,7 +159,7 @@ def test_two_homotopy_lifts_against_one_v_build_one_double_path(monkeypatch):
     assert verify_homotopy(there, f0, f1, upto=3).ok
     assert verify_homotopy(back, f1, f0, upto=3).ok
     # the second lift is the one found against a target built for it alone
-    monkeypatch.setattr(lifting, "_memo", lambda P, key, build: build())
+    monkeypatch.setattr(lifting, "derived", lambda P, key, build: build())
     C, v, f0, f1, h = _lift_setup()
     assert _exprs(lift_homotopy(C, v, f1, f0, h.reversed()).map) == _exprs(back.map)
     assert len(built) == 2

@@ -624,10 +624,11 @@ def test_one_minimal_model_call_sweeps_d_squared_once_per_degree():
     A = TableCdga([TableBasisElement("one", 0), TableBasisElement("x2", 2),
                    TableBasisElement("x4", 4)], 6, unit="one", name="CP2",
                   products={("x2", "x2"): {"x4": Scalar(1)}})
-    A._d_squared = memo = _Writes()
+    A._derived = memo = _Writes()
     minimal_model(A, 6)
-    assert memo.writes == list(range(6))
-    assert all(v is None for v in memo.values())
+    swept = [key for key in memo.writes if key[0] == "d squared"]
+    assert swept == [("d squared", n) for n in range(6)]
+    assert all(memo[key] is None for key in swept)
 
 
 def test_set_differential_drops_the_d_squared_verdicts():
