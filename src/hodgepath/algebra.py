@@ -685,7 +685,10 @@ class TableCdga(GradedAlgebra):
     """Finite-dimensional cdga given by a graded basis and a multiplication table.
 
     Products absent from the table (in particular everything above the top
-    declared degree) are zero; the table is the whole algebra.
+    declared degree) are zero; the table is the whole algebra.  An entry
+    leaves no degree: a*b lies in degree |a|+|b| and d(a) in degree |a|+1,
+    and an entry on the unit must agree with it, else an `AlgebraError` is
+    raised.
     """
 
     def __init__(self, basis, N, field=QQ, name="", unit="1",
@@ -710,16 +713,27 @@ class TableCdga(GradedAlgebra):
         self.products = {}
         for (a, b), terms in (products or {}).items():
             self._check_names(a, b)
-            self.products[(a, b)] = {k: _as_scalar(c) for k, c in terms.items()
-                                     if not _as_scalar(c).is_zero}
+            entry = self.products[(a, b)] = self._entry(
+                terms, self.info[a].degree + self.info[b].degree, f"{a}*{b}")
+            if unit in (a, b):
+                other = b if a == unit else a
+                if entry != {other: field.one()}:
+                    raise AlgebraError(f"{a}*{b} must be {other}, as {unit} is the unit")
         self.diffs = {}
         for a, terms in (differentials or {}).items():
             self._check_names(a)
-            self.diffs[a] = {k: _as_scalar(c) for k, c in terms.items()
-                             if not _as_scalar(c).is_zero}
+            self.diffs[a] = self._entry(terms, self.info[a].degree + 1, f"d({a})")
         if augmentation is None:
             augmentation = {self.unit_name: self.field.one()}
         self.augmentation = {k: _as_scalar(c) for k, c in augmentation.items()}
+
+    def _entry(self, terms, degree, label) -> dict:
+        """The non-zero terms of a table entry, which must all have the given degree."""
+        out = {k: _as_scalar(c) for k, c in terms.items() if not _as_scalar(c).is_zero}
+        self._check_names(*out)
+        if any(self.info[k].degree != degree for k in out):
+            raise AlgebraError(f"{label} must have degree {degree}")
+        return out
 
     def _check_names(self, *names):
         for nm in names:

@@ -175,11 +175,14 @@ def cmd_path(args):
                 failures.append({"check": "symmetry-involution", "degree": n,
                                  "witness": P.key_str(kk)})
                 break
-    # materialize the budget quotient as a table and run the full cdga checks
-    T, _, _ = table_presentation(P, max(0, A.N - 1), keep_filtrations=False)
-    table_rep = check_cdga(T)
-    failures.extend({"check": "table-" + f["check"], "witness": f.get("witness")}
-                    for f in table_rep.failures)
+    # P is the quotient of A (x) Lambda(t, dt) by the keys above the t-budget.
+    # t-weight adds under PathAlgebra.mul_keys and d_key keeps i + e, so those
+    # keys span a d-stable ideal, and the quotient is a cdga exactly when
+    # A (x) Lambda(t, dt) is, that is, exactly when A is.  The path product
+    # and differential are checked against independent oracles in
+    # tests/test_sign_oracles.py; here A itself is checked.
+    failures.extend({"check": "cdga-" + f["check"], "witness": f.get("witness")}
+                    for f in check_cdga(A).failures)
     out = {"command": "path", "subject": A.name, "budget": k.budget,
            "dims": {str(n): P.dim(n) for n in range(0, A.N)},
            "ok": not failures, "failures": failures}

@@ -2,27 +2,31 @@
 
 `check_cdga` checks graded commutativity, Leibniz and associativity on
 structure constants: {key: coefficient} dicts from the key protocol.  The
-reference below is the Element-based loop it replaced, verbatim: one Element
-per basis element, multiplied and differentiated through Element arithmetic.
-On seeded random tables and free algebras over Q and Q(sqrt -3), many of them
-broken on purpose, both must report the same failures in the same order.
+reference below is the Element-based loop it replaced: one Element per basis
+element, multiplied and differentiated through Element arithmetic.  On seeded
+random tables, of up to 40 elements, and free algebras over Q and
+Q(sqrt -3), many of them broken on purpose, both must report the same
+failures in the same order.
 """
 
+import ast
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from helpers import ms2, s2_table
 from hodgepath import (QQ, Field, FreeCdga, Generator, TableBasisElement, TableCdga,
-                       check_cdga, minimal_model)
+                       check_cdga, cli, minimal_model, path_of, table_presentation)
 
 PAIR_CHECKS = ("graded-commutativity", "leibniz", "associativity")
 
 
 # -- the reference -----------------------------------------------------------------
 
-def reference_pair_failures(A, max_assoc_dim=24):
+def reference_pair_failures(A):
     """The pair and triple failures of `check_cdga`, computed on Elements."""
     out = []
     if isinstance(A, FreeCdga):
@@ -55,21 +59,20 @@ def reference_pair_failures(A, max_assoc_dim=24):
             rhs = b1.d() * b2 + (b1 * b2.d()) * sgn
             if lhs != rhs:
                 out.append(("leibniz", f"{n1},{n2}"))
-    if len(names) <= max_assoc_dim:
-        for n1 in names:
-            for n2 in names:
-                for n3 in names:
-                    dsum = A.info[n1].degree + A.info[n2].degree + A.info[n3].degree
-                    if dsum > A.N:
-                        continue
-                    b1, b2, b3 = (A.basis_element(x) for x in (n1, n2, n3))
-                    if (b1 * b2) * b3 != b1 * (b2 * b3):
-                        out.append(("associativity", f"{n1},{n2},{n3}"))
+    for n1 in names:
+        for n2 in names:
+            for n3 in names:
+                dsum = A.info[n1].degree + A.info[n2].degree + A.info[n3].degree
+                if dsum > A.N:
+                    continue
+                b1, b2, b3 = (A.basis_element(x) for x in (n1, n2, n3))
+                if (b1 * b2) * b3 != b1 * (b2 * b3):
+                    out.append(("associativity", f"{n1},{n2},{n3}"))
     return out
 
 
-def pair_failures(A, max_assoc_dim=24):
-    return [(f["check"], f["witness"]) for f in check_cdga(A, max_assoc_dim).failures
+def pair_failures(A):
+    return [(f["check"], f["witness"]) for f in check_cdga(A).failures
             if f["check"] in PAIR_CHECKS]
 
 
@@ -165,14 +168,61 @@ def test_tables_agree_with_the_element_reference(field):
     seen = set()
     for _ in range(150):
         A = random_table(rng, F)
-        max_assoc_dim = rng.choice((24, 3))
-        want = reference_pair_failures(A, max_assoc_dim)
-        assert pair_failures(A, max_assoc_dim) == want
+        want = reference_pair_failures(A)
+        assert pair_failures(A) == want
         failing += bool(want)
         seen.update(check for check, _ in want)
     # the sample exercises passing tables and every kind of failure
     assert 30 <= failing <= 140
     assert seen == set(PAIR_CHECKS)
+
+
+def large_table(rng, F):
+    """A table of 25 to 40 elements: a path object's budget quotient, padded, maybe broken.
+
+    The quotient is associative.  Half the tables get one product entry
+    replaced by random terms of its degree, which breaks associativity
+    unless the new entry happens to fit.
+    """
+    while True:
+        X = path_of(s2_table() if rng.random() < 0.5 else ms2(), rng.randint(2, 5))
+        T, _, _ = table_presentation(X, rng.randint(3, 5), keep_filtrations=False)
+        if len(T.basis_list) <= 40:
+            break
+    basis = list(T.basis_list)
+    while len(basis) < 25 or rng.random() < 0.3:
+        basis.append(TableBasisElement(f"z{len(basis)}", rng.randint(0, T.N)))
+        if len(basis) == 40:
+            break
+    products = {k: {nm: F.scalar(c.re) for nm, c in v.items()} for k, v in T.products.items()}
+    diffs = {k: {nm: F.scalar(c.re) for nm, c in v.items()} for k, v in T.diffs.items()}
+    if rng.random() < 0.5:
+        of_degree = {}
+        for b in basis:
+            of_degree.setdefault(b.degree, []).append(b.name)
+        pairs = [(x, y) for x in T.basis_list for y in T.basis_list
+                 if x.name != T.unit_name != y.name and x.degree + y.degree in of_degree]
+        x, y = rng.choice(pairs)
+        old = products.pop((y.name, x.name), None) or products.pop((x.name, y.name), {})
+        new = old
+        while new == old:
+            new = _terms(rng, F, of_degree[x.degree + y.degree])
+        products[(x.name, y.name)] = new
+    return TableCdga(basis, T.N, F, unit=T.unit_name, products=products, differentials=diffs)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_large_tables_agree_with_the_element_reference(field):
+    F = FIELDS[field]
+    rng = random.Random(f"large tables:{field}")
+    associative = []
+    for _ in range(8):
+        A = large_table(rng, F)
+        assert 25 <= len(A.basis_list) <= 40
+        want = reference_pair_failures(A)
+        assert pair_failures(A) == want
+        associative.append("associativity" not in {check for check, _ in want})
+    assert True in associative and False in associative
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
@@ -206,3 +256,15 @@ def test_field_constants_are_shared_and_stay_put():
     assert QQ.one() is one
     assert (one, zero, minus_one) == (1, 0, -1)
     assert (one.re, one.im, zero.re, minus_one.re) == (1, 0, 0, -1)
+
+
+def test_check_cdga_takes_the_algebra_alone():
+    assert list(inspect.signature(check_cdga).parameters) == ["A"]
+
+
+def test_path_checks_its_input_not_a_materialised_table():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli.cmd_path)))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "check_cdga" in called
+    assert "table_presentation" not in called

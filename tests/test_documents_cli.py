@@ -729,6 +729,34 @@ def test_a_valid_augmentation_passes_its_checks():
     assert json.loads(out.stdout)["ok"] is True
 
 
+def test_an_associativity_defect_in_a_26_element_table_fails_check_and_path():
+    assert len(read_fixture("table_assoc_defect.json")["basis"]) == 26
+    for command, prefix in (("check", ""), ("path", "cdga-")):
+        rc, out = run_main(command, fixture_path("table_assoc_defect.json"))
+        assert rc == 1, command
+        failures = json.loads(out)["failures"]
+        assert failures and {f["check"] for f in failures} == {prefix + "associativity"}
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"products": {"a*b": "b"}}, "a*b must have degree 3"),
+    ({"differentials": {"a": "b + c"}}, "d(a) must have degree 2"),
+    ({"products": {"one*b": "2*b"}}, "one*b must be b, as one is the unit"),
+])
+def test_table_entries_off_their_degree_or_the_unit_exit_2(tmp_path, entries, message):
+    doc = {k: v for k, v in read_fixture("table_wrong_degree.json").items() if k != "products"}
+    doc["basis"] = doc["basis"] + [{"name": "c", "degree": 3}]
+    doc.update(entries)
+    with pytest.raises(DocumentError) as ei:
+        build_dga(doc)
+    assert (ei.value.path, ei.value.message) == ("$", message)
+    path = tmp_path / "wrong_degree.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for name in (str(path), fixture_path("table_wrong_degree.json")):
+        for command in ("check", "cohomology", "path"):
+            assert run_main(command, name) == (2, ""), (name, command)
+
+
 def test_expression_cut_short_exits_2_at_its_end():
     out = run_cli("check", fixture_path("expr_cut_short.json"), timeout=10)
     assert out.returncode == 2, out.stderr

@@ -39,7 +39,8 @@ def _dga_docs(doc):
 
 
 # fixtures that are document errors by design: they build no algebra
-DOCUMENT_ERRORS = {"ms2_huge_power.json", "expr_cut_short.json", "s2_unknown_augmentation.json"}
+DOCUMENT_ERRORS = {"ms2_huge_power.json", "expr_cut_short.json", "s2_unknown_augmentation.json",
+                   "table_wrong_degree.json"}
 
 
 def _fixture_dgas():
