@@ -10,11 +10,15 @@ images and substitutions add their terms into one result dict in place.
 
 Every space — a keyed algebra or a `SubCdga` cut out of one — answers one
 space protocol: `ambient`, `zero`, `unit`, `basis`, `dim`, `coords`,
-`d_rows`, `from_coords`, `check_degree`, `has_weights` and `has_hodge`.  A
-space's elements live in its `ambient`, the keyed algebra that holds them:
-an algebra is its own ambient, and a `SubCdga`'s is the algebra it is cut
+`d_rows`, `from_coords`, `check_degree` and `has_filtration`.  A space's
+elements live in its `ambient`, the keyed algebra that holds them: an
+algebra is its own ambient, and a `SubCdga`'s is the algebra it is cut
 from.  `d_rows(n)`, kept once per degree, is every caller's matrix of d, and
 everything else derived from a space is kept on it by `derived`.
+
+The weight filtration W and the Hodge filtration F are two kinds of one
+protocol: `key_level(k, kind)` and `Element.level(kind)` read levels, for
+kind "W" or "F", and `direction` says which way each kind runs.
 
 Products and differentials of keys carry their signs as the field's shared
 scalars: `mul_keys` returns `field.one()` or `field.minus_one()` with each
@@ -46,6 +50,22 @@ class CutoffError(ValueError):
 
 class AlgebraError(ValueError):
     pass
+
+
+FILTRATIONS = ("W", "F")
+
+
+def direction(kind) -> int:
+    """Which way the filtration kind runs: 1 for the weight filtration W, whose
+    W_p holds the levels <= p, and -1 for the Hodge filtration F, whose F^q
+    holds the levels >= q; so direction(kind) * level is a level of an
+    increasing filtration for both.
+    """
+    return {"W": 1, "F": -1}[kind]
+
+
+# the field of a `Generator` or `TableBasisElement` declaring its level of each kind
+_LABEL = {"W": "weight", "F": "hodge"}
 
 
 def _as_scalar(c) -> Scalar:
@@ -141,19 +161,17 @@ class Element:
             raise AlgebraError(f"inhomogeneous element of degrees {sorted(degs)}")
         return degs.pop()
 
-    def weight(self):
-        """Filtration level: max key weight (increasing W); None when empty."""
-        ws = [self.alg.key_weight(k) for k in self.terms]
-        if not ws or any(w is None for w in ws):
-            return None
-        return max(ws)
+    def level(self, kind):
+        """The level of the filtration kind ("W" or "F") the element lies in.
 
-    def hodge(self):
-        """Hodge level: min key hodge (decreasing F); None when empty."""
-        hs = [self.alg.key_hodge(k) for k in self.terms]
-        if not hs or any(h is None for h in hs):
+        That is the largest key level for W and the smallest for F (see
+        `direction`); None for the zero element or when a key has no level.
+        """
+        s = direction(kind)
+        levels = [self.alg.key_level(k, kind) for k in self.terms]
+        if not levels or None in levels:
             return None
-        return min(hs)
+        return s * max(s * lv for lv in levels)
 
     def coefficient(self, key) -> Scalar:
         c = self.terms.get(key)
@@ -272,18 +290,13 @@ class GradedAlgebra:
     def basis_keys(self, n) -> list: raise NotImplementedError
     def unit_terms(self) -> dict: raise NotImplementedError
 
-    def key_weight(self, k): return None
-    def key_hodge(self, k): return None
+    def key_level(self, k, kind): return None
     def key_block(self, k): return 0
     def key_sort(self, k): return repr(k)
     def key_str(self, k) -> str: return repr(k)
 
-    @property
-    def has_weights(self) -> bool:
-        return False
-
-    @property
-    def has_hodge(self) -> bool:
+    def has_filtration(self, kind) -> bool:
+        """Whether every key has a level of the filtration kind ("W" or "F")."""
         return False
 
     @property
@@ -399,7 +412,7 @@ class GradedAlgebra:
         keys = self.basis_keys(n) if n >= 0 else []
         return _element(self, {keys[i]: from_coeff(row[i]) for i in sorted(row)})
 
-    def random_element(self, n, rng, density=0.6, strict=True) -> Element:
+    def random_element(self, n, rng, density=0.6) -> Element:
         keys = self.basis_keys(n) if n >= 0 else []
         return Element(self, {k: self.field.random_scalar(rng) for k in keys
                               if rng.random() < density})
@@ -450,6 +463,9 @@ class FreeCdga(GradedAlgebra):
         self.gens = sorted(generators, key=lambda g: (g.degree, g.name))
         self.gen_index = {g.name: i for i, g in enumerate(self.gens)}
         self._odd = [g.degree % 2 for g in self.gens]
+        # the generators' levels, of each kind every generator has a level of
+        levels = {kind: [getattr(g, _LABEL[kind]) for g in self.gens] for kind in FILTRATIONS}
+        self._levels = {kind: lv for kind, lv in levels.items() if None not in lv}
         self.N = int(N)
         if self.N < 0:
             raise AlgebraError("cutoff N must be >= 0")
@@ -647,23 +663,12 @@ class FreeCdga(GradedAlgebra):
         self._basis_cache[n] = keys
         return keys
 
-    def key_weight(self, k):
-        if not self.has_weights:
-            return None
-        return sum(e * self.gens[i].weight for i, e in k)
+    def key_level(self, k, kind):
+        levels = self._levels.get(kind)
+        return None if levels is None else sum(e * levels[i] for i, e in k)
 
-    def key_hodge(self, k):
-        if not self.has_hodge:
-            return None
-        return sum(e * self.gens[i].hodge for i, e in k)
-
-    @property
-    def has_weights(self):
-        return all(g.weight is not None for g in self.gens)
-
-    @property
-    def has_hodge(self):
-        return all(g.hodge is not None for g in self.gens)
+    def has_filtration(self, kind):
+        return kind in self._levels
 
     def differential_of(self, name) -> Element:
         return Element(self, dict(self._diff.get(self.gen_index[name], {})))
@@ -703,6 +708,8 @@ class TableCdga(GradedAlgebra):
             if b.degree < 0:
                 raise AlgebraError(f"basis element {b.name!r} has negative degree")
         self.info = {b.name: b for b in self.basis_list}
+        self._levels = {kind: {b.name: getattr(b, _LABEL[kind]) for b in self.basis_list}
+                        for kind in FILTRATIONS}
         self._basis_cache = {}
         if unit not in self.info or self.info[unit].degree != 0:
             raise AlgebraError(f"unit {unit!r} must be a degree-0 basis element")
@@ -790,19 +797,11 @@ class TableCdga(GradedAlgebra):
             keys = self._basis_cache[n] = [b.name for b in self.basis_list if b.degree == n]
         return keys
 
-    def key_weight(self, k):
-        return self.info[k].weight
+    def key_level(self, k, kind):
+        return self._levels[kind][k]
 
-    def key_hodge(self, k):
-        return self.info[k].hodge
-
-    @property
-    def has_weights(self):
-        return all(b.weight is not None for b in self.basis_list)
-
-    @property
-    def has_hodge(self):
-        return all(b.hodge is not None for b in self.basis_list)
+    def has_filtration(self, kind):
+        return None not in self._levels[kind].values()
 
     def augment(self, x: Element) -> Scalar:
         out = Scalar(0)
@@ -863,22 +862,14 @@ class ProductCdga(GradedAlgebra):
             out.extend((i, kk) for kk in f.basis_keys(n))
         return out
 
-    def key_weight(self, k):
-        return self.factors[k[0]].key_weight(k[1])
-
-    def key_hodge(self, k):
-        return self.factors[k[0]].key_hodge(k[1])
+    def key_level(self, k, kind):
+        return self.factors[k[0]].key_level(k[1], kind)
 
     def key_block(self, k):
         return (k[0], self.factors[k[0]].key_block(k[1]))
 
-    @property
-    def has_weights(self):
-        return all(f.has_weights for f in self.factors)
-
-    @property
-    def has_hodge(self):
-        return all(f.has_hodge for f in self.factors)
+    def has_filtration(self, kind):
+        return all(f.has_filtration(kind) for f in self.factors)
 
     def inject(self, i, x: Element) -> Element:
         return self.tuple_of({i: x})
@@ -1051,7 +1042,7 @@ class SubCdga:
     Elements live in the ambient algebra; this object serves bases and
     coordinates through the space protocol (see the module docstring): its
     `zero`, `unit`, `basis` and `from_coords` return elements of `ambient`,
-    and `has_weights` and `has_hodge` are the ambient's.  Used for mapping
+    and `has_filtration` is the ambient's.  Used for mapping
     paths, double paths and boundary-condition targets, none of which are
     free.
 
@@ -1132,8 +1123,8 @@ class SubCdga:
     def from_coords(self, n, row, strict=True) -> Element:
         return combination(self.ambient, row, self.basis(n, strict=strict))
 
-    def random_element(self, n, rng, density=0.6, strict=True) -> Element:
-        basis = self.basis(n, strict=strict)
+    def random_element(self, n, rng, density=0.6) -> Element:
+        basis = self.basis(n)
         drawn = [(i, self.field.random_scalar(rng)) for i in range(len(basis))
                  if rng.random() < density]
         return combination(self.ambient, {i: c for i, c in drawn if not c.is_zero}, basis)
@@ -1148,13 +1139,8 @@ class SubCdga:
     def unit(self):
         return self.ambient.unit()
 
-    @property
-    def has_weights(self):
-        return self.ambient.has_weights
-
-    @property
-    def has_hodge(self):
-        return self.ambient.has_hodge
+    def has_filtration(self, kind):
+        return self.ambient.has_filtration(kind)
 
     def __repr__(self):
         return self.name

@@ -14,7 +14,7 @@ import functools
 import sys
 
 from . import cache, documents
-from .algebra import AlgebraError, CutoffError, FreeCdga, is_surjective_at
+from .algebra import FILTRATIONS, AlgebraError, CutoffError, FreeCdga, is_surjective_at
 from .diagrams import (rectify, compose_ho, validate_diagram,
                        validate_diagram_morphism, validate_ho_homotopy,
                        validate_ho_morphism)
@@ -72,11 +72,11 @@ def _int_from(low, high=None):
     return parse
 
 
-def _budget(args, doc):
-    """--t-budget, else the document's budget (checked when it was built), else 8."""
-    if args.t_budget is not None:
-        return args.t_budget
-    return doc.get("budget", 8)
+def _require_filtrations(A, kinds, subject, path):
+    """A document error at path unless the built algebra A carries every filtration of kinds."""
+    for kind in kinds:
+        if not A.has_filtration(kind):
+            raise DocumentError(f"{subject} carries no {kind} filtration", path)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def cmd_homotopy_groups(args):
 def cmd_path(args):
     doc = _read(args.document)
     A = build_dga(doc)
-    P = path_of(A, _budget(args, doc))
+    P = path_of(A, args.t_budget)
     k = keyed(P)
     failures = []
     d0, d1, io = delta(P, 0), delta(P, 1), iota(P)
@@ -242,8 +242,7 @@ def cmd_rectify(args):
     tables = {}
     for v in f.source.index.vertices:
         mp = span.mps[v]
-        tables[v] = table_presentation(mp.space, upto, name=f"P(f_{v})",
-                                       keep_filtrations=False)
+        tables[v] = table_presentation(mp.space, upto, name=f"P(f_{v})")
         T, _, from_T = tables[v]
         vertices.append({"name": v, "degree": f.source.index.degree(v),
                          "category": f.source.tags[v],
@@ -299,9 +298,7 @@ def cmd_compose_ho(args):
 def cmd_spectral(args):
     doc = _read(args.document)
     A = build_dga(doc)
-    if (args.filtration == "W" and not A.has_weights) or \
-            (args.filtration == "F" and not A.has_hodge):
-        raise DocumentError(f"document carries no {args.filtration} filtration")
+    _require_filtrations(A, [args.filtration], "document", "$")
     ss = spectral_sequence(A, args.filtration)
     dims = ss.page_dims(args.page, bound=min(args.max_degree, A.N - args.page - 1))
     vanish = ss.d_r_is_zero(args.page)
@@ -314,8 +311,7 @@ def cmd_spectral(args):
 def cmd_decalage(args):
     doc = _read(args.document)
     A = build_dga(doc)
-    if not A.has_weights:
-        raise DocumentError("document carries no W filtration")
+    _require_filtrations(A, ["W"], "document", "$")
     dec = decalage(filtered_complex(A))
     return {"command": "decalage", "subject": A.name, "ok": True,
             "levels": {str(n): sorted(dec.levels[n]) for n in dec.levels}}, True
@@ -347,7 +343,8 @@ def cmd_pi_star(args):
     M = build_dga(model_doc)
     if not isinstance(M, FreeCdga):
         raise DocumentError("the candidate model must be a free presentation")
-    Mhat = mixed_hodge_dga_diagram(M, D, budget=_budget(args, mhd_doc))
+    _require_filtrations(M, FILTRATIONS, "the candidate model", "$.generators")
+    Mhat = mixed_hodge_dga_diagram(M, D)
     comp = dict(comp_doc)
     comp.pop("source", None)
     comp.pop("target", None)
@@ -370,14 +367,10 @@ def make_parser():
                     "spectral sequences, minimal models, mixed Hodge checks.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_degree=False, degree_required=False, budget=False):
+    def common(p, needs_degree=False, degree_required=False):
         p.add_argument("--format", choices=("json", "table"), default="json")
         if needs_degree:
             p.add_argument("--max-degree", type=_int_from(0), required=degree_required)
-        if budget:
-            # the documents' budget cap
-            p.add_argument("--t-budget", type=_int_from(1, documents.MAX_BUDGET),
-                           default=None)
 
     p = sub.add_parser("check", help="validate a document's algebraic identities")
     p.add_argument("document")
@@ -403,7 +396,9 @@ def make_parser():
 
     p = sub.add_parser("path", help="build the path algebra and verify its axioms")
     p.add_argument("document")
-    common(p, budget=True)
+    common(p)
+    # the documents' budget cap
+    p.add_argument("--t-budget", type=_int_from(1, documents.MAX_BUDGET), default=8)
     p.set_defaults(fn=cmd_path)
 
     p = sub.add_parser("homotopy-verify", help="verify a homotopy document")
@@ -453,7 +448,7 @@ def make_parser():
     p.add_argument("--mhd", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--comparison", required=True)
-    common(p, needs_degree=True, budget=True)
+    common(p, needs_degree=True)
     p.set_defaults(fn=cmd_pi_star)
     return ap
 

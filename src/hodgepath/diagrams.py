@@ -203,9 +203,9 @@ class DiagramMorphism:
         return Morphism(src_dom, tgt_dom, fn, name=f"{self.name}@{u}")
 
 
-def validate_diagram_morphism(F: DiagramMorphism, upto=None) -> ValidationReport:
+def validate_diagram_morphism(F: DiagramMorphism) -> ValidationReport:
     rep = ValidationReport(subject=f"morphism {F.name}")
-    upto = min(F.source.check_upto(), F.target.check_upto()) if upto is None else upto
+    upto = min(F.source.check_upto(), F.target.check_upto())
     for u in F.source.phi:
         a = F.source.arrow(u)
         lhs = compose(F.maps[a.dst], F.source.comp(u))
@@ -388,7 +388,7 @@ def build_ho_homotopy(f: HoMorphism, g: HoMorphism, vertex_homotopies: dict,
     return HoHomotopy(f, g, vertex_homotopies, arrows, name=name)
 
 
-def ho_homotopy_add(h1: HoHomotopy, h2: HoHomotopy, name="") -> HoHomotopy:
+def ho_homotopy_add(h1: HoHomotopy, h2: HoHomotopy) -> HoHomotopy:
     """Transitive composition of homotopies of ho-morphisms (free sources).
 
     The caller guarantees that h1 ends where h2 starts (shared middle
@@ -396,7 +396,7 @@ def ho_homotopy_add(h1: HoHomotopy, h2: HoHomotopy, name="") -> HoHomotopy:
     refilled against the new boundary."""
     vertex = {v: homotopy_add(h1.vertex[v], h2.vertex[v])
               for v in h1.f.source.index.vertices}
-    return build_ho_homotopy(h1.f, h2.g, vertex, name=name or "h +~ h'")
+    return build_ho_homotopy(h1.f, h2.g, vertex, name="h +~ h'")
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +496,17 @@ def rectify(f: HoMorphism) -> HoMappingPath:
 # composition of ho-morphisms
 # ---------------------------------------------------------------------------
 
-def compose_with_strict_left(f: HoMorphism, g: DiagramMorphism, name="") -> HoMorphism:
+def compose_with_strict_left(f: HoMorphism, g: DiagramMorphism) -> HoMorphism:
     """f g for a strict g into f's source (exact, no lifts)."""
     maps = {v: compose(f.maps[v], g.maps[v]) for v in f.source.index.vertices}
     homotopies = {}
     for u in f.source.phi:
         F_u = f.homotopies[u]
         homotopies[u] = compose(F_u, g.dom_map(u), name=f"{F_u.name}.g")
-    return HoMorphism(g.source, f.target, maps, homotopies, name=name or "f g")
+    return HoMorphism(g.source, f.target, maps, homotopies, name="f g")
 
 
-def compose_with_strict_right(g: DiagramMorphism, f: HoMorphism, name="") -> HoMorphism:
+def compose_with_strict_right(g: DiagramMorphism, f: HoMorphism) -> HoMorphism:
     """g f for a strict g out of f's target (exact, no lifts)."""
     maps = {v: compose(g.maps[v], f.maps[v]) for v in f.source.index.vertices}
     homotopies = {}
@@ -515,7 +515,7 @@ def compose_with_strict_right(g: DiagramMorphism, f: HoMorphism, name="") -> HoM
         Pg = path_linear_map(g.maps[a.dst], f.path_target(u), g.target.vertex_path(a.dst))
         F_u = f.homotopies[u]
         homotopies[u] = compose(Pg, F_u, name=f"P(g).{F_u.name}")
-    return HoMorphism(f.source, g.target, maps, homotopies, name=name or "g f")
+    return HoMorphism(f.source, g.target, maps, homotopies, name="g f")
 
 
 def compose_ho(g: HoMorphism, f: HoMorphism, name="") -> HoMorphism:
@@ -607,9 +607,9 @@ def span_zigzag(span: HoMappingPath):
     return [("bwd", span.p, span.iota), ("fwd", span.q)]
 
 
-def ho_morphisms_equal(f: HoMorphism, g: HoMorphism, upto=None) -> bool:
+def ho_morphisms_equal(f: HoMorphism, g: HoMorphism) -> bool:
     """Exact equality of vertex maps and arrow homotopies on bases."""
-    upto = min(f.source.check_upto(), f.target.check_upto()) if upto is None else upto
+    upto = min(f.source.check_upto(), f.target.check_upto())
     for v in f.source.index.vertices:
         A = f.source.algebras[v]
         for n in range(0, upto + 1):

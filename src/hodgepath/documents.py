@@ -454,20 +454,19 @@ def build_homotopy(doc, path="$"):
     return f, g, Homotopy(f, g, h)
 
 
-def parse_document(doc, path="$"):
+def parse_document(doc):
     kind = doc.get("kind")
     if kind == "dga":
-        return build_dga(doc, path)
+        return build_dga(doc)
     if kind == "diagram":
-        return build_diagram(doc, path)
+        return build_diagram(doc)
     if kind == "mhd":
-        return build_mhd(doc, path)
+        return build_mhd(doc)
     if kind == "homorphism":
-        return build_homorphism(doc, path)
+        return build_homorphism(doc)
     if kind == "homotopy":
-        return build_homotopy(doc, path)
-    raise DocumentError(f"kind must be one of {sorted(KINDS)}, got {kind!r}",
-                        f"{path}.kind")
+        return build_homotopy(doc)
+    raise DocumentError(f"kind must be one of {sorted(KINDS)}, got {kind!r}", "$.kind")
 
 
 def serialize(doc: dict) -> str:

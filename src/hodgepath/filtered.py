@@ -4,7 +4,8 @@ Conventions (fixed once, documented here):
 
 * Increasing weight filtrations W: level(x) = max key weight, W_p = {level <= p}.
 * Decreasing Hodge filtrations F are handled by negating levels
-  (F^q corresponds to level -q), so one engine serves both directions.
+  (F^q corresponds to level -q, see `algebra.direction`), so one engine
+  serves both directions.
 * Spectral sequence of (C, W), cohomological degree n:
       Z_r^{p,n} = {x in W_p C^n : dx in W_{p-r} C^{n+1}}
       E_r^{p,n} = Z_r^{p,n} / (Z_{r-1}^{p-1,n} + d Z_{r-1}^{p+r-1,n-1})
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (AlgebraError, CutoffError, Element, GradedAlgebra,
-                      LinearMap, combination, d_rows_by_coords, derived)
+from .algebra import (FILTRATIONS, AlgebraError, CutoffError, Element, GradedAlgebra,
+                      LinearMap, combination, d_rows_by_coords, derived, direction)
 from .paths import path_of
 
 _ONE = Fraction(1)
@@ -64,12 +65,9 @@ def path_10(A, budget=None):
 # ---------------------------------------------------------------------------
 
 def _key_level(X, k, kind):
-    if kind == "W":
-        w = X.key_weight(k)
-    else:
-        h = X.key_hodge(k)
-        w = None if h is None else -h
-    return w
+    """The key's level of the kind, negated for F so that the levels run upward."""
+    lv = X.key_level(k, kind)
+    return None if lv is None else direction(kind) * lv
 
 
 class FilteredComplex:
@@ -83,7 +81,8 @@ class FilteredComplex:
     """
 
     def __init__(self, X, kind="W", bound=None):
-        if (kind == "W" and not X.has_weights) or (kind == "F" and not X.has_hodge):
+        # a decalage's kind ("W-dec", "F-dec") is checked on its parent
+        if kind in FILTRATIONS and not X.has_filtration(kind):
             raise AlgebraError(f"{X!r} carries no {kind} filtration")
         self.X = X
         self.kind = kind
@@ -255,15 +254,7 @@ def _graded(C: FilteredComplex, p: int) -> GrComplex:
         idx[n] = sel
         dims[n] = len(sel)
         reps[n] = [C.elements[n][i] for i in sel]
-        hs = []
-        for i in sel:
-            el = C.elements[n][i]
-            try:
-                hs.append(el.hodge())
-            except AlgebraError:
-                hs = None
-                break
-        hodges[n] = hs
+        hodges[n] = [el.level("F") for el in reps[n]]
     for n in range(0, C.bound):
         position = {j: t for t, j in enumerate(idx[n + 1])}
         dmats[n] = [{position[j]: c for j, c in C.d_rows(n)[i].items() if j in position}
@@ -380,11 +371,10 @@ class SpectralSequence:
                     bad.append({"r": r, "p": p, "n": n})
         return bad
 
-    def verify_page_turn(self, r, bound=None) -> list:
+    def verify_page_turn(self, r) -> list:
         """Check E_{r+1} = H(E_r, d_r) via the canonical comparison map."""
-        bound = self._bound(r + 1) if bound is None else bound
         bad = []
-        for n in range(0, bound + 1):
+        for n in range(0, self._bound(r + 1) + 1):
             for p in self.p_range():
                 rows, src = self.d_r_matrix(r, p, n)
                 kern = linalg.left_kernel(rows, src.dim)
@@ -418,9 +408,9 @@ def spectral_sequence(X, kind="W") -> SpectralSequence:
                    lambda: SpectralSequence(filtered_complex(X, kind)))
 
 
-def spectral_page(X, r: int, kind="W", bound=None) -> dict:
-    """Dimensions {(p, n): dim E_r^{p,n}} of the r-th page (exact)."""
-    return spectral_sequence(X, kind).page_dims(r, bound=bound)
+def spectral_page(X, r: int, bound=None) -> dict:
+    """Dimensions {(p, n): dim E_r^{p,n}} of the r-th page of W (exact)."""
+    return spectral_sequence(X).page_dims(r, bound=bound)
 
 
 def induced_page_map(f: LinearMap, r, ss_src: SpectralSequence,
@@ -442,13 +432,15 @@ def induced_page_map(f: LinearMap, r, ss_src: SpectralSequence,
     return rows, src, dst
 
 
-def check_filtration_preserving(f: LinearMap, kind="W", bound=None) -> list:
-    """Witnesses of adapted basis elements that f sends to a higher level, degrees 0..bound.
+def check_filtration_preserving(f: LinearMap, kind="W") -> list:
+    """Witnesses of adapted basis elements that f sends to a higher level.
+
+    Degrees 0..N are read, N the smaller cutoff of f's source and target.
 
     The filtered complexes are those kept on f's source and target.
     """
     bad = []
-    bound = min(f.source.N, f.target.N) if bound is None else bound
+    bound = min(f.source.N, f.target.N)
     fcs, fct = filtered_complex(f.source, kind, bound), filtered_complex(f.target, kind, bound)
     for n in range(0, bound + 1):
         for b, lv in zip(fcs.elements[n], fcs.levels[n]):
@@ -462,7 +454,7 @@ def check_filtration_preserving(f: LinearMap, kind="W", bound=None) -> list:
     return bad
 
 
-def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None):
+def is_Er_quasi_iso(f: LinearMap, r: int, kind="W"):
     """Verdict: does f induce an isomorphism on page r+1 (= H of page r)?
 
     Returns (ok, witnesses).  Pre: f preserves the filtration.  The spectral
@@ -474,7 +466,7 @@ def is_Er_quasi_iso(f: LinearMap, r: int, kind="W", bound=None):
         return False, [{"reason": "not filtration-preserving", **pre[0]}]
     if min(f.source.N, f.target.N) - r - 2 < 0:
         raise CutoffError(f"cutoff too small for an E_{r}-quasi-isomorphism check")
-    bound = min(ss_s._bound(r + 1), ss_t._bound(r + 1)) if bound is None else bound
+    bound = min(ss_s._bound(r + 1), ss_t._bound(r + 1))
     lo = min(ss_s.fc.level_range()[0], ss_t.fc.level_range()[0])
     hi = max(ss_s.fc.level_range()[1], ss_t.fc.level_range()[1])
     bad = []

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (AlgebraError, FreeCdga, combination, compose, derived,
-                      extend_scalars, identity_morphism)
+from .algebra import (FILTRATIONS, AlgebraError, FreeCdga, combination, compose,
+                      derived, direction, extend_scalars, identity_morphism)
 from .diagrams import Diagram, DiagramMorphism, HoMorphism, validate_ho_morphism
 from .filtered import (FilteredComplex, GrComplex, decalage, filtered_complex, gr,
                        gr_differential_strict, is_Er_quasi_iso, spectral_sequence,
@@ -215,9 +215,9 @@ class MixedHodgeDiagram:
             raise AlgebraError("first vertex must be rational")
         if As.field.is_rational:
             raise AlgebraError("last vertex must live over the extension")
-        if not A0.has_weights or not As.has_weights:
+        if not (A0.has_filtration("W") and As.has_filtration("W")):
             raise AlgebraError("weight filtration missing")
-        if not As.has_hodge:
+        if not As.has_filtration("F"):
             raise AlgebraError("Hodge filtration missing on the last vertex")
 
     @property
@@ -523,7 +523,7 @@ def dec_weight_structure(M: FreeCdga, n: int, dec: FilteredComplex | None = None
         wvecs.append((lv, M.coords(el, n)))
     hspans = {}
     for k, e in zip(M.basis_keys(n), _unit_rows(amb_dim)):
-        hspans.setdefault(M.key_hodge(k), []).append(e)
+        hspans.setdefault(M.key_level(k, "F"), []).append(e)
     return MhsStructure(amb_dim, wvecs, hspans)
 
 
@@ -620,16 +620,14 @@ def pi_star_induced_map(D1, M1, f1, D2, M2, f2, g: DiagramMorphism, budget=8):
         dst = QB.degrees.get(n)
         if not src or not rows:
             continue
+        levels = {"W": (src.weights, dst.weights), "F": (src.hodges, dst.hodges)}
         for i, row in enumerate(rows):
             for j in row:
-                if src.weights[i] is not None and dst.weights[j] is not None \
-                        and dst.weights[j] > src.weights[i]:
-                    compat.append({"check": "W", "degree": n,
-                                   "from": src.labels[i], "to": dst.labels[j]})
-                if src.hodges[i] is not None and dst.hodges[j] is not None \
-                        and dst.hodges[j] < src.hodges[i]:
-                    compat.append({"check": "F", "degree": n,
-                                   "from": src.labels[i], "to": dst.labels[j]})
+                for kind in FILTRATIONS:
+                    a, b = levels[kind][0][i], levels[kind][1][j]
+                    if a is not None and b is not None and direction(kind) * (b - a) > 0:
+                        compat.append({"check": kind, "degree": n,
+                                       "from": src.labels[i], "to": dst.labels[j]})
     return {"map": h, "matrices": mats, "mhs_compatible": not compat,
             "witnesses": compat}
 

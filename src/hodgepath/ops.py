@@ -6,8 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import (AlgebraError, CutoffError, Element, FreeCdga, LinearMap,
-                      TableBasisElement, TableCdga, _accumulate, _element)
+from .algebra import (FILTRATIONS, AlgebraError, CutoffError, Element, FreeCdga,
+                      LinearMap, TableBasisElement, TableCdga, _accumulate, _element,
+                      direction)
 from .paths import BudgetError
 from .scalars import coeff, from_coeff
 
@@ -115,6 +116,26 @@ class _StructureConstants:
                 == A.mul_terms(self.unit(k1), self.mul(k2, k3)))
 
 
+# per filtration kind: the detail of a d, and of a product, that leaves it
+_LEAVES = {"W": ("d raises the weight", "product exceeds the weight sum"),
+           "F": ("d drops the Hodge level", "product below the Hodge level sum")}
+
+
+def _check_filtrations(rep, A, cells):
+    """Per filtration A carries, W then F: a `filtration-<kind>` failure for
+    each cell (witness, x, keys) whose x, the d of one key or the product of
+    two, leaves the filtration at the sum of the keys' levels.
+    """
+    for kind in FILTRATIONS:
+        if not A.has_filtration(kind):
+            continue
+        s = direction(kind)
+        for witness, x, keys in cells:
+            bound = sum(A.key_level(k, kind) for k in keys)
+            if not x.is_zero and s * x.level(kind) > s * bound:
+                rep.add(f"filtration-{kind}", witness, detail=_LEAVES[kind][len(keys) - 1])
+
+
 def check_cdga(A) -> ValidationReport:
     """Assert the cdga identities up to the horizon, with witnesses.
 
@@ -128,20 +149,19 @@ def check_cdga(A) -> ValidationReport:
     {key: coefficient} dicts from the key protocol (`mul_keys`, `d_key`,
     `mul_terms`, `d_terms`), not Elements.  Associativity is checked on
     every triple of basis elements with degree sum <= N, at every size.
+    Each filtration the algebra carries (W, F) must hold its d, and a
+    table's products.
     """
     rep = ValidationReport(subject=repr(A))
 
     if isinstance(A, FreeCdga):
-        for g in A.gens:
+        for i, g in enumerate(A.gens):
             dg = A.differential_of(g.name)
             if g.degree + 2 <= A.N:
                 dd = dg.d()
                 if not dd.is_zero:
                     rep.add("d-squared", g.name, value=repr(dd))
-            if A.has_weights and not dg.is_zero:
-                if any(A.key_weight(k) > g.weight for k in dg.terms):
-                    rep.add("filtration", g.name,
-                            detail="differential raises the weight filtration")
+            _check_filtrations(rep, A, [(g.name, dg, [((i, 1),)])])
         # Leibniz / commutativity hold by construction for the free product;
         # spot-check small degrees to catch kernel bugs.
         sc = _StructureConstants(A)
@@ -189,26 +209,10 @@ def check_cdga(A) -> ValidationReport:
             d_aug = A.augment(A.basis_element(nm).d())
             if not d_aug.is_zero:
                 rep.add("augmentation", nm, detail="augmentation not a chain map")
-        if A.has_weights:
-            for nm in names:
-                db = A.basis_element(nm).d()
-                if not db.is_zero and db.weight() > A.info[nm].weight:
-                    rep.add("filtration-W", nm, detail="d raises the weight")
-            for (n1, n2), terms in A.products.items():
-                el = Element(A, terms)
-                if not el.is_zero and el.weight() > A.info[n1].weight + A.info[n2].weight:
-                    rep.add("filtration-W", f"{n1}*{n2}",
-                            detail="product exceeds the weight sum")
-        if A.has_hodge:
-            for nm in names:
-                db = A.basis_element(nm).d()
-                if not db.is_zero and db.hodge() < A.info[nm].hodge:
-                    rep.add("filtration-F", nm, detail="d drops the Hodge level")
-            for (n1, n2), terms in A.products.items():
-                el = Element(A, terms)
-                if not el.is_zero and el.hodge() < A.info[n1].hodge + A.info[n2].hodge:
-                    rep.add("filtration-F", f"{n1}*{n2}",
-                            detail="product below the Hodge level sum")
+        _check_filtrations(
+            rep, A, [(nm, A.basis_element(nm).d(), [nm]) for nm in names]
+            + [(f"{n1}*{n2}", Element(A, terms), [n1, n2])
+               for (n1, n2), terms in A.products.items()])
         return rep
 
     rep.add("presentation", repr(type(A)), detail="check_cdga needs FREE or TABLE")
@@ -375,13 +379,10 @@ def indecomposables(A, upto=None) -> QComplex:
             sq = linalg.Subquotient(num, dec, cols)
             sqs[n] = sq
             reps = [A.from_coords(n, v) for v in sq.reps]
-            weights = []
-            hodges = []
-            for el in reps:
-                weights.append(el.weight() if A.has_weights else None)
-                hodges.append(el.hodge() if A.has_hodge else None)
+            levels = {kind: [el.level(kind) if A.has_filtration(kind) else None
+                             for el in reps] for kind in FILTRATIONS}
             degrees[n] = QDegree(labels=[f"q{n}_{k}" for k in range(sq.dim)],
-                                 reps=reps, weights=weights, hodges=hodges)
+                                 reps=reps, weights=levels["W"], hodges=levels["F"])
         for n in range(0, upto):
             rows = []
             for v in sqs[n].reps:
@@ -418,8 +419,8 @@ def induced_on_indecomposables(f, QA: QComplex, QB: QComplex, upto=None):
 # materialized table presentations (truncation)
 # ---------------------------------------------------------------------------
 
-def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
-    """Materialize any algebra/subalgebra as a TableCdga up to the given degree.
+def table_presentation(X, upto: int, name="") -> tuple:
+    """Materialize any algebra/subalgebra as an unfiltered TableCdga up to the given degree.
 
     Returns (T, to_table: LinearMap, from_table: LinearMap).  Products landing
     above the truncation degree are dropped, and for path-polynomial algebras
@@ -433,9 +434,7 @@ def table_presentation(X, upto: int, name="", keep_filtrations=True) -> tuple:
         for k, b in enumerate(bs):
             nm = f"b{n}_{k}"
             names[(n, k)] = nm
-            w = b.weight() if keep_filtrations and X.has_weights else None
-            h = b.hodge() if keep_filtrations and X.has_hodge else None
-            entries.append(TableBasisElement(nm, n, w, h))
+            entries.append(TableBasisElement(nm, n))
     # unit coordinates
     u_coords = X.coords(X.unit(), 0)
     if len(u_coords) != 1 or 1 not in u_coords.values():

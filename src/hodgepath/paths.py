@@ -115,25 +115,18 @@ class PathAlgebra(GradedAlgebra):
             self._basis_cache[n] = keys
         return keys
 
-    def key_weight(self, k):
-        w = self.base.key_weight(k[0])
-        if w is None:
-            return None
-        return w - self.w_shift * k[1][1]
-
-    def key_hodge(self, k):
-        return self.base.key_hodge(k[0])
+    def key_level(self, k, kind):
+        """The base key's level; W drops by w_shift on the dt keys, F does not shift."""
+        lv = self.base.key_level(k[0], kind)
+        if lv is None or kind != "W":
+            return lv
+        return lv - self.w_shift * k[1][1]
 
     def key_block(self, k):
         return (k[1][0] + k[1][1], self.base.key_block(k[0]))
 
-    @property
-    def has_weights(self):
-        return self.base.has_weights
-
-    @property
-    def has_hodge(self):
-        return self.base.has_hodge
+    def has_filtration(self, kind):
+        return self.base.has_filtration(kind)
 
     def key_t_weight(self, k):
         """Total polynomial weight across all path levels of a nested key."""
@@ -141,7 +134,7 @@ class PathAlgebra(GradedAlgebra):
         inner = self.base.key_t_weight(bk) if isinstance(self.base, PathAlgebra) else 0
         return inner + i + e
 
-    def random_element(self, n, rng, density=0.6, strict=True):
+    def random_element(self, n, rng, density=0.6):
         """Random element supported on total t-weight <= budget // 2.
 
         Sampling the full budget would make random products overflow by

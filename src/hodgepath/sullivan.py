@@ -80,7 +80,8 @@ def is_minimal(M, filtered: bool = False):
                 if g.weight is None:
                     bad.append({"generator": g.name, "check": "weights-missing"})
                     break
-                if M.key_weight(k) is None or M.key_weight(k) > g.weight - 1:
+                lv = M.key_level(k, "W")
+                if lv is None or lv > g.weight - 1:
                     bad.append({"generator": g.name, "check": "weight-shift",
                                 "witness": M.key_str(k)})
     return (not bad), bad

@@ -19,7 +19,8 @@ import pytest
 
 from helpers import ms2, s2_table
 from hodgepath import (QQ, Field, FreeCdga, Generator, TableBasisElement, TableCdga,
-                       check_cdga, cli, minimal_model, path_of, table_presentation)
+                       build_dga, check_cdga, cli, minimal_model, path_of,
+                       table_presentation)
 
 PAIR_CHECKS = ("graded-commutativity", "leibniz", "associativity")
 
@@ -186,7 +187,7 @@ def large_table(rng, F):
     """
     while True:
         X = path_of(s2_table() if rng.random() < 0.5 else ms2(), rng.randint(2, 5))
-        T, _, _ = table_presentation(X, rng.randint(3, 5), keep_filtrations=False)
+        T, _, _ = table_presentation(X, rng.randint(3, 5))
         if len(T.basis_list) <= 40:
             break
     basis = list(T.basis_list)
@@ -268,3 +269,54 @@ def test_path_checks_its_input_not_a_materialised_table():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "check_cdga" in called
     assert "table_presentation" not in called
+
+
+# -- filtrations -------------------------------------------------------------------
+
+def _free(x, y):
+    """x (degree 2) and y (degree 3) with d y = x^2, labelled {"weight", "hodge"}."""
+    return {"schema": 1, "kind": "dga", "name": "free", "presentation": "free",
+            "field": "Q", "max_degree": 6,
+            "generators": [{"name": "x", "degree": 2, **x},
+                           {"name": "y", "degree": 3, **y, "d": "x^2"}]}
+
+
+def _table(a, b, differentials=None, products=None):
+    """one, a (degree 1 with a d, else 2) and b (degree 2, else 4), labelled."""
+    deg = (1, 2) if differentials else (2, 4)
+    return {"schema": 1, "kind": "dga", "name": "table", "presentation": "table",
+            "field": "Q", "max_degree": 4, "unit": "one",
+            "basis": [{"name": "one", "degree": 0, "weight": 0, "hodge": 0},
+                      {"name": "a", "degree": deg[0], **a},
+                      {"name": "b", "degree": deg[1], **b}],
+            "differentials": differentials or {}, "products": products or {}}
+
+
+LEAVING = {
+    # a d that raises W, or drops F, past the level of its generator or basis element
+    ("free", "W"): (_free({"weight": 2, "hodge": 0}, {"weight": 3, "hodge": 0}),
+                    "y", "d raises the weight"),
+    ("free", "F"): (_free({"weight": 2, "hodge": 0}, {"weight": 4, "hodge": 1}),
+                    "y", "d drops the Hodge level"),
+    ("table", "W"): (_table({"weight": 1, "hodge": 0}, {"weight": 2, "hodge": 0}, {"a": "b"}),
+                     "a", "d raises the weight"),
+    ("table", "F"): (_table({"weight": 1, "hodge": 1}, {"weight": 1, "hodge": 0}, {"a": "b"}),
+                     "a", "d drops the Hodge level"),
+    # a table product past the sum of its factors' levels
+    ("table product", "W"): (_table({"weight": 1, "hodge": 1}, {"weight": 3, "hodge": 2},
+                                    products={"a*a": "b"}),
+                             "a*a", "product exceeds the weight sum"),
+    ("table product", "F"): (_table({"weight": 1, "hodge": 1}, {"weight": 2, "hodge": 1},
+                                    products={"a*a": "b"}),
+                             "a*a", "product below the Hodge level sum"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAVING), ids="-".join)
+def test_a_d_or_product_that_leaves_a_filtration_fails_that_filtration_once(case):
+    """Each presentation checks both filtrations through one loop: one failure
+    per defect, named by the kind it leaves; the other kind holds."""
+    doc, witness, detail = LEAVING[case]
+    kind = case[1]
+    assert check_cdga(build_dga(doc)).failures == [
+        {"check": f"filtration-{kind}", "witness": witness, "detail": detail}]

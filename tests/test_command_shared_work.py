@@ -95,7 +95,7 @@ def _named(n, row):
 @pytest.mark.parametrize("case", sorted(TABLE_CASES))
 def test_table_entries_are_the_coordinates_of_products(case):
     X, upto = TABLE_CASES[case]()
-    T, _, _ = table_presentation(X, upto, keep_filtrations=False)
+    T, _, _ = table_presentation(X, upto)
     bases = {n: X.basis(n) for n in range(0, upto + 1)}
     pairs, outside = set(), []
     for n1 in range(0, upto + 1):
@@ -132,10 +132,8 @@ def test_rectify_arrow_maps_equal_those_of_fresh_tables(name):
     upto = f.source.check_upto() - 1
     assert arrows
     for arrow in arrows:
-        T_i, _, from_i = table_presentation(span.mps[arrow["from"]].space, upto,
-                                            keep_filtrations=False)
-        _, to_j, _ = table_presentation(span.mps[arrow["to"]].space, upto,
-                                        keep_filtrations=False)
+        T_i, _, from_i = table_presentation(span.mps[arrow["from"]].space, upto)
+        _, to_j, _ = table_presentation(span.mps[arrow["to"]].space, upto)
         psi = span.diagram.phi[arrow["name"]]
         assert arrow["map"] == {b.name: element_expr(to_j(psi(from_i(T_i.basis_element(b.name)))))
                                 for b in T_i.basis_list}

@@ -207,10 +207,14 @@ def test_unresolved_homorphism_references_exit_2(tmp_path, mutate, where):
 
 
 def test_t_budget_only_where_it_is_read():
-    out = run_cli("check", "fixtures/s2.json", "--t-budget", "3")
-    assert out.returncode == 2, out.stderr
-    assert "--t-budget" in out.stderr
-    assert "Traceback" not in out.stderr
+    for args in (["check", "fixtures/s2.json"],
+                 # pi-star reads the mhd document's own budget; a flag would set nothing
+                 ["pi-star", "--mhd", "fixtures/p1toy.json", "--model", "fixtures/p1toy_model.json",
+                  "--comparison", "fixtures/p1toy_comparison.json"]):
+        out = run_cli(*args, "--t-budget", "3")
+        assert out.returncode == 2, (args, out.stderr)
+        assert "--t-budget" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("budget", ["0", "-1", "two"])
@@ -615,6 +619,27 @@ def test_pi_star_cli():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["degrees"]["2"]["types"] == {"(1,1)": 1}
+
+
+@pytest.mark.parametrize("model, kind", [("p1toy_model_no_hodge.json", "F"),
+                                         ("p1toy_model_no_weight.json", "W")])
+def test_pi_star_refuses_a_model_without_both_filtrations(model, kind):
+    """Q(M) carries W and F only when every generator has both labels: a model
+    without them is a document error at its generators, never a traceback."""
+    out = run_cli("pi-star", "--mhd", fixture_path("p1toy.json"),
+                  "--model", fixture_path(model),
+                  "--comparison", fixture_path("p1toy_comparison.json"),
+                  "--max-degree", "4")
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == f"error: $.generators: the candidate model carries no {kind} filtration\n"
+
+
+def test_check_reports_a_free_d_that_drops_the_hodge_level():
+    rc, stdout = run_main("check", fixture_path("free_hodge_drop.json"))
+    assert rc == 1
+    assert json.loads(stdout)["failures"] == [
+        {"check": "filtration-F", "witness": "y", "detail": "d drops the Hodge level"}]
 
 
 def test_rectify_cli_revalidates():

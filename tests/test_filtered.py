@@ -55,8 +55,8 @@ def test_gr_of_filtered_path():
     for p in (-1, 0, 1):
         g = gr(P1, p)
         for n in range(0, 4):
-            dim_t = (T + 1) * sum(1 for k in A.basis_keys(n) if A.key_weight(k) == p)
-            dim_dt = T * sum(1 for k in A.basis_keys(n - 1) if A.key_weight(k) == p + 1)
+            dim_t = (T + 1) * sum(1 for k in A.basis_keys(n) if A.key_level(k, "W") == p)
+            dim_dt = T * sum(1 for k in A.basis_keys(n - 1) if A.key_level(k, "W") == p + 1)
             assert g.dims[n] == dim_t + dim_dt
 
 
@@ -185,18 +185,18 @@ def test_r_path_weights():
     P0 = r_path(A, 0, budget=3)
     k0 = keyed(P0)
     x = A.basis_element("x2")
-    assert (k0.include(x) * k0.dt()).weight() == 2      # r = 0: no shift
+    assert (k0.include(x) * k0.dt()).level("W") == 2      # r = 0: no shift
     P1 = r_path(A, 1, budget=3)
     k1 = keyed(P1)
-    assert (k1.include(x) * k1.dt()).weight() == 1      # r = 1: shift by one
-    assert (k1.include(x) * k1.t()).weight() == 2
+    assert (k1.include(x) * k1.dt()).level("W") == 1      # r = 1: shift by one
+    assert (k1.include(x) * k1.t()).level("W") == 2
     # endpoint evaluations are filtered for all r
     for P in (P0, P1):
         k = keyed(P)
         el = k.include(x) * k.t() + k.include(x) * k.dt()
         for j in (0, 1):
             out = k.evaluate(el, j)
-            assert out.is_zero or out.weight() <= el.weight() + 1
+            assert out.is_zero or out.level("W") <= el.level("W") + 1
 
 
 def test_path_10_bidegrees():
@@ -206,7 +206,7 @@ def test_path_10_bidegrees():
     P = path_10(A, budget=3)
     k = keyed(P)
     el = k.include(A.basis_element("x2")) * k.dt()
-    assert el.weight() == 2 and el.hodge() == 2  # W shifts, F does not
+    assert el.level("W") == 2 and el.level("F") == 2  # W shifts, F does not
     # trivial filtrations: plain path
     B = s2_weighted()
     PW = path_10(B, budget=3)

@@ -43,7 +43,8 @@ def test_every_element_of_a_space_lives_in_its_ambient(name):
     assert isinstance(amb, GradedAlgebra)
     assert amb.ambient is amb
     assert X.zero().alg is amb and X.unit().alg is amb
-    assert (X.has_weights, X.has_hodge) == (amb.has_weights, amb.has_hodge)
+    for kind in ("W", "F"):
+        assert X.has_filtration(kind) == amb.has_filtration(kind)
     X.check_degree(X.N)
     with pytest.raises(CutoffError):
         X.check_degree(X.N + 1)
@@ -86,12 +87,12 @@ def test_free_morphism_into_a_subalgebra_takes_images_in_its_ambient():
 def test_filtration_of_a_subalgebra_is_checked_in_the_constructor():
     # the ambient of a mapping path of unweighted algebras has no W filtration
     S = _spaces()["MappingPath"]
-    assert not S.has_weights and not S.ambient.has_weights
+    assert not S.has_filtration("W") and not S.ambient.has_filtration("W")
     with pytest.raises(AlgebraError, match="carries no W filtration"):
         FilteredComplex(S, "W")
     T = FreeCdga([Generator("a2", 2, weight=2)], 3, name="T")
     U = SubCdga(T, [])
-    assert U.has_weights and not U.has_hodge
+    assert U.has_filtration("W") and not U.has_filtration("F")
     assert FilteredComplex(U, "W").dim(2) == 1
     with pytest.raises(AlgebraError, match="carries no F filtration"):
         FilteredComplex(U, "F")
