@@ -359,6 +359,11 @@ class GradedAlgebra:
                 f"degree {n} outside the trust horizon 0..{self.N} of {self.name or self}")
 
     def basis(self, n, strict=True) -> list:
+        """One element per basis key of degree n, made on each call; only the keys are kept.
+
+        Path lifting builds fresh algebras and rarely asks one degree's basis
+        twice, so keeping the elements as well costs more than it saves.
+        """
         self.check_degree(n, strict)
         if n < 0:
             return []
@@ -1048,10 +1053,13 @@ class SubCdga:
 
     basis(n) is the left kernel of the constraints over the ambient basis of
     degree n, one vector per free unknown of that elimination, 1 there and 0
-    at every other free unknown.  So the coordinates of x are x's ambient
-    coefficients at the free positions, read off without elimination; x is
-    a member exactly when those coordinates recombine to x, which `coords`
-    checks.
+    at every other free unknown.  The kernel is kept per degree as its
+    ambient coefficient rows and free positions, which `dim` and `coords`
+    read; `basis` makes the elements from the rows on its first call.  So
+    the coordinates of x are x's ambient coefficients at the free positions,
+    read off without elimination; x is a member exactly when subtracting
+    those coordinates times the rows from x's ambient row leaves nothing,
+    which `coords` checks.
     """
 
     def __init__(self, ambient: GradedAlgebra, constraints, name=""):
@@ -1067,17 +1075,22 @@ class SubCdga:
 
     # space protocol ------------------------------------------------------------
 
-    def basis(self, n, strict=True):
-        self.check_degree(n, strict)
-        if n < 0:
-            return []
-        if n not in self._basis_cache:
+    def _kernel(self, n):
+        """(ambient coefficient rows of basis(n), {free position: index}), built once per degree."""
+        kept = self._rows.get(n)
+        if kept is None:
             amb_basis = self.ambient.basis(n, strict=False)
             kernel = linalg.free_kernel(self._constraint_rows(amb_basis), len(amb_basis))
-            rows = list(kernel.values())
-            self._rows[n] = rows, {j: i for i, j in enumerate(kernel)}
-            self._basis_cache[n] = [self.ambient.from_coords(n, v) for v in rows]
-        return list(self._basis_cache[n])
+            kept = self._rows[n] = list(kernel.values()), {j: i for i, j in enumerate(kernel)}
+        return kept
+
+    def basis(self, n, strict=True):
+        self.check_degree(n, strict)
+        elements = self._basis_cache.get(n)
+        if elements is None:
+            elements = self._basis_cache[n] = [self.ambient.from_coords(n, v)
+                                               for v in self._kernel(n)[0]]
+        return list(elements)
 
     def constraint_kernel(self, elements):
         """Basis of {x : sum_i x_i elements[i] meets every constraint}, as coefficient rows.
@@ -1098,21 +1111,20 @@ class SubCdga:
         return rows
 
     def dim(self, n, strict=True):
-        return len(self.basis(n, strict=strict))
+        self.check_degree(n, strict)
+        return len(self._kernel(n)[0])
 
     def coords(self, x: Element, n, strict=True):
         """Coefficient row of x over basis(n); raises if x is not in this subalgebra."""
         self.check_degree(n, strict)
-        if n not in self._rows:
-            self.basis(n, strict=False)
-        rows, free = self._rows.get(n, ((), {}))
+        rows, free = self._kernel(n)
         amb_row = self.ambient.coords(x, n, strict=False)
         sol = {}
         for j, c in amb_row.items():
             i = free.get(j)
             if i is not None:
                 sol[i] = c
-        if linalg.combine(sol, rows) != amb_row:
+        if not linalg.is_combination(amb_row, sol, rows):
             raise AlgebraError(f"element is not in {self.name} (degree {n})")
         return sol
 

@@ -549,7 +549,13 @@ def pi_star(D: MixedHodgeDiagram, M: FreeCdga, f: HoMorphism,
     Preconditions are checked and reported: M minimal with the weight shift,
     (M^n, Dec W, F) a mixed Hodge structure per degree, f a validating
     ho-morphism that is a level-wise quasi-isomorphism through the horizon.
+    A model without both filtrations is refused with an AlgebraError naming
+    the missing kind: (M^n, Dec W, F) needs a weight and a Hodge level on
+    every generator.
     """
+    for kind in FILTRATIONS:
+        if not M.has_filtration(kind):
+            raise AlgebraError(f"{M!r} carries no {kind} filtration")
     rep = PiStarReport()
     N = (D.N if max_degree is None else max_degree)
     ok_min, wit = is_minimal(M, filtered=True)

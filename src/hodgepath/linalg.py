@@ -6,7 +6,8 @@ Fractions and whose others are Scalars (`scalars.coeff` and
 `scalars.from_coeff` convert one coefficient).  An algebra's `coords` turns
 an element into a row over a basis, and its `from_coords` (or `combination`)
 turns a row back into an element; in between, every function here takes and
-returns rows, and `combine` is the one linear combination of rows.  Inside,
+returns rows, `combine` is the one linear combination of rows and
+`is_combination` tests a row against one by subtraction.  Inside,
 an elimination holds rows of one coefficient type (Fractions, or Scalars
 over Q(sqrt d)); rows leave through `_formatted`, so that they are in the
 format even where Scalar arithmetic cancelled an imaginary part.
@@ -22,7 +23,7 @@ coordinates over it; the expressions those coordinates need are built on
 the first request, so a span that is only grown costs its echelon rows.
 A `SubCdga` needs none: its basis is a `free_kernel`, each vector 1 at its
 own free unknown and 0 at the others, so coordinates are read off at the
-free unknowns.
+free unknowns and membership is `is_combination`.
 
 `_eliminate` is Gauss-Jordan with the deterministic first-nonzero rule: the
 first row at or below the rank with a non-zero in the column becomes the
@@ -82,6 +83,16 @@ def combine(coeffs, rows):
     for i, c in coeffs.items():
         _sub_multiple(out, -c, rows[i])
     return _formatted(out)
+
+
+def is_combination(y, coeffs, rows) -> bool:
+    """Whether y == combine(coeffs, rows): nothing is left of y after subtracting each
+    coeffs[i] * rows[i], so no combined row is built, formatted or compared.
+    """
+    left = dict(y)
+    for i, c in coeffs.items():
+        _sub_multiple(left, c, rows[i])
+    return not left
 
 
 def _sub_multiple(row, c, prow):
@@ -299,7 +310,7 @@ def solve(rows, count: int, ys):
             if c is not None:
                 x[p] = c
         x = _formatted(x)
-        out.append(x if combine(x, rows) == y else None)
+        out.append(x if is_combination(y, x, rows) else None)
     return out
 
 

@@ -514,18 +514,36 @@ def fibre_product(spaces, equations, name=""):
 
     The product is keyed: its inject and project work directly with each
     factor's elements, and a subalgebra factor brings its own constraints
-    along its projection.  Returns the SubCdga over that product.
+    along its projection.  Returns the SubCdga over that product.  Each
+    constraint reads only its own slots: a map is applied only to a
+    projection that has terms, and an empty one adds zero (the maps are
+    linear), so an element of one slot costs only the equations on it.
     """
     amb = ProductCdga([X.ambient for X in spaces], name=" x ".join(map(repr, spaces)))
 
     def on(i, f):
-        return lambda x: f(amb.project(i, x))
+        """f on slot i of x, or None where x has no terms there."""
+        def apply(x):
+            xi = amb.project(i, x)
+            return f(xi) if xi.terms else None
+        return apply
 
-    cons = [LinearMap(amb, c.target, on(i, c), name=f"[{i}]{c.name}")
+    def constraint(fi, gj, T):
+        """fi - gj in T, without gj for a factor's own constraint; None reads as zero."""
+        def fn(x):
+            a = fi(x)
+            b = None if gj is None else gj(x)
+            if b is None:
+                return T.zero() if a is None else a
+            return -b if a is None else a - b
+        return fn
+
+    cons = [LinearMap(amb, c.target, constraint(on(i, c), None, c.target.ambient),
+                      name=f"[{i}]{c.name}")
             for i, X in enumerate(spaces) if isinstance(X, SubCdga) for c in X.constraints]
     for i, f, j, g in equations:
-        fi, gj = on(i, f), on(j, g)
-        cons.append(LinearMap(amb, f.target.ambient, lambda x, fi=fi, gj=gj: fi(x) - gj(x),
+        T = f.target.ambient
+        cons.append(LinearMap(amb, T, constraint(on(i, f), on(j, g), T),
                               name=f"{f.name}[{i}]={g.name}[{j}]"))
     return SubCdga(amb, cons, name=name)
 

@@ -1,11 +1,12 @@
 """Mixed Hodge verification, transport, degeneration, homotopy-group structures."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import square_diagram, toy_mhd, toy_model
+from helpers import fixture_path, square_diagram, toy_mhd, toy_model
 from hodgepath import (AlgebraError, DiagramMorphism, Field, FreeCdga,
                        FreeMorphism, Generator, MhsStructure, TableBasisElement,
                        TableCdga, build_ho_homotopy, check_mhd, compose_ho,
@@ -16,6 +17,7 @@ from hodgepath import (AlgebraError, DiagramMorphism, Field, FreeCdga,
                        transport_rational_structure, validate_diagram_morphism,
                        validate_ho_morphism)
 from hodgepath.diagrams import Diagram, HoMorphism, IndexCategory
+from hodgepath.documents import build_dga, build_homorphism, build_mhd
 from hodgepath.scalars import Scalar
 
 
@@ -315,6 +317,23 @@ def test_pi_star_precondition_witnesses():
     MD, f = toy_comparison(toy, Mbad)
     rep = pi_star(toy, Mbad, f)
     assert not rep.preconditions["minimal"]["ok"]
+
+
+@pytest.mark.parametrize("model, kind", [("p1toy_model_no_hodge.json", "F"),
+                                         ("p1toy_model_no_weight.json", "W")])
+def test_pi_star_refuses_a_model_without_both_filtrations(model, kind):
+    """In-process, as through the CLI: an AlgebraError naming the missing kind, never a TypeError."""
+    def read(name):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    D = build_mhd(read("p1toy.json"))
+    M = build_dga(read(model))
+    comp = {k: v for k, v in read("p1toy_comparison.json").items() if k not in ("source", "target")}
+    f = build_homorphism(comp, source=mixed_hodge_dga_diagram(M, D), target=D.diagram)
+    with pytest.raises(AlgebraError) as err:
+        pi_star(D, M, f, max_degree=4)
+    assert str(err.value) == f"{M!r} carries no {kind} filtration"
 
 
 def test_stokes_identities_and_q_invariance():

@@ -7,9 +7,9 @@ of delta^1 on P(A), and a homotopy h: v f0 ~ v f1 in P(B) is lifted against
 path object and the third on it, v and P(A); the path object keeps them,
 and morphism_matrix keeps each map's rows per degree.  A spy shows that a
 chain of ho-homotopies (compose_ho, build_ho_homotopy, ho_homotopy_add) on
-one diagram builds the square boundary's basis once and applies theta and
-each pi once per basis element; the lifts it finds are those of fresh
-targets on freshly built diagrams, read through `element_expr`.
+one diagram builds the square boundary's constraint kernel once and applies
+theta and each pi once per basis element; the lifts it finds are those of
+fresh targets on freshly built diagrams, read through `element_expr`.
 """
 
 from collections import Counter
@@ -49,14 +49,14 @@ def _chain_exprs(gen, h1, total):
 
 def test_chain_builds_each_target_and_matrix_once(monkeypatch):
     bases = Counter()
-    basis = algebra.SubCdga.basis
+    kernel = algebra.SubCdga._kernel
 
-    def counting_basis(self, n, strict=True):
-        if n not in self._basis_cache:
+    def counting_kernel(self, n):
+        if n not in self._rows:
             bases[self.name, n] += 1
-        return basis(self, n, strict)
+        return kernel(self, n)
 
-    monkeypatch.setattr(algebra.SubCdga, "basis", counting_basis)
+    monkeypatch.setattr(algebra.SubCdga, "_kernel", counting_kernel)
     built, applied = Counter(), Counter()
 
     def spied(make, slot):
